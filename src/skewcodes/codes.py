@@ -34,7 +34,8 @@ from .rootsets import require_wedderburn_roots, skew_vandermonde
 from .skewpoly import (
     SkewPoly,
     SkewRing,
-    _left_divmod_ci,
+    _mirror_ci,
+    _monic_right_divisors_ci,
     _mul_ci,
     _right_divmod_ci,
     _trim,
@@ -544,8 +545,9 @@ def enumerate_right_divisors(f, degrees=None, cancel=None):
     Degrees up to n/2 are found by direct candidate enumeration with a
     right-division test; higher degrees enumerate the monic left cofactor h
     (f = h * g) and recover g as the left quotient, which is a bijection
-    since quotients are unique.  Lists are ordered lexicographically on the
-    ascending coefficient sequence.  Returns {degree: [divisors]} including
+    since quotients are unique; that search runs in the mirror ring (see
+    skewpoly).  Lists are ordered lexicographically on the ascending
+    coefficient sequence.  Returns {degree: [divisors]} including
     the trivial degrees 0 and n.
     """
     f = f.poly if isinstance(f, Modulus) else f
@@ -576,23 +578,15 @@ def enumerate_right_divisors(f, degrees=None, cancel=None):
         if d == n:
             out[d] = [f]
             continue
-        found = []
         if d <= n - d:
-            for tail in itertools.product(range(N), repeat=d):
-                if cancel is not None and cancel.is_set():
-                    raise SearchCancelledError("divisor enumeration cancelled")
-                g = tail + (1,)
-                if not _right_divmod_ci(ring, fci, g)[1]:
-                    found.append(SkewPoly(ring, g))
+            divisors = _monic_right_divisors_ci(ring, fci, d, cancel)
+            found = [SkewPoly(ring, g) for g, _ in divisors]
         else:
-            # enumerate monic left cofactors h of degree n - d instead
-            for tail in itertools.product(range(N), repeat=n - d):
-                if cancel is not None and cancel.is_set():
-                    raise SearchCancelledError("divisor enumeration cancelled")
-                h = tail + (1,)
-                q, r = _left_divmod_ci(ring, fci, h)
-                if not r:
-                    found.append(SkewPoly(ring, q))
+            # f = h * g with h monic of degree n - d exactly when mu(h)
+            # right-divides mu(f) with quotient mu(g)
+            mirror = ring._mirror
+            cofactors = _monic_right_divisors_ci(mirror, _mirror_ci(ring, fci), n - d, cancel)
+            found = [SkewPoly(ring, _mirror_ci(mirror, s)) for _, s in cofactors]
             found.sort(key=lambda g: g._ci)
         out[d] = found
     return out

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .errors import FieldMismatchError
 from .fields import FieldElement
-from .skewpoly import SkewPoly, _trim
+from .skewpoly import SkewPoly, _add_ci, _mul_ci, _trim
 
 
 class LinearizedPoly:
@@ -48,14 +48,7 @@ class LinearizedPoly:
 
     def __add__(self, other):
         other = self._same_ring(other)
-        add = self.ring.field.add_i
-        a, b = self._ci, other._ci
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = add(out[i], c)
-        return LinearizedPoly._make(self.ring, out)
+        return LinearizedPoly(self.ring, _add_ci(self.ring, self._ci, other._ci))
 
     def compose(self, other):
         """Composition, re-expressed in the y^(q^i) basis.
@@ -64,20 +57,7 @@ class LinearizedPoly:
         exponent arithmetic on q-powers is used, never a dense expansion.
         """
         other = self._same_ring(other)
-        ring = self.ring
-        field = ring.field
-        a, b = self._ci, other._ci
-        if not a or not b:
-            return LinearizedPoly(ring, ())
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] = field.add_i(
-                            out[i + j], field.mul_i(ai, ring.sigma_i(bj, i))
-                        )
-        return LinearizedPoly._make(ring, out)
+        return LinearizedPoly._make(self.ring, _mul_ci(self.ring, self._ci, other._ci))
 
     def reduce_map(self):
         """Fold exponents modulo m (valid on F_{q^m} since a^(q^m) = a)."""

@@ -6,11 +6,18 @@ formula, reciprocals, two-sidedness, similarity and irreducibility searches
 all live here.  Coefficients are stored internally as packed field indices
 so that enumeration loops stay fast; the public surface deals in
 FieldElement values.
+
+Only the right-sided algorithms are implemented.  The mirror map
+mu(sum a_i x^i) = sum sigma^-i(a_i) x^i is an anti-isomorphism onto
+F[x; sigma^-1]: mu(f*g) = mu(g)*mu(f) (Ore, 1933).  Left division, gcld
+and lcrm are therefore right division, gcrd and lclm run in the mirror ring
+on the mirrored operands, mapped back by mu^-1.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from math import inf
 
 from .errors import (
@@ -50,6 +57,7 @@ class SkewRing:
         self.q = field.p ** e
         self.m = d // e                       # order of sigma
         self.is_commutative = self.m == 1
+        self._mirror = _Mirror(field, -e % d)
 
     @property
     def sigma_order(self):
@@ -139,6 +147,11 @@ class SkewRing:
             yield SkewPoly._make(self, list(ci))
 
 
+# F[x; sigma^-1] for the kernels, which read only ``field`` and ``e``.  Not a
+# SkewRing: its exponent -e mod d need not divide d (F8 with e = 1).
+_Mirror = namedtuple("_Mirror", "field e")
+
+
 # -- int-level kernels (ascending packed coefficient tuples) -------------------
 
 def _trim(ci):
@@ -189,7 +202,7 @@ def _sub_ci(ring, a, b):
 def _right_divmod_ci(ring, f, g):
     """(s, r) with f = s*g + r and deg r < deg g."""
     if not g:
-        raise ZeroDivisionError("right division by the zero polynomial")
+        raise ZeroDivisionError("division by the zero polynomial")
     if len(f) < len(g):
         return (), tuple(f)
     field = ring.field
@@ -216,63 +229,12 @@ def _right_divmod_ci(ring, f, g):
     return tuple(_trim(s)), tuple(_trim(r[:dg]))
 
 
-def _left_divmod_ci(ring, f, g):
-    """(s, r) with f = g*s + r and deg r < deg g."""
-    if not g:
-        raise ZeroDivisionError("left division by the zero polynomial")
-    if len(f) < len(g):
-        return (), tuple(f)
-    field = ring.field
-    mul = field.mul_i
-    sub = field.sub_i
-    frob = field.frob_i
-    d = field.degree
-    e = ring.e
-    dg = len(g) - 1
-    glead_inv = field.inv_i(g[-1])
-    tw_back = (-e * dg) % d
-    r = list(f)
-    s = [0] * (len(f) - dg)
-    for t in range(len(f) - 1 - dg, -1, -1):
-        lead = r[t + dg]
-        if lead:
-            # g * (c x^t) puts g_l * sigma^l(c) at degree l + t
-            c = frob(mul(glead_inv, lead), tw_back)
-            s[t] = c
-            for j in range(dg):
-                gj = g[j]
-                if gj:
-                    r[t + j] = sub(r[t + j], mul(gj, frob(c, (e * j) % d)))
-            r[t + dg] = 0
-    return tuple(_trim(s)), tuple(_trim(r[:dg]))
-
-
-def _right_divides_ci(ring, g, f):
-    return not _right_divmod_ci(ring, f, g)[1]
-
-
 def _monic_ci(ring, f):
     if not f:
         raise ZeroDivisionError("the zero polynomial cannot be made monic")
     if f[-1] == 1:
         return tuple(f)
-    c = ring.field.inv_i(f[-1])
-    mul = ring.field.mul_i
-    return tuple(mul(c, x) for x in f)
-
-
-def _monic_right_ci(ring, f):
-    """Monic normalization by a right constant factor f * c, which preserves
-    left-divisor and right-multiple properties (the left version preserves
-    the mirrored ones)."""
-    if not f:
-        raise ZeroDivisionError("the zero polynomial cannot be made monic")
-    if f[-1] == 1:
-        return tuple(f)
-    r = len(f) - 1
-    d = ring.field.degree
-    c = ring.field.frob_i(ring.field.inv_i(f[-1]), (-ring.e * r) % d)
-    return _mul_ci(ring, f, (c,))
+    return _scale_ci(ring, ring.field.inv_i(f[-1]), f)
 
 
 def _scale_ci(ring, c, f):
@@ -287,6 +249,74 @@ def _sigma_ci(ring, f, j):
     t = (ring.e * j) % d
     frob = ring.field.frob_i
     return tuple(frob(c, t) for c in f)
+
+
+def _mirror_ci(ring, f):
+    """mu(f) = sum sigma^-i(f_i) x^i, into the ring with twist -e.
+
+    Applied with the mirror's twist it is the inverse map mu^-1.
+    """
+    frob = ring.field.frob_i
+    d = ring.field.degree
+    e = ring.e
+    return tuple(frob(c, (-e * i) % d) for i, c in enumerate(f))
+
+
+def _to_mirror(ring, *polys):
+    return [_mirror_ci(ring, f._ci) for f in polys]
+
+
+def _from_mirror(ring, *cis):
+    return tuple(SkewPoly(ring, _mirror_ci(ring._mirror, c)) for c in cis)
+
+
+def _euclid_ci(ring, a, b):
+    """Right Euclid: the quotients of the remainder sequence of (a, b) and
+    its last nonzero remainder."""
+    qs = []
+    while b:
+        q, r = _right_divmod_ci(ring, a, b)
+        qs.append(q)
+        a, b = b, r
+    return qs, a
+
+
+def _fold_ci(ring, qs, x0, x1):
+    """The last two rows of x_{k+1} = x_{k-1} - q_k x_k over Euclid's quotients:
+    start (1, 0) gives the multipliers of a, (0, 1) those of b."""
+    for q in qs:
+        x0, x1 = x1, _sub_ci(ring, x0, _mul_ci(ring, q, x1))
+    return x0, x1
+
+
+def _gcrd_bezout_ci(ring, f1, f2):
+    qs, r = _euclid_ci(ring, f1, f2)
+    c = ring.field.inv_i(r[-1])
+    u = _fold_ci(ring, qs, (1,), ())[0]
+    v = _fold_ci(ring, qs, (), (1,))[0]
+    return _scale_ci(ring, c, r), _scale_ci(ring, c, u), _scale_ci(ring, c, v)
+
+
+def _lclm_ci(ring, polys):
+    """Monic lclm of nonzero coefficient tuples, folded pairwise: the
+    multiplier row u of the vanished remainder gives u*acc = lclm(acc, f)."""
+    acc = _monic_ci(ring, polys[0])
+    for f in polys[1:]:
+        qs, _ = _euclid_ci(ring, acc, f)
+        acc = _monic_ci(ring, _mul_ci(ring, _fold_ci(ring, qs, (1,), ())[1], acc))
+    return acc
+
+
+def _monic_right_divisors_ci(ring, f, degree, cancel):
+    """Yield (g, s) with f = s*g for every monic g of the given degree, in
+    lexicographic order of the ascending coefficients of g."""
+    for tail in itertools.product(range(ring.field.order), repeat=degree):
+        if cancel is not None and cancel.is_set():
+            raise SearchCancelledError("divisor search cancelled")
+        g = tail + (1,)
+        s, r = _right_divmod_ci(ring, f, g)
+        if not r:
+            yield g, s
 
 
 def _eval_ci(ring, f, a):
@@ -384,11 +414,7 @@ class SkewPoly:
             # f * c = sum f_i sigma^i(c) x^i
             if other.field != self.ring.field:
                 raise FieldMismatchError("constant from a different field")
-            mul = self.ring.field.mul_i
-            out = [
-                mul(fi, self.ring.sigma_i(other.i, i)) for i, fi in enumerate(self._ci)
-            ]
-            return SkewPoly._make(self.ring, out)
+            return SkewPoly._make(self.ring, _mul_ci(self.ring, self._ci, (other.i,)))
         other = self._same_ring(other)
         return SkewPoly(self.ring, _mul_ci(self.ring, self._ci, other._ci))
 
@@ -428,8 +454,8 @@ class SkewPoly:
     def left_divmod(self, g):
         """(s, r) with self = g*s + r, deg r < deg g.  Unique."""
         g = self._same_ring(g)
-        s, r = _left_divmod_ci(self.ring, self._ci, g._ci)
-        return SkewPoly(self.ring, s), SkewPoly(self.ring, r)
+        ring = self.ring
+        return _from_mirror(ring, *_right_divmod_ci(ring._mirror, *_to_mirror(ring, self, g)))
 
     def right_rem(self, g):
         return self.right_divmod(g)[1]
@@ -437,11 +463,12 @@ class SkewPoly:
     def right_divides(self, f):
         """True when self is a right divisor of f (f = h * self)."""
         f = self._same_ring(f)
-        return _right_divides_ci(self.ring, self._ci, f._ci)
+        return not _right_divmod_ci(self.ring, f._ci, self._ci)[1]
 
     def left_divides(self, f):
         f = self._same_ring(f)
-        return not _left_divmod_ci(self.ring, f._ci, self._ci)[1]
+        ring = self.ring
+        return not _right_divmod_ci(ring._mirror, *_to_mirror(ring, f, self))[1]
 
     # -- evaluation ----------------------------------------------------------------
 
@@ -501,119 +528,61 @@ def evaluate(f, a):
     return f(a)
 
 
+def _pair_ring(f1, f2, name):
+    f1._same_ring(f2)
+    if f1.is_zero and f2.is_zero:
+        raise ValueError(f"{name}(0, 0) is undefined")
+    return f1.ring
+
+
 def gcrd_bezout(f1, f2):
     """(d, u, v) with d = gcrd(f1, f2) monic and d = u*f1 + v*f2.
 
     The multipliers come from the extended right Euclidean algorithm; when
     both inputs are nonzero and neither divides the other, deg u < deg f2.
     """
-    f1._same_ring(f2)
-    ring = f1.ring
-    if f1.is_zero and f2.is_zero:
-        raise ValueError("gcrd(0, 0) is undefined")
-    r0, r1 = f1._ci, f2._ci
-    u0, u1 = (1,), ()
-    v0, v1 = (), (1,)
-    while r1:
-        q, r = _right_divmod_ci(ring, r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, _sub_ci(ring, u0, _mul_ci(ring, q, u1))
-        v0, v1 = v1, _sub_ci(ring, v0, _mul_ci(ring, q, v1))
-    c = ring.field.inv_i(r0[-1])
-    return (
-        SkewPoly(ring, _scale_ci(ring, c, r0)),
-        SkewPoly(ring, _scale_ci(ring, c, u0)),
-        SkewPoly(ring, _scale_ci(ring, c, v0)),
-    )
+    ring = _pair_ring(f1, f2, "gcrd")
+    return tuple(SkewPoly(ring, x) for x in _gcrd_bezout_ci(ring, f1._ci, f2._ci))
 
 
 def gcrd(f1, f2):
-    return gcrd_bezout(f1, f2)[0]
+    ring = _pair_ring(f1, f2, "gcrd")
+    return SkewPoly(ring, _monic_ci(ring, _euclid_ci(ring, f1._ci, f2._ci)[1]))
 
 
 def gcld_bezout(f1, f2):
-    """(d, u, v) with d = gcld(f1, f2) monic and d = f1*u + f2*v."""
-    f1._same_ring(f2)
-    ring = f1.ring
-    if f1.is_zero and f2.is_zero:
-        raise ValueError("gcld(0, 0) is undefined")
-    r0, r1 = f1._ci, f2._ci
-    u0, u1 = (1,), ()
-    v0, v1 = (), (1,)
-    while r1:
-        q, r = _left_divmod_ci(ring, r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, _sub_ci(ring, u0, _mul_ci(ring, u1, q))
-        v0, v1 = v1, _sub_ci(ring, v0, _mul_ci(ring, v1, q))
-    # monic normalization must multiply from the right: f1 (u c) + f2 (v c)
-    lead = r0[-1]
-    if lead != 1:
-        r = len(r0) - 1
-        d = ring.field.degree
-        c = ring.field.frob_i(ring.field.inv_i(lead), (-ring.e * r) % d)
-        cpoly = (c,)
-        r0 = _mul_ci(ring, r0, cpoly)
-        u0 = _mul_ci(ring, u0, cpoly)
-        v0 = _mul_ci(ring, v0, cpoly)
-    return SkewPoly(ring, r0), SkewPoly(ring, u0), SkewPoly(ring, v0)
+    """(d, u, v) with d = gcld(f1, f2) monic and d = f1*u + f2*v: the mirror
+    image of gcrd_bezout on the mirrored operands."""
+    ring = _pair_ring(f1, f2, "gcld")
+    return _from_mirror(ring, *_gcrd_bezout_ci(ring._mirror, *_to_mirror(ring, f1, f2)))
 
 
 def gcld(f1, f2):
-    return gcld_bezout(f1, f2)[0]
+    ring = _pair_ring(f1, f2, "gcld")
+    r = _euclid_ci(ring._mirror, *_to_mirror(ring, f1, f2))[1]
+    return _from_mirror(ring, _monic_ci(ring._mirror, r))[0]
 
 
-def _lclm2(f1, f2):
-    ring = f1.ring
-    if f1.is_zero or f2.is_zero:
-        raise ValueError("lclm requires nonzero operands")
-    r0, r1 = f1._ci, f2._ci
-    u0, u1 = (1,), ()
-    while r1:
-        q, r = _right_divmod_ci(ring, r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, _sub_ci(ring, u0, _mul_ci(ring, q, u1))
-    # the multiplier row of the vanished remainder gives u with u*f1 = lclm
-    ell = _mul_ci(ring, u1, f1._ci)
-    return SkewPoly(ring, _monic_ci(ring, ell))
+def _multiple_ring(polys, name):
+    """The common ring of nonzero lclm/lcrm operands."""
+    if not polys:
+        raise ValueError(f"{name} of nothing")
+    for f in polys:  # f = polys[0] first, so a non-polynomial there is a TypeError
+        if SkewPoly._same_ring(polys[0], f).is_zero:
+            raise ValueError(f"{name} requires nonzero operands")
+    return polys[0].ring
 
 
 def lclm(*polys):
     """Least common left multiple, monic; variadic form folds pairwise."""
-    if not polys:
-        raise ValueError("lclm of nothing")
-    acc = polys[0]
-    acc._same_ring(acc)
-    if acc.is_zero:
-        raise ValueError("lclm requires nonzero operands")
-    for f in polys[1:]:
-        acc = _lclm2(acc, acc._same_ring(f))
-    return acc.monic() if len(polys) == 1 else acc
-
-
-def _lcrm2(f1, f2):
-    ring = f1.ring
-    if f1.is_zero or f2.is_zero:
-        raise ValueError("lcrm requires nonzero operands")
-    r0, r1 = f1._ci, f2._ci
-    u0, u1 = (1,), ()
-    while r1:
-        q, r = _left_divmod_ci(ring, r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, _sub_ci(ring, u0, _mul_ci(ring, u1, q))
-    ell = _mul_ci(ring, f1._ci, u1)
-    return SkewPoly(ring, _monic_right_ci(ring, ell))
+    ring = _multiple_ring(polys, "lclm")
+    return SkewPoly(ring, _lclm_ci(ring, [f._ci for f in polys]))
 
 
 def lcrm(*polys):
-    """Least common right multiple, monic."""
-    if not polys:
-        raise ValueError("lcrm of nothing")
-    acc = polys[0]
-    if acc.is_zero:
-        raise ValueError("lcrm requires nonzero operands")
-    for f in polys[1:]:
-        acc = _lcrm2(acc, acc._same_ring(f))
-    return acc.monic() if len(polys) == 1 else acc
+    """Least common right multiple, monic: the mirror image of lclm."""
+    ring = _multiple_ring(polys, "lcrm")
+    return _from_mirror(ring, _lclm_ci(ring._mirror, _to_mirror(ring, *polys)))[0]
 
 
 # -- reciprocals and automorphism transport -------------------------------------
@@ -622,14 +591,12 @@ def lcrm(*polys):
 def left_reciprocal(g):
     """rho_l(g) = sum_i x^(r-i) g_i = sum_i sigma^i(g_{r-i}) x^i, r = deg g.
 
-    With sigma = id this is the classical reciprocal x^r g(1/x).
+    With sigma = id this is the classical reciprocal x^r g(1/x); in general
+    it is mu^-1 of the reversed coefficient sequence.
     """
     if g.is_zero:
         raise ValueError("reciprocal of the zero polynomial")
-    ring = g.ring
-    r = len(g._ci) - 1
-    out = [ring.sigma_i(g._ci[r - i], i) for i in range(r + 1)]
-    return SkewPoly._make(ring, out)
+    return SkewPoly._make(g.ring, _mirror_ci(g.ring._mirror, g._ci[::-1]))
 
 
 def apply_automorphism(g, j=1):
@@ -748,52 +715,31 @@ def similar_bruteforce(f, g, cancel=None):
 _IRREDUCIBLE_COST_GUARD = 1 << 24
 
 
-def _search_right_divisor(f, degrees, cancel=None):
-    ring = f.ring
-    fci = f._ci
-    for d in degrees:
-        for tail in itertools.product(range(ring.field.order), repeat=d):
-            if cancel is not None and cancel.is_set():
-                raise SearchCancelledError("divisor search cancelled")
-            if _right_divides_ci(ring, tail + (1,), fci):
-                return SkewPoly(ring, tail + (1,))
-    return None
-
-
-def _search_left_divisor(f, degrees, cancel=None):
-    ring = f.ring
-    fci = f._ci
-    for d in degrees:
-        for tail in itertools.product(range(ring.field.order), repeat=d):
-            if cancel is not None and cancel.is_set():
-                raise SearchCancelledError("divisor search cancelled")
-            g = tail + (1,)
-            if not _left_divmod_ci(ring, fci, g)[1]:
-                return SkewPoly(ring, g)
-    return None
-
-
 def is_irreducible_bruteforce(f, cancel=None):
     """True when every right (hence left) divisor is a unit or has deg f.
 
-    Searches monic right divisors of degree 1..floor(n/2) and monic left
-    divisors of degree 1..floor((n-1)/2); cost-guarded.
+    Searches monic right divisors of degree 1..floor(n/2); cost-guarded.  No
+    left search is needed: R/Rf splits into blocks over the irreducible
+    two-sided factors of the bound of f, each with a single simple module,
+    so every composition factor of R/Rf is isomorphic to some R/Rg with g a
+    monic right divisor of f.  A reducible f has two or more composition
+    factors; the smallest has dimension deg g, between 1 and n/2.
     """
     n = f.degree
     if f.is_zero or n < 1:
         raise ValueError("irreducibility applies to polynomials of degree >= 1")
     if n == 1:
         return True
-    N = f.ring.field.order
+    ring = f.ring
+    N = ring.field.order
     cost = N ** (n // 2)
     if cost > _IRREDUCIBLE_COST_GUARD:
         raise GuardExceededError(
             f"irreducibility enumeration cost {cost} exceeds 2^24", cost=cost
         )
-    if _search_right_divisor(f, range(1, n // 2 + 1), cancel) is not None:
-        return False
-    if _search_left_divisor(f, range(1, (n - 1) // 2 + 1), cancel) is not None:
-        return False
+    for d in range(1, n // 2 + 1):
+        for _ in _monic_right_divisors_ci(ring, f._ci, d, cancel):
+            return False
     return True
 
 

@@ -1,7 +1,15 @@
 import pytest
+from hypothesis import settings
 
 from skewcodes.fields import FieldEmbedding, FrobeniusAut, get_field
 from skewcodes.skewpoly import SkewRing
+
+# Property tests draw the same examples on every run and stay within a
+# bounded share of the suite's time.
+settings.register_profile(
+    "skewcodes", derandomize=True, deadline=None, max_examples=80, database=None
+)
+settings.load_profile("skewcodes")
 
 
 @pytest.fixture(scope="session")
@@ -78,6 +86,14 @@ def R27(F27):
 @pytest.fixture(scope="session")
 def R64(F64):
     return SkewRing(F64, 1)
+
+
+@pytest.fixture(scope="session")
+def mirror_rings(R8, R16, F16, F64):
+    """Rings for the left-sided tests.  For R8 and R16 the mirror twist d - e
+    does not divide d, so the mirror is no SkewRing; F16 with e = 2 and
+    F2_6 with e = 2, 3 cover the other twists."""
+    return [R8, R16, SkewRing(F16, 2), SkewRing(F64, 2), SkewRing(F64, 3)]
 
 
 @pytest.fixture(scope="session")

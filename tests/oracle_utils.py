@@ -8,10 +8,13 @@ agrees with the remainder of right division by x - a at every point a.
 ``split_quotient_divisor_profile`` counts monic right divisors by degree from
 the simple components of a split quotient R/Rf, by Gaussian binomials alone,
 and ``f2_is_irreducible`` checks the central factors that fix those
-components by trial division over F_2.
+components by trial division over F_2.  ``twisted_mul`` multiplies in
+F[x; a -> a^(p^t)] from element products and powers alone, for any shift t.
 """
 
 import numpy as np
+
+from skewcodes.fields import FieldElement
 
 
 def naive_mul(field, a, b):
@@ -32,6 +35,19 @@ def naive_mul(field, a, b):
             for j, mj in enumerate(mod[:-1]):
                 out[shift + j] = (out[shift + j] - c * mj) % p
     return field.from_coeffs(out[: field.degree])
+
+
+def twisted_mul(field, t, a, b):
+    """Product of ascending index tuples in F[x; a -> a^(p^t)]:
+    sum a_i (b_j)^(p^(t i)) x^(i+j), with no Frobenius table or ring kernel."""
+    out = [field.zero] * max(0, len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        twist = field.p ** ((t * i) % field.degree)
+        for j, bj in enumerate(b):
+            out[i + j] += FieldElement(field, ai) * FieldElement(field, bj) ** twist
+    while out and not out[-1]:
+        out.pop()
+    return tuple(c.i for c in out)
 
 
 def sweep_eval_consistency(ring, max_degree):

@@ -2,14 +2,20 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from oracle_utils import twisted_mul
 from skewcodes.errors import GuardExceededError
-from skewcodes.fields import conjugacy_class, conjugate
+from skewcodes.fields import FieldElement, conjugacy_class, conjugate, get_field
 from skewcodes.linalg import unwrap
 from skewcodes.skewpoly import (
+    SkewRing,
+    _mirror_ci,
     apply_automorphism,
     companion_matrix,
     evaluate,
+    gcld,
     gcld_bezout,
     gcrd,
     gcrd_bezout,
@@ -110,9 +116,9 @@ def test_division_small_degree(R4):
     assert s.is_zero and r == f
 
 
-def test_division_reconstruction(R8, R16):
+def test_division_reconstruction(mirror_rings):
     rng = random.Random(7)
-    for ring in (R8, R16):
+    for ring in mirror_rings:
         for _ in range(150):
             f = rand_poly(ring, rng.randrange(1, 7), rng)
             g = rand_poly(ring, rng.randrange(1, 5), rng)
@@ -169,15 +175,19 @@ def test_gcrd_bezout_random(R8, R16):
                 assert u.degree < f2.degree
 
 
-def test_gcld_mirror(R8):
+def test_gcld_mirror(mirror_rings):
     rng = random.Random(17)
-    for _ in range(60):
-        f1 = rand_poly(R8, rng.randrange(1, 6), rng)
-        f2 = rand_poly(R8, rng.randrange(1, 6), rng)
-        d, u, v = gcld_bezout(f1, f2)
-        assert d.is_monic
-        assert d.left_divides(f1) and d.left_divides(f2)
-        assert f1 * u + f2 * v == d
+    for ring in mirror_rings:
+        for _ in range(60):
+            f1 = rand_poly(ring, rng.randrange(1, 6), rng)
+            f2 = rand_poly(ring, rng.randrange(1, 6), rng)
+            d, u, v = gcld_bezout(f1, f2)
+            assert d.is_monic
+            assert d.left_divides(f1) and d.left_divides(f2)
+            assert f1 * u + f2 * v == d
+            assert gcld(f1, f2) == d
+            if not f2.left_divides(f1) and not f1.left_divides(f2):
+                assert u.degree < f2.degree
 
 
 def test_lclm_roots_example(R4, F4):
@@ -222,13 +232,129 @@ def test_lclm_variadic_order_independent(R8):
         assert lclm(*perm) == base
 
 
-def test_lcrm_mirror(R8):
+def test_lcrm_mirror(mirror_rings):
     rng = random.Random(31)
-    for _ in range(40):
-        f1 = rand_poly(R8, rng.randrange(1, 5), rng)
-        f2 = rand_poly(R8, rng.randrange(1, 5), rng)
-        ell = lcrm(f1, f2)
-        assert f1.left_divides(ell) and f2.left_divides(ell)
+    for ring in mirror_rings:
+        for _ in range(40):
+            f1 = rand_poly(ring, rng.randrange(1, 5), rng)
+            f2 = rand_poly(ring, rng.randrange(1, 5), rng)
+            ell = lcrm(f1, f2)
+            assert ell.is_monic
+            assert f1.left_divides(ell) and f2.left_divides(ell)
+            assert gcld(f1, f2).degree + ell.degree == f1.degree + f2.degree
+
+
+def test_lcrm_variadic_order_independent(mirror_rings):
+    rng = random.Random(37)
+    for ring in mirror_rings:
+        polys = [rand_poly(ring, rng.randrange(1, 4), rng) for _ in range(4)]
+        base = lcrm(*polys)
+        assert all(f.left_divides(base) for f in polys)
+        for perm in itertools.permutations(polys):
+            assert lcrm(*perm) == base
+
+
+def test_lcrm_single_argument(R4, F4, mirror_rings):
+    # the monic right associate f*c, not the left one c*f
+    w = F4.gen
+    assert lcrm(R4.poly([F4.one, w])) == R4.poly([w, 1])
+    rng = random.Random(41)
+    for ring in [R4, *mirror_rings]:
+        for _ in range(20):
+            f = rand_poly(ring, rng.randrange(0, 5), rng)
+            assert lcrm(f) == lcrm(f, f)
+            assert f.left_divides(lcrm(f))
+            assert lclm(f) == lclm(f, f)
+
+
+def test_lclm_lcrm_reject_non_polynomials(R4):
+    for fold in (lclm, lcrm):
+        with pytest.raises(TypeError):
+            fold(3)
+        with pytest.raises(TypeError):
+            fold(R4.x, 3)
+
+
+# -- the mirror anti-isomorphism -----------------------------------------------------
+
+
+def _check_mirror(ring, f, g):
+    field, e, d = ring.field, ring.e, ring.field.degree
+    mf = _mirror_ci(ring, f._ci)
+    assert mf == tuple(
+        (FieldElement(field, c) ** field.p ** ((-e * i) % d)).i for i, c in enumerate(f._ci)
+    )
+    assert _mirror_ci(ring._mirror, mf) == f._ci
+    # mu(f*g) = mu(g) * mu(f) in F[x; sigma^-1]
+    mg = _mirror_ci(ring, g._ci)
+    assert _mirror_ci(ring, (f * g)._ci) == twisted_mul(field, -e % d, mg, mf)
+
+
+def test_mirror_map_exhaustive_f4(R4):
+    polys = list(R4.all_polys(2))
+    for f in polys:
+        for g in polys:
+            _check_mirror(R4, f, g)
+
+
+def test_mirror_map_random(R8, F16, F64):
+    rng = random.Random(43)
+    rings = [R8, SkewRing(F16, 1), SkewRing(F16, 2)] + [SkewRing(F64, e) for e in (1, 2, 3)]
+    for ring in rings:
+        for _ in range(40):
+            _check_mirror(ring, rand_poly(ring, rng.randrange(0, 6), rng),
+                          rand_poly(ring, rng.randrange(0, 6), rng))
+
+
+# -- property tests on both sides -----------------------------------------------------
+
+PROPERTY_RINGS = [
+    SkewRing(get_field(name), e)
+    for name, e in (("F4", 1), ("F8", 1), ("F9", 1), ("F16", 1), ("F16", 2),
+                    ("F27", 1), ("F2_6", 2), ("F2_6", 3))
+]
+
+
+@st.composite
+def polys_over_one_ring(draw, count, max_degree=6):
+    ring = draw(st.sampled_from(PROPERTY_RINGS))
+    coeffs = st.lists(st.integers(0, ring.field.order - 1), max_size=max_degree + 1)
+    return [ring.from_indices(draw(coeffs)) for _ in range(count)]
+
+
+@given(polys_over_one_ring(3))
+def test_division_unique_both_sides(polys):
+    f, g, ds = polys
+    if g.is_zero:
+        return
+    s, r = f.right_divmod(g)
+    assert s * g + r == f and r.degree < g.degree
+    s2, r2 = f.left_divmod(g)
+    assert g * s2 + r2 == f and r2.degree < g.degree
+    if not ds.is_zero:
+        # any other quotient leaves a remainder of degree >= deg g
+        assert (f - (s + ds) * g).degree >= g.degree
+        assert (f - g * (s2 + ds)).degree >= g.degree
+
+
+@given(polys_over_one_ring(2))
+def test_bezout_both_sides(polys):
+    f1, f2 = polys
+    if f1.is_zero and f2.is_zero:
+        return
+    d, u, v = gcrd_bezout(f1, f2)
+    assert d.is_monic and u * f1 + v * f2 == d
+    assert gcrd(f1, f2) == d
+    for f in (f1, f2):
+        assert f.right_divmod(d)[0] * d == f
+    d2, u2, v2 = gcld_bezout(f1, f2)
+    assert d2.is_monic and f1 * u2 + f2 * v2 == d2
+    assert gcld(f1, f2) == d2
+    for f in (f1, f2):
+        assert d2 * f.left_divmod(d2)[0] == f
+    if not (f1.is_zero or f2.is_zero):
+        assert d.degree + lclm(f1, f2).degree == f1.degree + f2.degree
+        assert d2.degree + lcrm(f1, f2).degree == f1.degree + f2.degree
 
 
 # -- evaluation ----------------------------------------------------------------------
@@ -469,6 +595,21 @@ def test_degree_one_irreducible(R4, F4):
 
 def test_x21_reducible(R4):
     assert not is_irreducible_bruteforce(R4.poly([1, 0, 1]))
+
+
+def test_irreducibility_matches_product_oracle(R4, R9, F16):
+    # reducible monic f are exactly the products g*h of monic g, h of degree
+    # >= 1; the right-only divisor search must find each of them
+    cases = [(R4, n) for n in range(2, 6)] + [(R9, 3), (SkewRing(F16, 2), 3)]
+    for ring, n in cases:
+        reducible = {
+            g * h
+            for k in range(1, n)
+            for g in ring.monic_polys(k)
+            for h in ring.monic_polys(n - k)
+        }
+        for f in ring.monic_polys(n):
+            assert is_irreducible_bruteforce(f) == (f not in reducible)
 
 
 def test_irreducibility_guard(R16):
