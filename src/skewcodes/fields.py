@@ -6,6 +6,14 @@ into the integer sum(c_i * p^i); this is a packing of the canonical
 coefficient form, not a discrete logarithm.  Log/antilog tables over a
 multiplicative generator are built lazily (once, under a lock) for fields of
 at most 2^16 elements and used to speed up multiplication and powering.
+
+No table entry costs a polynomial product.  The antilog table steps
+acc -> acc*g through a split map: with P = p^ceil(d/2), acc = l + P*h
+gives acc*g = (l*g) + ((P*h)*g), two tables of about p^(d/2) entries each
+added by XOR in characteristic 2 and by a half-width addition table
+otherwise.  Addition tables (odd p, at most 2^12 elements) are built by
+digit recursion, and each Frobenius table a -> a^(p^j) is the antilog
+table permuted, exp[log(a) * p^j].
 """
 
 from __future__ import annotations
@@ -97,6 +105,23 @@ def _fp_is_irreducible(poly, p):
             if not _fp_rem(poly, cand, p):
                 return False
     return True
+
+
+def _digit_add_table(p, k):
+    """Addition table of F_p^k on packed indices, by digit recursion:
+    T_k[a0 + p*a'][b0 + p*b'] = (a0 + b0) % p + p*T_{k-1}[a'][b'].  Entries
+    are shared int objects, taken from one list(range(p^k))."""
+    table = [[0]]
+    rots = [[(a0 + b0) % p for b0 in range(p)] for a0 in range(p)]
+    for level in range(1, k + 1):
+        vals = list(range(p ** level))
+        rows = []
+        for prev in table:
+            shifted = [p * t for t in prev]
+            for rot in rots:
+                rows.append([vals[s + c] for s in shifted for c in rot])
+        table = rows
+    return table
 
 
 class FieldSpec:
@@ -275,17 +300,46 @@ class FieldSpec:
                     a for a in range(2, self.order)
                     if self._element_order_raw(a) == n
                 )
-            exp = [0] * (2 * max(n, 1))
+            seq = self._powers(gen, n)
             log = [0] * self.order
-            acc = 1
-            for k in range(n):
-                exp[k] = acc
-                exp[k + n] = acc
-                log[acc] = k
-                acc = self._slow_mul(acc, gen)
+            for k, a in enumerate(seq):
+                log[a] = k
             self._gen_index = gen
             self._log = log
-            self._exp = exp
+            self._exp = seq + seq
+
+    def _powers(self, g, n):
+        """[g^0, ..., g^(n-1)], stepping acc -> acc*g through a split map.
+
+        With P = p^ceil(d/2) and acc = l + P*h, acc*g = lo[l] + hi[h] where
+        lo[l] = l*g and hi[h] = (P*h)*g: 2*p^(d/2) slow products in all.  The
+        sum is XOR for p = 2; for odd p the low and high halves of the two
+        terms are added in the half-width digit-add table.
+        """
+        p, w = self.p, (self.degree + 1) // 2
+        P = p ** w
+        lo = [self._slow_mul(a, g) for a in range(P)]
+        hi = [self._slow_mul(P * a, g) for a in range(self.order // P)]
+        out = [0] * n
+        if p == 2:
+            mask, acc = P - 1, 1
+            for k in range(n):
+                out[k] = acc
+                acc = lo[acc & mask] ^ hi[acc >> w]
+        elif P == self.order:   # degree 1: hi is [0]
+            acc = 1
+            for k in range(n):
+                out[k] = acc
+                acc = lo[acc]
+        else:
+            add = _digit_add_table(p, w)
+            lo_l, lo_h = [a % P for a in lo], [a // P for a in lo]
+            hi_l, hi_h = [a % P for a in hi], [a // P for a in hi]
+            al, ah = 1, 0
+            for k in range(n):
+                out[k] = al + P * ah
+                al, ah = add[lo_l[al]][hi_l[ah]], add[lo_h[al]][hi_h[ah]]
+        return out
 
     # -- table-backed kernel (int indices) ------------------------------------
 
@@ -300,18 +354,8 @@ class FieldSpec:
 
     def _build_add_table(self):
         with self._lock:
-            if self._add_table is not None:
-                return
-            p = self.p
-            table = []
-            for a in range(self.order):
-                ac = self.coeffs_of(a)
-                row = [0] * self.order
-                for b in range(self.order):
-                    bc = self.coeffs_of(b)
-                    row[b] = self._pack([(x + y) % p for x, y in zip(ac, bc)])
-                table.append(row)
-            self._add_table = table
+            if self._add_table is None:
+                self._add_table = _digit_add_table(self.p, self.degree)
 
     def neg_i(self, a):  # overwritten for p == 2
         p = self.p
@@ -371,7 +415,14 @@ class FieldSpec:
             if table is not None:
                 return table
             e = self.p ** j
-            table = [self.pow_i(a, e) for a in range(self.order)]
+            if self.order > _TABLE_LIMIT:
+                table = [self.pow_i(a, e) for a in range(self.order)]
+            else:
+                # a^e = exp[log(a)*e]: every entry is the exp table's own int
+                self._build_tables()
+                exp, n = self._exp, self.order - 1
+                table = [exp[k * e % n] for k in self._log]
+                table[0] = 0
             self._frob_tables[j] = table
             return table
 
@@ -612,7 +663,8 @@ class FieldEmbedding:
     The image of the source generator is found by exhaustive root search of
     the source defining polynomial in the target (desk scale), picking the
     root with the lexicographically least coefficient sequence so the
-    embedding is deterministic.  When source and target are the same spec the
+    embedding is deterministic.  With target tables only the subfield of
+    order p^d1 is searched: 0 and the powers of g^((p^d2-1)/(p^d1-1)).  When source and target are the same spec the
     identity map is used.
     """
 
@@ -641,8 +693,15 @@ class FieldEmbedding:
     def _find_root(self):
         t = self.target
         mod = self.source.modulus
+        if t.order > _TABLE_LIMIT:
+            cands = range(t.order)
+        else:
+            # the roots lie in the subfield: 0 and the powers of exp[c]
+            t._build_tables()
+            step = (t.order - 1) // (self.source.order - 1)
+            cands = [0] + t._exp[:t.order - 1:step]
         best = None
-        for cand in range(t.order):
+        for cand in cands:
             acc = 0
             power = 1
             for c in mod:

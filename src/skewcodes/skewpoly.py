@@ -700,15 +700,20 @@ def similar_bruteforce(f, g, cancel=None):
             "similarity search guarded to degree <= 4 over fields of size <= 16",
             cost=ring.field.order ** n,
         )
-    one = ring.one
     for ci in itertools.product(range(ring.field.order), repeat=n):
         if cancel is not None and cancel.is_set():
             raise SearchCancelledError("similarity search cancelled")
-        h = SkewPoly._make(ring, ci)
-        if h.is_zero:
+        h = _trim(ci)
+        if not h:
             continue
-        if gcrd(f, h) == one and lclm(f, h) == (g * h).monic():
-            return h
+        # one Euclid loop: a unit last remainder is gcrd(f, h) = 1, and the
+        # same quotients fold to u with u*f = lclm(f, h)
+        qs, r = _euclid_ci(ring, f._ci, h)
+        if len(r) == 1:
+            u = _fold_ci(ring, qs, (1,), ())[1]
+            lclm_fh = _monic_ci(ring, _mul_ci(ring, u, f._ci))
+            if lclm_fh == _monic_ci(ring, _mul_ci(ring, g._ci, h)):
+                return SkewPoly(ring, h)
     return None
 
 

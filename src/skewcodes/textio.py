@@ -1,10 +1,10 @@
 """Text formats: the polynomial grammar, element tokens, and config files.
 
-Grammar:  poly := term ('+' term)* with '-' handled by field negation;
-term := coeff ['*'] ['x' ['^' INT]]; coeff := '0' | '1' | 'a' | 'a^' INT
-| '(' INT (',' INT)* ')' where 'a' is the designated primitive element and
-tuples are ascending prime-field coefficients.  Printing round-trips
-losslessly through parsing.
+Grammar:  poly := [sign] term (sign term)*; sign := '+' | '-', with '-'
+handled by field negation; term := coeff ['*'] ['x' ['^' INT]];
+coeff := '0' | '1' | 'a' | 'a^' INT | '(' INT (',' INT)* ')' where 'a'
+is the designated primitive element and tuples are ascending prime-field
+coefficients.  Printing round-trips losslessly through parsing.
 
 Field configs are line-oriented key=value text:
 
@@ -63,11 +63,14 @@ def format_element(a, style="auto"):
 
 
 def _split_terms(text):
-    """Split on top-level +/-, keeping signs; parens shield tuple commas."""
+    """Split on top-level +/-, keeping signs; parens shield tuple commas.
+    A sign must be followed by a term; only the first term may be preceded
+    by a sign with no term before it."""
     out = []
     depth = 0
     sign = 1
     cur = []
+    signed = False   # a sign seen and no term after it yet
     for ch in text:
         if ch == "(":
             depth += 1
@@ -79,13 +82,17 @@ def _split_terms(text):
             if cur:
                 out.append((sign, "".join(cur)))
                 cur = []
-                sign = 1
-            if ch == "-":
-                sign = -sign
+            elif signed:
+                raise ParseError(f"empty term in {text!r}")
+            signed = True
+            sign = -1 if ch == "-" else 1
             continue
+        signed = False
         cur.append(ch)
     if depth:
         raise ParseError("unbalanced parentheses")
+    if signed:
+        raise ParseError(f"empty term in {text!r}")
     if cur:
         out.append((sign, "".join(cur)))
     return out
@@ -99,8 +106,6 @@ def parse_poly(ring, text):
     field = ring.field
     coeffs = {}
     for sign, term in _split_terms(stripped):
-        if not term:
-            raise ParseError(f"empty term in {text!r}")
         m = _TERM_RE.fullmatch(term)
         if not m or (m.group("coeff") is None and m.group("xpart") is None):
             raise ParseError(f"cannot parse term {term!r}")

@@ -199,6 +199,15 @@ def test_parse_error_exit(capsys):
     assert code == EXIT_PARSE
 
 
+def test_empty_term_exit(capsys):
+    code, out, err = run_cli(
+        capsys, "divisors", "--preset", "F4", "--e", "1", "--poly", "x^2++x",
+    )
+    assert code == EXIT_PARSE == 2
+    assert "empty term" in err
+    assert out == ""
+
+
 def test_guard_exit(capsys):
     code, _, err = run_cli(
         capsys, "divisors", "--preset", "F16", "--e", "1",

@@ -283,3 +283,148 @@ def test_concurrent_lazy_table_build():
     for a in spec.elements():
         for b in spec.elements():
             assert a * b == naive_mul(spec, a, b)
+
+
+# -- table oracles: each table against a path that never reads it -------------------
+
+# Fresh odd fields whose variable x is not primitive, so the exp table steps by
+# the general split map (gen 5, 9, 22), and the bigfield F_3^6.
+_ODD_TABLE_FIELDS = {
+    "F3^4": (3, (1, 1, 1, 1, 1)),        # x^4+x^3+x^2+x+1: x has order 5
+    "F5^3": (5, (1, 1, 0, 1)),           # x has order 62 of 124
+    "F7^3": (7, (2, 0, 0, 1)),           # x has order 18 of 342
+    "F3^5": (3, (1, 2, 0, 0, 0, 1)),
+    "F3^6": (3, (2, 1, 0, 0, 0, 0, 1)),
+}
+
+
+def _table_field(name):
+    if name in _ODD_TABLE_FIELDS:
+        p, mod = _ODD_TABLE_FIELDS[name]
+        return FieldSpec(p, mod, name=name)
+    return get_field(name)
+
+
+_TABLE_FIELD_NAMES = ["F2", "F4", "F8", "F9", "F16", "F27", "F2_6", "F2_12", *_ODD_TABLE_FIELDS]
+
+
+@pytest.mark.parametrize("name", _TABLE_FIELD_NAMES)
+def test_exp_log_tables_against_slow_mul(name):
+    F = _table_field(name)
+    F.mul_i(1, 1)
+    n, exp, log, gen = F.order - 1, F._exp, F._log, F._gen_index
+    assert len(exp) == 2 * n and exp[:n] == exp[n:]
+    assert exp[0] == 1
+    for k in range(n):
+        assert log[exp[k]] == k
+        assert exp[k + 1] == F._slow_mul(exp[k], gen)
+    assert F._element_order_raw(gen) == n
+
+
+@pytest.mark.parametrize("name", _TABLE_FIELD_NAMES)
+def test_frobenius_tables_against_slow_pow(name):
+    F = _table_field(name)
+    if F.order <= 1 << 10:
+        points = range(F.order)
+    else:
+        points = random.Random(name).sample(range(F.order), 64)
+    for j in range(F.degree):
+        e = F.p ** j
+        assert [F.frob_i(a, j) for a in points] == [F._slow_pow(a, e) for a in points]
+
+
+def _coefficientwise_sum(F, a, b):
+    return F.from_coeffs([(x + y) % F.p for x, y in zip(F.coeffs_of(a), F.coeffs_of(b))]).i
+
+
+@pytest.mark.parametrize("name", ["F9", "F27", "F3^4", "F5^3", "F3^5"])
+def test_add_table_against_coefficientwise_sum(name):
+    F = _table_field(name)
+    F.add_i(0, 0)
+    table = F._add_table
+    for a in range(F.order):
+        assert table[a] == [_coefficientwise_sum(F, a, b) for b in range(F.order)]
+
+
+def test_add_table_sampled_rows_f3_6():
+    F = _table_field("F3^6")
+    F.add_i(0, 0)
+    assert len(F._add_table) == F.order
+    for a in random.Random(36).sample(range(F.order), 24):
+        assert F._add_table[a] == [_coefficientwise_sum(F, a, b) for b in range(F.order)]
+
+
+@pytest.mark.parametrize(
+    "source,target",
+    [("F2", "F16"), ("F4", "F16"), ("F2_6", "F2_12"), ("F9", "F3^4")],
+)
+def test_embedding_image_against_full_scan(source, target):
+    S, T = _table_field(source), _table_field(target)
+    roots = []
+    for cand in T.elements():
+        acc, power = T.zero, T.one
+        for c in S.modulus:
+            acc = acc + T.element(c) * power
+            power = power * cand
+        if acc == T.zero:
+            roots.append(cand)
+    assert len(roots) == S.degree
+    assert FieldEmbedding(S, T).generator_image == min(roots, key=lambda r: r.coeffs)
+
+
+def test_threaded_first_touch_matches_single_threaded():
+    import sys
+    import threading
+
+    def fresh():
+        # new specs with no tables yet; the shared embedding is built here,
+        # its inverse map on the first restrict
+        F = {name: _table_field(name) for name in ("F3^4", "F3^5")}
+        F["F2^7"] = FieldSpec(2, (1, 1, 0, 0, 0, 0, 0, 1))
+        F["F9"] = FieldSpec(3, (2, 1, 1))
+        return F, FieldEmbedding(FieldSpec(3, (2, 1, 1)), _table_field("F3^4"))
+
+    def work(F, emb, out):
+        for name in ("F3^5", "F2^7"):
+            G = F[name]
+            out.append([G.mul_i(a, G.order - 1 - a) for a in range(G.order)])
+            out.append([G.add_i(a, 2 * a % G.order) for a in range(G.order)])
+            for j in range(G.degree):
+                out.append([G.frob_i(a, j) for a in range(G.order)])
+        out.append(FieldEmbedding(F["F9"], F["F3^4"]).generator_image.i)
+        out.append([emb.restrict(b) for b in range(emb.target.order)])
+
+    def tables(F):
+        return [(G._exp, G._log, G._add_table, G._frob_tables) for G in F.values()]
+
+    ref_F, ref_emb = fresh()
+    reference = []
+    work(ref_F, ref_emb, reference)
+
+    F, emb = fresh()
+    results = [[] for _ in range(4)]
+    errors = []
+    start = threading.Barrier(4)
+
+    def race(out):
+        try:
+            start.wait()
+            work(F, emb, out)
+        except Exception as exc:   # pragma: no cover - only on regression
+            errors.append(exc)
+
+    threads = [threading.Thread(target=race, args=(out,)) for out in results]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)   # switch threads often inside the builders
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    for out in results:
+        assert out == reference
+    assert tables(F) == tables(ref_F)

@@ -585,6 +585,22 @@ def test_similarity_matches_companion_criterion(R4, F4):
         assert (similar_bruteforce(f, g) is not None) == companion_similar(f, g)
 
 
+def test_similarity_matches_gcrd_lclm_formulation(R4):
+    # the search with gcrd and lclm as two public calls per candidate must
+    # return the same witness on every monic pair of degree 2
+    def two_call_search(f, g):
+        for ci in itertools.product(range(R4.field.order), repeat=f.degree):
+            h = R4.from_indices(ci)
+            if not h.is_zero and gcrd(f, h) == R4.one and lclm(f, h) == (g * h).monic():
+                return h
+        return None
+
+    monic = list(R4.monic_polys(2))
+    for f in monic:
+        for g in monic:
+            assert similar_bruteforce(f, g) == two_call_search(f, g)
+
+
 # -- irreducibility -----------------------------------------------------------------------------
 
 

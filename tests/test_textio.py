@@ -61,6 +61,15 @@ def test_parse_poly_rejects_garbage(R4):
             parse_poly(R4, bad)
 
 
+def test_parse_poly_rejects_empty_terms(R4, R9):
+    for bad in ("x^2++x", "x^2+x+", "x^2+-x", "--x", "+-1", "x-", "+", "-", "x + + 1"):
+        with pytest.raises(ParseError, match="empty term"):
+            parse_poly(R4, bad)
+    # a single leading sign stays legal, also inside a tuple coefficient's parens
+    assert parse_poly(R4, "+x^2+x") == parse_poly(R4, "x^2+x")
+    assert parse_poly(R9, "-x^2+(1,2)x") == -parse_poly(R9, "x^2") + parse_poly(R9, "(1,2)x")
+
+
 def test_roundtrip_primitive_and_tuple_fields(R4):
     rng = random.Random(1)
     # a field without a designated primitive element prints tuples
