@@ -18,14 +18,11 @@ from .bch import (
     Bch1Spec,
     Bch2Spec,
     bch1_code,
-    bch1_generator,
     bch1_max_length,
     bch2_code,
     bch2_exponent_sets,
-    bch2_generator,
     evaluation_code,
     find_normal_element,
-    is_mds,
     min_distance_exact,
 )
 from .codes import (
@@ -122,6 +119,14 @@ def _element_pairs(key, a):
     ]
 
 
+def _is_mds(code, d):
+    return d == code.n - code.k + 1
+
+
+def _distance_pairs(code, d):
+    return [("distance", d), ("mds", str(_is_mds(code, d)).lower())]
+
+
 def cmd_field_info(args):
     ring = _resolve_ring(args)
     field = ring.field
@@ -209,10 +214,9 @@ def _code_report(args, code, with_distance=False, with_dual=False, with_check=Fa
         pairs.append((f"genrow{i}", " ".join(format_element(c) for c in row)))
     if with_distance and code.k > 0:
         d = min_distance_exact(code, strategy=args.strategy)
-        pairs.append(("distance", d))
-        pairs.append(("mds", str(d == code.n - code.k + 1).lower()))
+        pairs.extend(_distance_pairs(code, d))
         human.append(f"exact minimum distance = {d}"
-                     + (" (MDS)" if d == code.n - code.k + 1 else ""))
+                     + (" (MDS)" if _is_mds(code, d) else ""))
     if with_dual:
         data = dual_code(code)
         pairs.append(("dual_generator", format_poly(data.code.generator)))
@@ -250,12 +254,9 @@ def cmd_dual(args):
 def cmd_distance(args):
     code = _build_code(args)
     d = min_distance_exact(code, strategy=args.strategy)
-    pairs = [
-        ("n", code.n), ("k", code.k), ("distance", d),
-        ("mds", str(d == code.n - code.k + 1).lower()),
-    ]
+    pairs = [("n", code.n), ("k", code.k)] + _distance_pairs(code, d)
     human = [f"[{code.n},{code.k}] code: exact minimum distance {d}"
-             + (" (MDS)" if d == code.n - code.k + 1 else "")]
+             + (" (MDS)" if _is_mds(code, d) else "")]
     _emit(args, pairs, human)
     return EXIT_OK
 
@@ -289,27 +290,27 @@ def cmd_bch1(args):
         b=args.b, t1=args.t1, t2=args.t2,
         delta=args.delta, nu=args.nu, n=args.n,
     )
-    g, designed = bch1_generator(spec)
-    code, _ = bch1_code(spec)
+    code, designed = bch1_code(spec)
+    g = code.generator
+    max_length = bch1_max_length(spec)
     pairs = [
         ("g", format_poly(g)),
         ("designed_distance", designed),
         ("modulus", format_poly(code.modulus.poly)),
         ("n", code.n),
         ("k", code.k),
-        ("max_length", bch1_max_length(spec)),
+        ("max_length", max_length),
     ]
     human = [
         f"generator g = {format_poly(g)}",
         f"designed distance = {designed}",
         f"modulus = {format_poly(code.modulus.poly)}",
         f"[{code.n},{code.k}] code over {base_ring.field.name}",
-        f"maximal admissible length = {bch1_max_length(spec)}",
+        f"maximal admissible length = {max_length}",
     ]
     if args.verify_distance and code.k > 0:
         d = min_distance_exact(code)
-        pairs.append(("distance", d))
-        pairs.append(("mds", str(d == code.n - code.k + 1).lower()))
+        pairs.extend(_distance_pairs(code, d))
         human.append(f"actual distance = {d} (designed {designed})")
     _emit(args, pairs, human)
     return EXIT_OK
@@ -325,8 +326,8 @@ def cmd_bch2(args):
         base_ring=base_ring, emb=emb, alpha=alpha,
         b=args.b, t1=args.t1, t2=args.t2, delta=args.delta, nu=args.nu,
     )
-    g, designed = bch2_generator(spec)
-    code, _ = bch2_code(spec)
+    code, designed = bch2_code(spec)
+    g = code.generator
     S, closed = bch2_exponent_sets(spec)
     pairs = [
         ("alpha", format_element(alpha)),
@@ -349,8 +350,7 @@ def cmd_bch2(args):
     ]
     if args.verify_distance and code.k > 0:
         d = min_distance_exact(code)
-        pairs.append(("distance", d))
-        pairs.append(("mds", str(d == code.n - code.k + 1).lower()))
+        pairs.extend(_distance_pairs(code, d))
         human.append(f"actual distance = {d} (designed {designed})")
     _emit(args, pairs, human)
     return EXIT_OK
@@ -365,9 +365,7 @@ def cmd_eval_code(args):
         ("points", ";".join(format_element(a) for a in code.points)),
         ("n", code.n),
         ("k", code.k),
-        ("distance", d),
-        ("mds", str(is_mds(code)).lower()),
-    ]
+    ] + _distance_pairs(code, d)
     for i, row in enumerate(code.generator_matrix):
         pairs.append((f"genrow{i}", " ".join(format_element(c) for c in row)))
     human = [

@@ -296,8 +296,9 @@ class FieldSpec:
                         f"order {self._element_order_raw(gen)}, not {n}"
                     )
             else:
+                # element 1 has order 1, so it is picked only in F_2
                 gen = next(
-                    a for a in range(2, self.order)
+                    a for a in range(1, self.order)
                     if self._element_order_raw(a) == n
                 )
             seq = self._powers(gen, n)

@@ -105,10 +105,6 @@ def mat_mul_i(a, b, field):
     return out
 
 
-def mat_transpose(rows):
-    return [list(r) for r in zip(*rows)]
-
-
 def is_zero_matrix_i(rows):
     return all(not c for row in rows for c in row)
 

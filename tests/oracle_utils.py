@@ -10,11 +10,33 @@ the simple components of a split quotient R/Rf, by Gaussian binomials alone,
 and ``f2_is_irreducible`` checks the central factors that fix those
 components by trial division over F_2.  ``twisted_mul`` multiplies in
 F[x; a -> a^(p^t)] from element products and powers alone, for any shift t.
+
+The codes layer computes each answer by one route; the second routes live
+here.  ``row_space_membership`` decides membership by rank, against the
+right division in ``SkewCyclicCode.contains``.  ``assert_cofactor_identities``,
+``assert_transpose_decomposition``, ``assert_dual``, ``assert_check_identity``
+and ``assert_self_dual`` check the circulant and product identities behind
+``cofactor_constant``, ``transpose_decomposition``, ``dual_code``,
+``check_polynomial`` and ``self_dual_search``, and
+``self_dual_generators_by_product`` redoes the self-dual search by full
+products over all monic candidates.
 """
+
+import random
 
 import numpy as np
 
+from skewcodes.codes import Modulus, dual_code, skew_circulant
 from skewcodes.fields import FieldElement
+from skewcodes.linalg import (
+    is_zero_matrix_i,
+    mat_mul_i,
+    rank_i,
+    rref_i,
+    row_space_equal_i,
+    unwrap,
+)
+from skewcodes.skewpoly import apply_automorphism, left_reciprocal
 
 
 def naive_mul(field, a, b):
@@ -147,3 +169,111 @@ def split_quotient_divisor_profile(components):
         by_dim = nxt
     n = sum(dim for _, _, dim in components)
     return {n - j: c for j, c in by_dim.items()}
+
+
+# -- the codes layer's second routes ----------------------------------------------
+
+
+def circulant_rows(mod, g):
+    """The skew circulant of g modulo mod as an int grid."""
+    return unwrap(skew_circulant(mod, g).rows)
+
+
+def transpose(rows):
+    return [list(col) for col in zip(*rows)]
+
+
+def row_space_membership(rows, field):
+    """A predicate on int vectors: membership in the row space of ``rows``,
+    decided by rank (a vector lies in the span when it adds no rank)."""
+    basis, _ = rref_i(rows, field)
+    return lambda vec: rank_i(basis + [list(vec)], field) == len(basis)
+
+
+def assert_cofactor_identities(mod, g, c, trials=3, seed=0):
+    """For the cofactor constant c of a right divisor g of x^n - a:
+    x^n - c = sigma^n(g) h for the cofactor h, and the product law
+    circulant_a(g' g) = circulant_c(g') circulant_a(g) for ``trials``
+    pseudorandom g' of degree below n."""
+    ring, field, n = mod.ring, mod.ring.field, mod.n
+    h, r = mod.poly.right_divmod(g)
+    assert r.is_zero
+    mod_c = Modulus(ring.x_pow_minus(n, c))
+    assert apply_automorphism(g, n) * h == mod_c.poly, "cofactor constant identity"
+    g_rows = circulant_rows(mod, g)
+    rng = random.Random(seed)
+    for _ in range(trials):
+        gp = ring.from_indices(rng.randrange(field.order) for _ in range(n))
+        split = mat_mul_i(circulant_rows(mod_c, gp), g_rows, field)
+        assert circulant_rows(mod, gp * g) == split, "constacyclic product law"
+
+
+def assert_transpose_decomposition(mod, g, g_sharp, g_circ, c):
+    """The transpose of the circulant of g modulo x^n - a equals the
+    (x^n - c^(-1))-circulant of g_sharp, which is the (x^n - sigma^k(c^(-1)))-
+    circulant of g_circ times the (x^n - c^(-1))-circulant of x^k, k = n -
+    deg g; and g_circ right-divides x^n - sigma^k(c^(-1))."""
+    ring, field, n = mod.ring, mod.ring.field, mod.n
+    k = n - g.degree
+    c_inv = c.inverse()
+    mod_cinv = Modulus(ring.x_pow_minus(n, c_inv))
+    mod_sig = Modulus(ring.x_pow_minus(n, ring.sigma(c_inv, k)))
+    rhs = circulant_rows(mod_cinv, g_sharp)
+    assert transpose(circulant_rows(mod, g)) == rhs, "transpose of the circulant"
+    split = mat_mul_i(
+        circulant_rows(mod_sig, g_circ),
+        circulant_rows(mod_cinv, ring.one.times_x(k)),
+        field,
+    )
+    assert split == rhs, "transpose factorization"
+    assert g_circ.monic().right_divides(mod_sig.poly), "g_circ divides its modulus"
+
+
+def assert_dual(code, data):
+    """``dual_code`` data against the circulants.  The raw generator h_rec
+    right-divides x^n - a^(-1); the circulant of g annihilates the transposed
+    circulant of h_rec, which has rank n - k and the dual's row space; the
+    parity checks are the leading n - k and k rows of those circulants."""
+    field, n, k = code.field, code.n, code.k
+    dual_mod = data.code.modulus
+    a_inv = code.modulus.constacyclic_constant.inverse()
+    assert dual_mod.poly == code.ring.x_pow_minus(n, a_inv)
+    assert data.raw_generator.monic().right_divides(dual_mod.poly)
+    g_rows = circulant_rows(code.modulus, code.generator)
+    h_rows = circulant_rows(dual_mod, data.raw_generator)
+    assert is_zero_matrix_i(mat_mul_i(g_rows, transpose(h_rows), field)), "annihilation"
+    assert rank_i(h_rows, field) == n - k, "dual circulant rank"
+    dual_rows = unwrap(data.code.generator_matrix)
+    assert row_space_equal_i(dual_rows, h_rows, field), "dual row space"
+    assert unwrap(data.primal_parity_check) == h_rows[: n - k]
+    assert unwrap(data.dual_parity_check) == g_rows[:k]
+
+
+def assert_check_identity(code, check, c_tilde):
+    """x^n - c_tilde = g * check for the check data of a code."""
+    assert code.generator * check == code.ring.x_pow_minus(code.n, c_tilde)
+
+
+def assert_self_dual(code):
+    """The code equals its dual: 2k = n with G G^T = 0, and its row space is
+    that of ``dual_code``."""
+    rows = unwrap(code.generator_matrix)
+    assert 2 * code.k == code.n
+    assert is_zero_matrix_i(mat_mul_i(rows, transpose(rows), code.field))
+    dual_rows = unwrap(dual_code(code).code.generator_matrix)
+    assert row_space_equal_i(rows, dual_rows, code.field), "self-dual row space"
+
+
+def self_dual_generators_by_product(ring, n, eps):
+    """Monic generators rho_l(sigma^(-n)(h)) of the self-dual
+    (sigma, x^n - eps)-codes, for every monic h of degree n/2 with
+    h * rho_l(sigma^(-n)(h)) = x^n - eps, in the order of h."""
+    field = ring.field
+    target = ring.x_pow_minus(n, field.one if eps == 1 else -field.one)
+    out = []
+    for h in ring.monic_polys(n // 2):
+        if h.constant_coefficient:
+            h_rec = left_reciprocal(apply_automorphism(h, -n))
+            if h * h_rec == target:
+                out.append(h_rec.monic())
+    return out

@@ -62,7 +62,12 @@ from skewcodes.skewpoly import (
     product_eval_check,
 )
 from skewcodes.textio import parse_element
-from oracle_utils import sweep_eval_consistency
+from oracle_utils import (
+    assert_check_identity,
+    assert_dual,
+    row_space_membership,
+    sweep_eval_consistency,
+)
 
 
 def acceptance(num, name):
@@ -223,18 +228,24 @@ def test_criterion_5_duality(R4, F4):
         for d, divs in enumerate_right_divisors(f).items():
             for g in divs:
                 code = SkewCyclicCode(mod, g)
-                data = dual_code(code)   # checks divisor, annihilation, rank
+                data = dual_code(code)
+                # divisor, annihilation, rank n - k, dual row space
+                assert_dual(code, data)
                 assert data.raw_generator.monic().right_divides(dual_target)
-                back = dual_code(data.code).code
+                back_data = dual_code(data.code)
+                assert_dual(data.code, back_data)
+                back = back_data.code
                 assert row_space_equal(
                     back.generator_matrix, code.generator_matrix, F4
                 )
                 check, ct = check_polynomial(code)
+                assert_check_identity(code, check, ct)
+                member = row_space_membership(unwrap(code.generator_matrix), F4)
                 for word_ci in itertools.product(range(4), repeat=n):
                     word = [F4.element(i) for i in word_ci]
-                    assert check_kernel_contains(
-                        code, check, ct, word
-                    ) == code.contains(word)
+                    inside = code.contains(word)
+                    assert inside == member(word_ci)
+                    assert check_kernel_contains(code, check, ct, word) == inside
     assert time.time() - t0 < 30
 
 

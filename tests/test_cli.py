@@ -1,3 +1,7 @@
+import importlib
+
+import pytest
+
 from skewcodes.cli import (
     EXIT_CONDITION,
     EXIT_DOMAIN,
@@ -257,3 +261,126 @@ def test_machine_output_reparses_and_reverifies(capsys, F8):
     for i in range(code.k):
         row = [str(c) for c in code.generator_matrix[i]]
         assert pairs[f"genrow{i}"] == " ".join(row)
+
+
+README_CODE = (
+    "code", "--preset", "F8", "--e", "1",
+    "--f", "x^7+a", "--g", "x^4+a*x^3+a^5*x^2+a",
+    "--distance", "--dual", "--check-poly",
+)
+README_BCH = (
+    "--preset", "F2_6", "--e", "1", "--ext-preset", "F2_12",
+    "--b", "0", "--t1", "23", "--t2", "1", "--delta", "4", "--nu", "0",
+    "--verify-distance",
+)
+README_BCH1 = ("bch1", "--alpha", "a", "--n", "12") + README_BCH
+README_BCH2 = ("bch2", "--alpha", "auto") + README_BCH
+README_EVAL = ("eval-code", "--preset", "F8", "--e", "1", "--points", "0;1;a;a^2", "--k", "2")
+
+README_MACHINE_OUTPUT = {
+    "code": (README_CODE, """\
+f=x^7+a
+g=x^4+a*x^3+a^5*x^2+a
+n=7
+k=3
+genrow0=a 0 a^5 a 1 0 0
+genrow1=0 a^2 0 a^3 a^2 1 0
+genrow2=0 0 a^4 0 a^6 a^4 1
+distance=4
+mds=false
+dual_generator=x^3+a*x+1
+dual_generator_raw=x^3+a*x+1
+dual_modulus=x^7+a^6
+check_poly=x^3+a^4*x^2+1
+check_twist=a
+check_twist_tuple=0,1,0
+"""),
+    "bch1": (README_BCH1, """\
+g=x^3+a^50*x^2+a^43*x+a
+designed_distance=4
+modulus=x^12+1
+n=12
+k=9
+max_length=12
+distance=4
+mds=true
+"""),
+    "bch2": (README_BCH2, """\
+alpha=a^5
+alpha_tuple=0,0,0,0,0,1,0,0,0,0,0,0
+g=x^6+a^22*x^5+a^53*x^4+a^19*x^3+a^32*x^2+a^61*x+a^49
+designed_distance=4
+modulus=x^12+1
+n=12
+k=6
+exponents=0,10,11
+exponents_closed=0,4,5,6,10,11
+distance=6
+mds=false
+"""),
+    "eval-code": (README_EVAL, """\
+points=0;1;a;a^2
+n=4
+k=2
+distance=3
+mds=true
+genrow0=1 1 1 1
+genrow1=0 1 a a^2
+"""),
+}
+
+
+@pytest.mark.parametrize("name", sorted(README_MACHINE_OUTPUT))
+def test_readme_examples_machine_output(capsys, name):
+    argv, expected = README_MACHINE_OUTPUT[name]
+    code, out, err = run_cli(capsys, *argv, "--machine")
+    assert code == EXIT_OK and err == ""
+    assert out == expected
+
+
+def _count_calls(monkeypatch, modules, name):
+    """Route every module's ``name`` through one wrapper; returns its log."""
+    calls = []
+    real = getattr(importlib.import_module(modules[0]), name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(f"{module}.{name}", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(README_MACHINE_OUTPUT) + ["distance"])
+def test_one_distance_run_per_command(capsys, monkeypatch, name):
+    argv = (
+        README_MACHINE_OUTPUT[name][0] if name != "distance"
+        else ("distance",) + README_CODE[1:9]
+    )
+    calls = _count_calls(
+        monkeypatch, ["skewcodes.bch", "skewcodes.cli"], "min_distance_exact"
+    )
+    assert run_cli(capsys, *argv, "--machine")[0] == EXIT_OK
+    assert len(calls) == 1
+
+
+def test_bch_commands_build_each_answer_once(capsys, monkeypatch):
+    gen1 = _count_calls(monkeypatch, ["skewcodes.bch"], "bch1_generator")
+    gen2 = _count_calls(monkeypatch, ["skewcodes.bch"], "bch2_generator")
+    max_len = _count_calls(monkeypatch, ["skewcodes.cli"], "bch1_max_length")
+    assert run_cli(capsys, *README_BCH1, "--machine")[0] == EXIT_OK
+    assert run_cli(capsys, *README_BCH2, "--machine")[0] == EXIT_OK
+    assert (len(gen1), len(gen2), len(max_len)) == (1, 1, 1)
+
+
+def test_prime_field_config_f2(capsys, tmp_path):
+    # F_2 without the primitive flag: the generator search starts at 1
+    cfg = tmp_path / "f2.cfg"
+    cfg.write_text("p=2\ne=1\nd=1\nmodpoly=1,1\n")
+    code, out, err = run_cli(
+        capsys, "vanish", "--config", str(cfg), "--poly", "x+1", "--machine",
+    )
+    assert code == EXIT_OK and err == ""
+    pairs = machine_dict(out)
+    assert pairs["count"] == "1"

@@ -46,7 +46,17 @@ from skewcodes.skewpoly import (
     left_reciprocal,
 )
 from skewcodes.textio import parse_poly
-from oracle_utils import f2_is_irreducible, split_quotient_divisor_profile
+from oracle_utils import (
+    assert_check_identity,
+    assert_cofactor_identities,
+    assert_dual,
+    assert_self_dual,
+    assert_transpose_decomposition,
+    f2_is_irreducible,
+    row_space_membership,
+    self_dual_generators_by_product,
+    split_quotient_divisor_profile,
+)
 
 
 GOLDEN_CIRCULANT = [
@@ -141,8 +151,10 @@ def test_trivial_codes(R4, F4):
     assert zero_code.k == 0 and zero_code.generator_matrix == []
     full = code_from_generator(f, R4.one)
     assert full.k == 4
-    for word in itertools.product(range(4), repeat=4):
-        assert full.contains([F4.element(i) for i in word])
+    for u in itertools.product(range(4), repeat=4):
+        word = [F4.element(i) for i in u]
+        assert full.contains(word)
+        assert zero_code.contains(word) == (not any(u))
 
 
 def test_generator_matrix_banded_sigma_shift(R8, F8):
@@ -176,6 +188,22 @@ def test_membership(R8, F8):
     assert outside is not None and not code.contains(outside)
     with pytest.raises(ValueError):
         code.contains([F8.zero] * 6)
+
+
+def test_membership_matches_row_space(R8, F8):
+    # contains answers by right division; the rank route is the oracle
+    mod, g = _f8_code(R8, F8)
+    code = code_from_generator(mod, g)
+    member = row_space_membership(unwrap(code.generator_matrix), F8)
+    rng = random.Random(13)
+    words = [[rng.randrange(8) for _ in range(7)] for _ in range(400)]
+    words += [unwrap([row])[0] for row in code.generator_matrix]
+    hits = 0
+    for word in words:
+        inside = member(word)
+        assert code.contains([F8.element(i) for i in word]) == inside
+        hits += inside
+    assert 0 < hits < len(words)
 
 
 def test_constacyclic_shift_classical(F4):
@@ -329,6 +357,7 @@ def test_cofactor_constant_formula(R4, F4):
         if g.constant_coefficient == w:
             c = cofactor_constant(f, g)
             assert c == R4.sigma(w, 3) * w / w    # sigma^3 = sigma on F4
+            assert_cofactor_identities(f, g, c)
             found = True
     if not found:
         pytest.skip("no degree-1 divisor with constant term w")
@@ -340,6 +369,34 @@ def test_cofactor_constant_fixed_case(R4, F4):
         g0 = g.constant_coefficient
         if R4.sigma(g0, 4) == g0:
             assert cofactor_constant(f, g) == F4.one
+            assert_cofactor_identities(f, g, F4.one)
+
+
+def test_cofactor_constant_all_divisors(R4, R9, F4, F9):
+    # the identity and the product law for every divisor with g_0 != 0
+    for ring, n in ((R4, 4), (R4, 5), (R9, 4)):
+        field = ring.field
+        for a in range(1, field.order):
+            mod = Modulus(ring.x_pow_minus(n, field.element(a)))
+            for divs in enumerate_right_divisors(mod.poly).values():
+                for g in divs:
+                    c = cofactor_constant(mod, g)
+                    assert c == ring.sigma(g.constant_coefficient, n) * (
+                        mod.constacyclic_constant / g.constant_coefficient
+                    )
+                    assert_cofactor_identities(mod, g, c)
+
+
+def test_cofactor_constant_input_checks(R4, F4):
+    mod = Modulus(R4.x_pow_minus(4, F4.gen))
+    with pytest.raises(ZeroDivisionError):
+        cofactor_constant(mod, R4.x)
+    with pytest.raises(NotARightDivisorError):
+        cofactor_constant(mod, R4.poly([F4.one, F4.one]))
+    with pytest.raises(NotARightDivisorError):
+        transpose_decomposition(mod, R4.poly([F4.one, F4.one]))
+    with pytest.raises(NotConstacyclicError):
+        cofactor_constant(R4.poly([F4.one, F4.one, 0, F4.one]), R4.one)
 
 
 def test_transpose_decomposition_all_divisors(R4, F4):
@@ -354,6 +411,10 @@ def test_transpose_decomposition_all_divisors(R4, F4):
                     assert g_circ == mod.constacyclic_constant * apply_automorphism(
                         left_reciprocal(g), k
                     )
+                    assert g_sharp == g_circ.times_x(k)
+                    assert c == cofactor_constant(mod, g)
+                    assert_cofactor_identities(mod, g, c)
+                    assert_transpose_decomposition(mod, g, g_sharp, g_circ, c)
 
 
 def test_transpose_decomposition_classical_reciprocal(F4):
@@ -361,9 +422,10 @@ def test_transpose_decomposition_classical_reciprocal(F4):
     one = F4.one
     f = Modulus(Rc.x_pow_minus(4, one))
     g = Rc.poly([one, one]) * Rc.poly([one, one])
-    _, g_circ, c = transpose_decomposition(f, g)
+    g_sharp, g_circ, c = transpose_decomposition(f, g)
     assert c == one
     assert g_circ == left_reciprocal(g)     # sigma = id: classical reciprocal
+    assert_transpose_decomposition(f, g, g_sharp, g_circ, c)
 
 
 def test_transpose_negative_control(R4, F4):
@@ -399,11 +461,14 @@ def test_dual_code_suite(R4, F4):
             for g in divs:
                 code = SkewCyclicCode(mod, g)
                 data = dual_code(code)
+                assert_dual(code, data)
                 dual = data.code
                 assert dual.modulus.constacyclic_constant == a.inverse()
                 assert dual.k == n - code.k
                 # dual of dual returns to the primal row space
-                back = dual_code(dual).code
+                back_data = dual_code(dual)
+                assert_dual(dual, back_data)
+                back = back_data.code
                 assert row_space_equal(
                     back.generator_matrix, code.generator_matrix, F4
                 )
@@ -421,6 +486,11 @@ def test_dual_trivial_cases(R4, F4):
     full = SkewCyclicCode(mod, R4.one)
     data = dual_code(full)
     assert data.code.k == 0
+    assert_dual(full, data)
+    zero = SkewCyclicCode(mod, mod.poly)
+    data = dual_code(zero)
+    assert data.code.k == 4
+    assert_dual(zero, data)
 
 
 def test_dual_classical_reciprocal_rule(F4):
@@ -432,6 +502,7 @@ def test_dual_classical_reciprocal_rule(F4):
         code = SkewCyclicCode(mod, g)
         h = code.cofactor
         data = dual_code(code)
+        assert_dual(code, data)
         # dual generator is rho(h)/h_0
         expect = (left_reciprocal(h) * h.constant_coefficient.inverse()).monic()
         assert data.code.generator == left_reciprocal(h).monic() == expect
@@ -452,9 +523,14 @@ def test_check_polynomial_kernel_sweep(R4, F4):
             for g in divs:
                 code = SkewCyclicCode(mod, g)
                 check, ct = check_polynomial(code)
+                assert_check_identity(code, check, ct)
+                assert_cofactor_identities(mod, g, cofactor_constant(mod, g))
+                member = row_space_membership(unwrap(code.generator_matrix), F4)
                 for u in itertools.product(range(4), repeat=4):
                     word = [F4.element(i) for i in u]
-                    assert check_kernel_contains(code, check, ct, word) == code.contains(word)
+                    inside = code.contains(word)
+                    assert inside == member(u)
+                    assert check_kernel_contains(code, check, ct, word) == inside
 
 
 def test_check_polynomial_central_case(R4, F4):
@@ -463,6 +539,7 @@ def test_check_polynomial_central_case(R4, F4):
     for g in enumerate_right_divisors(f.poly)[2]:
         code = SkewCyclicCode(f, g)
         check, ct = check_polynomial(code)
+        assert_check_identity(code, check, ct)
         assert check == code.cofactor
         assert ct == cofactor_constant(f, g) == F4.one
 
@@ -475,22 +552,55 @@ def test_duality_odd_characteristic(R9, F9):
         f = R9.x_pow_minus(4, a)
         for d, divs in enumerate_right_divisors(f).items():
             for g in divs:
-                code = SkewCyclicCode(Modulus(f), g)
+                mod = Modulus(f)
+                code = SkewCyclicCode(mod, g)
                 data = dual_code(code)
-                back = dual_code(data.code).code
+                assert_dual(code, data)
+                back_data = dual_code(data.code)
+                assert_dual(data.code, back_data)
+                back = back_data.code
                 assert row_space_equal(
                     back.generator_matrix, code.generator_matrix, F9
                 )
                 ck, ct = check_polynomial(code)
+                assert_check_identity(code, ck, ct)
+                member = row_space_membership(unwrap(code.generator_matrix), F9)
                 words = [[F9.element(rng.randrange(9)) for _ in range(4)]
                          for _ in range(120)]
                 words += [list(row) for row in code.generator_matrix]
                 for wel in words:
-                    assert check_kernel_contains(
-                        code, ck, ct, wel
-                    ) == code.contains(wel)
+                    inside = code.contains(wel)
+                    assert inside == member(unwrap([wel])[0])
+                    assert check_kernel_contains(code, ck, ct, wel) == inside
                 if g.constant_coefficient:
-                    transpose_decomposition(Modulus(f), g)
+                    g_sharp, g_circ, c = transpose_decomposition(mod, g)
+                    assert_cofactor_identities(mod, g, c)
+                    assert_transpose_decomposition(mod, g, g_sharp, g_circ, c)
+
+
+def test_duality_sigma_order_above_two(R8, R16, F8, F16):
+    # sigma of order 3 and 4: sigma^-1 != sigma, so a sign slip in a twist shows
+    rng = random.Random(37)
+    for ring, n, a in ((R8, 6, F8.one), (R8, 4, F8.gen), (R16, 4, F16.element(7))):
+        field = ring.field
+        mod = Modulus(ring.x_pow_minus(n, a))
+        for divs in enumerate_right_divisors(mod.poly).values():
+            for g in divs:
+                code = SkewCyclicCode(mod, g)
+                assert_dual(code, dual_code(code))
+                check, ct = check_polynomial(code)
+                assert_check_identity(code, check, ct)
+                g_sharp, g_circ, c = transpose_decomposition(mod, g)
+                assert_cofactor_identities(mod, g, c)
+                assert_transpose_decomposition(mod, g, g_sharp, g_circ, c)
+                member = row_space_membership(unwrap(code.generator_matrix), field)
+                words = [[rng.randrange(field.order) for _ in range(n)] for _ in range(20)]
+                words += unwrap(code.generator_matrix)
+                for u in words:
+                    word = [field.element(i) for i in u]
+                    inside = code.contains(word)
+                    assert inside == member(u)
+                    assert check_kernel_contains(code, check, ct, word) == inside
 
 
 def test_classical_hamming_degenerate_case(F2):
@@ -501,7 +611,9 @@ def test_classical_hamming_degenerate_case(F2):
     f7 = R2.x_pow_minus(7, F2.one)
     code = SkewCyclicCode(Modulus(f7), R2.poly([1, 1, 0, 1]))
     assert code.k == 4 and min_distance_exact(code) == 3
-    dd = dual_code(code).code
+    data = dual_code(code)
+    assert_dual(code, data)
+    dd = data.code
     assert dd.k == 3 and min_distance_exact(dd) == 4
 
 
@@ -510,11 +622,46 @@ def test_self_dual_search_n2(R4, F4):
     assert len(found) == 1
     assert found[0].generator == R4.poly([F4.one, F4.one])
     assert found[0].k == 1
+    assert_self_dual(found[0])
 
 
 def test_self_dual_dimension(R4):
     for code in self_dual_search(R4, 4, 1):
         assert code.k == 2
+        assert_self_dual(code)
+
+
+def test_self_dual_search_matches_product_oracle(F4, F8, F9, F16, F27):
+    # same generators in the same order as the full-product search, and each
+    # code equals its dual
+    cases = [
+        (F4, 1, (2, 4, 6, 8)), (F4, 2, (2, 4, 6, 8)),
+        (F8, 1, (2, 4, 6)), (F8, 3, (2, 4, 6)),
+        (F9, 1, (2, 4, 6)), (F9, 2, (2, 4, 6)),
+        (F16, 1, (2, 4)), (F16, 2, (2, 4)),
+        (F27, 1, (2, 4)), (F27, 3, (2, 4)),
+    ]
+    total = 0
+    for field, e, lengths in cases:
+        ring = SkewRing(field, e)
+        for n in lengths:
+            for eps in (1, -1):
+                found = self_dual_search(ring, n, eps)
+                expect = self_dual_generators_by_product(ring, n, eps)
+                assert [code.generator for code in found] == expect
+                target = ring.x_pow_minus(n, field.one if eps == 1 else -field.one)
+                for code in found:
+                    assert code.modulus.poly == target
+                    assert_self_dual(code)
+                total += len(found)
+    assert total > 0
+
+
+def test_self_dual_search_cancel(R4):
+    stop = threading.Event()
+    stop.set()
+    with pytest.raises(SearchCancelledError, match="self-dual search cancelled"):
+        self_dual_search(R4, 4, 1, cancel=stop)
 
 
 def test_self_dual_rejects_odd_length(R4):

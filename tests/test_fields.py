@@ -60,6 +60,20 @@ def test_reducible_modulus_rejected():
         FieldSpec(2, (1, 0, 1))  # x^2 + 1 = (x+1)^2 over F_2
 
 
+def test_prime_field_f2_without_primitive_flag():
+    # the generator search must find 1, the only generator of F_2^*
+    spec = FieldSpec(2, (1, 1))
+    assert [spec.mul_i(a, b) for a in (0, 1) for b in (0, 1)] == [0, 0, 0, 1]
+    assert spec.inv_i(1) == 1
+    with pytest.raises(ZeroDivisionError):
+        spec.inv_i(0)
+    assert [spec.pow_i(1, k) for k in (-3, 0, 1, 5)] == [1, 1, 1, 1]
+    assert [spec.pow_i(0, k) for k in (0, 1, 4)] == [1, 0, 0]
+    assert [spec.frob_i(a, j) for a in (0, 1) for j in (0, 1, 2)] == [0] * 3 + [1] * 3
+    assert spec.element_order(spec.one) == 1
+    assert [spec.add_i(a, b) for a in (0, 1) for b in (0, 1)] == [0, 1, 1, 0]
+
+
 def test_primitive_flag_validated():
     # x^4 + x^3 + x^2 + x + 1 is irreducible but its root has order 5
     with pytest.raises(ValueError):
