@@ -256,12 +256,17 @@ def bch1_generator(spec):
 
 def constacyclic_modulus_for(ring, g, n):
     """x^n - a for the unique a in F* with g a right divisor, when one
-    exists; scanned over all nonzero a."""
-    for a in range(1, ring.field.order):
-        f = ring.x_pow_minus(n, FieldElement(ring.field, a))
-        if g.right_divides(f):
-            return f
-    return None
+    exists: with deg g >= 1, x^n - a = s*g exactly when the remainder of
+    x^n on right division by g is the nonzero constant a.  A constant g
+    divides every x^n - a and gets a = 1."""
+    if g.degree == 0:
+        a = ring.field.one
+    else:
+        r = ring.one.times_x(n).right_rem(g)
+        if r.degree != 0:
+            return None
+        a = r.constant_coefficient
+    return ring.x_pow_minus(n, a)
 
 
 def left_x_multiple(g, n):
@@ -438,11 +443,7 @@ def bch2_generator(spec):
                 "second-kind generator coefficient escaped the base field; bug"
             )
         coeffs.append(r)
-    g = spec.base_ring.poly(coeffs)
-    f = spec.base_ring.x_pow_minus(spec.n, spec.base_ring.field.one)
-    if not g.right_divides(f):
-        raise ArithmeticError("second-kind generator fails to divide x^n - 1; bug")
-    return g, spec.designed_distance
+    return spec.base_ring.poly(coeffs), spec.designed_distance
 
 
 def bch2_code(spec):

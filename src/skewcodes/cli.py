@@ -490,7 +490,9 @@ def main(argv=None):
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except GuardExceededError as exc:
-        cost = f" (estimated cost {exc.cost})" if exc.cost else ""
+        # most guard messages already state their cost
+        shown = not exc.cost or str(exc.cost) in str(exc).split()
+        cost = "" if shown else f" (estimated cost {exc.cost})"
         print(f"guard exceeded: {exc}{cost}", file=sys.stderr)
         return EXIT_GUARD
     except ConditionViolatedError as exc:

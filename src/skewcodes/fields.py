@@ -14,11 +14,18 @@ added by XOR in characteristic 2 and by a half-width addition table
 otherwise.  Addition tables (odd p, at most 2^12 elements) are built by
 digit recursion, and each Frobenius table a -> a^(p^j) is the antilog
 table permuted, exp[log(a) * p^j].
+
+``FieldSpec.kernel()`` bundles references to these tables, with no copy, for
+the ring and elimination loops, which bind it once per call and multiply in
+the log domain.  Negation for odd p is a shift by log(-1) = (order - 1)/2.
+Odd-p addition uses the full table up to 2^12 elements and, above that, the
+half-width digit-add table applied chunk by chunk.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import namedtuple
 from math import gcd
 
 from .errors import FieldMismatchError, GuardExceededError
@@ -124,6 +131,35 @@ def _digit_add_table(p, k):
     return table
 
 
+def _chunked_adder(p, d, table):
+    """Addition on packed indices of F_p^d through the digit-add table of
+    width c = d // 2: chunks of c digits, with one middle digit when d is
+    odd (the table's first p entries of a row add single digits).  Prime
+    fields add mod p."""
+    P = p ** (d // 2)
+    if d == 1:
+        def add(a, b):
+            return (a + b) % p
+    elif d % 2 == 0:
+        def add(a, b):
+            return table[a % P][b % P] + P * table[a // P][b // P]
+    else:
+        def add(a, b):
+            ah, bh = a // P, b // P
+            return table[a % P][b % P] + P * (
+                table[ah % p][bh % p] + p * table[ah // p][bh // p])
+    return add
+
+
+# The flat view of a table-backed field that the ring and elimination loops
+# bind once per call.  exp (length 2n) and log are the field's own tables,
+# n = order - 1, half = log(-1) (0 for p = 2), frob the field's list of
+# Frobenius tables by shift (None until first used; fill through
+# FieldSpec.frob_table), add None for p = 2 (XOR) else a function of two
+# indices.
+FlatKernel = namedtuple("FlatKernel", "exp log n half frob add")
+
+
 class FieldSpec:
     """An explicit finite field F_{p^d} with a chosen defining polynomial.
 
@@ -163,8 +199,10 @@ class FieldSpec:
         self._exp = None       # antilog table, length 2*(order-1)
         self._log = None       # log table, log[0] unused
         self._gen_index = None
-        self._frob_tables = {}
+        self._frob_tables = [None] * self.degree
         self._add_table = None
+        self._half_add = None  # digit-add table of width d // 2 (odd p)
+        self._kernel = None
         if p == 2:
             self.add_i = lambda a, b: a ^ b
             self.sub_i = self.add_i
@@ -314,10 +352,13 @@ class FieldSpec:
 
         With P = p^ceil(d/2) and acc = l + P*h, acc*g = lo[l] + hi[h] where
         lo[l] = l*g and hi[h] = (P*h)*g: 2*p^(d/2) slow products in all.  The
-        sum is XOR for p = 2; for odd p the low and high halves of the two
-        terms are added in the half-width digit-add table.
+        sum is XOR for p = 2.  For odd p the two terms are added chunk by
+        chunk in the digit-add table of width c = d // 2 (kept as
+        ``_half_add``): two chunks of c digits, and for odd d a middle digit
+        between them, so the table never exceeds p^d entries.
         """
-        p, w = self.p, (self.degree + 1) // 2
+        p, d = self.p, self.degree
+        w = (d + 1) // 2
         P = p ** w
         lo = [self._slow_mul(a, g) for a in range(P)]
         hi = [self._slow_mul(P * a, g) for a in range(self.order // P)]
@@ -327,40 +368,88 @@ class FieldSpec:
             for k in range(n):
                 out[k] = acc
                 acc = lo[acc & mask] ^ hi[acc >> w]
-        elif P == self.order:   # degree 1: hi is [0]
+            return out
+        if d == 1:   # hi is [0]
             acc = 1
             for k in range(n):
                 out[k] = acc
                 acc = lo[acc]
-        else:
-            add = _digit_add_table(p, w)
+            return out
+        add = self._half_add = _digit_add_table(p, d // 2)
+        if d % 2 == 0:
             lo_l, lo_h = [a % P for a in lo], [a // P for a in lo]
             hi_l, hi_h = [a % P for a in hi], [a // P for a in hi]
             al, ah = 1, 0
             for k in range(n):
                 out[k] = al + P * ah
                 al, ah = add[lo_l[al]][hi_l[ah]], add[lo_h[al]][hi_h[ah]]
+            return out
+        # acc = a0 + Q*a1 + P*a2 with a0, a2 < Q = p^c and a1 one digit
+        Q = P // p
+        lo0, lo1, lo2 = zip(*[(a % Q, a // Q % p, a // P) for a in lo])
+        hi0, hi1, hi2 = zip(*[(a % Q, a // Q % p, a // P) for a in hi])
+        a0, a1, a2 = 1, 0, 0
+        for k in range(n):
+            low = a0 + Q * a1
+            out[k] = low + P * a2
+            a0, a1, a2 = (add[lo0[low]][hi0[a2]], add[lo1[low]][hi1[a2]],
+                          add[lo2[low]][hi2[a2]])
         return out
+
+    def kernel(self):
+        """The FlatKernel of a table-backed field, built once under the lock
+        with the log tables; None above 2^16 elements.  An odd-p addition
+        table of at most 2^12 elements is still built on the first
+        addition."""
+        kern = self._kernel
+        if kern is not None or self.order > _TABLE_LIMIT:
+            return kern
+        with self._lock:
+            if self._kernel is None:
+                self._build_tables()
+                n = self.order - 1
+                if self.p == 2:
+                    add = None
+                elif self.order <= _ADD_TABLE_LIMIT:
+                    table = self._add_table
+
+                    def add(a, b):
+                        nonlocal table
+                        if table is None:   # built on the first addition
+                            table = self._build_add_table()
+                        return table[a][b]
+                else:
+                    add = _chunked_adder(self.p, self.degree, self._half_add)
+                self._kernel = FlatKernel(
+                    self._exp, self._log, n, n // 2 if self.p != 2 else 0,
+                    self._frob_tables, add,
+                )
+            return self._kernel
 
     # -- table-backed kernel (int indices) ------------------------------------
 
     def add_i(self, a, b):  # overwritten for p == 2 in __init__
-        if self._add_table is None and self.order <= _ADD_TABLE_LIMIT:
-            self._build_add_table()
-        if self._add_table is not None:
-            return self._add_table[a][b]
-        p = self.p
-        out = [(x + y) % p for x, y in zip(self.coeffs_of(a), self.coeffs_of(b))]
-        return self._pack(out)
+        kern = self._kernel or self.kernel()
+        if kern is None:
+            p = self.p
+            out = [(x + y) % p for x, y in zip(self.coeffs_of(a), self.coeffs_of(b))]
+            return self._pack(out)
+        return kern.add(a, b)
 
     def _build_add_table(self):
         with self._lock:
             if self._add_table is None:
                 self._add_table = _digit_add_table(self.p, self.degree)
+            return self._add_table
 
     def neg_i(self, a):  # overwritten for p == 2
-        p = self.p
-        return self._pack([(-c) % p for c in self.coeffs_of(a)])
+        if a == 0:
+            return 0
+        kern = self._kernel or self.kernel()
+        if kern is None:
+            p = self.p
+            return self._pack([(-c) % p for c in self.coeffs_of(a)])
+        return kern.exp[kern.log[a] + kern.half]
 
     def sub_i(self, a, b):  # overwritten for p == 2
         return self.add_i(a, self.neg_i(b))
@@ -405,14 +494,18 @@ class FieldSpec:
     def frob_i(self, a, j):
         """a^(p^j); j is reduced modulo the field degree."""
         j %= self.degree
-        table = self._frob_tables.get(j)
+        table = self._frob_tables[j]
         if table is None:
-            table = self._build_frob_table(j)
+            table = self.frob_table(j)
         return table[a]
 
-    def _build_frob_table(self, j):
+    def frob_table(self, j):
+        """The table of a -> a^(p^j) for 0 <= j < degree, built on first use."""
+        table = self._frob_tables[j]
+        if table is not None:
+            return table
         with self._lock:
-            table = self._frob_tables.get(j)
+            table = self._frob_tables[j]
             if table is not None:
                 return table
             e = self.p ** j

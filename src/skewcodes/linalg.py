@@ -2,7 +2,9 @@
 
 Matrices are lists of rows.  Public helpers accept FieldElement grids and
 unwrap to packed indices; the elimination kernels work on int rows so that
-the distance oracle and rank sweeps stay fast.
+the distance oracle and rank sweeps stay fast.  Elimination and the matrix
+product bind the field's flat kernel once per call and multiply in the log
+domain; fields above the 2^16 table limit take a per-call branch.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ def rref_i(rows, field):
     if not m:
         return [], []
     ncols = len(m[0])
-    mul, sub, inv = field.mul_i, field.sub_i, field.inv_i
+    kern = field.kernel()
     pivots = []
     r = 0
     for col in range(ncols):
@@ -35,18 +37,45 @@ def rref_i(rows, field):
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        c = inv(m[r][col])
-        if c != 1:
-            m[r] = [mul(c, v) for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col]:
-                factor = m[i][col]
-                m[i] = [sub(v, mul(factor, w)) for v, w in zip(m[i], m[r])]
+        if kern is None:   # above the table limit: one field call per step
+            _eliminate_slow(m, r, col, field)
+        else:
+            _eliminate(m, r, col, kern)
         pivots.append(col)
         r += 1
         if r == len(m):
             break
     return m[:r], pivots
+
+
+def _eliminate(m, r, col, kern):
+    """Scale row r to a unit pivot at col and clear col in every other row,
+    in place, in the log domain."""
+    exp, log, n, half, _, add = kern
+    lc = -log[m[r][col]] % n
+    if lc:
+        m[r] = [exp[lc + log[v]] if v else 0 for v in m[r]]
+    prow = [(k, log[v]) for k, v in enumerate(m[r]) if v]
+    for i, row in enumerate(m):
+        if i != r and row[col]:
+            lf = (log[row[col]] + half) % n   # log of -row[col]
+            if add is None:
+                for k, lw in prow:
+                    row[k] ^= exp[lf + lw]
+            else:
+                for k, lw in prow:
+                    row[k] = add(row[k], exp[lf + lw])
+
+
+def _eliminate_slow(m, r, col, field):
+    mul, sub = field.mul_i, field.sub_i
+    c = field.inv_i(m[r][col])
+    if c != 1:
+        m[r] = [mul(c, v) for v in m[r]]
+    for i in range(len(m)):
+        if i != r and m[i][col]:
+            factor = m[i][col]
+            m[i] = [sub(v, mul(factor, w)) for v, w in zip(m[i], m[r])]
 
 
 def rank_i(rows, field):
@@ -90,16 +119,33 @@ def row_space_equal_i(a, b, field):
 def mat_mul_i(a, b, field):
     if not a or not b:
         return []
-    mul, add = field.mul_i, field.add_i
+    kern = field.kernel()
     bt = list(zip(*b))
     out = []
+    if kern is None:   # above the table limit: one field call per step
+        mul, add = field.mul_i, field.add_i
+        for row in a:
+            orow = []
+            for col in bt:
+                acc = 0
+                for x, y in zip(row, col):
+                    if x and y:
+                        acc = add(acc, mul(x, y))
+                orow.append(acc)
+            out.append(orow)
+        return out
+    exp, log, _, _, _, add = kern
+    lbt = [[log[y] if y else None for y in col] for col in bt]
     for row in a:
+        lrow = [(k, log[x]) for k, x in enumerate(row[:len(b)]) if x]
         orow = []
-        for col in bt:
+        for lcol in lbt:
             acc = 0
-            for x, y in zip(row, col):
-                if x and y:
-                    acc = add(acc, mul(x, y))
+            for k, lx in lrow:
+                ly = lcol[k]
+                if ly is not None:
+                    v = exp[lx + ly]
+                    acc = acc ^ v if add is None else add(acc, v)
             orow.append(acc)
         out.append(orow)
     return out
@@ -120,6 +166,3 @@ def row_space_equal(a, b, field):
 def in_row_space(vec, rows, field):
     return in_row_space_i([c.i for c in vec], unwrap(rows), field)
 
-
-def right_kernel(rows, field, ncols=None):
-    return wrap(right_kernel_i(unwrap(rows), field, ncols), field)

@@ -153,6 +153,10 @@ _Mirror = namedtuple("_Mirror", "field e")
 
 
 # -- int-level kernels (ascending packed coefficient tuples) -------------------
+#
+# Each kernel binds the field's FlatKernel once per call and works in the log
+# domain: c * sigma^t(b) is exp[log c + log frob_t[b]].  Fields above the
+# 2^16 table limit have no FlatKernel and take the per-call branch.
 
 def _trim(ci):
     n = len(ci)
@@ -165,18 +169,34 @@ def _mul_ci(ring, a, b):
     if not a or not b:
         return ()
     field = ring.field
-    mul = field.mul_i
-    add = field.add_i
-    frob = field.frob_i
     d = field.degree
     e = ring.e
     out = [0] * (len(a) + len(b) - 1)
+    kern = field.kernel()
+    if kern is None:   # above the table limit: one field call per step
+        mul = field.mul_i
+        add = field.add_i
+        frob = field.frob_i
+        for i, ai in enumerate(a):
+            if ai:
+                t = (e * i) % d
+                for j, bj in enumerate(b):
+                    if bj:
+                        out[i + j] = add(out[i + j], mul(ai, frob(bj, t)))
+        return tuple(out)
+    exp, log, _, _, frob, add = kern
+    bnz = [(j, bj) for j, bj in enumerate(b) if bj]
     for i, ai in enumerate(a):
         if ai:
             t = (e * i) % d
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] = add(out[i + j], mul(ai, frob(bj, t)))
+            table = frob[t] or field.frob_table(t)
+            la = log[ai]
+            if add is None:
+                for j, bj in bnz:
+                    out[i + j] ^= exp[la + log[table[bj]]]
+            else:
+                for j, bj in bnz:
+                    out[i + j] = add(out[i + j], exp[la + log[table[bj]]])
     return tuple(out)
 
 
@@ -206,25 +226,50 @@ def _right_divmod_ci(ring, f, g):
     if len(f) < len(g):
         return (), tuple(f)
     field = ring.field
-    mul = field.mul_i
-    sub = field.sub_i
-    frob = field.frob_i
     d = field.degree
     e = ring.e
     dg = len(g) - 1
-    glead_inv = field.inv_i(g[-1])
     r = list(f)
     s = [0] * (len(f) - dg)
+    kern = field.kernel()
+    if kern is None:   # above the table limit: one field call per step
+        mul = field.mul_i
+        sub = field.sub_i
+        frob = field.frob_i
+        glead_inv = field.inv_i(g[-1])
+        for t in range(len(f) - 1 - dg, -1, -1):
+            lead = r[t + dg]
+            if lead:
+                tw = (e * t) % d
+                c = mul(lead, frob(glead_inv, tw))
+                s[t] = c
+                for j in range(dg):
+                    gj = g[j]
+                    if gj:
+                        r[t + j] = sub(r[t + j], mul(c, frob(gj, tw)))
+                r[t + dg] = 0
+        return tuple(_trim(s)), tuple(_trim(r[:dg]))
+    exp, log, n, half, frob, add = kern
+    glead_inv = exp[-log[g[-1]] % n]
+    tail = [(j, gj) for j, gj in enumerate(g[:dg]) if gj]
     for t in range(len(f) - 1 - dg, -1, -1):
         lead = r[t + dg]
         if lead:
             tw = (e * t) % d
-            c = mul(lead, frob(glead_inv, tw))
-            s[t] = c
-            for j in range(dg):
-                gj = g[j]
-                if gj:
-                    r[t + j] = sub(r[t + j], mul(c, frob(gj, tw)))
+            table = frob[tw] or field.frob_table(tw)
+            lc = log[lead] + log[table[glead_inv]]
+            if lc >= n:
+                lc -= n
+            s[t] = exp[lc]
+            lc += half   # log of -c
+            if lc >= n:
+                lc -= n
+            if add is None:
+                for j, gj in tail:
+                    r[t + j] ^= exp[lc + log[table[gj]]]
+            else:
+                for j, gj in tail:
+                    r[t + j] = add(r[t + j], exp[lc + log[table[gj]]])
             r[t + dg] = 0
     return tuple(_trim(s)), tuple(_trim(r[:dg]))
 
@@ -240,15 +285,18 @@ def _monic_ci(ring, f):
 def _scale_ci(ring, c, f):
     if c == 0:
         return ()
-    mul = ring.field.mul_i
-    return tuple(mul(c, x) for x in f)
+    kern = ring.field.kernel()
+    if kern is None:
+        mul = ring.field.mul_i
+        return tuple(mul(c, x) for x in f)
+    exp, log = kern.exp, kern.log
+    lc = log[c]
+    return tuple(exp[lc + log[x]] if x else 0 for x in f)
 
 
 def _sigma_ci(ring, f, j):
-    d = ring.field.degree
-    t = (ring.e * j) % d
-    frob = ring.field.frob_i
-    return tuple(frob(c, t) for c in f)
+    table = ring.field.frob_table((ring.e * j) % ring.field.degree)
+    return tuple(table[c] for c in f)
 
 
 def _mirror_ci(ring, f):
@@ -256,10 +304,10 @@ def _mirror_ci(ring, f):
 
     Applied with the mirror's twist it is the inverse map mu^-1.
     """
-    frob = ring.field.frob_i
+    frob_table = ring.field.frob_table
     d = ring.field.degree
     e = ring.e
-    return tuple(frob(c, (-e * i) % d) for i, c in enumerate(f))
+    return tuple(frob_table((-e * i) % d)[c] for i, c in enumerate(f))
 
 
 def _to_mirror(ring, *polys):
@@ -322,18 +370,33 @@ def _monic_right_divisors_ci(ring, f, degree, cancel):
 def _eval_ci(ring, f, a):
     """Right evaluation sum_i f_i N_i(a) on packed indices."""
     field = ring.field
-    mul = field.mul_i
-    add = field.add_i
-    frob = field.frob_i
     d = field.degree
     e = ring.e
+    kern = field.kernel()
+    if kern is None:   # above the table limit: one field call per step
+        mul = field.mul_i
+        add = field.add_i
+        frob = field.frob_i
+        acc = 0
+        cur = 1
+        for i, c in enumerate(f):
+            if i:
+                cur = mul(cur, frob(a, (e * (i - 1)) % d))
+            if c:
+                acc = add(acc, mul(c, cur))
+        return acc
+    if not f or a == 0:   # N_0(a) = 1 and N_i(0) = 0 for i >= 1
+        return f[0] if f else 0
+    exp, log, n, _, frob, add = kern
     acc = 0
-    cur = 1
+    lcur = 0   # log N_i(a) = sum_{j<i} log sigma^j(a)
     for i, c in enumerate(f):
         if i:
-            cur = mul(cur, frob(a, (e * (i - 1)) % d))
+            t = (e * (i - 1)) % d
+            lcur = (lcur + log[(frob[t] or field.frob_table(t))[a]]) % n
         if c:
-            acc = add(acc, mul(c, cur))
+            v = exp[log[c] + lcur]
+            acc = acc ^ v if add is None else add(acc, v)
     return acc
 
 

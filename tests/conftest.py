@@ -1,7 +1,13 @@
 import pytest
 from hypothesis import settings
 
-from skewcodes.fields import FieldEmbedding, FrobeniusAut, get_field
+from skewcodes.fields import (
+    FieldEmbedding,
+    FieldSpec,
+    FrobeniusAut,
+    get_field,
+    preset_names,
+)
 from skewcodes.skewpoly import SkewRing
 
 # Property tests draw the same examples on every run and stay within a
@@ -105,3 +111,35 @@ def tower(F64, F4096):
 @pytest.fixture(scope="session")
 def aut4(F4):
     return FrobeniusAut(F4, 1)
+
+
+# Table fields beyond the presets: the largest table field (XOR addition),
+# odd fields above the 2^12 addition-table limit with even and odd degree
+# (chunked digit addition) and of degree 1 (addition mod p), and an odd
+# field with a full addition table.
+EXTRA_FIELDS = {
+    "F2_16": (2, (1, 1, 0, 1) + (0,) * 8 + (1, 0, 0, 0, 1)),
+    "F3_10": (3, (1, 0, 2) + (0,) * 7 + (1,)),
+    "F3_6": (3, (2, 1, 0, 0, 0, 0, 1)),
+    "F7_5": (7, (3, 1, 0, 0, 0, 1)),
+    "F37_3": (37, (2, 0, 0, 1)),
+    "F4099": (4099, (1, 1)),
+}
+PRESETS = preset_names()
+
+
+@pytest.fixture(scope="session")
+def field_named():
+    """name -> FieldSpec for a preset or an EXTRA_FIELDS entry, one per session."""
+    cache = {}
+
+    def get(name):
+        if name not in cache:
+            if name in EXTRA_FIELDS:
+                p, mod = EXTRA_FIELDS[name]
+                cache[name] = FieldSpec(p, mod, name=name)
+            else:
+                cache[name] = get_field(name)
+        return cache[name]
+
+    return get

@@ -2,14 +2,19 @@
 
 ``naive_mul`` multiplies field elements straight from coefficient tuples by
 convolution and long reduction, never touching the log tables it checks.
-``sweep_eval_consistency`` verifies, for every polynomial up to a degree
+``naive_add``, ``naive_neg`` and ``naive_pow`` are the matching coefficient-wise
+sum, negation and square-and-multiply power.  ``sweep_eval_consistency`` verifies, for every polynomial up to a degree
 bound at once (vectorized), that right evaluation through the norm formula
 agrees with the remainder of right division by x - a at every point a.
 ``split_quotient_divisor_profile`` counts monic right divisors by degree from
 the simple components of a split quotient R/Rf, by Gaussian binomials alone,
 and ``f2_is_irreducible`` checks the central factors that fix those
 components by trial division over F_2.  ``twisted_mul`` multiplies in
-F[x; a -> a^(p^t)] from element products and powers alone, for any shift t.
+F[x; a -> a^(p^t)] for any shift t, and ``norm_eval`` evaluates through
+N_i(a) = a^((q^i - 1)/(q - 1)); both sum with ``naive_add``, so no oracle
+here shares a path with the field kernel that the ring loops bind.
+``constacyclic_modulus_by_scan`` finds the constacyclic modulus of a
+generator by one full division per nonzero a.
 
 The codes layer computes each answer by one route; the second routes live
 here.  ``row_space_membership`` decides membership by rank, against the
@@ -27,7 +32,7 @@ import random
 import numpy as np
 
 from skewcodes.codes import Modulus, dual_code, skew_circulant
-from skewcodes.fields import FieldElement
+from skewcodes.fields import FieldElement, norm_exponent
 from skewcodes.linalg import (
     is_zero_matrix_i,
     mat_mul_i,
@@ -59,17 +64,80 @@ def naive_mul(field, a, b):
     return field.from_coeffs(out[: field.degree])
 
 
+def naive_add(field, a, b, sign=1):
+    """a + sign * b on packed indices, coefficient by coefficient."""
+    p = field.p
+    return field.from_coeffs(
+        [(x + sign * y) % p for x, y in zip(field.coeffs_of(a), field.coeffs_of(b))]
+    ).i
+
+
+def naive_neg(field, a):
+    return naive_add(field, 0, a, sign=-1)
+
+
+def naive_pow(field, a, k):
+    """a^k for an element a and k >= 0, by square-and-multiply on naive_mul."""
+    out = field.one
+    while k:
+        if k & 1:
+            out = naive_mul(field, out, a)
+        a = naive_mul(field, a, a)
+        k >>= 1
+    return out
+
+
 def twisted_mul(field, t, a, b):
     """Product of ascending index tuples in F[x; a -> a^(p^t)]:
-    sum a_i (b_j)^(p^(t i)) x^(i+j), with no Frobenius table or ring kernel."""
-    out = [field.zero] * max(0, len(a) + len(b) - 1)
+    sum a_i (b_j)^(p^(t i)) x^(i+j), from naive_mul, naive_pow and
+    naive_add alone (no table lookup, no ring kernel)."""
+    d = field.degree
+    orbits = []   # orbits[j][k] = b_j^(p^k)
+    for bj in b:
+        orbit = [FieldElement(field, bj)]
+        for _ in range(d - 1):
+            orbit.append(naive_pow(field, orbit[-1], field.p))
+        orbits.append(orbit)
+    out = [0] * max(0, len(a) + len(b) - 1)
     for i, ai in enumerate(a):
-        twist = field.p ** ((t * i) % field.degree)
-        for j, bj in enumerate(b):
-            out[i + j] += FieldElement(field, ai) * FieldElement(field, bj) ** twist
+        if ai:
+            for j, orbit in enumerate(orbits):
+                term = naive_mul(field, FieldElement(field, ai), orbit[(t * i) % d])
+                out[i + j] = naive_add(field, out[i + j], term.i)
     while out and not out[-1]:
         out.pop()
-    return tuple(c.i for c in out)
+    return tuple(out)
+
+
+def naive_poly_add(field, a, b):
+    """Sum of ascending index tuples by naive_add, trimmed."""
+    n = max(len(a), len(b))
+    a, b = list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b))
+    out = [naive_add(field, x, y) for x, y in zip(a, b)]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def norm_eval(ring, f, a):
+    """Right evaluation sum_i f_i N_i(a) of a SkewPoly at an element, with
+    N_i(a) = a^((q^i - 1)/(q - 1)) from FieldElement powers, products by
+    naive_mul and the sum by naive_add."""
+    field = ring.field
+    acc = 0
+    for i, c in enumerate(f.coefficients):
+        term = naive_mul(field, c, a ** norm_exponent(ring.q, i))
+        acc = naive_add(field, acc, term.i)
+    return FieldElement(field, acc)
+
+
+def constacyclic_modulus_by_scan(ring, g, n):
+    """x^n - a for the first nonzero a with g a right divisor, else None."""
+    for a in range(1, ring.field.order):
+        f = ring.x_pow_minus(n, FieldElement(ring.field, a))
+        if g.right_divides(f):
+            return f
+    return None
 
 
 def sweep_eval_consistency(ring, max_degree):

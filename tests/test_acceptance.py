@@ -65,6 +65,7 @@ from skewcodes.textio import parse_element
 from oracle_utils import (
     assert_check_identity,
     assert_dual,
+    constacyclic_modulus_by_scan,
     row_space_membership,
     sweep_eval_consistency,
 )
@@ -273,8 +274,10 @@ def test_criterion_6_bch_first_kind(R64, F64, F4096, tower):
     # not constacyclic for shorter lengths (no a in F* works for this sigma)
     for n in range(3, 12):
         assert constacyclic_modulus_for(R64, g, n) is None
+        assert constacyclic_modulus_by_scan(R64, g, n) is None
     code12, _ = bch1_code(spec, 12)
     assert code12.modulus.poly == R64.x_pow_minus(12, F64.one)
+    assert constacyclic_modulus_by_scan(R64, g, 12) == code12.modulus.poly
     assert time.time() - t0 < 60
 
 

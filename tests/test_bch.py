@@ -28,6 +28,7 @@ from skewcodes.linalg import matrix_rank
 from skewcodes.linearized import moore_matrix
 from skewcodes.rootsets import vandermonde_rank
 from skewcodes.skewpoly import SkewRing
+from oracle_utils import constacyclic_modulus_by_scan
 
 
 @pytest.fixture(scope="module")
@@ -154,11 +155,44 @@ def test_bch1_modulus_selection(spec1, R64, F64):
     code12, _ = bch1_code(spec1, 12)
     assert code12.modulus.poly == f12
     # no constacyclic modulus exists for 3 <= n <= 11 (same sigma)
+    assert constacyclic_modulus_by_scan(R64, g, 12) == f12
     for n in range(3, 12):
         assert constacyclic_modulus_for(R64, g, n) is None
+        assert constacyclic_modulus_by_scan(R64, g, n) is None
         code, _ = bch1_code(spec1, n)
         assert code.modulus.poly == left_x_multiple(g, n)
         assert g.right_divides(code.modulus.poly)
+
+
+@pytest.mark.parametrize("e", [1, 2])
+def test_constacyclic_modulus_against_scan(F4, e):
+    """One division against the scan over every a, on every monic divisor of
+    every x^n - a over F4 for n <= 6, and on constants."""
+    from skewcodes.codes import enumerate_right_divisors
+
+    R = SkewRing(F4, e)
+    for n in range(1, 7):
+        for a in range(1, 4):
+            divisors = enumerate_right_divisors(R.x_pow_minus(n, F4.element(a)))
+            for g in itertools.chain(*divisors.values()):
+                for m in range(max(g.degree, 1), 8):
+                    assert constacyclic_modulus_for(R, g, m) == \
+                        constacyclic_modulus_by_scan(R, g, m)
+    assert constacyclic_modulus_for(R, R.one, 5) == R.x_pow_minus(5, F4.one)
+
+
+def test_constacyclic_modulus_one_division(R64, spec1, monkeypatch):
+    import skewcodes.skewpoly as skewpoly
+
+    g, _ = bch1_generator(spec1)
+    calls = []
+    divmod_ci = skewpoly._right_divmod_ci
+    monkeypatch.setattr(skewpoly, "_right_divmod_ci",
+                        lambda *args: calls.append(1) or divmod_ci(*args))
+    for n in (9, 12):
+        calls.clear()
+        constacyclic_modulus_for(R64, g, n)
+        assert len(calls) == 1
 
 
 def test_bch1_parity_annihilation(spec1, tower, F4096):

@@ -221,6 +221,16 @@ def test_guard_exit(capsys):
     assert "cost" in err
 
 
+def test_guard_refusal_states_its_cost_once(capsys):
+    code, out, err = run_cli(
+        capsys, "divisors", "--preset", "F4", "--e", "1",
+        "--poly", "x^40+1", "--count-only",
+    )
+    assert code == EXIT_GUARD == 3
+    assert out == ""
+    assert err == "guard exceeded: divisor enumeration cost 1832519379626 exceeds 2^25\n"
+
+
 def test_missing_field_is_parse_error(capsys):
     code, _, _ = run_cli(capsys, "field-info")
     assert code == EXIT_PARSE

@@ -17,7 +17,9 @@ from skewcodes.fields import (
     norm_via_exponent,
     relative_automorphisms,
 )
-from oracle_utils import naive_mul
+from conftest import PRESETS
+from oracle_utils import naive_add, naive_mul, naive_neg
+from skewcodes.skewpoly import SkewRing
 
 
 def test_f4_defining_relation(F4):
@@ -368,6 +370,60 @@ def test_add_table_sampled_rows_f3_6():
         assert F._add_table[a] == [_coefficientwise_sum(F, a, b) for b in range(F.order)]
 
 
+# -- the public kernel against coefficient arithmetic ------------------------------
+
+
+@pytest.mark.parametrize("name", PRESETS + ["F2_16", "F3_10", "F3_6"])
+def test_mul_against_naive_mul(name, field_named):
+    F = field_named(name)
+    if F.order <= 1 << 8:
+        pairs = [(a, b) for a in range(F.order) for b in range(F.order)]
+    else:
+        rng = random.Random(name)
+        pairs = [(rng.randrange(F.order), rng.randrange(F.order)) for _ in range(600)]
+        pairs += [(0, 1), (1, 0), (F.order - 1, F.order - 1)]
+    for a, b in pairs:
+        x, y = F.element(a), F.element(b)
+        assert x * y == naive_mul(F, x, y)
+
+
+@pytest.mark.parametrize("name", ["F3_10", "F7_5", "F37_3", "F4099"])
+def test_odd_add_sub_neg_against_coefficients(name, field_named):
+    F = field_named(name)
+    rng = random.Random(name)
+    edge = [0, 1, F.p - 1, F.p % F.order, F.order - 1]
+    pairs = [(a, b) for a in edge for b in edge]
+    pairs += [(rng.randrange(F.order), rng.randrange(F.order)) for _ in range(1500)]
+    for a, b in pairs:
+        assert F.add_i(a, b) == naive_add(F, a, b)
+        assert F.sub_i(a, b) == naive_add(F, a, b, sign=-1)
+        assert F.neg_i(b) == naive_neg(F, b)
+        x, y = F.element(a), F.element(b)
+        assert (x + y).i == naive_add(F, a, b)
+        assert (x - y).i == naive_add(F, a, b, sign=-1)
+        assert (-y).i == naive_neg(F, b)
+
+
+def test_kernel_references_the_field_tables(field_named):
+    for name in ["F4", "F9", "F2_16", "F3_10", "F37_3"]:
+        F = field_named(name)
+        kern = F.kernel()
+        assert kern is F.kernel()
+        assert kern.exp is F._exp and kern.log is F._log
+        assert kern.frob is F._frob_tables and kern.n == F.order - 1
+        assert kern.half == (0 if F.p == 2 else kern.n // 2)
+        assert (kern.add is None) == (F.p == 2)
+        if F.p != 2 and F.order > 1 << 12:
+            assert F._add_table is None
+            assert len(F._half_add) ** 2 <= F.order
+    fresh = FieldSpec(3, (2, 1, 1))   # the addition table waits for an addition
+    assert fresh.neg_i(fresh.kernel().exp[1]) == naive_neg(fresh, fresh.kernel().exp[1])
+    assert fresh._add_table is None
+    assert fresh.add_i(4, 7) == naive_add(fresh, 4, 7) and fresh._add_table is not None
+    big = FieldSpec(2, (1, 0, 0, 1) + (0,) * 13 + (1,))
+    assert big.kernel() is None and big._exp is None
+
+
 @pytest.mark.parametrize(
     "source,target",
     [("F2", "F16"), ("F4", "F16"), ("F2_6", "F2_12"), ("F9", "F3^4")],
@@ -395,21 +451,30 @@ def test_threaded_first_touch_matches_single_threaded():
         # its inverse map on the first restrict
         F = {name: _table_field(name) for name in ("F3^4", "F3^5")}
         F["F2^7"] = FieldSpec(2, (1, 1, 0, 0, 0, 0, 0, 1))
+        F["F3^8"] = FieldSpec(3, (2, 0, 0, 1, 0, 0, 0, 0, 1))  # chunked addition
         F["F9"] = FieldSpec(3, (2, 1, 1))
         return F, FieldEmbedding(FieldSpec(3, (2, 1, 1)), _table_field("F3^4"))
 
     def work(F, emb, out):
-        for name in ("F3^5", "F2^7"):
+        for name in ("F3^5", "F2^7", "F3^8"):
             G = F[name]
             out.append([G.mul_i(a, G.order - 1 - a) for a in range(G.order)])
             out.append([G.add_i(a, 2 * a % G.order) for a in range(G.order)])
             for j in range(G.degree):
                 out.append([G.frob_i(a, j) for a in range(G.order)])
+        for name in ("F3^4", "F2^7", "F3^8"):
+            # the ring loops build the flat kernel on first touch
+            R = SkewRing(F[name], 1)
+            f = R.from_indices(range(1, 14))
+            g = R.from_indices(range(3, 9))
+            q, r = f.right_divmod(g)
+            out.append(((f * g)._ci, q._ci, r._ci, f(F[name].element(2))))
         out.append(FieldEmbedding(F["F9"], F["F3^4"]).generator_image.i)
         out.append([emb.restrict(b) for b in range(emb.target.order)])
 
     def tables(F):
-        return [(G._exp, G._log, G._add_table, G._frob_tables) for G in F.values()]
+        return [(G._exp, G._log, G._add_table, G._half_add, G._frob_tables)
+                for G in F.values()]
 
     ref_F, ref_emb = fresh()
     reference = []
@@ -442,3 +507,7 @@ def test_threaded_first_touch_matches_single_threaded():
     for out in results:
         assert out == reference
     assert tables(F) == tables(ref_F)
+    for name in ("F3^4", "F3^5", "F2^7", "F3^8"):
+        G = F[name]
+        kern = G._kernel
+        assert kern is not None and kern.exp is G._exp and kern.frob is G._frob_tables

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracle_utils import twisted_mul
+from conftest import EXTRA_FIELDS, PRESETS
+from oracle_utils import naive_poly_add, norm_eval, twisted_mul
 from skewcodes.errors import GuardExceededError
 from skewcodes.fields import FieldElement, conjugacy_class, conjugate, get_field
 from skewcodes.linalg import unwrap
@@ -304,6 +305,45 @@ def test_mirror_map_random(R8, F16, F64):
         for _ in range(40):
             _check_mirror(ring, rand_poly(ring, rng.randrange(0, 6), rng),
                           rand_poly(ring, rng.randrange(0, 6), rng))
+
+
+# -- the flat ring kernel against coefficient arithmetic ------------------------------
+
+
+def _degree(name):
+    return len(EXTRA_FIELDS[name][1]) - 1 if name in EXTRA_FIELDS else get_field(name).degree
+
+
+KERNEL_RING_CASES = [
+    (name, e)
+    for name in PRESETS + ["F2_16", "F3_10"]
+    for e in range(1, _degree(name) + 1)
+    if _degree(name) % e == 0
+]
+
+
+@pytest.mark.parametrize("name,e", KERNEL_RING_CASES)
+def test_ring_kernels_against_coefficient_arithmetic(name, e, field_named):
+    """*, scaling, division on both sides and evaluation against twisted_mul,
+    naive_poly_add and norm_eval, which never touch the flat kernel."""
+    F = field_named(name)
+    R = SkewRing(F, e)
+    rng = random.Random(f"{name}/{e}")
+    for _ in range(2 if F.order > 1 << 12 else 4):
+        f = rand_poly(R, rng.randrange(3, 7), rng)
+        g = rand_poly(R, rng.randrange(1, 4), rng)
+        c = F.element(rng.randrange(1, F.order))
+        assert (f * g)._ci == twisted_mul(F, e, f._ci, g._ci)
+        assert (c * f)._ci == twisted_mul(F, e, (c.i,), f._ci)
+        assert (f * c)._ci == twisted_mul(F, e, f._ci, (c.i,))
+        s, r = f.right_divmod(g)
+        assert r.degree < g.degree
+        assert naive_poly_add(F, twisted_mul(F, e, s._ci, g._ci), r._ci) == f._ci
+        s, r = f.left_divmod(g)
+        assert r.degree < g.degree
+        assert naive_poly_add(F, twisted_mul(F, e, g._ci, s._ci), r._ci) == f._ci
+        for a in [0, 1] + [rng.randrange(F.order) for _ in range(3)]:
+            assert f(F.element(a)) == norm_eval(R, f, F.element(a))
 
 
 # -- property tests on both sides -----------------------------------------------------
