@@ -492,10 +492,13 @@ class FieldSpec:
         return self._exp[(self._log[a] * k) % n]
 
     def frob_i(self, a, j):
-        """a^(p^j); j is reduced modulo the field degree."""
+        """a^(p^j); j is reduced modulo the field degree.  Above the table
+        limit each call is one power unless ``frob_table`` built the table."""
         j %= self.degree
         table = self._frob_tables[j]
         if table is None:
+            if self.order > _TABLE_LIMIT:   # one power, not a full table
+                return self.pow_i(a, self.p ** j)
             table = self.frob_table(j)
         return table[a]
 

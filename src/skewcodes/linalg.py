@@ -105,17 +105,6 @@ def right_kernel_i(rows, field, ncols=None):
     return basis
 
 
-def in_row_space_i(vec, rows, field):
-    r0 = rank_i(rows, field)
-    return rank_i(list(rows) + [list(vec)], field) == r0
-
-
-def row_space_equal_i(a, b, field):
-    ra, _ = rref_i(a, field)
-    rb, _ = rref_i(b, field)
-    return ra == rb
-
-
 def mat_mul_i(a, b, field):
     if not a or not b:
         return []
@@ -153,16 +142,3 @@ def mat_mul_i(a, b, field):
 
 def is_zero_matrix_i(rows):
     return all(not c for row in rows for c in row)
-
-
-def mat_mul(a, b, field):
-    return wrap(mat_mul_i(unwrap(a), unwrap(b), field), field)
-
-
-def row_space_equal(a, b, field):
-    return row_space_equal_i(unwrap(a), unwrap(b), field)
-
-
-def in_row_space(vec, rows, field):
-    return in_row_space_i([c.i for c in vec], unwrap(rows), field)
-

@@ -3,8 +3,12 @@ matrices for right evaluation of skew polynomials."""
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from functools import partial
+from operator import xor
+
 from .errors import GuardExceededError, NotWedderburnError
-from .fields import FieldElement, relative_automorphisms
+from .fields import FieldElement, _prime_factors, relative_automorphisms
 from .linalg import matrix_rank
 from .skewpoly import SkewRing, _eval_ci, lclm
 
@@ -51,9 +55,18 @@ class AlgebraicSet:
 
 
 def vanishing_set(f, emb=None):
-    """All right roots of f, by full-domain sweep.
+    """All right roots of f, by conjugacy class, sorted by packed index.
 
-    With an embedding the sweep runs over the extension field, with sigma
+    Nonzero a and b are sigma-conjugate (b = sigma(c) a c^-1) exactly when
+    their norms to the fixed field F_q agree, so there are q - 1 nonzero
+    classes.  By the product theorem f(sigma(c) a c^-1) = 0 exactly when
+    L_a(c) = sum_i f_i N_i(a) sigma^i(c) = 0, and L_a is F_q-linear: the
+    roots in the class of a are its conjugates by the nonzero vectors of
+    one d x d kernel over F_p (``_class_kernels``), and 0 is a root when
+    f_0 = 0.  With sigma the identity every class is one point, and f is
+    evaluated there directly.
+
+    With an embedding the roots are taken in the extension field, with sigma
     extended as the Frobenius power of the same q.
     """
     ring = f.ring
@@ -69,8 +82,107 @@ def vanishing_set(f, emb=None):
             f"root sweep limited to 2^20 points, domain has {domain.order}"
         )
     ci = f._ci
-    roots = [a for a in range(domain.order) if _eval_ci(ring, ci, a) == 0]
-    return AlgebraicSet(domain, [FieldElement(domain, a) for a in roots])
+    if not ci:   # f = 0 vanishes everywhere
+        return AlgebraicSet(domain, range(domain.order))
+    if ring.m == 1:
+        return AlgebraicSet(
+            domain, [a for a in range(domain.order) if _eval_ci(ring, ci, a) == 0]
+        )
+    mul, pow_ = domain.mul_i, domain.pow_i
+    roots = set() if ci[0] else {0}
+    for a, basis in _class_kernels(ring, ci):
+        # sigma(c) a c^-1 = a c^(q-1)
+        roots.update(mul(a, pow_(c, ring.q - 1)) for c in _fp_span(domain, basis)[1:])
+    return AlgebraicSet(domain, roots)
+
+
+def _class_kernels(ring, ci):
+    """Yield (a, basis) for the representative a = g^j of each nonzero
+    conjugacy class, 0 <= j < q - 1, where basis is an F_p-basis, as packed
+    indices, of the kernel of L_a(c) = sum_i f_i N_i(a) sigma^i(c).
+
+    g is the first element whose norm gamma = N(g) generates F_q^*, so the
+    g^j lie in distinct classes.  L_a is F_q-linear and the gamma^u x^v,
+    u < e, v < m, are an F_p-basis of the field (1, x, ..., x^(m-1) span it
+    over F_q), so each class takes m sums L_a(x^v) and e*m scalings.  As
+    N_i(g^j) = N_i(g)^j, the f_i N_i(a) step from class to class by one
+    product each.
+    """
+    field = ring.field
+    mul, add, pow_ = field.mul_i, field.add_i, field.pow_i
+    p, n, q = field.p, field.order - 1, ring.q
+    primes = _prime_factors(q - 1)
+    g = next(
+        a for a in range(1, field.order)
+        if all(pow_(a, n // r) != 1 for r in primes)
+    )
+    gammas = [pow_(g, u * (n // (q - 1))) for u in range(ring.e)]
+    xs = [p ** v for v in range(ring.m)]
+    domain = [mul(gu, xv) for xv in xs for gu in gammas]
+    shifted = [[ring.sigma_i(xv, i) for xv in xs] for i in range(len(ci))]
+    norms = [1]   # N_i(g) = N_(i-1)(g) sigma^(i-1)(g)
+    for i in range(1, len(ci)):
+        norms.append(mul(norms[-1], ring.sigma_i(g, i - 1)))
+    coeffs = list(ci)   # f_i N_i(a), a = g^0
+    a = 1
+    for _ in range(q - 1):
+        cols = []
+        for v in range(ring.m):
+            acc = 0
+            for w, row in zip(coeffs, shifted):
+                if w:
+                    acc = add(acc, mul(w, row[v]))
+            cols += [mul(gu, acc) for gu in gammas]
+        yield a, _fp_kernel(field, cols, domain)
+        a = mul(a, g)
+        coeffs = [mul(w, s) for w, s in zip(coeffs, norms)]
+
+
+def _fp_kernel(field, cols, domain):
+    """F_p-basis of the kernel of an F_p-linear map, as packed indices,
+    from the images cols[t] of the basis vectors domain[t].
+
+    A packed index is its digit vector (a bitmask for p = 2).  Each image is
+    reduced by its top digit against an echelon basis of the earlier ones,
+    carrying its preimage along; an image that reaches 0 leaves its
+    preimage as a kernel vector.
+    """
+    p = field.p
+    mul = field.mul_i
+    powers = [p ** t for t in range(field.degree)]
+    if p == 2:
+        top, sub = int.bit_length, xor
+    else:
+        top, sub = partial(bisect_right, powers), field.sub_i
+    echelon = {}   # 1 + top digit -> (image with top digit 1, preimage)
+    kernel = []
+    for v, pre in zip(cols, domain):
+        while v:
+            k = top(v)
+            lead = v // powers[k - 1]
+            if k not in echelon:
+                if lead != 1:
+                    inv = pow(lead, p - 2, p)
+                    v, pre = mul(inv, v), mul(inv, pre)
+                echelon[k] = v, pre
+                break
+            bv, bpre = echelon[k]
+            if lead != 1:
+                bv, bpre = mul(lead, bv), mul(lead, bpre)
+            v, pre = sub(v, bv), sub(pre, bpre)
+        else:
+            kernel.append(pre)
+    return kernel
+
+
+def _fp_span(field, basis):
+    """Every F_p-combination of the packed vectors in basis, 0 first."""
+    mul, add = field.mul_i, field.add_i
+    span = [0]
+    for v in basis:
+        multiples = [mul(lam, v) for lam in range(1, field.p)]
+        span += [add(s, w) for s in span for w in multiples]
+    return span
 
 
 def minimal_polynomial(ring, points):
@@ -111,7 +223,7 @@ def skew_vandermonde(ring, n, points):
 def is_wedderburn(f, emb=None):
     """True when f is the minimal polynomial of its own vanishing set.
 
-    The sweep domain is the coefficient field, or the target of the given
+    The root domain is the coefficient field, or the target of the given
     embedding; the minimal polynomial is then taken in that domain's ring.
     """
     if not f.is_monic:

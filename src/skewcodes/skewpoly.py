@@ -201,21 +201,38 @@ def _mul_ci(ring, a, b):
 
 
 def _add_ci(ring, a, b):
-    add = ring.field.add_i
     if len(a) < len(b):
         a, b = b, a
     out = list(a)
-    for i, c in enumerate(b):
-        out[i] = add(out[i], c)
+    field = ring.field
+    kern = field.kernel()
+    # the field's add_i above the table limit, None (XOR) for p = 2 below
+    add = field.add_i if kern is None else kern.add
+    if add is None:
+        for i, c in enumerate(b):
+            out[i] ^= c
+    else:
+        for i, c in enumerate(b):
+            out[i] = add(out[i], c)
     return tuple(_trim(out))
 
 
 def _sub_ci(ring, a, b):
-    sub = ring.field.sub_i
-    neg = ring.field.neg_i
     out = list(a) + [0] * max(0, len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] = sub(out[i], c) if i < len(a) else neg(c)
+    field = ring.field
+    kern = field.kernel()
+    if kern is None:   # above the table limit: one field call per step
+        sub = field.sub_i
+        for i, c in enumerate(b):
+            out[i] = sub(out[i], c)
+    elif kern.add is None:
+        for i, c in enumerate(b):
+            out[i] ^= c
+    else:
+        exp, log, _, half, _, add = kern
+        for i, c in enumerate(b):
+            if c:   # -c = exp[log c + log(-1)]
+                out[i] = add(out[i], exp[log[c] + half])
     return tuple(_trim(out))
 
 

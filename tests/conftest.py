@@ -116,7 +116,7 @@ def aut4(F4):
 # Table fields beyond the presets: the largest table field (XOR addition),
 # odd fields above the 2^12 addition-table limit with even and odd degree
 # (chunked digit addition) and of degree 1 (addition mod p), and an odd
-# field with a full addition table.
+# field with a full addition table; F_5^4 has scalars in F_p other than +-1.
 EXTRA_FIELDS = {
     "F2_16": (2, (1, 1, 0, 1) + (0,) * 8 + (1, 0, 0, 0, 1)),
     "F3_10": (3, (1, 0, 2) + (0,) * 7 + (1,)),
@@ -124,6 +124,7 @@ EXTRA_FIELDS = {
     "F7_5": (7, (3, 1, 0, 0, 0, 1)),
     "F37_3": (37, (2, 0, 0, 1)),
     "F4099": (4099, (1, 1)),
+    "F5_4": (5, (2, 0, 0, 0, 1)),
 }
 PRESETS = preset_names()
 

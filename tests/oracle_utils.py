@@ -14,7 +14,11 @@ F[x; a -> a^(p^t)] for any shift t, and ``norm_eval`` evaluates through
 N_i(a) = a^((q^i - 1)/(q - 1)); both sum with ``naive_add``, so no oracle
 here shares a path with the field kernel that the ring loops bind.
 ``constacyclic_modulus_by_scan`` finds the constacyclic modulus of a
-generator by one full division per nonzero a.
+generator by one full division per nonzero a, and ``vanishing_set_by_sweep``
+finds the right roots of a polynomial by evaluating it at every point.
+``mat_mul``, ``row_space_equal`` and ``in_row_space`` (with their ``_i``
+forms on int grids) are the matrix product and row-space comparisons the
+tests check matrices with.
 
 The codes layer computes each answer by one route; the second routes live
 here.  ``row_space_membership`` decides membership by rank, against the
@@ -38,10 +42,11 @@ from skewcodes.linalg import (
     mat_mul_i,
     rank_i,
     rref_i,
-    row_space_equal_i,
     unwrap,
+    wrap,
 )
-from skewcodes.skewpoly import apply_automorphism, left_reciprocal
+from skewcodes.rootsets import AlgebraicSet
+from skewcodes.skewpoly import _eval_ci, apply_automorphism, left_reciprocal
 
 
 def naive_mul(field, a, b):
@@ -129,6 +134,14 @@ def norm_eval(ring, f, a):
         term = naive_mul(field, c, a ** norm_exponent(ring.q, i))
         acc = naive_add(field, acc, term.i)
     return FieldElement(field, acc)
+
+
+def vanishing_set_by_sweep(f):
+    """The right roots of f by evaluating it at every point of its field."""
+    ring, field = f.ring, f.ring.field
+    return AlgebraicSet(
+        field, [a for a in range(field.order) if _eval_ci(ring, f._ci, a) == 0]
+    )
 
 
 def constacyclic_modulus_by_scan(ring, g, n):
@@ -237,6 +250,29 @@ def split_quotient_divisor_profile(components):
         by_dim = nxt
     n = sum(dim for _, _, dim in components)
     return {n - j: c for j, c in by_dim.items()}
+
+
+# -- matrix oracles over FieldElement or int grids ---------------------------------
+
+
+def mat_mul(a, b, field):
+    return wrap(mat_mul_i(unwrap(a), unwrap(b), field), field)
+
+
+def row_space_equal_i(a, b, field):
+    return rref_i(a, field)[0] == rref_i(b, field)[0]
+
+
+def row_space_equal(a, b, field):
+    return row_space_equal_i(unwrap(a), unwrap(b), field)
+
+
+def in_row_space_i(vec, rows, field):
+    return rank_i(list(rows) + [list(vec)], field) == rank_i(rows, field)
+
+
+def in_row_space(vec, rows, field):
+    return in_row_space_i([c.i for c in vec], unwrap(rows), field)
 
 
 # -- the codes layer's second routes ----------------------------------------------

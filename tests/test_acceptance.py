@@ -42,7 +42,7 @@ from skewcodes.fields import (
     conjugacy_classes,
     get_field,
 )
-from skewcodes.linalg import mat_mul, matrix_rank, row_space_equal, unwrap
+from skewcodes.linalg import matrix_rank, unwrap
 from skewcodes.linearized import (
     dickson_matrix,
     lin_compose,
@@ -66,6 +66,8 @@ from oracle_utils import (
     assert_check_identity,
     assert_dual,
     constacyclic_modulus_by_scan,
+    mat_mul,
+    row_space_equal,
     row_space_membership,
     sweep_eval_consistency,
 )

@@ -31,13 +31,7 @@ from skewcodes.errors import (
     NotWedderburnError,
     SearchCancelledError,
 )
-from skewcodes.linalg import (
-    in_row_space,
-    mat_mul,
-    matrix_rank,
-    row_space_equal,
-    unwrap,
-)
+from skewcodes.linalg import matrix_rank, unwrap
 from skewcodes.skewpoly import (
     SkewRing,
     apply_automorphism,
@@ -53,6 +47,9 @@ from oracle_utils import (
     assert_self_dual,
     assert_transpose_decomposition,
     f2_is_irreducible,
+    in_row_space,
+    mat_mul,
+    row_space_equal,
     row_space_membership,
     self_dual_generators_by_product,
     split_quotient_divisor_profile,

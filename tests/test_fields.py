@@ -18,7 +18,7 @@ from skewcodes.fields import (
     relative_automorphisms,
 )
 from conftest import PRESETS
-from oracle_utils import naive_add, naive_mul, naive_neg
+from oracle_utils import naive_add, naive_mul, naive_neg, naive_pow
 from skewcodes.skewpoly import SkewRing
 
 
@@ -347,6 +347,15 @@ def test_frobenius_tables_against_slow_pow(name):
     for j in range(F.degree):
         e = F.p ** j
         assert [F.frob_i(a, j) for a in points] == [F._slow_pow(a, e) for a in points]
+
+
+def test_frobenius_above_the_table_limit_builds_no_table():
+    """Above 2^16 elements frob_i is one power per call, against naive_pow."""
+    F = FieldSpec(2, (1, 0, 0, 1) + (0,) * 13 + (1,), name="F2_17")
+    for a in [0, 1] + random.Random(17).sample(range(2, F.order), 4):
+        for j in (0, 1, 5, 16):
+            assert F.frob_i(a, j) == naive_pow(F, F.element(a), 2 ** j).i
+    assert F._frob_tables == [None] * F.degree
 
 
 def _coefficientwise_sum(F, a, b):

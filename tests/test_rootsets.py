@@ -3,9 +3,12 @@ import random
 
 import pytest
 
-from skewcodes.fields import FieldEmbedding, conjugacy_class, get_field
+from conftest import PRESETS
+from oracle_utils import norm_eval, vanishing_set_by_sweep
+from skewcodes.fields import FieldEmbedding, FieldSpec, conjugacy_class, get_field
 from skewcodes.rootsets import (
     AlgebraicSet,
+    _class_kernels,
     is_wedderburn,
     minimal_poly_over_subfield,
     minimal_polynomial,
@@ -279,3 +282,111 @@ def test_tower_minimal_polynomial_divides_vanishing_multiples(R64, F4096, tower)
         f_ext = z_ext * m_ext
         assert f_ext(a) == F4096.zero
         assert m_ext.right_divides(f_ext)
+
+
+# -- right roots by conjugacy class against the full sweep ----------------------------
+
+
+def _admissible(field):
+    return [e for e in range(1, field.degree + 1) if field.degree % e == 0]
+
+
+@pytest.mark.parametrize("name", ["F4", "F8", "F9"])
+def test_vanishing_set_against_sweep_exhaustive(name):
+    """Every monic f of degree at most 2, at every sigma exponent."""
+    F = get_field(name)
+    for e in _admissible(F):
+        R = SkewRing(F, e)
+        for deg in range(3):
+            for f in R.monic_polys(deg):
+                assert vanishing_set(f) == vanishing_set_by_sweep(f), (e, f)
+
+
+def _random_cases(R, rng):
+    """Seeded random f of degree at most 4 and minimal polynomials of 1-3
+    random points."""
+    F = R.field
+    cases = [
+        R.from_indices([rng.randrange(F.order) for _ in range(deg)]
+                       + [rng.randrange(1, F.order)])
+        for deg in range(5)
+    ]
+    for k in (1, 2, 3):
+        cases.append(minimal_polynomial(R, rng.sample(range(F.order), min(k, F.order))))
+    return cases
+
+
+SWEEP_CASES = [(name, e) for name in PRESETS for e in _admissible(get_field(name))]
+SWEEP_CASES += [("F2_16", e) for e in (1, 2, 4, 8)] + [("F3_6", e) for e in (1, 2, 3)]
+SWEEP_CASES += [("F5_4", e) for e in (1, 2, 4)] + [("F7_5", 1)]
+
+
+@pytest.mark.parametrize("name,e", SWEEP_CASES)
+def test_vanishing_set_against_sweep_random(name, e, field_named):
+    F = field_named(name)
+    R = SkewRing(F, e)
+    for f in _random_cases(R, random.Random(f"{name}/{e}")):
+        assert vanishing_set(f) == vanishing_set_by_sweep(f), f
+
+
+@pytest.mark.parametrize("source,target", [("F4", "F16"), ("F2_6", "F2_12")])
+def test_vanishing_set_over_extension_against_sweep(source, target):
+    src, tgt = get_field(source), get_field(target)
+    emb = FieldEmbedding(src, tgt)
+    rng = random.Random(f"{source}->{target}")
+    for e in _admissible(src):
+        R, T = SkewRing(src, e), SkewRing(tgt, e)
+        for f in _random_cases(R, rng):
+            lifted = T.from_indices(emb.embed(c).i for c in f.coefficients)
+            assert vanishing_set(f, emb) == vanishing_set_by_sweep(lifted), (e, f)
+
+
+@pytest.mark.parametrize("name", ["F4", "F9", "F2_6", "F27"])
+def test_vanishing_set_of_zero_and_constants(name):
+    F = get_field(name)
+    for e in _admissible(F):
+        R = SkewRing(F, e)
+        assert list(vanishing_set(R.zero)) == list(F.elements())
+        for c in (1, F.order - 1):
+            assert len(vanishing_set(R.from_indices([c]))) == 0
+
+
+def _class_rank(R, f):
+    """Sum of the F_q-dimensions of the class kernels, plus 1 when f_0 = 0."""
+    dims = [len(basis) for _, basis in _class_kernels(R, f._ci)]
+    assert all(dim % R.e == 0 for dim in dims)
+    return sum(dims) // R.e + (not f._ci[0])
+
+
+def _rank(R, points):
+    return set_rank(R, points) if len(points) else 0
+
+
+@pytest.mark.parametrize("name", ["F4", "F8", "F9", "F16", "F27", "F2_6", "F5_4"])
+def test_class_kernel_dimensions_give_the_rank(name, field_named):
+    """Lam-Leroy: the rank of V(f) is the sum of the F_q-dimensions of the
+    class kernels, plus 1 when 0 is a root."""
+    F = field_named(name)
+    rng = random.Random(name)
+    for e in _admissible(F)[:-1]:   # m >= 2
+        R = SkewRing(F, e)
+        for _ in range(3):
+            cases = _random_cases(R, rng)
+            cases.append(minimal_polynomial(R, [0] + rng.sample(range(1, F.order), 2)))
+            for f in cases:
+                assert _class_rank(R, f) == _rank(R, vanishing_set(f)), (e, f)
+
+
+def test_vanishing_set_above_the_table_limit():
+    """F_2^17, e = 1: one conjugacy class, so a rank-r root set has 2^r - 1
+    points.  No sweep oracle (about 20 s)."""
+    F = FieldSpec(2, (1, 0, 0, 1) + (0,) * 13 + (1,), name="F2_17")
+    R = SkewRing(F, 1)
+    planted = [F.element(i) for i in random.Random(17).sample(range(1, F.order), 3)]
+    f = minimal_polynomial(R, planted)
+    V = vanishing_set(f)
+    assert set(planted) <= set(V)
+    assert all(norm_eval(R, f, a) == F.zero for a in V)
+    rank = _rank(R, V)
+    assert rank == _class_rank(R, f) == f.degree
+    assert len(V) == 2 ** rank - 1

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import EXTRA_FIELDS, PRESETS
-from oracle_utils import naive_poly_add, norm_eval, twisted_mul
+from oracle_utils import naive_neg, naive_poly_add, norm_eval, twisted_mul
 from skewcodes.errors import GuardExceededError
 from skewcodes.fields import FieldElement, conjugacy_class, conjugate, get_field
 from skewcodes.linalg import unwrap
@@ -336,6 +336,8 @@ def test_ring_kernels_against_coefficient_arithmetic(name, e, field_named):
         assert (f * g)._ci == twisted_mul(F, e, f._ci, g._ci)
         assert (c * f)._ci == twisted_mul(F, e, (c.i,), f._ci)
         assert (f * c)._ci == twisted_mul(F, e, f._ci, (c.i,))
+        assert (f + g)._ci == naive_poly_add(F, f._ci, g._ci)
+        assert (g - f)._ci == naive_poly_add(F, g._ci, [naive_neg(F, x) for x in f._ci])
         s, r = f.right_divmod(g)
         assert r.degree < g.degree
         assert naive_poly_add(F, twisted_mul(F, e, s._ci, g._ci), r._ci) == f._ci
