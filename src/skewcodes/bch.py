@@ -5,7 +5,9 @@ First kind: the generator's right roots are consecutive ordinary powers of
 an element alpha of an extension field (Hartmann-Tzeng style offsets
 b + t1*i + t2*j).  Second kind: the roots are consecutive Frobenius powers
 beta^(q^t) of beta = alpha^(q-1) for a normal element alpha.  Both reduce
-to the minimal polynomial over the base field of a root orbit.
+to one computation: the minimal polynomial over the base field of the
+designed roots, closed under the automorphisms of the extension that fix
+the base field (``rootsets._subfield_minimal_polynomial``).
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from .errors import ConditionViolatedError, GuardExceededError, SearchCancelledE
 from .fields import FieldElement, norm_exponent
 from .linalg import rank_i, right_kernel_i, unwrap
 from .linearized import moore_matrix
-from .rootsets import minimal_poly_over_subfield, minimal_polynomial, skew_vandermonde
-from .skewpoly import SkewRing, apply_automorphism, lclm
+from .rootsets import _subfield_minimal_polynomial, minimal_polynomial, skew_vandermonde
+from .skewpoly import SkewRing, apply_automorphism
 
 
 # -- minimum distance oracle -------------------------------------------------------
@@ -156,17 +158,14 @@ def evaluation_code(ring, points, k):
     return EvaluationCode(ring, points, k)
 
 
-# -- skew-BCH codes of the first kind ---------------------------------------------------
+# -- skew-BCH specifications ------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class Bch1Spec:
-    """Parameters for a first-kind construction.
-
-    ``base_ring`` is F_{q^m}[x; sigma]; ``emb`` embeds the base field into
-    F_{q^(ms)} where alpha lives (the identity embedding when s = 1);
-    designed roots are alpha^(b + t1*i + t2*j) for i <= delta-2, j <= nu.
-    """
+class _BchSpec:
+    """The parameters both kinds share: ``base_ring`` is F_{q^m}[x; sigma],
+    ``emb`` embeds the base field into the extension where alpha lives, and
+    the designed exponents are b + t1*i + t2*j for i <= delta-2, j <= nu."""
 
     base_ring: SkewRing
     emb: object
@@ -176,7 +175,6 @@ class Bch1Spec:
     t2: int
     delta: int
     nu: int
-    n: int
 
     @property
     def s(self):
@@ -197,20 +195,46 @@ class Bch1Spec:
             raise ConditionViolatedError("alpha must live in the extension field")
         if self.delta < 2:
             raise ConditionViolatedError("delta must be at least 2")
+
+
+# -- skew-BCH codes of the first kind ---------------------------------------------------
+
+
+def _unit_brackets(spec, limit):
+    """Yield (ell, i) for each exponent t_ell in use (t1, and t2 when nu > 0)
+    whose power has a bracket (alpha^t_ell)^[i] = 1, [i] = (q^i-1)/(q-1),
+    at some 1 <= i < limit: the least such i."""
+    field = spec.emb.target
+    q = spec.base_ring.q
+    ts = (spec.t1,) if spec.nu == 0 else (spec.t1, spec.t2)
+    for ell, t in enumerate(ts, 1):
+        base = field.pow_i(spec.alpha.i, t)
+        for i in range(1, limit):
+            if field.pow_i(base, norm_exponent(q, i)) == 1:
+                yield ell, i
+                break
+
+
+@dataclass(frozen=True)
+class Bch1Spec(_BchSpec):
+    """Parameters for a first-kind construction of length n: alpha lives in
+    F_{q^(ms)} (the identity embedding when s = 1) and the designed roots
+    are alpha^(b + t1*i + t2*j) for i <= delta-2, j <= nu.
+    """
+
+    n: int
+
+    def validate(self):
+        super().validate()
         if self.t1 < 1 or self.t2 < 1 or self.b < 0 or self.nu < 0:
             raise ConditionViolatedError("need t1, t2 >= 1 and b, nu >= 0")
-        field = self.emb.target
-        q = self.base_ring.q
-        exponents = (1,) if self.nu == 0 else (1, 2)
-        for ell in exponents:
-            t = self.t1 if ell == 1 else self.t2
-            base = field.pow_i(self.alpha.i, t)
-            for i in range(1, self.n):
-                if field.pow_i(base, norm_exponent(q, i)) == 1:
-                    raise ConditionViolatedError(
-                        f"(alpha^t{ell})^[{i}] = 1 with [i] = (q^{i}-1)/(q-1); "
-                        f"length {self.n} exceeds the admissible range"
-                    )
+        hit = next(_unit_brackets(self, self.n), None)
+        if hit is not None:
+            ell, i = hit
+            raise ConditionViolatedError(
+                f"(alpha^t{ell})^[{i}] = 1 with [i] = (q^{i}-1)/(q-1); "
+                f"length {self.n} exceeds the admissible range"
+            )
 
 
 def bch1_root_exponents(spec):
@@ -226,18 +250,7 @@ def bch1_root_exponents(spec):
 def bch1_max_length(spec):
     """Largest admissible n: the least i >= 1 with (alpha^t1)^[i] = 1
     (and the t2 analogue when nu > 0), scanned at desk scale."""
-    field = spec.emb.target
-    q = spec.base_ring.q
-    bound = field.order
-    best = None
-    exponents = (spec.t1,) if spec.nu == 0 else (spec.t1, spec.t2)
-    for t in exponents:
-        base = field.pow_i(spec.alpha.i, t)
-        for i in range(1, bound):
-            if field.pow_i(base, norm_exponent(q, i)) == 1:
-                best = i if best is None else min(best, i)
-                break
-    return best
+    return min((i for _, i in _unit_brackets(spec, spec.emb.target.order)), default=None)
 
 
 def bch1_generator(spec):
@@ -246,11 +259,8 @@ def bch1_generator(spec):
     has minimum distance at least delta + nu."""
     spec.validate()
     field = spec.emb.target
-    g = None
-    for t in bch1_root_exponents(spec):
-        root = FieldElement(field, field.pow_i(spec.alpha.i, t))
-        m = minimal_poly_over_subfield(spec.base_ring, spec.emb, root)
-        g = m if g is None else lclm(g, m)
+    roots = [field.pow_i(spec.alpha.i, t) for t in bch1_root_exponents(spec)]
+    g = _subfield_minimal_polynomial(spec.base_ring, spec.emb, roots)
     return g, spec.designed_distance
 
 
@@ -330,22 +340,26 @@ def skew_rs1(ring, alpha, b, delta, n, f=None):
 # -- skew-BCH codes of the second kind ----------------------------------------------------
 
 
+def _is_normal(ring, a):
+    """Whether the sigma-orbit of a is a basis over the fixed field: its
+    Moore matrix has full rank m."""
+    m = ring.m
+    orbit = [ring.sigma(a, j) for j in range(m)]
+    return rank_i(unwrap(moore_matrix(ring, orbit, m)), ring.field) == m
+
+
 def find_normal_element(ring):
     """The first power of the primitive element whose sigma-orbit is a basis
     over the fixed field (Moore matrix invertible); deterministic scan."""
-    field = ring.field
-    n = ring.m
-    gen = field.gen
-    for k in range(1, field.order - 1):
-        cand = gen ** k
-        orbit = [ring.sigma(cand, j) for j in range(n)]
-        if rank_i(unwrap(moore_matrix(ring, orbit, n)), field) == n:
+    gen = ring.field.gen
+    for k in range(1, ring.field.order - 1):
+        if _is_normal(ring, cand := gen ** k):
             return cand
     raise ArithmeticError("no normal element found; this cannot happen")
 
 
 @dataclass(frozen=True)
-class Bch2Spec:
+class Bch2Spec(_BchSpec):
     """Parameters for a second-kind construction over F_{q^m}, length n = ms.
 
     ``emb`` embeds the base field F_{q^m} into F_{q^n}; alpha generates a
@@ -353,43 +367,17 @@ class Bch2Spec:
     exponents are q^(b + t1*i + t2*j) applied to beta.
     """
 
-    base_ring: SkewRing
-    emb: object
-    alpha: FieldElement
-    b: int
-    t1: int
-    t2: int
-    delta: int
-    nu: int
-
-    @property
-    def s(self):
-        return self.emb.target.degree // self.emb.source.degree
-
     @property
     def n(self):
         return self.base_ring.m * self.s
-
-    @property
-    def ext_ring(self):
-        return SkewRing(self.emb.target, self.base_ring.e)
 
     @property
     def beta(self):
         field = self.emb.target
         return FieldElement(field, field.pow_i(self.alpha.i, self.base_ring.q - 1))
 
-    @property
-    def designed_distance(self):
-        return self.delta + self.nu
-
     def validate(self):
-        if self.emb.source != self.base_ring.field:
-            raise ConditionViolatedError("embedding source must be the base field")
-        if self.alpha.field != self.emb.target:
-            raise ConditionViolatedError("alpha must live in the extension field")
-        if self.delta < 2:
-            raise ConditionViolatedError("delta must be at least 2")
+        super().validate()
         n = self.n
         ext = self.ext_ring
         if ext.m != n:
@@ -400,8 +388,7 @@ class Bch2Spec:
             raise ConditionViolatedError(
                 f"gcd(n, t2) = {gcd(n, self.t2)} >= delta = {self.delta}"
             )
-        orbit = [ext.sigma(self.alpha, j) for j in range(n)]
-        if rank_i(unwrap(moore_matrix(ext, orbit, n)), ext.field) != n:
+        if not _is_normal(ext, self.alpha):
             raise ConditionViolatedError("alpha does not generate a normal basis")
 
 
@@ -422,28 +409,17 @@ def bch2_exponent_sets(spec):
 
 
 def bch2_generator(spec):
-    """(g', delta + nu): g' = lclm(x - beta^(q^t) : t in the coset closure),
-    computed in the extension ring with coefficients restricted to the base
-    field; g' right-divides x^n - 1."""
+    """(g', delta + nu): g' is the least-degree monic polynomial over the
+    base field vanishing at beta^(q^t) for t in the designed set, so at the
+    whole coset closure; g' right-divides x^n - 1."""
     spec.validate()
-    ext = spec.ext_ring
-    field = ext.field
+    field = spec.emb.target
     q = spec.base_ring.q
-    _, closed = bch2_exponent_sets(spec)
-    beta = spec.beta
-    factors = [
-        ext.x_minus(FieldElement(field, field.pow_i(beta.i, q ** t))) for t in closed
-    ]
-    g_ext = lclm(*factors)
-    coeffs = []
-    for c in g_ext.coefficients:
-        r = spec.emb.restrict(c)
-        if r is None:
-            raise ArithmeticError(
-                "second-kind generator coefficient escaped the base field; bug"
-            )
-        coeffs.append(r)
-    return spec.base_ring.poly(coeffs), spec.designed_distance
+    beta = spec.beta.i
+    S, _ = bch2_exponent_sets(spec)
+    roots = [field.pow_i(beta, q ** t) for t in S]
+    g = _subfield_minimal_polynomial(spec.base_ring, spec.emb, roots)
+    return g, spec.designed_distance
 
 
 def bch2_code(spec):

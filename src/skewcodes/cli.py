@@ -6,7 +6,10 @@ eval-code, minpoly, vanish.  Output is human-readable by default;
 tuple form where they appear standalone).
 
 Exit status: 0 success, 2 parse/usage errors, 3 guard exceeded,
-4 condition violated, 1 other domain errors.
+4 condition violated, 1 other domain errors.  A flag value that parses but
+that the field rejects, such as an --e that does not divide the field
+degree, is a domain error (1); an x exponent above 2^16 in polynomial text
+is a guard refusal (3).
 """
 
 from __future__ import annotations

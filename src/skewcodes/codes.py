@@ -21,10 +21,9 @@ from .errors import (
 )
 from .fields import FieldElement
 from .linalg import is_zero_matrix_i, mat_mul_i, rank_i, unwrap, wrap
-from .rootsets import require_wedderburn_roots, skew_vandermonde
+from .rootsets import _lift, require_wedderburn_roots, skew_vandermonde
 from .skewpoly import (
     SkewPoly,
-    SkewRing,
     _mirror_ci,
     _monic_right_divisors_ci,
     _mul_ci,
@@ -248,16 +247,6 @@ def code_from_generator(mod, g):
 # -- two-sided moduli ------------------------------------------------------------
 
 
-def circulant_diag(ring, c, n):
-    """The circulant of a constant: diag(c, sigma(c), ..., sigma^{n-1}(c))."""
-    field = ring.field
-    c = field.element(c)
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = ring.sigma_i(c.i, i)
-    return wrap(rows, field)
-
-
 def two_sided_circulant_product(mod, g, g2):
     """For a two-sided modulus, the circulant of g*g2 equals the product of
     the circulants.  Returns the common matrix; raises NotTwoSidedError for
@@ -436,23 +425,24 @@ def vandermonde_parity_check(code, roots=None, emb=None):
     extension; the annihilation of all generator rows is then asserted and
     the matrix returned.
     """
-    same_field = emb is None
+    ring, rows = code.ring, code._gen_rows_i
+    if emb is not None:
+        # the embedding commutes with sigma: the rows of the lifted generator
+        # are the embedded generator rows
+        g = _lift(code.generator, emb)
+        ring, rows = g.ring, _banded_rows_i(g.ring, g._ci, code.k, code.n)
     if roots is None:
         roots = require_wedderburn_roots(code.generator)
-        ring = code.ring
     else:
-        ring = code.ring if same_field else SkewRing(emb.target, code.ring.e)
         roots = [ring.field.element(rt) for rt in roots]
     M = skew_vandermonde(ring, code.n, roots)
     M_i = unwrap(M)
     field = ring.field
-    for row in code._gen_rows_i:
-        if not same_field:
-            row = [emb.embed(FieldElement(code.field, c)).i for c in row]
-        prod = mat_mul_i([list(row)], M_i, field)
+    for row in rows:
+        prod = mat_mul_i([row], M_i, field)
         if not is_zero_matrix_i(prod):
             raise ArithmeticError("codeword fails Vandermonde annihilation; bug")
-    if same_field:
+    if emb is None:
         # annihilation plus matching kernel dimension pins the kernel to the code
         if code.n - rank_i(M_i, field) != code.k:
             raise ArithmeticError("Vandermonde kernel dimension mismatch; bug")

@@ -67,17 +67,6 @@ def _fp_trim(c):
     return c
 
 
-def _fp_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _fp_trim(out)
-
-
 def _fp_rem(a, b, p):
     """Remainder of a modulo monic-normalizable b, over F_p."""
     a = list(a)
@@ -493,7 +482,7 @@ class FieldSpec:
 
     def frob_i(self, a, j):
         """a^(p^j); j is reduced modulo the field degree.  Above the table
-        limit each call is one power unless ``frob_table`` built the table."""
+        limit each call is one power and no table is built."""
         j %= self.degree
         table = self._frob_tables[j]
         if table is None:
@@ -503,7 +492,8 @@ class FieldSpec:
         return table[a]
 
     def frob_table(self, j):
-        """The table of a -> a^(p^j) for 0 <= j < degree, built on first use."""
+        """The table of a -> a^(p^j) for 0 <= j < degree, built on first use;
+        table-backed fields only (at most 2^16 elements)."""
         table = self._frob_tables[j]
         if table is not None:
             return table
@@ -511,15 +501,12 @@ class FieldSpec:
             table = self._frob_tables[j]
             if table is not None:
                 return table
+            # a^e = exp[log(a)*e]: every entry is the exp table's own int
+            self._build_tables()
             e = self.p ** j
-            if self.order > _TABLE_LIMIT:
-                table = [self.pow_i(a, e) for a in range(self.order)]
-            else:
-                # a^e = exp[log(a)*e]: every entry is the exp table's own int
-                self._build_tables()
-                exp, n = self._exp, self.order - 1
-                table = [exp[k * e % n] for k in self._log]
-                table[0] = 0
+            exp, n = self._exp, self.order - 1
+            table = [exp[k * e % n] for k in self._log]
+            table[0] = 0
             self._frob_tables[j] = table
             return table
 

@@ -69,13 +69,9 @@ def vanishing_set(f, emb=None):
     With an embedding the roots are taken in the extension field, with sigma
     extended as the Frobenius power of the same q.
     """
-    ring = f.ring
     if emb is not None:
-        if emb.source != ring.field:
-            raise ValueError("embedding source must be the coefficient field")
-        target_ring = SkewRing(emb.target, ring.e)
-        lifted = target_ring.from_indices(emb.embed(c).i for c in f.coefficients)
-        return vanishing_set(lifted)
+        return vanishing_set(_lift(f, emb))
+    ring = f.ring
     domain = ring.field
     if domain.order > _DOMAIN_SWEEP_LIMIT:
         raise GuardExceededError(
@@ -228,14 +224,12 @@ def is_wedderburn(f, emb=None):
     """
     if not f.is_monic:
         raise ValueError("Wedderburn test applies to monic polynomials")
-    roots = vanishing_set(f, emb)
-    ring = f.ring if emb is None else SkewRing(emb.target, f.ring.e)
-    target_f = f if emb is None else ring.from_indices(
-        emb.embed(c).i for c in f.coefficients
-    )
+    if emb is not None:
+        f = _lift(f, emb)
+    roots = vanishing_set(f)
     if len(roots) == 0:
-        return target_f.degree == 0
-    return minimal_polynomial(ring, roots) == target_f
+        return f.degree == 0
+    return minimal_polynomial(f.ring, roots) == f
 
 
 def require_wedderburn_roots(f):
@@ -250,20 +244,27 @@ def require_wedderburn_roots(f):
 
 def minimal_poly_over_subfield(base_ring, emb, a):
     """The monic polynomial over the base field of least degree with right
-    root a in the extension.
+    root a in the extension."""
+    return _subfield_minimal_polynomial(base_ring, emb, [a])
 
-    Forms the orbit of a under the automorphisms of the extension fixing the
-    base field, takes the minimal polynomial of the orbit in the extension
-    ring, and restricts every coefficient back down.  Containment of the
-    coefficients in the base field is a theorem, so a failed restriction
-    means an arithmetic bug.
-    """
-    if emb.source != base_ring.field:
-        raise ValueError("embedding source must be the base ring's field")
-    a = emb.target.element(a)
-    orbit = [tau.apply(a) for tau in relative_automorphisms(emb)]
-    ext_ring = SkewRing(emb.target, base_ring.e)
-    m = minimal_polynomial(ext_ring, orbit)
+
+# -- transport along a field tower: one lift, one restriction ----------------------
+
+
+def _lift(f, emb):
+    """f with its coefficients embedded into the extension, in the ring with
+    the same e: sigma extends as the Frobenius power of the same q."""
+    if emb.source != f.ring.field:
+        raise ValueError("embedding source must be the coefficient field")
+    ring = SkewRing(emb.target, f.ring.e)
+    return ring.from_indices(emb.embed(c).i for c in f.coefficients)
+
+
+def _restrict(base_ring, emb, m):
+    """m, a polynomial over the extension, with every coefficient restricted
+    to the base field.  Only minimal polynomials of automorphism-closed sets
+    come here, and their coefficients lie in the base field by theorem, so a
+    coefficient that escapes means an arithmetic bug."""
     coeffs = []
     for c in m.coefficients:
         r = emb.restrict(c)
@@ -274,6 +275,23 @@ def minimal_poly_over_subfield(base_ring, emb, a):
             )
         coeffs.append(r)
     return base_ring.poly(coeffs)
+
+
+def _subfield_minimal_polynomial(base_ring, emb, points):
+    """The monic polynomial over the base field of least degree with every
+    point of the extension as a right root.
+
+    The automorphisms of the extension fixing the base field commute with
+    sigma, so a base polynomial vanishing at the points vanishes on their
+    closure under them; the extension ring's minimal polynomial of that
+    closure has its coefficients fixed by them, hence in the base field.
+    """
+    if emb.source != base_ring.field:
+        raise ValueError("embedding source must be the base ring's field")
+    pts = [emb.target.element(a) for a in points]
+    closure = [tau.apply(a) for tau in relative_automorphisms(emb) for a in pts]
+    m = minimal_polynomial(SkewRing(emb.target, base_ring.e), closure)
+    return _restrict(base_ring, emb, m)
 
 
 def vandermonde_rank(ring, n, points):

@@ -312,8 +312,8 @@ def _scale_ci(ring, c, f):
 
 
 def _sigma_ci(ring, f, j):
-    table = ring.field.frob_table((ring.e * j) % ring.field.degree)
-    return tuple(table[c] for c in f)
+    frob, t = ring.field.frob_i, ring.e * j
+    return tuple(frob(c, t) for c in f)
 
 
 def _mirror_ci(ring, f):
@@ -321,10 +321,8 @@ def _mirror_ci(ring, f):
 
     Applied with the mirror's twist it is the inverse map mu^-1.
     """
-    frob_table = ring.field.frob_table
-    d = ring.field.degree
-    e = ring.e
-    return tuple(frob_table((-e * i) % d)[c] for i, c in enumerate(f))
+    frob, e = ring.field.frob_i, ring.e
+    return tuple(frob(c, -e * i) for i, c in enumerate(f))
 
 
 def _to_mirror(ring, *polys):

@@ -21,9 +21,12 @@ from __future__ import annotations
 
 import re
 
-from .errors import ParseError
+from .errors import GuardExceededError, ParseError
 from .fields import FieldSpec
 from .skewpoly import SkewRing
+
+# the largest x exponent parse_poly accepts: a dense polynomial of that degree
+_EXPONENT_LIMIT = 1 << 16
 
 _TERM_RE = re.compile(
     r"^(?:(?P<coeff>0|1|a(?:\^(?P<apow>\d+))?|\((?P<tuple>\d+(?:,\d+)*)\))\*?)?"
@@ -99,7 +102,8 @@ def _split_terms(text):
 
 
 def parse_poly(ring, text):
-    """A SkewPoly from the shared grammar."""
+    """A SkewPoly from the shared grammar.  An x exponent above 2^16 raises
+    GuardExceededError before any coefficient list is built."""
     stripped = "".join(text.split())
     if not stripped:
         raise ParseError("empty polynomial text")
@@ -119,6 +123,8 @@ def parse_poly(ring, text):
             exp = 1
         else:
             exp = int(m.group("xpow"))
+            if exp > _EXPONENT_LIMIT:
+                raise GuardExceededError(f"x exponent {exp} exceeds 2^16", cost=exp)
         if sign < 0:
             c = -c
         prev = coeffs.get(exp, field.zero)

@@ -16,6 +16,11 @@ here shares a path with the field kernel that the ring loops bind.
 ``constacyclic_modulus_by_scan`` finds the constacyclic modulus of a
 generator by one full division per nonzero a, and ``vanishing_set_by_sweep``
 finds the right roots of a polynomial by evaluating it at every point.
+``bch1_generator_by_fold`` folds one subfield minimal polynomial per
+designed root by base-ring lclm, and ``bch2_generator_by_closure`` takes the
+extension-ring lclm of x - beta^(q^t) over the coset closure and restricts
+it: the two routes the skew-BCH generators had before they shared one
+minimal polynomial of the automorphism-closed root set.
 ``mat_mul``, ``row_space_equal`` and ``in_row_space`` (with their ``_i``
 forms on int grids) are the matrix product and row-space comparisons the
 tests check matrices with.
@@ -35,6 +40,7 @@ import random
 
 import numpy as np
 
+from skewcodes.bch import bch1_root_exponents, bch2_exponent_sets
 from skewcodes.codes import Modulus, dual_code, skew_circulant
 from skewcodes.fields import FieldElement, norm_exponent
 from skewcodes.linalg import (
@@ -45,8 +51,8 @@ from skewcodes.linalg import (
     unwrap,
     wrap,
 )
-from skewcodes.rootsets import AlgebraicSet
-from skewcodes.skewpoly import _eval_ci, apply_automorphism, left_reciprocal
+from skewcodes.rootsets import AlgebraicSet, minimal_poly_over_subfield
+from skewcodes.skewpoly import _eval_ci, apply_automorphism, lclm, left_reciprocal
 
 
 def naive_mul(field, a, b):
@@ -151,6 +157,34 @@ def constacyclic_modulus_by_scan(ring, g, n):
         if g.right_divides(f):
             return f
     return None
+
+
+def bch1_generator_by_fold(spec):
+    """lclm over the base ring of the subfield minimal polynomial of each
+    designed root alpha^t."""
+    field = spec.emb.target
+    g = None
+    for t in bch1_root_exponents(spec):
+        root = FieldElement(field, field.pow_i(spec.alpha.i, t))
+        m = minimal_poly_over_subfield(spec.base_ring, spec.emb, root)
+        g = m if g is None else lclm(g, m)
+    return g
+
+
+def bch2_generator_by_closure(spec):
+    """lclm(x - beta^(q^t) : t in the coset closure) in the extension ring,
+    every coefficient restricted to the base field."""
+    ext = spec.ext_ring
+    field = ext.field
+    beta = spec.beta.i
+    _, closed = bch2_exponent_sets(spec)
+    g = lclm(*(
+        ext.x_minus(FieldElement(field, field.pow_i(beta, spec.base_ring.q ** t)))
+        for t in closed
+    ))
+    coeffs = [spec.emb.restrict(c) for c in g.coefficients]
+    assert None not in coeffs, "a closure coefficient escaped the base field"
+    return spec.base_ring.poly(coeffs)
 
 
 def sweep_eval_consistency(ring, max_degree):

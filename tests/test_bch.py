@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import random
+from math import gcd
 
 import pytest
 
@@ -23,12 +25,16 @@ from skewcodes.bch import (
 )
 from skewcodes.codes import Modulus, SkewCyclicCode, vandermonde_parity_check
 from skewcodes.errors import ConditionViolatedError, GuardExceededError
-from skewcodes.fields import FieldEmbedding
+from skewcodes.fields import FieldEmbedding, get_field
 from skewcodes.linalg import matrix_rank
 from skewcodes.linearized import moore_matrix
 from skewcodes.rootsets import vandermonde_rank
 from skewcodes.skewpoly import SkewRing
-from oracle_utils import constacyclic_modulus_by_scan
+from oracle_utils import (
+    bch1_generator_by_fold,
+    bch2_generator_by_closure,
+    constacyclic_modulus_by_scan,
+)
 
 
 @pytest.fixture(scope="module")
@@ -466,3 +472,37 @@ def test_eval_codes_all_full_rank_sets_are_mds(R8, F8):
                 assert min_distance_exact(code) == n - k + 1
     # the whole field has rank 4, so sizes 5 and 6 contribute nothing
     assert total == 28 + 49 + 28
+
+
+# -- both generators against the routes they replaced ------------------------------
+
+
+@pytest.mark.parametrize("base, ext", [("F4", "F16"), ("F2_6", "F2_12")])
+def test_bch_generators_match_old_routes(base, ext):
+    """Each generator is one subfield minimal polynomial of the closed root
+    set; it must equal the per-root base lclm fold (first kind) and the
+    restricted coset-closure lclm (second kind) at every admissible e."""
+    B, E = get_field(base), get_field(ext)
+    emb = FieldEmbedding(B, E)
+    rng = random.Random(f"{base}->{ext}")
+    for e in (e for e in range(1, B.degree + 1) if B.degree % e == 0):
+        ring, ext_ring = SkewRing(B, e), SkewRing(E, e)
+        n = ext_ring.m
+        normals = list(itertools.islice((k for k in range(1, E.order - 1) if matrix_rank(
+            moore_matrix(ext_ring, [ext_ring.sigma(E.gen ** k, j) for j in range(n)], n), E
+        ) == n), 8))
+        for _ in range(12):
+            spec = Bch1Spec(ring, emb, E.gen ** rng.randrange(1, E.order - 1),
+                            rng.randrange(20), rng.randrange(1, 30), rng.randrange(1, 30),
+                            rng.randrange(2, 5), rng.randrange(2), n=1)
+            spec = dataclasses.replace(spec, n=bch1_max_length(spec) or 1)
+            g, _ = bch1_generator(spec)
+            assert g == bch1_generator_by_fold(spec), (e, spec)
+        for _ in range(12):
+            delta = rng.randrange(2, 5)
+            spec = Bch2Spec(ring, emb, E.gen ** rng.choice(normals), rng.randrange(n),
+                            rng.choice([t for t in range(1, 2 * n + 1) if gcd(n, t) == 1]),
+                            rng.choice([t for t in range(1, 2 * n + 1) if gcd(n, t) < delta]),
+                            delta, rng.randrange(2))
+            g, _ = bch2_generator(spec)
+            assert g == bch2_generator_by_closure(spec), (e, spec)

@@ -231,6 +231,26 @@ def test_guard_refusal_states_its_cost_once(capsys):
     assert err == "guard exceeded: divisor enumeration cost 1832519379626 exceeds 2^25\n"
 
 
+@pytest.mark.parametrize("exponent", ["1000000", "12345678901234567890"])
+def test_huge_x_exponent_exits_guard(capsys, exponent):
+    code, out, err = run_cli(
+        capsys, "vanish", "--preset", "F4", "--e", "1", "--poly", f"x^{exponent}+1",
+    )
+    assert code == EXIT_GUARD == 3
+    assert out == ""
+    assert err == f"guard exceeded: x exponent {exponent} exceeds 2^16\n"
+
+
+@pytest.mark.parametrize("e", ["3", "0"])
+def test_e_not_dividing_the_degree_is_a_domain_error(capsys, e):
+    """The value parses, so it is no usage error: the field rejects it."""
+    code, out, err = run_cli(capsys, "field-info", "--preset", "F4", "--e", e)
+    assert code == EXIT_DOMAIN == 1
+    assert out == ""
+    assert err == (f"error: sigma exponent {e} must divide the field degree 2 "
+                   "(use e = d for the identity)\n")
+
+
 def test_missing_field_is_parse_error(capsys):
     code, _, _ = run_cli(capsys, "field-info")
     assert code == EXIT_PARSE

@@ -6,9 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import EXTRA_FIELDS, PRESETS
-from oracle_utils import naive_neg, naive_poly_add, norm_eval, twisted_mul
+from oracle_utils import naive_neg, naive_poly_add, naive_pow, norm_eval, twisted_mul
 from skewcodes.errors import GuardExceededError
-from skewcodes.fields import FieldElement, conjugacy_class, conjugate, get_field
+from skewcodes.fields import FieldElement, FieldSpec, conjugacy_class, conjugate, get_field
 from skewcodes.linalg import unwrap
 from skewcodes.skewpoly import (
     SkewRing,
@@ -741,3 +741,48 @@ def test_poly_text_roundtrip(R4, R8):
         for _ in range(60):
             f = rand_poly(ring, rng.randrange(6), rng)
             assert parse_poly(ring, format_poly(f)) == f
+
+
+def test_left_side_above_the_table_limit():
+    """F_2^17, e = 1: the mirrored operations and apply_automorphism read
+    Frobenius as one power per coefficient and build no table.  Checked
+    against twisted_mul and naive_pow."""
+    F = FieldSpec(2, (1, 0, 0, 1) + (0,) * 13 + (1,), name="F2_17")
+    R = SkewRing(F, 1)
+    rng = random.Random(17)
+
+    def prod(a, b):
+        return R.from_indices(twisted_mul(F, 1, a._ci, b._ci))
+
+    def plus(a, b):
+        return R.from_indices(naive_poly_add(F, a._ci, b._ci))
+
+    def frob(c, k):
+        return naive_pow(F, c, 2 ** (k % F.degree))
+
+    f, g = rand_poly(R, 3, rng), rand_poly(R, 1, rng, monic=True)
+    s, r = f.left_divmod(g)
+    assert plus(prod(g, s), r) == f and r.degree < g.degree
+    assert g.left_divides(prod(g, s))
+    assert not g.left_divides(plus(prod(g, s), R.one))
+
+    c, a, b = (rand_poly(R, 1, rng, monic=True) for _ in range(3))
+    f1, f2 = prod(c, a), prod(c, b)
+    d, u, v = gcld_bezout(f1, f2)
+    assert d.is_monic and d == plus(prod(f1, u), prod(f2, v))
+    for h in (f1, f2, d):   # c | d | f1, f2 on the left
+        q, rem = h.left_divmod(c if h is d else d)
+        assert rem.is_zero and prod(c if h is d else d, q) == h
+
+    m = lcrm(a, b)
+    assert m.is_monic and m.degree + gcld(a, b).degree == a.degree + b.degree
+    for h in (a, b):
+        q, rem = m.left_divmod(h)
+        assert rem.is_zero and prod(h, q) == m
+
+    rho = left_reciprocal(f)
+    top = f.degree
+    assert rho == R.poly([frob(f.coefficient(top - i), i) for i in range(top + 1)])
+    for j in (1, -1, 5):
+        assert apply_automorphism(f, j) == R.poly([frob(x, j) for x in f.coefficients])
+    assert F._frob_tables == [None] * 17

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from skewcodes.errors import ParseError
+from skewcodes.errors import GuardExceededError, ParseError
 from skewcodes.fields import FieldSpec, get_field
 from skewcodes.skewpoly import SkewRing
 from skewcodes.textio import (
@@ -68,6 +68,16 @@ def test_parse_poly_rejects_empty_terms(R4, R9):
     # a single leading sign stays legal, also inside a tuple coefficient's parens
     assert parse_poly(R4, "+x^2+x") == parse_poly(R4, "x^2+x")
     assert parse_poly(R9, "-x^2+(1,2)x") == -parse_poly(R9, "x^2") + parse_poly(R9, "(1,2)x")
+
+
+def test_parse_poly_guards_the_x_exponent(R4):
+    """An exponent above 2^16 is refused before a coefficient list exists;
+    2^16 itself still parses."""
+    for text, exp in (("x^1000000", 10**6), ("x^2+x^12345678901234567890+1", 12345678901234567890)):
+        with pytest.raises(GuardExceededError) as info:
+            parse_poly(R4, text)
+        assert info.value.cost == exp
+    assert parse_poly(R4, "x^65536+1").degree == 1 << 16
 
 
 def test_roundtrip_primitive_and_tuple_fields(R4):
