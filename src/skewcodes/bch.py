@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from math import comb, gcd
 
-from .codes import Modulus, SkewCyclicCode
+from .codes import Modulus, SkewCyclicCode, _codewords
 from .errors import ConditionViolatedError, GuardExceededError, SearchCancelledError
 from .fields import FieldElement, norm_exponent
 from .linalg import rank_i, right_kernel_i, unwrap
@@ -80,22 +80,10 @@ def min_distance_exact(code, strategy="auto", cancel=None):
 
 
 def _distance_by_messages(rows, field, n, cancel=None):
-    add, mul = field.add_i, field.mul_i
     best = n + 1
-    k = len(rows)
-    for msg in itertools.product(range(field.order), repeat=k):
-        if cancel is not None and cancel.is_set():
-            raise SearchCancelledError("distance search cancelled")
-        if not any(msg):
-            continue
-        word = [0] * n
-        for u, row in zip(msg, rows):
-            if u:
-                for j, c in enumerate(row):
-                    if c:
-                        word[j] = add(word[j], mul(u, c))
+    for word in _codewords(field, rows, n, cancel):
         w = sum(1 for c in word if c)
-        if w < best:
+        if w and w < best:   # w = 0 only for the zero message
             best = w
             if best == 1:
                 return 1
@@ -200,19 +188,23 @@ class _BchSpec:
 # -- skew-BCH codes of the first kind ---------------------------------------------------
 
 
-def _unit_brackets(spec, limit):
-    """Yield (ell, i) for each exponent t_ell in use (t1, and t2 when nu > 0)
-    whose power has a bracket (alpha^t_ell)^[i] = 1, [i] = (q^i-1)/(q-1),
-    at some 1 <= i < limit: the least such i."""
-    field = spec.emb.target
-    q = spec.base_ring.q
-    ts = (spec.t1,) if spec.nu == 0 else (spec.t1, spec.t2)
-    for ell, t in enumerate(ts, 1):
-        base = field.pow_i(spec.alpha.i, t)
+def _unit_brackets(field, q, bases, limit):
+    """Yield (ell, i) for each base (numbered from 1) with a bracket power
+    base^[i] = 1, [i] = (q^i-1)/(q-1), at some 1 <= i < limit: the least
+    such i."""
+    for ell, base in enumerate(bases, 1):
         for i in range(1, limit):
             if field.pow_i(base, norm_exponent(q, i)) == 1:
                 yield ell, i
                 break
+
+
+def _bch1_brackets(spec, limit):
+    """_unit_brackets of alpha^t1, and of alpha^t2 when nu > 0."""
+    field = spec.emb.target
+    ts = (spec.t1,) if spec.nu == 0 else (spec.t1, spec.t2)
+    bases = [field.pow_i(spec.alpha.i, t) for t in ts]
+    return _unit_brackets(field, spec.base_ring.q, bases, limit)
 
 
 @dataclass(frozen=True)
@@ -228,7 +220,7 @@ class Bch1Spec(_BchSpec):
         super().validate()
         if self.t1 < 1 or self.t2 < 1 or self.b < 0 or self.nu < 0:
             raise ConditionViolatedError("need t1, t2 >= 1 and b, nu >= 0")
-        hit = next(_unit_brackets(self, self.n), None)
+        hit = next(_bch1_brackets(self, self.n), None)
         if hit is not None:
             ell, i = hit
             raise ConditionViolatedError(
@@ -250,7 +242,7 @@ def bch1_root_exponents(spec):
 def bch1_max_length(spec):
     """Largest admissible n: the least i >= 1 with (alpha^t1)^[i] = 1
     (and the t2 analogue when nu > 0), scanned at desk scale."""
-    return min((i for _, i in _unit_brackets(spec, spec.emb.target.order)), default=None)
+    return min((i for _, i in _bch1_brackets(spec, spec.emb.target.order)), default=None)
 
 
 def bch1_generator(spec):
@@ -306,20 +298,24 @@ def bch1_code(spec, n=None):
     return code, designed
 
 
+def _rs1_brackets_repeat(ring, a, n):
+    """Whether a^[0], ..., a^[n-1] repeat.  For a != 0, a^[j] = a^[i] exactly
+    when a^[j-i] = 1, since a^[j]/a^[i] = (a^[j-i])^(q^i); 0^[i] = 0 for
+    every i >= 1."""
+    if a == 0:
+        return n >= 3
+    return next(_unit_brackets(ring.field, ring.q, [a], n), None) is not None
+
+
 def skew_rs1(ring, alpha, b, delta, n, f=None):
     """The code generated by lclm(x - alpha^(b+i) : i <= delta-2) for alpha
     in the base field; dimension n - delta + 1 and MDS."""
     field = ring.field
     alpha = field.element(alpha)
-    q = ring.q
-    seen = set()
-    for i in range(n):
-        v = field.pow_i(alpha.i, norm_exponent(q, i))
-        if v in seen:
-            raise ConditionViolatedError(
-                "alpha^[0..n-1] are not distinct; length too large"
-            )
-        seen.add(v)
+    if _rs1_brackets_repeat(ring, alpha.i, n):
+        raise ConditionViolatedError(
+            "alpha^[0..n-1] are not distinct; length too large"
+        )
     roots = [
         FieldElement(field, field.pow_i(alpha.i, b + i)) for i in range(delta - 1)
     ]

@@ -77,25 +77,35 @@ def _circulant_rows_i(mod, g_ci):
     """Rows v_f(x^i g) as packed index lists; row 0 is g reduced mod f."""
     ring = mod.ring
     field = ring.field
+    kern = field.kernel()
     n = mod.n
     _, row = _right_divmod_ci(ring, g_ci, mod.poly._ci)
-    row = list(row) + [0] * (n - len(row))
-    rows = [row]
-    ftrunc = mod.poly._ci[:-1]
-    sigma = ring.sigma_i
-    mul = field.mul_i
-    sub = field.sub_i
+    rows = [list(row) + [0] * (n - len(row))]
+    # x^n = f - sum_{j<n} f_j x^j in the coset: add top * (-f_j)
+    negf = [(j, field.neg_i(fj)) for j, fj in enumerate(mod.poly._ci[:-1]) if fj]
     for _ in range(n - 1):
-        prev = rows[-1]
-        top = sigma(prev[n - 1])
-        nxt = [0] + [sigma(c) for c in prev[: n - 1]]
+        nxt = [0] * (n + 1)   # x * row = sum sigma(c_j) x^(j+1)
+        kern.addmul(nxt, 1, 1, [(j, c) for j, c in enumerate(rows[-1]) if c],
+                    ring.e % field.degree)
+        top = nxt.pop()
         if top:
-            # x^n = f - sum_{j<n} f_j x^j in the coset: subtract top * f_j
-            for j, fj in enumerate(ftrunc):
-                if fj:
-                    nxt[j] = sub(nxt[j], mul(top, fj))
+            kern.addmul(nxt, 0, top, negf, 0)
         rows.append(nxt)
     return rows
+
+
+def _codewords(field, rows, n, cancel=None):
+    """Yield the word u * G for each message u, in lexicographic order."""
+    kern = field.kernel()
+    pairs = [[(j, c) for j, c in enumerate(row) if c] for row in rows]
+    for msg in itertools.product(range(field.order), repeat=len(rows)):
+        if cancel is not None and cancel.is_set():
+            raise SearchCancelledError("distance search cancelled")
+        word = [0] * n
+        for u, row in zip(msg, pairs):
+            if u:
+                kern.addmul(word, 0, u, row, 0)
+        yield word
 
 
 def _banded_rows_i(ring, g_ci, count, n):
@@ -216,14 +226,7 @@ class SkewCyclicCode:
         count = self.field.order ** self.k
         if count > limit:
             raise GuardExceededError(f"code has {count} words", cost=count)
-        for msg in itertools.product(range(self.field.order), repeat=self.k):
-            word = [0] * self.n
-            add, mul = self.field.add_i, self.field.mul_i
-            for u, row in zip(msg, self._gen_rows_i):
-                if u:
-                    for j, c in enumerate(row):
-                        if c:
-                            word[j] = add(word[j], mul(u, c))
+        for word in _codewords(self.field, self._gen_rows_i, self.n):
             yield tuple(FieldElement(self.field, c) for c in word)
 
     def __eq__(self, other):

@@ -15,17 +15,20 @@ otherwise.  Addition tables (odd p, at most 2^12 elements) are built by
 digit recursion, and each Frobenius table a -> a^(p^j) is the antilog
 table permuted, exp[log(a) * p^j].
 
-``FieldSpec.kernel()`` bundles references to these tables, with no copy, for
-the ring and elimination loops, which bind it once per call and multiply in
-the log domain.  Negation for odd p is a shift by log(-1) = (order - 1)/2.
-Odd-p addition uses the full table up to 2^12 elements and, above that, the
-half-width digit-add table applied chunk by chunk.
+``FieldSpec.kernel()`` is the one interface the ring and elimination loops
+use, with the same row operations for every field (``addmul``, ``divstep``,
+``scale``, ``evaluate``, ``eliminate``), each called once per row.  Up to
+2^16 elements it works in the log domain over references to these tables;
+XOR (p = 2) or table addition is chosen when it is built.  Odd-p addition
+uses the full table up to 2^12 elements and, above that, the half-width
+digit-add table applied chunk by chunk; negation is a shift by
+log(-1) = (order - 1)/2.  Above 2^16 elements the kernel multiplies by
+coefficient arithmetic and builds no table.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import namedtuple
 from math import gcd
 
 from .errors import FieldMismatchError, GuardExceededError
@@ -140,13 +143,175 @@ def _chunked_adder(p, d, table):
     return add
 
 
-# The flat view of a table-backed field that the ring and elimination loops
-# bind once per call.  exp (length 2n) and log are the field's own tables,
-# n = order - 1, half = log(-1) (0 for p = 2), frob the field's list of
-# Frobenius tables by shift (None until first used; fill through
-# FieldSpec.frob_table), add None for p = 2 (XOR) else a function of two
-# indices.
-FlatKernel = namedtuple("FlatKernel", "exp log n half frob add")
+class _TableKernel:
+    """Row operations of a field of at most 2^16 elements, in the log domain:
+    c * sigma^t(x) is exp[log c + log frob_t[x]].  exp (length 2n), log and
+    frob (the Frobenius tables by shift, each filled on first use through
+    FieldSpec.frob_table) are the field's own lists, n = order - 1 and
+    half = log(-1).  ``add`` adds two indices (odd p); the p = 2 subclass
+    adds by XOR inline and has add None.
+
+    The scalars c, lead, ginv and the point a are nonzero, ``pairs`` lists
+    (j, x) with x nonzero, and the Frobenius shift t is below the degree.
+    Each operation is one call per row or polynomial.
+    """
+
+    def __init__(self, field, add=None):
+        self.field, self.add = field, add
+        self.exp, self.log, self.frob = field._exp, field._log, field._frob_tables
+        self.n = field.order - 1
+        self.half = self.n // 2 if field.p != 2 else 0
+
+    def neg(self, a):
+        return self.exp[self.log[a] + self.half] if a else 0
+
+    def scale(self, c, f):
+        """The tuple of c * x over f."""
+        exp, log = self.exp, self.log
+        lc = log[c]
+        return tuple(exp[lc + log[x]] if x else 0 for x in f)
+
+    def addmul(self, out, off, c, pairs, t):
+        """out[off + j] += c * sigma^t(x) for (j, x) in pairs."""
+        exp, log, add = self.exp, self.log, self.add
+        table = self.frob[t] or self.field.frob_table(t)
+        lc = log[c]
+        for j, x in pairs:
+            out[off + j] = add(out[off + j], exp[lc + log[table[x]]])
+
+    def divstep(self, r, off, lead, ginv, pairs, t):
+        """One step of right division: the quotient digit
+        c = lead * sigma^t(ginv), returned after r[off + j] -= c * sigma^t(x)."""
+        exp, log, n, add = self.exp, self.log, self.n, self.add
+        table = self.frob[t] or self.field.frob_table(t)
+        lc = (log[lead] + log[table[ginv]]) % n
+        ln = (lc + self.half) % n   # log of -c
+        for j, x in pairs:
+            r[off + j] = add(r[off + j], exp[ln + log[table[x]]])
+        return exp[lc]
+
+    def evaluate(self, f, a, e):
+        """sum_i f_i N_i(a) for sigma = frob_e, N_i(a) = prod_{j<i} sigma^j(a)."""
+        exp, log, n, add, frob = self.exp, self.log, self.n, self.add, self.frob
+        d = self.field.degree
+        acc, lcur = f[0], 0   # lcur = log N_i(a)
+        for i in range(1, len(f)):
+            t = e * (i - 1) % d
+            lcur = (lcur + log[(frob[t] or self.field.frob_table(t))[a]]) % n
+            if f[i]:
+                acc = add(acc, exp[log[f[i]] + lcur])
+        return acc
+
+    def eliminate(self, m, r, col):
+        """Scale row r of m to a unit pivot at col and clear col in every
+        other row, in place."""
+        exp, log, n, add = self.exp, self.log, self.n, self.add
+        lc = -log[m[r][col]] % n
+        if lc:
+            m[r] = [exp[lc + log[v]] if v else 0 for v in m[r]]
+        prow = [(k, log[v]) for k, v in enumerate(m[r]) if v]
+        for i, row in enumerate(m):
+            if i != r and row[col]:
+                lf = (log[row[col]] + self.half) % n   # log of -row[col]
+                for k, lw in prow:
+                    row[k] = add(row[k], exp[lf + lw])
+
+
+class _XorKernel(_TableKernel):
+    """The table kernel for p = 2: addition is XOR and -1 = 1."""
+
+    def addmul(self, out, off, c, pairs, t):
+        exp, log = self.exp, self.log
+        table = self.frob[t] or self.field.frob_table(t)
+        lc = log[c]
+        for j, x in pairs:
+            out[off + j] ^= exp[lc + log[table[x]]]
+
+    def divstep(self, r, off, lead, ginv, pairs, t):
+        exp, log = self.exp, self.log
+        table = self.frob[t] or self.field.frob_table(t)
+        lc = (log[lead] + log[table[ginv]]) % self.n
+        for j, x in pairs:
+            r[off + j] ^= exp[lc + log[table[x]]]
+        return exp[lc]
+
+    def evaluate(self, f, a, e):
+        exp, log, n, frob = self.exp, self.log, self.n, self.frob
+        d = self.field.degree
+        acc, lcur = f[0], 0
+        for i in range(1, len(f)):
+            t = e * (i - 1) % d
+            lcur = (lcur + log[(frob[t] or self.field.frob_table(t))[a]]) % n
+            if f[i]:
+                acc ^= exp[log[f[i]] + lcur]
+        return acc
+
+    def eliminate(self, m, r, col):
+        exp, log, n = self.exp, self.log, self.n
+        lc = -log[m[r][col]] % n
+        if lc:
+            m[r] = [exp[lc + log[v]] if v else 0 for v in m[r]]
+        prow = [(k, log[v]) for k, v in enumerate(m[r]) if v]
+        for i, row in enumerate(m):
+            if i != r and row[col]:
+                lf = log[row[col]]
+                for k, lw in prow:
+                    row[k] ^= exp[lf + lw]
+
+
+class _PolyKernel:
+    """The same row operations above the table limit, by coefficient
+    arithmetic: a product is one _slow_mul, an inverse one _slow_pow (through
+    inv_i) and sigma^t(a) one power a^(p^t).  No table is built."""
+
+    def __init__(self, field):
+        self.field, self.mul = field, field._slow_mul
+
+    def add(self, a, b):
+        F = self.field
+        if F.p == 2:
+            return a ^ b
+        return F._pack([(x + y) % F.p for x, y in zip(F.coeffs_of(a), F.coeffs_of(b))])
+
+    def neg(self, a):
+        F = self.field
+        return F._pack([-x % F.p for x in F.coeffs_of(a)])
+
+    def frob(self, a, t):
+        return self.field._slow_pow(a, self.field.p ** t) if t else a
+
+    def scale(self, c, f):
+        mul = self.mul
+        return tuple(mul(c, x) if x else 0 for x in f)
+
+    def addmul(self, out, off, c, pairs, t):
+        mul, add, frob = self.mul, self.add, self.frob
+        for j, x in pairs:
+            y = frob(x, t)
+            out[off + j] = add(out[off + j], y if c == 1 else mul(c, y))
+
+    def divstep(self, r, off, lead, ginv, pairs, t):
+        c = self.mul(lead, self.frob(ginv, t))
+        self.addmul(r, off, self.neg(c), pairs, t)
+        return c
+
+    def evaluate(self, f, a, e):
+        mul, add, frob, d = self.mul, self.add, self.frob, self.field.degree
+        acc, cur = f[0], 1   # cur = N_i(a)
+        for i in range(1, len(f)):
+            cur = mul(cur, frob(a, e * (i - 1) % d))
+            if f[i]:
+                acc = add(acc, mul(f[i], cur))
+        return acc
+
+    def eliminate(self, m, r, col):
+        c = self.field.inv_i(m[r][col])
+        if c != 1:
+            m[r] = list(self.scale(c, m[r]))
+        pairs = [(k, v) for k, v in enumerate(m[r]) if v]
+        for i, row in enumerate(m):
+            if i != r and row[col]:
+                self.addmul(row, 0, self.neg(row[col]), pairs, 0)
 
 
 class FieldSpec:
@@ -386,44 +551,37 @@ class FieldSpec:
         return out
 
     def kernel(self):
-        """The FlatKernel of a table-backed field, built once under the lock
-        with the log tables; None above 2^16 elements.  An odd-p addition
-        table of at most 2^12 elements is still built on the first
-        addition."""
-        kern = self._kernel
-        if kern is not None or self.order > _TABLE_LIMIT:
-            return kern
-        with self._lock:
-            if self._kernel is None:
-                self._build_tables()
-                n = self.order - 1
-                if self.p == 2:
-                    add = None
-                elif self.order <= _ADD_TABLE_LIMIT:
-                    table = self._add_table
+        """The row-operation kernel, built once under the lock: a
+        _TableKernel over the log tables up to 2^16 elements (XOR for p = 2,
+        else the full addition table up to 2^12 elements, built on the first
+        addition, and chunked digit addition above), a _PolyKernel above."""
+        if self._kernel is None:
+            with self._lock:
+                if self._kernel is None:
+                    self._kernel = self._make_kernel()
+        return self._kernel
 
-                    def add(a, b):
-                        nonlocal table
-                        if table is None:   # built on the first addition
-                            table = self._build_add_table()
-                        return table[a][b]
-                else:
-                    add = _chunked_adder(self.p, self.degree, self._half_add)
-                self._kernel = FlatKernel(
-                    self._exp, self._log, n, n // 2 if self.p != 2 else 0,
-                    self._frob_tables, add,
-                )
-            return self._kernel
+    def _make_kernel(self):
+        if self.order > _TABLE_LIMIT:
+            return _PolyKernel(self)
+        self._build_tables()
+        if self.p == 2:
+            return _XorKernel(self)
+        if self.order > _ADD_TABLE_LIMIT:
+            return _TableKernel(self, _chunked_adder(self.p, self.degree, self._half_add))
+        table = self._add_table
 
-    # -- table-backed kernel (int indices) ------------------------------------
+        def add(a, b):
+            nonlocal table
+            if table is None:   # built on the first addition
+                table = self._build_add_table()
+            return table[a][b]
+        return _TableKernel(self, add)
+
+    # -- scalar arithmetic (int indices) ---------------------------------------
 
     def add_i(self, a, b):  # overwritten for p == 2 in __init__
-        kern = self._kernel or self.kernel()
-        if kern is None:
-            p = self.p
-            out = [(x + y) % p for x, y in zip(self.coeffs_of(a), self.coeffs_of(b))]
-            return self._pack(out)
-        return kern.add(a, b)
+        return (self._kernel or self.kernel()).add(a, b)
 
     def _build_add_table(self):
         with self._lock:
@@ -432,13 +590,7 @@ class FieldSpec:
             return self._add_table
 
     def neg_i(self, a):  # overwritten for p == 2
-        if a == 0:
-            return 0
-        kern = self._kernel or self.kernel()
-        if kern is None:
-            p = self.p
-            return self._pack([(-c) % p for c in self.coeffs_of(a)])
-        return kern.exp[kern.log[a] + kern.half]
+        return (self._kernel or self.kernel()).neg(a)
 
     def sub_i(self, a, b):  # overwritten for p == 2
         return self.add_i(a, self.neg_i(b))

@@ -154,9 +154,10 @@ _Mirror = namedtuple("_Mirror", "field e")
 
 # -- int-level kernels (ascending packed coefficient tuples) -------------------
 #
-# Each kernel binds the field's FlatKernel once per call and works in the log
-# domain: c * sigma^t(b) is exp[log c + log frob_t[b]].  Fields above the
-# 2^16 table limit have no FlatKernel and take the per-call branch.
+# Each function binds the field's kernel (FieldSpec.kernel) once per call and
+# makes one kernel call per row or polynomial: c * sigma^t(b) added for a
+# whole row b, one division step, a scaling or an evaluation.
+
 
 def _trim(ci):
     n = len(ci)
@@ -168,72 +169,24 @@ def _trim(ci):
 def _mul_ci(ring, a, b):
     if not a or not b:
         return ()
-    field = ring.field
-    d = field.degree
-    e = ring.e
+    kern, d, e = ring.field.kernel(), ring.field.degree, ring.e
     out = [0] * (len(a) + len(b) - 1)
-    kern = field.kernel()
-    if kern is None:   # above the table limit: one field call per step
-        mul = field.mul_i
-        add = field.add_i
-        frob = field.frob_i
-        for i, ai in enumerate(a):
-            if ai:
-                t = (e * i) % d
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] = add(out[i + j], mul(ai, frob(bj, t)))
-        return tuple(out)
-    exp, log, _, _, frob, add = kern
     bnz = [(j, bj) for j, bj in enumerate(b) if bj]
     for i, ai in enumerate(a):
         if ai:
-            t = (e * i) % d
-            table = frob[t] or field.frob_table(t)
-            la = log[ai]
-            if add is None:
-                for j, bj in bnz:
-                    out[i + j] ^= exp[la + log[table[bj]]]
-            else:
-                for j, bj in bnz:
-                    out[i + j] = add(out[i + j], exp[la + log[table[bj]]])
+            kern.addmul(out, i, ai, bnz, e * i % d)
     return tuple(out)
 
 
-def _add_ci(ring, a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    field = ring.field
-    kern = field.kernel()
-    # the field's add_i above the table limit, None (XOR) for p = 2 below
-    add = field.add_i if kern is None else kern.add
-    if add is None:
-        for i, c in enumerate(b):
-            out[i] ^= c
-    else:
-        for i, c in enumerate(b):
-            out[i] = add(out[i], c)
+def _add_ci(ring, a, b, c=1):
+    """a + c*b; c = p - 1, the packed index of -1, subtracts."""
+    out = list(a) + [0] * (len(b) - len(a))
+    ring.field.kernel().addmul(out, 0, c, [(j, x) for j, x in enumerate(b) if x], 0)
     return tuple(_trim(out))
 
 
 def _sub_ci(ring, a, b):
-    out = list(a) + [0] * max(0, len(b) - len(a))
-    field = ring.field
-    kern = field.kernel()
-    if kern is None:   # above the table limit: one field call per step
-        sub = field.sub_i
-        for i, c in enumerate(b):
-            out[i] = sub(out[i], c)
-    elif kern.add is None:
-        for i, c in enumerate(b):
-            out[i] ^= c
-    else:
-        exp, log, _, half, _, add = kern
-        for i, c in enumerate(b):
-            if c:   # -c = exp[log c + log(-1)]
-                out[i] = add(out[i], exp[log[c] + half])
-    return tuple(_trim(out))
+    return _add_ci(ring, a, b, ring.field.p - 1)
 
 
 def _right_divmod_ci(ring, f, g):
@@ -243,50 +196,16 @@ def _right_divmod_ci(ring, f, g):
     if len(f) < len(g):
         return (), tuple(f)
     field = ring.field
-    d = field.degree
-    e = ring.e
+    kern, d, e = field.kernel(), field.degree, ring.e
     dg = len(g) - 1
     r = list(f)
     s = [0] * (len(f) - dg)
-    kern = field.kernel()
-    if kern is None:   # above the table limit: one field call per step
-        mul = field.mul_i
-        sub = field.sub_i
-        frob = field.frob_i
-        glead_inv = field.inv_i(g[-1])
-        for t in range(len(f) - 1 - dg, -1, -1):
-            lead = r[t + dg]
-            if lead:
-                tw = (e * t) % d
-                c = mul(lead, frob(glead_inv, tw))
-                s[t] = c
-                for j in range(dg):
-                    gj = g[j]
-                    if gj:
-                        r[t + j] = sub(r[t + j], mul(c, frob(gj, tw)))
-                r[t + dg] = 0
-        return tuple(_trim(s)), tuple(_trim(r[:dg]))
-    exp, log, n, half, frob, add = kern
-    glead_inv = exp[-log[g[-1]] % n]
+    ginv = 1 if g[-1] == 1 else field.inv_i(g[-1])   # monic candidates skip inv_i
     tail = [(j, gj) for j, gj in enumerate(g[:dg]) if gj]
     for t in range(len(f) - 1 - dg, -1, -1):
         lead = r[t + dg]
         if lead:
-            tw = (e * t) % d
-            table = frob[tw] or field.frob_table(tw)
-            lc = log[lead] + log[table[glead_inv]]
-            if lc >= n:
-                lc -= n
-            s[t] = exp[lc]
-            lc += half   # log of -c
-            if lc >= n:
-                lc -= n
-            if add is None:
-                for j, gj in tail:
-                    r[t + j] ^= exp[lc + log[table[gj]]]
-            else:
-                for j, gj in tail:
-                    r[t + j] = add(r[t + j], exp[lc + log[table[gj]]])
+            s[t] = kern.divstep(r, t, lead, ginv, tail, e * t % d)
             r[t + dg] = 0
     return tuple(_trim(s)), tuple(_trim(r[:dg]))
 
@@ -300,15 +219,7 @@ def _monic_ci(ring, f):
 
 
 def _scale_ci(ring, c, f):
-    if c == 0:
-        return ()
-    kern = ring.field.kernel()
-    if kern is None:
-        mul = ring.field.mul_i
-        return tuple(mul(c, x) for x in f)
-    exp, log = kern.exp, kern.log
-    lc = log[c]
-    return tuple(exp[lc + log[x]] if x else 0 for x in f)
+    return ring.field.kernel().scale(c, f) if c else ()
 
 
 def _sigma_ci(ring, f, j):
@@ -384,35 +295,9 @@ def _monic_right_divisors_ci(ring, f, degree, cancel):
 
 def _eval_ci(ring, f, a):
     """Right evaluation sum_i f_i N_i(a) on packed indices."""
-    field = ring.field
-    d = field.degree
-    e = ring.e
-    kern = field.kernel()
-    if kern is None:   # above the table limit: one field call per step
-        mul = field.mul_i
-        add = field.add_i
-        frob = field.frob_i
-        acc = 0
-        cur = 1
-        for i, c in enumerate(f):
-            if i:
-                cur = mul(cur, frob(a, (e * (i - 1)) % d))
-            if c:
-                acc = add(acc, mul(c, cur))
-        return acc
     if not f or a == 0:   # N_0(a) = 1 and N_i(0) = 0 for i >= 1
         return f[0] if f else 0
-    exp, log, n, _, frob, add = kern
-    acc = 0
-    lcur = 0   # log N_i(a) = sum_{j<i} log sigma^j(a)
-    for i, c in enumerate(f):
-        if i:
-            t = (e * (i - 1)) % d
-            lcur = (lcur + log[(frob[t] or field.frob_table(t))[a]]) % n
-        if c:
-            v = exp[log[c] + lcur]
-            acc = acc ^ v if add is None else add(acc, v)
-    return acc
+    return ring.field.kernel().evaluate(f, a, ring.e)
 
 
 class SkewPoly:

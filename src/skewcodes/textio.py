@@ -27,6 +27,9 @@ from .skewpoly import SkewRing
 
 # the largest x exponent parse_poly accepts: a dense polynomial of that degree
 _EXPONENT_LIMIT = 1 << 16
+# a longer exponent is refused by its digit count before int() reads it
+# (CPython's int() refuses decimal strings of more than 4,300 digits)
+_EXPONENT_DIGITS = 100
 
 _TERM_RE = re.compile(
     r"^(?:(?P<coeff>0|1|a(?:\^(?P<apow>\d+))?|\((?P<tuple>\d+(?:,\d+)*)\))\*?)?"
@@ -52,7 +55,10 @@ def parse_element(field, text):
             return field.gen
         if not re.fullmatch(r"a\^\d+", text):
             raise ParseError(f"cannot parse element {text!r}")
-        return field.gen ** int(text[2:])
+        k = 0   # a has order - 1, so reduce while reading the digits
+        for digit in text[2:]:
+            k = (10 * k + int(digit)) % (field.order - 1)
+        return field.gen ** k
     if re.fullmatch(r"\d+(,\d+)*", text):
         digits = [int(c) for c in text.split(",")]
         if len(digits) > field.degree or any(c >= field.p for c in digits):
@@ -102,8 +108,8 @@ def _split_terms(text):
 
 
 def parse_poly(ring, text):
-    """A SkewPoly from the shared grammar.  An x exponent above 2^16 raises
-    GuardExceededError before any coefficient list is built."""
+    """A SkewPoly from the shared grammar.  An x exponent above 2^16, of any
+    length, raises GuardExceededError before any coefficient list is built."""
     stripped = "".join(text.split())
     if not stripped:
         raise ParseError("empty polynomial text")
@@ -122,7 +128,10 @@ def parse_poly(ring, text):
         elif m.group("xpow") is None:
             exp = 1
         else:
-            exp = int(m.group("xpow"))
+            digits = m.group("xpow").lstrip("0") or "0"
+            if len(digits) > _EXPONENT_DIGITS:
+                raise GuardExceededError(f"x exponent of {len(digits)} digits exceeds 2^16")
+            exp = int(digits)
             if exp > _EXPONENT_LIMIT:
                 raise GuardExceededError(f"x exponent {exp} exceeds 2^16", cost=exp)
         if sign < 0:

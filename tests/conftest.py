@@ -126,18 +126,24 @@ EXTRA_FIELDS = {
     "F4099": (4099, (1, 1)),
     "F5_4": (5, (2, 0, 0, 0, 1)),
 }
+# Fields above the 2^16 table limit, served by the polynomial kernel.
+BIG_FIELDS = {
+    "F2_17": (2, (1, 0, 0, 1) + (0,) * 13 + (1,)),
+    "F3_11": (3, (2, 0, 1) + (0,) * 8 + (1,)),
+}
 PRESETS = preset_names()
 
 
 @pytest.fixture(scope="session")
 def field_named():
-    """name -> FieldSpec for a preset or an EXTRA_FIELDS entry, one per session."""
+    """name -> FieldSpec for a preset or an EXTRA_FIELDS or BIG_FIELDS entry,
+    one per session."""
     cache = {}
 
     def get(name):
         if name not in cache:
-            if name in EXTRA_FIELDS:
-                p, mod = EXTRA_FIELDS[name]
+            if name in EXTRA_FIELDS or name in BIG_FIELDS:
+                p, mod = {**EXTRA_FIELDS, **BIG_FIELDS}[name]
                 cache[name] = FieldSpec(p, mod, name=name)
             else:
                 cache[name] = get_field(name)

@@ -3,7 +3,9 @@
 ``naive_mul`` multiplies field elements straight from coefficient tuples by
 convolution and long reduction, never touching the log tables it checks.
 ``naive_add``, ``naive_neg`` and ``naive_pow`` are the matching coefficient-wise
-sum, negation and square-and-multiply power.  ``sweep_eval_consistency`` verifies, for every polynomial up to a degree
+sum, negation and square-and-multiply power, and ``naive_mat_mul`` and
+``naive_rank`` the matrix product and Gaussian elimination on them.
+``sweep_eval_consistency`` verifies, for every polynomial up to a degree
 bound at once (vectorized), that right evaluation through the norm formula
 agrees with the remainder of right division by x - a at every point a.
 ``split_quotient_divisor_profile`` counts monic right divisors by degree from
@@ -14,7 +16,8 @@ F[x; a -> a^(p^t)] for any shift t, and ``norm_eval`` evaluates through
 N_i(a) = a^((q^i - 1)/(q - 1)); both sum with ``naive_add``, so no oracle
 here shares a path with the field kernel that the ring loops bind.
 ``constacyclic_modulus_by_scan`` finds the constacyclic modulus of a
-generator by one full division per nonzero a, and ``vanishing_set_by_sweep``
+generator by one full division per nonzero a, ``rs1_brackets_repeat_by_scan``
+checks a skew-RS length by a set of the brackets a^[i], and ``vanishing_set_by_sweep``
 finds the right roots of a polynomial by evaluating it at every point.
 ``bch1_generator_by_fold`` folds one subfield minimal polynomial per
 designed root by base-ring lclm, and ``bch2_generator_by_closure`` takes the
@@ -98,6 +101,42 @@ def naive_pow(field, a, k):
     return out
 
 
+def naive_mat_mul(a, b, field):
+    """Product of int grids by naive_mul and naive_add."""
+    out = []
+    for row in a:
+        orow = []
+        for col in zip(*b):
+            acc = 0
+            for x, y in zip(row, col):
+                term = naive_mul(field, FieldElement(field, x), FieldElement(field, y))
+                acc = naive_add(field, acc, term.i)
+            orow.append(acc)
+        out.append(orow)
+    return out
+
+
+def naive_rank(rows, field):
+    """Rank of an int grid by Gaussian elimination on naive_mul, naive_add
+    and the inverse a^(order - 2) from naive_pow."""
+    m = [[FieldElement(field, c) for c in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = naive_pow(field, m[rank][col], field.order - 2)
+        for i in range(rank + 1, len(m)):
+            if m[i][col]:
+                f = naive_mul(field, m[i][col], inv)
+                m[i] = [FieldElement(field, naive_add(field, x.i, naive_mul(field, f, y).i,
+                                                      sign=-1))
+                        for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
 def twisted_mul(field, t, a, b):
     """Product of ascending index tuples in F[x; a -> a^(p^t)]:
     sum a_i (b_j)^(p^(t i)) x^(i+j), from naive_mul, naive_pow and
@@ -157,6 +196,19 @@ def constacyclic_modulus_by_scan(ring, g, n):
         if g.right_divides(f):
             return f
     return None
+
+
+def rs1_brackets_repeat_by_scan(ring, a, n):
+    """Whether a^[0], ..., a^[n-1] repeat, [i] = (q^i - 1)/(q - 1), by a set
+    of the values: the length check skew_rs1 made before it shared the
+    bracket scan of the first-kind BCH specs."""
+    field, seen = ring.field, set()
+    for i in range(n):
+        v = field.pow_i(a, norm_exponent(ring.q, i))
+        if v in seen:
+            return True
+        seen.add(v)
+    return False
 
 
 def bch1_generator_by_fold(spec):

@@ -22,6 +22,7 @@ from skewcodes.bch import (
     left_x_multiple,
     min_distance_exact,
     skew_rs1,
+    _rs1_brackets_repeat,
 )
 from skewcodes.codes import Modulus, SkewCyclicCode, vandermonde_parity_check
 from skewcodes.errors import ConditionViolatedError, GuardExceededError
@@ -34,6 +35,7 @@ from oracle_utils import (
     bch1_generator_by_fold,
     bch2_generator_by_closure,
     constacyclic_modulus_by_scan,
+    rs1_brackets_repeat_by_scan,
 )
 
 
@@ -280,6 +282,23 @@ def test_skew_rs_rejects_repeated_brackets(R4, F4):
     # over F4 with q=2, alpha^[i] repeats quickly: n too large must fail
     with pytest.raises(ConditionViolatedError):
         skew_rs1(R4, F4.gen, b=0, delta=2, n=4)
+
+
+@pytest.mark.parametrize("name", ["F4", "F16", "F2_6"])
+def test_rs1_bracket_scan_matches_set_scan(name):
+    """skew_rs1's length check (one bracket scan a^[i] = 1) against the set
+    of a^[0..n-1], for every a (0 included), every e and every n up to the
+    field order."""
+    F = get_field(name)
+    for e in (e for e in range(1, F.degree + 1) if F.degree % e == 0):
+        R = SkewRing(F, e)
+        for a in range(F.order):
+            for n in range(F.order + 1):
+                assert _rs1_brackets_repeat(R, a, n) == rs1_brackets_repeat_by_scan(R, a, n)
+    R4 = SkewRing(get_field("F4"), 1)
+    assert skew_rs1(R4, 0, b=0, delta=2, n=2).k == 1
+    with pytest.raises(ConditionViolatedError, match=r"alpha\^\[0\.\.n-1\] are not distinct"):
+        skew_rs1(R4, 0, b=0, delta=2, n=3)
 
 
 def test_skew_rs_explicit_modulus(R16, F16):

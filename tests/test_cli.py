@@ -241,6 +241,15 @@ def test_huge_x_exponent_exits_guard(capsys, exponent):
     assert err == f"guard exceeded: x exponent {exponent} exceeds 2^16\n"
 
 
+def test_x_exponent_longer_than_int_reads_exits_guard(capsys):
+    code, out, err = run_cli(
+        capsys, "vanish", "--preset", "F4", "--e", "1", "--poly", "x^" + "1" * 5000 + "+1",
+    )
+    assert code == EXIT_GUARD == 3
+    assert out == ""
+    assert err == "guard exceeded: x exponent of 5000 digits exceeds 2^16\n"
+
+
 @pytest.mark.parametrize("e", ["3", "0"])
 def test_e_not_dividing_the_degree_is_a_domain_error(capsys, e):
     """The value parses, so it is no usage error: the field rejects it."""

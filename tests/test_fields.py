@@ -429,8 +429,38 @@ def test_kernel_references_the_field_tables(field_named):
     assert fresh.neg_i(fresh.kernel().exp[1]) == naive_neg(fresh, fresh.kernel().exp[1])
     assert fresh._add_table is None
     assert fresh.add_i(4, 7) == naive_add(fresh, 4, 7) and fresh._add_table is not None
-    big = FieldSpec(2, (1, 0, 0, 1) + (0,) * 13 + (1,))
-    assert big.kernel() is None and big._exp is None
+    # above the table limit: a polynomial kernel that serves every operation
+    # against the coefficient oracles and builds no table
+    big = FieldSpec(3, (2, 0, 1) + (0,) * 8 + (1,))
+    kern = big.kernel()
+    assert kern is big.kernel()
+    E = big.element
+
+    def prod(x, y):
+        return naive_mul(big, E(x), E(y)).i
+
+    def frob(x, t):
+        return naive_pow(big, E(x), 3 ** t).i
+
+    a, b, c = 5, 1 << 16, big.order - 1
+    assert kern.add(a, b) == naive_add(big, a, b) and kern.neg(b) == naive_neg(big, b)
+    assert kern.scale(c, (a, 0, b)) == (prod(c, a), 0, prod(c, b))
+    out = [a, b]
+    kern.addmul(out, 1, c, [(0, a)], 3)
+    assert out == [a, naive_add(big, b, prod(c, frob(a, 3)))]
+    r = [b, a]
+    digit = kern.divstep(r, 0, c, b, [(0, a)], 2)
+    assert digit == prod(c, frob(b, 2))
+    assert r == [naive_add(big, b, prod(digit, frob(a, 2)), sign=-1), a]
+    n2 = prod(b, frob(b, 1))   # N_2(b) for sigma = frob_1
+    assert kern.evaluate((a, c, c), b, 1) == naive_add(big, naive_add(big, a, prod(c, b)),
+                                                       prod(c, n2))
+    m = [[a, b], [c, a]]
+    kern.eliminate(m, 0, 0)
+    row0 = [1, prod(naive_pow(big, E(a), big.order - 2).i, b)]
+    assert m == [row0, [0, naive_add(big, a, prod(c, row0[1]), sign=-1)]]
+    assert big._exp is None and big._log is None and big._add_table is None
+    assert big._frob_tables == [None] * big.degree
 
 
 @pytest.mark.parametrize(

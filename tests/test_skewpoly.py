@@ -5,11 +5,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import EXTRA_FIELDS, PRESETS
-from oracle_utils import naive_neg, naive_poly_add, naive_pow, norm_eval, twisted_mul
+from conftest import BIG_FIELDS, EXTRA_FIELDS, PRESETS
+from oracle_utils import (
+    naive_mat_mul,
+    naive_neg,
+    naive_poly_add,
+    naive_pow,
+    naive_rank,
+    norm_eval,
+    twisted_mul,
+)
 from skewcodes.errors import GuardExceededError
 from skewcodes.fields import FieldElement, FieldSpec, conjugacy_class, conjugate, get_field
-from skewcodes.linalg import unwrap
+from skewcodes.linalg import mat_mul_i, rank_i, right_kernel_i, unwrap
 from skewcodes.skewpoly import (
     SkewRing,
     _mirror_ci,
@@ -307,25 +315,34 @@ def test_mirror_map_random(R8, F16, F64):
                           rand_poly(ring, rng.randrange(0, 6), rng))
 
 
-# -- the flat ring kernel against coefficient arithmetic ------------------------------
+# -- the field kernels against coefficient arithmetic ---------------------------------
 
 
 def _degree(name):
-    return len(EXTRA_FIELDS[name][1]) - 1 if name in EXTRA_FIELDS else get_field(name).degree
+    extra = {**EXTRA_FIELDS, **BIG_FIELDS}
+    return len(extra[name][1]) - 1 if name in extra else get_field(name).degree
 
 
+# above the table limit (BIG_FIELDS): e = 1 and the identity e = d
 KERNEL_RING_CASES = [
     (name, e)
     for name in PRESETS + ["F2_16", "F3_10"]
     for e in range(1, _degree(name) + 1)
     if _degree(name) % e == 0
-]
+] + [(name, e) for name in BIG_FIELDS for e in (1, _degree(name))]
+
+
+def _assert_no_table_above_the_limit(F):
+    if F.order > 1 << 16:
+        assert F._exp is None and F._log is None and F._add_table is None
+        assert F._frob_tables == [None] * F.degree
 
 
 @pytest.mark.parametrize("name,e", KERNEL_RING_CASES)
 def test_ring_kernels_against_coefficient_arithmetic(name, e, field_named):
     """*, scaling, division on both sides and evaluation against twisted_mul,
-    naive_poly_add and norm_eval, which never touch the flat kernel."""
+    naive_poly_add and norm_eval, which never touch the field kernel.  Above
+    the table limit no table is built."""
     F = field_named(name)
     R = SkewRing(F, e)
     rng = random.Random(f"{name}/{e}")
@@ -346,6 +363,32 @@ def test_ring_kernels_against_coefficient_arithmetic(name, e, field_named):
         assert naive_poly_add(F, twisted_mul(F, e, g._ci, s._ci), r._ci) == f._ci
         for a in [0, 1] + [rng.randrange(F.order) for _ in range(3)]:
             assert f(F.element(a)) == norm_eval(R, f, F.element(a))
+    _assert_no_table_above_the_limit(F)
+
+
+@pytest.mark.parametrize("name", ["F9", "F2_17", "F3_11"])
+def test_elimination_kernels_against_naive_arithmetic(name, field_named):
+    """rank_i, right_kernel_i and mat_mul_i against Gaussian elimination and
+    products on naive_mul and naive_add, on a table field and on the two
+    fields above the table limit."""
+    F = field_named(name)
+    rng = random.Random(name)
+    for rows_n, cols_n in [(1, 4), (3, 3), (3, 5), (4, 2)]:
+        for _ in range(3):
+            rows = [[rng.randrange(F.order) if rng.random() < 0.7 else 0
+                     for _ in range(cols_n)] for _ in range(rows_n)]
+            if rng.random() < 0.5:   # a dependent row
+                rows.append(naive_mat_mul([[rng.randrange(F.order)
+                                            for _ in rows]], rows, F)[0])
+            rank = naive_rank(rows, F)
+            assert rank_i(rows, F) == rank
+            basis = right_kernel_i(rows, F)
+            assert len(basis) == cols_n - rank and naive_rank(basis, F) == len(basis)
+            for v in basis:   # A v = 0
+                assert all(c == [0] for c in naive_mat_mul(rows, [[x] for x in v], F))
+            other = [[rng.randrange(F.order) for _ in range(3)] for _ in range(cols_n)]
+            assert mat_mul_i(rows, other, F) == naive_mat_mul(rows, other, F)
+    _assert_no_table_above_the_limit(F)
 
 
 # -- property tests on both sides -----------------------------------------------------

@@ -80,6 +80,25 @@ def test_parse_poly_guards_the_x_exponent(R4):
     assert parse_poly(R4, "x^65536+1").degree == 1 << 16
 
 
+def test_exponents_of_any_length(R4):
+    """An x exponent longer than int() reads is refused by the guard, leading
+    zeros do not count, and a^k of any length parses to a^(k mod (order-1)),
+    against a positional reduction of the digits."""
+    with pytest.raises(GuardExceededError, match="x exponent of 5000 digits exceeds 2"):
+        parse_poly(R4, "x^" + "1" * 5000 + "+1")
+    assert parse_poly(R4, "x^" + "0" * 5000 + "3").degree == 3
+    assert parse_poly(R4, "x^" + "0" * 200 + "65536+1").degree == 1 << 16
+    rng = random.Random(5000)
+    for name in ("F4", "F9", "F16", "F2_12"):
+        F = get_field(name)
+        n = F.order - 1
+        for digits in ("7" * 5000, "".join(rng.choice("0123456789") for _ in range(5000))):
+            k = sum(int(c) * pow(10, i, n) for i, c in enumerate(reversed(digits))) % n
+            assert parse_element(F, "a^" + digits) == F.gen ** k
+            assert parse_poly(SkewRing(F, F.degree), f"a^{digits}*x") == \
+                SkewRing(F, F.degree).poly([F.zero, F.gen ** k])
+
+
 def test_roundtrip_primitive_and_tuple_fields(R4):
     rng = random.Random(1)
     # a field without a designated primitive element prints tuples
