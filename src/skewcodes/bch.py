@@ -176,6 +176,14 @@ class _BchSpec:
     def designed_distance(self):
         return self.delta + self.nu
 
+    def designed_exponents(self):
+        """The set {b + t1*i + t2*j : i <= delta-2, j <= nu}."""
+        return {
+            self.b + self.t1 * i + self.t2 * j
+            for i in range(self.delta - 1)
+            for j in range(self.nu + 1)
+        }
+
     def validate(self):
         if self.emb.source != self.base_ring.field:
             raise ConditionViolatedError("embedding source must be the base field")
@@ -230,13 +238,7 @@ class Bch1Spec(_BchSpec):
 
 
 def bch1_root_exponents(spec):
-    return sorted(
-        {
-            spec.b + spec.t1 * i + spec.t2 * j
-            for i in range(spec.delta - 1)
-            for j in range(spec.nu + 1)
-        }
-    )
+    return sorted(spec.designed_exponents())
 
 
 def bch1_max_length(spec):
@@ -290,12 +292,8 @@ def bch1_code(spec, n=None):
         raise ConditionViolatedError(
             f"generator degree {g.degree} exceeds length {n}"
         )
-    ring = spec.base_ring
-    f = constacyclic_modulus_for(ring, g, n)
-    if f is None:
-        f = left_x_multiple(g, n)
-    code = SkewCyclicCode(Modulus(f), g)
-    return code, designed
+    f = constacyclic_modulus_for(spec.base_ring, g, n) or left_x_multiple(g, n)
+    return SkewCyclicCode(Modulus(f), g), designed
 
 
 def _rs1_brackets_repeat(ring, a, n):
@@ -325,9 +323,7 @@ def skew_rs1(ring, alpha, b, delta, n, f=None):
             "designed roots are not P-independent; generator degree dropped"
         )
     if f is None:
-        f = constacyclic_modulus_for(ring, g, n)
-        if f is None:
-            f = left_x_multiple(g, n)
+        f = constacyclic_modulus_for(ring, g, n) or left_x_multiple(g, n)
     elif not g.right_divides(f):
         raise ConditionViolatedError("supplied modulus is not a left multiple")
     return SkewCyclicCode(Modulus(f), g)
@@ -393,13 +389,7 @@ def bch2_exponent_sets(spec):
     under the order-s subgroup generated by m (smallest union of cosets)."""
     n = spec.n
     m = spec.base_ring.m
-    S = sorted(
-        {
-            (spec.b + spec.t1 * i + spec.t2 * j) % n
-            for i in range(spec.delta - 1)
-            for j in range(spec.nu + 1)
-        }
-    )
+    S = sorted({t % n for t in spec.designed_exponents()})
     closed = sorted({(t + m * l) % n for t in S for l in range(spec.s)})
     return S, closed
 

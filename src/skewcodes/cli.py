@@ -184,6 +184,20 @@ def cmd_divisors(args):
     return EXIT_OK
 
 
+def _add_code_args(sub, *flags, strategy=False):
+    """The field flags, --f, --g and --code-config, then the given switches
+    and, when asked, the distance --strategy."""
+    _add_field_args(sub)
+    sub.add_argument("--f")
+    sub.add_argument("--g")
+    sub.add_argument("--code-config", help="file with field config plus f= and g= lines")
+    for flag in flags:
+        sub.add_argument(flag, action="store_true")
+    if strategy:
+        sub.add_argument("--strategy", choices=("auto", "columns", "messages"),
+                         default="auto")
+
+
 def _build_code(args):
     if getattr(args, "code_config", None):
         if args.f or args.g or args.preset or args.config:
@@ -276,6 +290,14 @@ def _bch_common_args(sub):
                      help="run the exact distance oracle")
 
 
+def _verify_distance(args, code, designed, pairs, human):
+    """With --verify-distance, append the exact distance of a nonzero code."""
+    if args.verify_distance and code.k > 0:
+        d = min_distance_exact(code)
+        pairs.extend(_distance_pairs(code, d))
+        human.append(f"actual distance = {d} (designed {designed})")
+
+
 def _bch_tower(args):
     base_ring = _resolve_ring(args)
     ext_field = _resolve_ext_field(args)
@@ -311,10 +333,7 @@ def cmd_bch1(args):
         f"[{code.n},{code.k}] code over {base_ring.field.name}",
         f"maximal admissible length = {max_length}",
     ]
-    if args.verify_distance and code.k > 0:
-        d = min_distance_exact(code)
-        pairs.extend(_distance_pairs(code, d))
-        human.append(f"actual distance = {d} (designed {designed})")
+    _verify_distance(args, code, designed, pairs, human)
     _emit(args, pairs, human)
     return EXIT_OK
 
@@ -351,10 +370,7 @@ def cmd_bch2(args):
         f"[{code.n},{code.k}] code over {base_ring.field.name}",
         f"exponent set = {S}, coset closure = {closed}",
     ]
-    if args.verify_distance and code.k > 0:
-        d = min_distance_exact(code)
-        pairs.extend(_distance_pairs(code, d))
-        human.append(f"actual distance = {d} (designed {designed})")
+    _verify_distance(args, code, designed, pairs, human)
     _emit(args, pairs, human)
     return EXIT_OK
 
@@ -426,31 +442,15 @@ def build_parser():
     sub.set_defaults(func=cmd_divisors)
 
     sub = subs.add_parser("code", help="code report from modulus and generator")
-    _add_field_args(sub)
-    sub.add_argument("--f")
-    sub.add_argument("--g")
-    sub.add_argument("--code-config", help="file with field config plus f= and g= lines")
-    sub.add_argument("--distance", action="store_true")
-    sub.add_argument("--dual", action="store_true")
-    sub.add_argument("--check-poly", action="store_true")
-    sub.add_argument("--strategy", choices=("auto", "columns", "messages"),
-                     default="auto")
+    _add_code_args(sub, "--distance", "--dual", "--check-poly", strategy=True)
     sub.set_defaults(func=cmd_code)
 
     sub = subs.add_parser("dual", help="dual code of a constacyclic code")
-    _add_field_args(sub)
-    sub.add_argument("--f")
-    sub.add_argument("--g")
-    sub.add_argument("--code-config", help="file with field config plus f= and g= lines")
+    _add_code_args(sub)
     sub.set_defaults(func=cmd_dual)
 
     sub = subs.add_parser("distance", help="exact minimum distance")
-    _add_field_args(sub)
-    sub.add_argument("--f")
-    sub.add_argument("--g")
-    sub.add_argument("--code-config", help="file with field config plus f= and g= lines")
-    sub.add_argument("--strategy", choices=("auto", "columns", "messages"),
-                     default="auto")
+    _add_code_args(sub, strategy=True)
     sub.set_defaults(func=cmd_distance)
 
     sub = subs.add_parser("bch1", help="first-kind skew-BCH construction")

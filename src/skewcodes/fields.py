@@ -9,11 +9,12 @@ at most 2^16 elements and used to speed up multiplication and powering.
 
 No table entry costs a polynomial product.  The antilog table steps
 acc -> acc*g through a split map: with P = p^ceil(d/2), acc = l + P*h
-gives acc*g = (l*g) + ((P*h)*g), two tables of about p^(d/2) entries each
-added by XOR in characteristic 2 and by a half-width addition table
-otherwise.  Addition tables (odd p, at most 2^12 elements) are built by
-digit recursion, and each Frobenius table a -> a^(p^j) is the antilog
-table permuted, exp[log(a) * p^j].
+gives acc*g = (l*g) + ((P*h)*g), two tables of about p^(d/2) entries each,
+added in one loop by the kernel's own addition: XOR in characteristic 2,
+mod p in a prime field, and otherwise the half-width digit-add table
+applied chunk by chunk.  Addition tables (odd p, at most 2^12 elements)
+are built by digit recursion, and each Frobenius table a -> a^(p^j) is
+the antilog table permuted, exp[log(a) * p^j].
 
 ``FieldSpec.kernel()`` is the one interface the ring and elimination loops
 use, with the same row operations for every field (``addmul``, ``divstep``,
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import threading
 from math import gcd
+from operator import xor
 
 from .errors import FieldMismatchError, GuardExceededError
 
@@ -109,9 +111,10 @@ def _fp_is_irreducible(poly, p):
 def _digit_add_table(p, k):
     """Addition table of F_p^k on packed indices, by digit recursion:
     T_k[a0 + p*a'][b0 + p*b'] = (a0 + b0) % p + p*T_{k-1}[a'][b'].  Entries
-    are shared int objects, taken from one list(range(p^k))."""
+    are shared int objects, taken from one list(range(p^k)).  k = 0 gives
+    [[0]] without the p x p digit sums."""
     table = [[0]]
-    rots = [[(a0 + b0) % p for b0 in range(p)] for a0 in range(p)]
+    rots = [[(a0 + b0) % p for b0 in range(p)] for a0 in range(p)] if k else []
     for level in range(1, k + 1):
         vals = list(range(p ** level))
         rows = []
@@ -148,15 +151,15 @@ class _TableKernel:
     c * sigma^t(x) is exp[log c + log frob_t[x]].  exp (length 2n), log and
     frob (the Frobenius tables by shift, each filled on first use through
     FieldSpec.frob_table) are the field's own lists, n = order - 1 and
-    half = log(-1).  ``add`` adds two indices (odd p); the p = 2 subclass
-    adds by XOR inline and has add None.
+    half = log(-1).  ``add`` adds two indices: operator.xor for p = 2,
+    whose subclass inlines XOR in its hot loops.
 
     The scalars c, lead, ginv and the point a are nonzero, ``pairs`` lists
     (j, x) with x nonzero, and the Frobenius shift t is below the degree.
     Each operation is one call per row or polynomial.
     """
 
-    def __init__(self, field, add=None):
+    def __init__(self, field, add):
         self.field, self.add = field, add
         self.exp, self.log, self.frob = field._exp, field._log, field._frob_tables
         self.n = field.order - 1
@@ -218,7 +221,8 @@ class _TableKernel:
 
 
 class _XorKernel(_TableKernel):
-    """The table kernel for p = 2: addition is XOR and -1 = 1."""
+    """The table kernel for p = 2: addition is XOR and -1 = 1.  The row
+    loops inline the XOR; ``evaluate`` is the parent's with add = xor."""
 
     def addmul(self, out, off, c, pairs, t):
         exp, log = self.exp, self.log
@@ -234,17 +238,6 @@ class _XorKernel(_TableKernel):
         for j, x in pairs:
             r[off + j] ^= exp[lc + log[table[x]]]
         return exp[lc]
-
-    def evaluate(self, f, a, e):
-        exp, log, n, frob = self.exp, self.log, self.n, self.frob
-        d = self.field.degree
-        acc, lcur = f[0], 0
-        for i in range(1, len(f)):
-            t = e * (i - 1) % d
-            lcur = (lcur + log[(frob[t] or self.field.frob_table(t))[a]]) % n
-            if f[i]:
-                acc ^= exp[log[f[i]] + lcur]
-        return acc
 
     def eliminate(self, m, r, col):
         exp, log, n = self.exp, self.log, self.n
@@ -453,13 +446,16 @@ class FieldSpec:
         return self._pack(red)
 
     def _slow_pow(self, a, k):
-        r = 1
-        while k:
+        """a^k for k >= 0 by square-and-multiply, with no product by the
+        initial 1 and no squaring past the top bit of k."""
+        r = None
+        while True:
             if k & 1:
-                r = self._slow_mul(r, a)
-            a = self._slow_mul(a, a)
+                r = a if r is None else self._slow_mul(r, a)
             k >>= 1
-        return r
+            if not k:
+                return 1 if r is None else r
+            a = self._slow_mul(a, a)
 
     def _element_order_raw(self, a):
         n = self.order - 1
@@ -506,48 +502,24 @@ class FieldSpec:
 
         With P = p^ceil(d/2) and acc = l + P*h, acc*g = lo[l] + hi[h] where
         lo[l] = l*g and hi[h] = (P*h)*g: 2*p^(d/2) slow products in all.  The
-        sum is XOR for p = 2.  For odd p the two terms are added chunk by
-        chunk in the digit-add table of width c = d // 2 (kept as
-        ``_half_add``): two chunks of c digits, and for odd d a middle digit
-        between them, so the table never exceeds p^d entries.
+        sum is XOR for p = 2; for odd p it is the kernel's ``_chunked_adder``
+        over the digit-add table of width d // 2 (kept as ``_half_add``), so
+        no table exceeds p^d entries and a prime field adds mod p.
         """
         p, d = self.p, self.degree
-        w = (d + 1) // 2
-        P = p ** w
+        P = p ** ((d + 1) // 2)
         lo = [self._slow_mul(a, g) for a in range(P)]
         hi = [self._slow_mul(P * a, g) for a in range(self.order // P)]
-        out = [0] * n
         if p == 2:
-            mask, acc = P - 1, 1
-            for k in range(n):
-                out[k] = acc
-                acc = lo[acc & mask] ^ hi[acc >> w]
-            return out
-        if d == 1:   # hi is [0]
-            acc = 1
-            for k in range(n):
-                out[k] = acc
-                acc = lo[acc]
-            return out
-        add = self._half_add = _digit_add_table(p, d // 2)
-        if d % 2 == 0:
-            lo_l, lo_h = [a % P for a in lo], [a // P for a in lo]
-            hi_l, hi_h = [a % P for a in hi], [a // P for a in hi]
-            al, ah = 1, 0
-            for k in range(n):
-                out[k] = al + P * ah
-                al, ah = add[lo_l[al]][hi_l[ah]], add[lo_h[al]][hi_h[ah]]
-            return out
-        # acc = a0 + Q*a1 + P*a2 with a0, a2 < Q = p^c and a1 one digit
-        Q = P // p
-        lo0, lo1, lo2 = zip(*[(a % Q, a // Q % p, a // P) for a in lo])
-        hi0, hi1, hi2 = zip(*[(a % Q, a // Q % p, a // P) for a in hi])
-        a0, a1, a2 = 1, 0, 0
+            add = xor
+        else:
+            self._half_add = _digit_add_table(p, d // 2)
+            add = _chunked_adder(p, d, self._half_add)
+        out = [0] * n
+        acc = 1
         for k in range(n):
-            low = a0 + Q * a1
-            out[k] = low + P * a2
-            a0, a1, a2 = (add[lo0[low]][hi0[a2]], add[lo1[low]][hi1[a2]],
-                          add[lo2[low]][hi2[a2]])
+            out[k] = acc
+            acc = add(lo[acc % P], hi[acc // P])
         return out
 
     def kernel(self):
@@ -566,7 +538,7 @@ class FieldSpec:
             return _PolyKernel(self)
         self._build_tables()
         if self.p == 2:
-            return _XorKernel(self)
+            return _XorKernel(self, xor)
         if self.order > _ADD_TABLE_LIMIT:
             return _TableKernel(self, _chunked_adder(self.p, self.degree, self._half_add))
         table = self._add_table

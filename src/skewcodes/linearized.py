@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .errors import FieldMismatchError
 from .fields import FieldElement
-from .skewpoly import SkewPoly, _add_ci, _mul_ci, _trim
+from .skewpoly import SkewPoly, _add_ci, _eval_ci, _mul_ci, _trim
 
 
 class LinearizedPoly:
@@ -68,15 +68,11 @@ class LinearizedPoly:
         return LinearizedPoly._make(ring, out)
 
     def apply(self, a):
-        """Evaluate the induced map: sum f_i a^(q^i)."""
+        """Evaluate the induced map: sum f_i a^(q^i), the right evaluation
+        of the skew product f*a at 1."""
         ring = self.ring
-        field = ring.field
-        a = field.element(a)
-        acc = 0
-        for i, c in enumerate(self._ci):
-            if c:
-                acc = field.add_i(acc, field.mul_i(c, ring.sigma_i(a.i, i)))
-        return FieldElement(field, acc)
+        a = ring.field.element(a)
+        return FieldElement(ring.field, _eval_ci(ring, _mul_ci(ring, self._ci, (a.i,)), 1))
 
     def __eq__(self, other):
         return (
@@ -150,10 +146,9 @@ def dickson_matrix(g):
     """
     ring = g.ring
     m = ring.m
-    if isinstance(g, LinearizedPoly):
-        ci = g.reduce_map()._ci
-    else:
-        ci = from_linearized(to_linearized(g).reduce_map())._ci
+    if not isinstance(g, LinearizedPoly):
+        g = to_linearized(g)
+    ci = g.reduce_map()._ci
     coeffs = list(ci) + [0] * (m - len(ci))
     field = ring.field
     rows = []

@@ -10,7 +10,7 @@ from operator import xor
 from .errors import GuardExceededError, NotWedderburnError
 from .fields import FieldElement, _prime_factors, relative_automorphisms
 from .linalg import matrix_rank
-from .skewpoly import SkewRing, _eval_ci, lclm
+from .skewpoly import SkewRing, _eval_ci, _mul_ci, lclm
 
 _DOMAIN_SWEEP_LIMIT = 1 << 20
 
@@ -98,14 +98,14 @@ def _class_kernels(ring, ci):
     indices, of the kernel of L_a(c) = sum_i f_i N_i(a) sigma^i(c).
 
     g is the first element whose norm gamma = N(g) generates F_q^*, so the
-    g^j lie in distinct classes.  L_a is F_q-linear and the gamma^u x^v,
-    u < e, v < m, are an F_p-basis of the field (1, x, ..., x^(m-1) span it
-    over F_q), so each class takes m sums L_a(x^v) and e*m scalings.  As
-    N_i(g^j) = N_i(g)^j, the f_i N_i(a) step from class to class by one
-    product each.
+    g^j lie in distinct classes.  L_a(c) is the right evaluation of the
+    product f*c at a, and L_a is F_q-linear: the gamma^u x^v, u < e, v < m,
+    are an F_p-basis of the field (1, x, ..., x^(m-1) span it over F_q), so
+    each class takes m evaluations of the products f*x^v, formed once, and
+    e*m scalings.
     """
     field = ring.field
-    mul, add, pow_ = field.mul_i, field.add_i, field.pow_i
+    mul, pow_ = field.mul_i, field.pow_i
     p, n, q = field.p, field.order - 1, ring.q
     primes = _prime_factors(q - 1)
     g = next(
@@ -115,23 +115,15 @@ def _class_kernels(ring, ci):
     gammas = [pow_(g, u * (n // (q - 1))) for u in range(ring.e)]
     xs = [p ** v for v in range(ring.m)]
     domain = [mul(gu, xv) for xv in xs for gu in gammas]
-    shifted = [[ring.sigma_i(xv, i) for xv in xs] for i in range(len(ci))]
-    norms = [1]   # N_i(g) = N_(i-1)(g) sigma^(i-1)(g)
-    for i in range(1, len(ci)):
-        norms.append(mul(norms[-1], ring.sigma_i(g, i - 1)))
-    coeffs = list(ci)   # f_i N_i(a), a = g^0
+    products = [_mul_ci(ring, ci, (xv,)) for xv in xs]
     a = 1
     for _ in range(q - 1):
         cols = []
-        for v in range(ring.m):
-            acc = 0
-            for w, row in zip(coeffs, shifted):
-                if w:
-                    acc = add(acc, mul(w, row[v]))
+        for fx in products:
+            acc = _eval_ci(ring, fx, a)
             cols += [mul(gu, acc) for gu in gammas]
         yield a, _fp_kernel(field, cols, domain)
         a = mul(a, g)
-        coeffs = [mul(w, s) for w, s in zip(coeffs, norms)]
 
 
 def _fp_kernel(field, cols, domain):

@@ -13,8 +13,9 @@ the simple components of a split quotient R/Rf, by Gaussian binomials alone,
 and ``f2_is_irreducible`` checks the central factors that fix those
 components by trial division over F_2.  ``twisted_mul`` multiplies in
 F[x; a -> a^(p^t)] for any shift t, and ``norm_eval`` evaluates through
-N_i(a) = a^((q^i - 1)/(q - 1)); both sum with ``naive_add``, so no oracle
-here shares a path with the field kernel that the ring loops bind.
+N_i(a) = a^((q^i - 1)/(q - 1)), and ``linearized_apply_naive`` evaluates
+sum f_i a^(q^i) by ``naive_pow``; all three sum with ``naive_add``, so no
+oracle here shares a path with the field kernel that the ring loops bind.
 ``constacyclic_modulus_by_scan`` finds the constacyclic modulus of a
 generator by one full division per nonzero a, ``rs1_brackets_repeat_by_scan``
 checks a skew-RS length by a set of the brackets a^[i], and ``vanishing_set_by_sweep``
@@ -177,6 +178,18 @@ def norm_eval(ring, f, a):
     acc = 0
     for i, c in enumerate(f.coefficients):
         term = naive_mul(field, c, a ** norm_exponent(ring.q, i))
+        acc = naive_add(field, acc, term.i)
+    return FieldElement(field, acc)
+
+
+def linearized_apply_naive(ring, L, a):
+    """The induced map sum_i f_i a^(q^i) of a LinearizedPoly at an element,
+    each power by naive_pow, each product by naive_mul and the sum by
+    naive_add: no skew product and no right evaluation."""
+    field = ring.field
+    acc = 0
+    for i, c in enumerate(L.coefficients):
+        term = naive_mul(field, c, naive_pow(field, a, ring.q ** i))
         acc = naive_add(field, acc, term.i)
     return FieldElement(field, acc)
 

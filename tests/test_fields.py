@@ -1,3 +1,4 @@
+import operator
 import random
 
 import pytest
@@ -17,7 +18,7 @@ from skewcodes.fields import (
     norm_via_exponent,
     relative_automorphisms,
 )
-from conftest import PRESETS
+from conftest import EXTRA_FIELDS, PRESETS
 from oracle_utils import naive_add, naive_mul, naive_neg, naive_pow
 from skewcodes.skewpoly import SkewRing
 
@@ -315,8 +316,8 @@ _ODD_TABLE_FIELDS = {
 
 
 def _table_field(name):
-    if name in _ODD_TABLE_FIELDS:
-        p, mod = _ODD_TABLE_FIELDS[name]
+    if name in _ODD_TABLE_FIELDS or name in EXTRA_FIELDS:
+        p, mod = {**_ODD_TABLE_FIELDS, **EXTRA_FIELDS}[name]
         return FieldSpec(p, mod, name=name)
     return get_field(name)
 
@@ -324,7 +325,9 @@ def _table_field(name):
 _TABLE_FIELD_NAMES = ["F2", "F4", "F8", "F9", "F16", "F27", "F2_6", "F2_12", *_ODD_TABLE_FIELDS]
 
 
-@pytest.mark.parametrize("name", _TABLE_FIELD_NAMES)
+# a prime field (addition mod p, no digit table) and odd degrees with a
+# middle digit between the two chunks of the stepping addition
+@pytest.mark.parametrize("name", _TABLE_FIELD_NAMES + ["F4099", "F7_5", "F37_3"])
 def test_exp_log_tables_against_slow_mul(name):
     F = _table_field(name)
     F.mul_i(1, 1)
@@ -347,6 +350,29 @@ def test_frobenius_tables_against_slow_pow(name):
     for j in range(F.degree):
         e = F.p ** j
         assert [F.frob_i(a, j) for a in points] == [F._slow_pow(a, e) for a in points]
+
+
+def test_slow_pow_makes_no_product_by_one_and_no_extra_square(field_named, monkeypatch):
+    """Above 2^16 elements frob_i(a, j) is j squarings: no product by the
+    initial 1 and no squaring past the top bit of p^j."""
+    F = field_named("F2_17")
+    calls = []
+    slow_mul = F._slow_mul
+
+    def counted(a, b):
+        calls.append((a, b))
+        return slow_mul(a, b)
+
+    monkeypatch.setattr(F, "_slow_mul", counted)
+    a = 0b1011011
+    for j, count in [(0, 0), (1, 1), (5, 5)]:
+        calls.clear()
+        assert F.frob_i(a, j) == naive_pow(F, F.element(a), 2 ** j).i
+        assert len(calls) == count
+    calls.clear()
+    inv = F.inv_i(a)
+    assert len(calls) == 31   # 2^17 - 2: 16 squarings, 15 products
+    assert naive_mul(F, F.element(a), F.element(inv)).i == 1
 
 
 def test_frobenius_above_the_table_limit_builds_no_table():
@@ -421,7 +447,10 @@ def test_kernel_references_the_field_tables(field_named):
         assert kern.exp is F._exp and kern.log is F._log
         assert kern.frob is F._frob_tables and kern.n == F.order - 1
         assert kern.half == (0 if F.p == 2 else kern.n // 2)
-        assert (kern.add is None) == (F.p == 2)
+        if F.p == 2:
+            assert kern.add is operator.xor
+        else:
+            assert callable(kern.add)
         if F.p != 2 and F.order > 1 << 12:
             assert F._add_table is None
             assert len(F._half_add) ** 2 <= F.order

@@ -16,7 +16,7 @@ from skewcodes.linearized import (
     to_linearized,
 )
 from skewcodes.skewpoly import SkewRing
-from oracle_utils import mat_mul
+from oracle_utils import linearized_apply_naive, mat_mul
 
 
 def test_transport_of_x(R8):
@@ -59,6 +59,26 @@ def test_compose_pointwise_full_domain(R16):
         C = F.compose(G)
         for a in R16.field.elements():
             assert C.apply(a) == F.apply(G.apply(a))
+
+
+@pytest.mark.parametrize("name", ["F8", "F9", "F16"])
+def test_apply_against_naive_powers(name):
+    """apply (the skew product f*a evaluated at 1) against sum f_i a^(q^i)
+    by naive_pow, at every point, for every e; q-degrees run past m and
+    include the zero map."""
+    field = get_field(name)
+    rng = random.Random(name)
+    for e in range(1, field.degree + 1):
+        if field.degree % e:
+            continue
+        ring = SkewRing(field, e)
+        maps = [LinearizedPoly(ring, ())] + [
+            LinearizedPoly(ring, [rng.randrange(field.order) for _ in range(ring.m + 2)])
+            for _ in range(4)
+        ]
+        for L in maps:
+            for a in field.elements():
+                assert L.apply(a) == linearized_apply_naive(ring, L, a)
 
 
 def test_induced_map_is_linear_over_fixed_field(R9, F9):
