@@ -5,7 +5,7 @@ class of the variable.  A vector (c_0, ..., c_{d-1}) is packed positionally
 into the integer sum(c_i * p^i); this is a packing of the canonical
 coefficient form, not a discrete logarithm.  Log/antilog tables over a
 multiplicative generator are built lazily (once, under a lock) for fields of
-at most 2^16 elements and used to speed up multiplication and powering.
+at most 2^16 elements.
 
 No table entry costs a polynomial product.  The antilog table steps
 acc -> acc*g through a split map: with P = p^ceil(d/2), acc = l + P*h
@@ -16,20 +16,29 @@ applied chunk by chunk.  Addition tables (odd p, at most 2^12 elements)
 are built by digit recursion, and each Frobenius table a -> a^(p^j) is
 the antilog table permuted, exp[log(a) * p^j].
 
-``FieldSpec.kernel()`` is the one interface the ring and elimination loops
-use, with the same row operations for every field (``addmul``, ``divstep``,
-``scale``, ``evaluate``, ``eliminate``), each called once per row.  Up to
+``FieldSpec.kernel()`` is the one arithmetic interface of a field, and
+``_make_kernel`` the one place that chooses tables or polynomials.  Every
+kernel has the scalar operations (``add``, ``neg``, ``mul``, ``inv``,
+``pow``, ``frobenius``), behind ``FieldSpec.add_i`` .. ``frob_i``, and the
+row operations the ring and elimination loops call once per row
+(``addmul``, ``divstep``, ``scale``, ``evaluate``, ``eliminate``).  Up to
 2^16 elements it works in the log domain over references to these tables;
 XOR (p = 2) or table addition is chosen when it is built.  Odd-p addition
 uses the full table up to 2^12 elements and, above that, the half-width
 digit-add table applied chunk by chunk; negation is a shift by
 log(-1) = (order - 1)/2.  Above 2^16 elements the kernel multiplies by
 coefficient arithmetic and builds no table.
+
+The F_p-linear algebra on packed indices (``_fp_kernel``, ``_fp_span``)
+lives here with the packing; it finds the roots in a conjugacy class and
+the subfield an embedding searches, the F_p-kernel of a -> a^(p^d1) - a.
 """
 
 from __future__ import annotations
 
 import threading
+from bisect import bisect_right
+from functools import partial
 from math import gcd
 from operator import xor
 
@@ -154,9 +163,10 @@ class _TableKernel:
     half = log(-1).  ``add`` adds two indices: operator.xor for p = 2,
     whose subclass inlines XOR in its hot loops.
 
-    The scalars c, lead, ginv and the point a are nonzero, ``pairs`` lists
-    (j, x) with x nonzero, and the Frobenius shift t is below the degree.
-    Each operation is one call per row or polynomial.
+    The scalars c, lead, ginv, the point a and the arguments of mul, inv
+    and pow are nonzero, ``pairs`` lists (j, x) with x nonzero, the power k
+    is nonnegative and the Frobenius shift t is below the degree.  Each row
+    operation is one call per row or polynomial.
     """
 
     def __init__(self, field, add):
@@ -167,6 +177,19 @@ class _TableKernel:
 
     def neg(self, a):
         return self.exp[self.log[a] + self.half] if a else 0
+
+    def mul(self, a, b):
+        return self.exp[self.log[a] + self.log[b]]
+
+    def inv(self, a):
+        return self.exp[self.n - self.log[a]]
+
+    def pow(self, a, k):
+        return self.exp[self.log[a] * k % self.n]
+
+    def frobenius(self, a, t):
+        """sigma^t(a) = a^(p^t), from the table of shift t."""
+        return (self.frob[t] or self.field.frob_table(t))[a]
 
     def scale(self, c, f):
         """The tuple of c * x over f."""
@@ -253,9 +276,9 @@ class _XorKernel(_TableKernel):
 
 
 class _PolyKernel:
-    """The same row operations above the table limit, by coefficient
-    arithmetic: a product is one _slow_mul, an inverse one _slow_pow (through
-    inv_i) and sigma^t(a) one power a^(p^t).  No table is built."""
+    """The same operations above the table limit, by coefficient arithmetic:
+    a product is one _slow_mul, and a power, an inverse a^(order - 2) and
+    sigma^t(a) = a^(p^t) are each one _slow_pow.  No table is built."""
 
     def __init__(self, field):
         self.field, self.mul = field, field._slow_mul
@@ -270,26 +293,32 @@ class _PolyKernel:
         F = self.field
         return F._pack([-x % F.p for x in F.coeffs_of(a)])
 
-    def frob(self, a, t):
-        return self.field._slow_pow(a, self.field.p ** t) if t else a
+    def inv(self, a):
+        return self.field._slow_pow(a, self.field.order - 2)
+
+    def pow(self, a, k):
+        return self.field._slow_pow(a, k)
+
+    def frobenius(self, a, t):
+        return self.field._slow_pow(a, self.field.p ** t) if t and a else a
 
     def scale(self, c, f):
         mul = self.mul
         return tuple(mul(c, x) if x else 0 for x in f)
 
     def addmul(self, out, off, c, pairs, t):
-        mul, add, frob = self.mul, self.add, self.frob
+        mul, add, frob = self.mul, self.add, self.frobenius
         for j, x in pairs:
             y = frob(x, t)
             out[off + j] = add(out[off + j], y if c == 1 else mul(c, y))
 
     def divstep(self, r, off, lead, ginv, pairs, t):
-        c = self.mul(lead, self.frob(ginv, t))
+        c = self.mul(lead, self.frobenius(ginv, t))
         self.addmul(r, off, self.neg(c), pairs, t)
         return c
 
     def evaluate(self, f, a, e):
-        mul, add, frob, d = self.mul, self.add, self.frob, self.field.degree
+        mul, add, frob, d = self.mul, self.add, self.frobenius, self.field.degree
         acc, cur = f[0], 1   # cur = N_i(a)
         for i in range(1, len(f)):
             cur = mul(cur, frob(a, e * (i - 1) % d))
@@ -298,7 +327,7 @@ class _PolyKernel:
         return acc
 
     def eliminate(self, m, r, col):
-        c = self.field.inv_i(m[r][col])
+        c = self.inv(m[r][col])
         if c != 1:
             m[r] = list(self.scale(c, m[r]))
         pairs = [(k, v) for k, v in enumerate(m[r]) if v]
@@ -478,6 +507,8 @@ class FieldSpec:
             n = self.order - 1
             gen = self.gen.i
             if self.primitive:
+                if gen == 0:   # the modulus is x
+                    raise ValueError(f"{self.name}: primitive flag set but the generator is 0")
                 if self._element_order_raw(gen) != n:
                     raise ValueError(
                         f"{self.name}: primitive flag set but the generator has "
@@ -570,21 +601,12 @@ class FieldSpec:
     def mul_i(self, a, b):
         if a == 0 or b == 0:
             return 0
-        if self._exp is None:
-            if self.order > _TABLE_LIMIT:
-                return self._slow_mul(a, b)
-            self._build_tables()
-        return self._exp[self._log[a] + self._log[b]]
+        return (self._kernel or self.kernel()).mul(a, b)
 
     def inv_i(self, a):
         if a == 0:
             raise ZeroDivisionError(f"inverse of zero in {self.name}")
-        if self._exp is None:
-            if self.order > _TABLE_LIMIT:
-                return self._slow_pow(a, self.order - 2)
-            self._build_tables()
-        n = self.order - 1
-        return self._exp[(n - self._log[a]) % n]
+        return (self._kernel or self.kernel()).inv(a)
 
     def div_i(self, a, b):
         return self.mul_i(a, self.inv_i(b))
@@ -596,24 +618,12 @@ class FieldSpec:
             if k < 0:
                 raise ZeroDivisionError("negative power of zero")
             return 0
-        n = self.order - 1
-        k %= n
-        if self._exp is None:
-            if self.order > _TABLE_LIMIT:
-                return self._slow_pow(a, k)
-            self._build_tables()
-        return self._exp[(self._log[a] * k) % n]
+        return (self._kernel or self.kernel()).pow(a, k % (self.order - 1))
 
     def frob_i(self, a, j):
         """a^(p^j); j is reduced modulo the field degree.  Above the table
         limit each call is one power and no table is built."""
-        j %= self.degree
-        table = self._frob_tables[j]
-        if table is None:
-            if self.order > _TABLE_LIMIT:   # one power, not a full table
-                return self.pow_i(a, self.p ** j)
-            table = self.frob_table(j)
-        return table[a]
+        return (self._kernel or self.kernel()).frobenius(a, j % self.degree)
 
     def frob_table(self, j):
         """The table of a -> a^(p^j) for 0 <= j < degree, built on first use;
@@ -865,15 +875,60 @@ def conjugacy_classes(aut):
     return out
 
 
+def _fp_kernel(field, cols, domain):
+    """F_p-basis of the kernel of an F_p-linear map, as packed indices,
+    from the images cols[t] of the basis vectors domain[t].
+
+    A packed index is its digit vector (a bitmask for p = 2).  Each image is
+    reduced by its top digit against an echelon basis of the earlier ones,
+    carrying its preimage along; an image that reaches 0 leaves its
+    preimage as a kernel vector.  A top digit lam is cleared by adding the
+    echelon pair scaled by -lam, through the field kernel.
+    """
+    p = field.p
+    kern = field.kernel()
+    add, scale = kern.add, kern.scale
+    powers = [p ** t for t in range(field.degree)]
+    top = int.bit_length if p == 2 else partial(bisect_right, powers)
+    echelon = {}   # 1 + top digit -> (image with top digit 1, preimage)
+    kernel = []
+    for v, pre in zip(cols, domain):
+        while v:
+            k = top(v)
+            lead = v // powers[k - 1]
+            if k not in echelon:
+                if lead != 1:
+                    v, pre = scale(pow(lead, p - 2, p), (v, pre))
+                echelon[k] = v, pre
+                break
+            bv, bpre = echelon[k] if lead == p - 1 else scale(p - lead, echelon[k])
+            v, pre = add(v, bv), add(pre, bpre)
+        else:
+            kernel.append(pre)
+    return kernel
+
+
+def _fp_span(field, basis):
+    """Every F_p-combination of the packed vectors in basis, 0 first."""
+    kern = field.kernel()
+    add, units = kern.add, range(1, field.p)
+    span = [0]
+    for v in basis:
+        multiples = kern.scale(v, units)
+        span += [add(s, w) for s in span for w in multiples]
+    return span
+
+
 class FieldEmbedding:
     """An embedding F_{p^d1} -> F_{p^d2} with d1 | d2.
 
-    The image of the source generator is found by exhaustive root search of
-    the source defining polynomial in the target (desk scale), picking the
-    root with the lexicographically least coefficient sequence so the
-    embedding is deterministic.  With target tables only the subfield of
-    order p^d1 is searched: 0 and the powers of g^((p^d2-1)/(p^d1-1)).  When source and target are the same spec the
-    identity map is used.
+    The image of the source generator is the root of the source defining
+    polynomial in the target with the lexicographically least coefficient
+    sequence, so the embedding is deterministic.  The roots lie in the
+    subfield of order p^d1, the F_p-kernel of a -> a^(p^d1) - a, and only
+    its span is searched.  When source and target are the same spec the
+    identity map is used.  Every element is embedded, and every candidate
+    checked, by polynomial evaluation through the target's kernel.
     """
 
     _ROOT_SEARCH_LIMIT = 1 << 20
@@ -895,41 +950,19 @@ class FieldEmbedding:
             self.generator_image = target.gen
         else:
             self.generator_image = self._find_root()
-        self._image_powers = self._gen_powers()
         self._inverse = None
 
     def _find_root(self):
-        t = self.target
-        mod = self.source.modulus
-        if t.order > _TABLE_LIMIT:
-            cands = range(t.order)
-        else:
-            # the roots lie in the subfield: 0 and the powers of exp[c]
-            t._build_tables()
-            step = (t.order - 1) // (self.source.order - 1)
-            cands = [0] + t._exp[:t.order - 1:step]
-        best = None
-        for cand in cands:
-            acc = 0
-            power = 1
-            for c in mod:
-                if c:
-                    acc = t.add_i(acc, t.mul_i(c % t.p, power))
-                power = t.mul_i(power, cand)
-            if acc == 0:
-                key = t.coeffs_of(cand)
-                if best is None or key < best[0]:
-                    best = (key, cand)
-        if best is None:
+        t, mod = self.target, self.source.modulus
+        kern = t.kernel()
+        basis = [t.p ** i for i in range(t.degree)]
+        images = [kern.add(kern.pow(b, self.source.order), kern.neg(b)) for b in basis]
+        # evaluate reads a nonzero point; at 0 the value is the constant term
+        roots = [a for a in _fp_span(t, _fp_kernel(t, images, basis))
+                 if (kern.evaluate(mod, a, 0) if a else mod[0]) == 0]
+        if not roots:
             raise ArithmeticError("no root found; defining polynomial not split")
-        return FieldElement(t, best[1])
-
-    def _gen_powers(self):
-        t = self.target
-        powers = [1]
-        for _ in range(self.source.degree - 1):
-            powers.append(t.mul_i(powers[-1], self.generator_image.i))
-        return powers
+        return FieldElement(t, min(roots, key=t.coeffs_of))
 
     @property
     def relative_degree(self):
@@ -937,19 +970,14 @@ class FieldEmbedding:
 
     def embed(self, a):
         a = self.source.element(a)
-        t = self.target
-        acc = 0
-        for c, power in zip(a.coeffs, self._image_powers):
-            if c:
-                acc = t.add_i(acc, t.mul_i(c, power))
-        return FieldElement(t, acc)
+        g = self.generator_image.i
+        return FieldElement(self.target, self.target.kernel().evaluate(a.coeffs, g, 0))
 
     def _build_inverse(self):
         # idempotent; a benign race just rebuilds the same dict
-        inv = {}
-        for a in range(self.source.order):
-            inv[self.embed(FieldElement(self.source, a)).i] = a
-        self._inverse = inv
+        evaluate, g = self.target.kernel().evaluate, self.generator_image.i
+        coeffs_of = self.source.coeffs_of
+        self._inverse = {evaluate(coeffs_of(a), g, 0): a for a in range(self.source.order)}
 
     def restrict(self, b):
         """Invert the embedding; returns None when b is not in the subfield."""

@@ -60,11 +60,13 @@ class LinearizedPoly:
         return LinearizedPoly._make(self.ring, _mul_ci(self.ring, self._ci, other._ci))
 
     def reduce_map(self):
-        """Fold exponents modulo m (valid on F_{q^m} since a^(q^m) = a)."""
-        ring = self.ring
-        out = [0] * ring.m
-        for i, c in enumerate(self._ci):
-            out[i % ring.m] = ring.field.add_i(out[i % ring.m], c)
+        """Fold exponents modulo m (valid on F_{q^m} since a^(q^m) = a):
+        one kernel addmul per block of m coefficients."""
+        ring, ci, m = self.ring, self._ci, self.ring.m
+        addmul = ring.field.kernel().addmul
+        out = [0] * m
+        for b in range(0, len(ci), m):
+            addmul(out, 0, 1, [(j, x) for j, x in enumerate(ci[b:b + m]) if x], 0)
         return LinearizedPoly._make(ring, out)
 
     def apply(self, a):

@@ -1,14 +1,16 @@
 """Vanishing sets, algebraic sets, minimal polynomials and skew Vandermonde
-matrices for right evaluation of skew polynomials."""
+matrices for right evaluation of skew polynomials.
+
+Roots are found one sigma-conjugacy class at a time: each class is one
+F_p-kernel, solved and spanned by the packed-digit algebra of ``fields``
+(``_fp_kernel``, ``_fp_span``), with every scalar through the field kernel
+bound once per call.
+"""
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from functools import partial
-from operator import xor
-
 from .errors import GuardExceededError, NotWedderburnError
-from .fields import FieldElement, _prime_factors, relative_automorphisms
+from .fields import FieldElement, _fp_kernel, _fp_span, _prime_factors, relative_automorphisms
 from .linalg import matrix_rank
 from .skewpoly import SkewRing, _eval_ci, _mul_ci, lclm
 
@@ -84,11 +86,12 @@ def vanishing_set(f, emb=None):
         return AlgebraicSet(
             domain, [a for a in range(domain.order) if _eval_ci(ring, ci, a) == 0]
         )
-    mul, pow_ = domain.mul_i, domain.pow_i
+    kern = domain.kernel()
+    mul, pow_, q1 = kern.mul, kern.pow, ring.q - 1
     roots = set() if ci[0] else {0}
     for a, basis in _class_kernels(ring, ci):
         # sigma(c) a c^-1 = a c^(q-1)
-        roots.update(mul(a, pow_(c, ring.q - 1)) for c in _fp_span(domain, basis)[1:])
+        roots.update(mul(a, pow_(c, q1)) for c in _fp_span(domain, basis)[1:])
     return AlgebraicSet(domain, roots)
 
 
@@ -105,7 +108,8 @@ def _class_kernels(ring, ci):
     e*m scalings.
     """
     field = ring.field
-    mul, pow_ = field.mul_i, field.pow_i
+    kern = field.kernel()
+    mul, pow_, scale = kern.mul, kern.pow, kern.scale
     p, n, q = field.p, field.order - 1, ring.q
     primes = _prime_factors(q - 1)
     g = next(
@@ -121,56 +125,9 @@ def _class_kernels(ring, ci):
         cols = []
         for fx in products:
             acc = _eval_ci(ring, fx, a)
-            cols += [mul(gu, acc) for gu in gammas]
+            cols += scale(acc, gammas) if acc else [0] * ring.e
         yield a, _fp_kernel(field, cols, domain)
         a = mul(a, g)
-
-
-def _fp_kernel(field, cols, domain):
-    """F_p-basis of the kernel of an F_p-linear map, as packed indices,
-    from the images cols[t] of the basis vectors domain[t].
-
-    A packed index is its digit vector (a bitmask for p = 2).  Each image is
-    reduced by its top digit against an echelon basis of the earlier ones,
-    carrying its preimage along; an image that reaches 0 leaves its
-    preimage as a kernel vector.
-    """
-    p = field.p
-    mul = field.mul_i
-    powers = [p ** t for t in range(field.degree)]
-    if p == 2:
-        top, sub = int.bit_length, xor
-    else:
-        top, sub = partial(bisect_right, powers), field.sub_i
-    echelon = {}   # 1 + top digit -> (image with top digit 1, preimage)
-    kernel = []
-    for v, pre in zip(cols, domain):
-        while v:
-            k = top(v)
-            lead = v // powers[k - 1]
-            if k not in echelon:
-                if lead != 1:
-                    inv = pow(lead, p - 2, p)
-                    v, pre = mul(inv, v), mul(inv, pre)
-                echelon[k] = v, pre
-                break
-            bv, bpre = echelon[k]
-            if lead != 1:
-                bv, bpre = mul(lead, bv), mul(lead, bpre)
-            v, pre = sub(v, bv), sub(pre, bpre)
-        else:
-            kernel.append(pre)
-    return kernel
-
-
-def _fp_span(field, basis):
-    """Every F_p-combination of the packed vectors in basis, 0 first."""
-    mul, add = field.mul_i, field.add_i
-    span = [0]
-    for v in basis:
-        multiples = [mul(lam, v) for lam in range(1, field.p)]
-        span += [add(s, w) for s in span for w in multiples]
-    return span
 
 
 def minimal_polynomial(ring, points):

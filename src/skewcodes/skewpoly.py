@@ -223,7 +223,7 @@ def _scale_ci(ring, c, f):
 
 
 def _sigma_ci(ring, f, j):
-    frob, t = ring.field.frob_i, ring.e * j
+    frob, t = ring.field.kernel().frobenius, ring.e * j % ring.field.degree
     return tuple(frob(c, t) for c in f)
 
 
@@ -232,8 +232,8 @@ def _mirror_ci(ring, f):
 
     Applied with the mirror's twist it is the inverse map mu^-1.
     """
-    frob, e = ring.field.frob_i, ring.e
-    return tuple(frob(c, -e * i) for i, c in enumerate(f))
+    frob, e, d = ring.field.kernel().frobenius, ring.e, ring.field.degree
+    return tuple(frob(c, -e * i % d) for i, c in enumerate(f))
 
 
 def _to_mirror(ring, *polys):

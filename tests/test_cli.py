@@ -423,3 +423,12 @@ def test_prime_field_config_f2(capsys, tmp_path):
     assert code == EXIT_OK and err == ""
     pairs = machine_dict(out)
     assert pairs["count"] == "1"
+
+
+def test_primitive_flag_on_the_modulus_x_exits_1(capsys, tmp_path):
+    # the variable of F_5[x]/(x) is 0, so the flag cannot hold
+    cfg = tmp_path / "f5.cfg"
+    cfg.write_text("p=5\ne=1\nd=1\nmodpoly=0,1\nprimitive=true\n")
+    code, out, err = run_cli(capsys, "field-info", "--config", str(cfg))
+    assert code == EXIT_DOMAIN and out == ""
+    assert "generator is 0" in err

@@ -28,3 +28,51 @@ def test_every_import_is_relative_or_standard_library():
         if root != "skewcodes" and root not in sys.stdlib_module_names
     ]
     assert foreign == []
+
+
+# The tables and the limit that decides between table and polynomial arithmetic.
+TABLE_NAMES = {"_exp", "_log", "_frob_tables", "_add_table", "_half_add", "_gen_index",
+               "_TABLE_LIMIT"}
+SCALAR_METHODS = ("mul_i", "inv_i", "pow_i", "frob_i")
+
+
+def _table_references(node):
+    """(line, name) for each attribute, name or import of a TABLE_NAMES entry."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute):
+            name = sub.attr
+        elif isinstance(sub, ast.Name):
+            name = sub.id
+        elif isinstance(sub, ast.alias):
+            name = sub.name
+        else:
+            continue
+        if name in TABLE_NAMES:
+            yield sub.lineno, name
+
+
+def test_tables_stay_behind_the_field_kernel():
+    """Only fields.py touches the tables, and there neither the scalar
+    methods nor the embedding do: they go through FieldSpec.kernel(), so
+    the choice between tables and polynomials is made in one place."""
+    outside = [
+        f"{path.name}:{line}: {name}"
+        for path in sorted(SRC.glob("*.py")) if path.name != "fields.py"
+        for line, name in _table_references(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert outside == []
+    tree = ast.parse((SRC / "fields.py").read_text(encoding="utf-8"))
+    classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+
+    def methods(cls, names=None):
+        return {f"{cls}.{fn.name}": fn for fn in classes[cls].body
+                if isinstance(fn, ast.FunctionDef) and (names is None or fn.name in names)}
+
+    checked = {**methods("FieldSpec", SCALAR_METHODS), **methods("FieldEmbedding")}
+    assert len(checked) > len(SCALAR_METHODS)
+    inside = [
+        f"{qualname}:{line}: {name}"
+        for qualname, fn in checked.items()
+        for line, name in _table_references(fn)
+    ]
+    assert inside == []

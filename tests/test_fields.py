@@ -1,5 +1,6 @@
 import operator
 import random
+import time
 
 import pytest
 
@@ -11,6 +12,7 @@ from skewcodes.fields import (
     conjugacy_class,
     conjugacy_classes,
     conjugate,
+    find_irreducible,
     frobenius_power,
     get_field,
     norm,
@@ -18,7 +20,7 @@ from skewcodes.fields import (
     norm_via_exponent,
     relative_automorphisms,
 )
-from conftest import EXTRA_FIELDS, PRESETS
+from conftest import BIG_FIELDS, EXTRA_FIELDS, PRESETS
 from oracle_utils import naive_add, naive_mul, naive_neg, naive_pow
 from skewcodes.skewpoly import SkewRing
 
@@ -490,6 +492,90 @@ def test_kernel_references_the_field_tables(field_named):
     assert m == [row0, [0, naive_add(big, a, prod(c, row0[1]), sign=-1)]]
     assert big._exp is None and big._log is None and big._add_table is None
     assert big._frob_tables == [None] * big.degree
+
+
+def _assert_no_table(F):
+    assert F._exp is None and F._log is None and F._add_table is None
+    assert F._frob_tables == [None] * F.degree
+
+
+@pytest.mark.parametrize("source,image", [("F4", 37384), ("F8", 584)])
+def test_embedding_above_the_table_limit(source, image):
+    """Into F_2^18 the roots come from the subfield's span, not a scan of
+    the 2^18 elements, and the target builds no table."""
+    S = get_field(source)
+    T = FieldSpec(2, find_irreducible(2, 18))
+    assert T.modulus == (1, 0, 0, 1) + (0,) * 14 + (1,)   # x^18 + x^3 + 1
+    start = time.perf_counter()
+    emb = FieldEmbedding(S, T)
+    assert time.perf_counter() - start < 1.0
+    g = emb.generator_image
+    assert g.i == image
+    # the conjugates g^(2^j), j < d1, are d1 distinct roots: every root
+    conjugates = [naive_pow(T, g, 2 ** j) for j in range(S.degree)]
+    assert len({c.i for c in conjugates}) == S.degree
+    for r in conjugates:
+        acc, power = 0, T.one
+        for c in S.modulus:
+            if c:
+                acc = naive_add(T, acc, c * power.i)   # c is 0 or 1
+            power = naive_mul(T, power, r)
+        assert acc == 0
+    assert g == min(conjugates, key=lambda r: r.coeffs)
+    for a in S.elements():
+        assert emb.restrict(emb.embed(a)) == a
+    _assert_no_table(T)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["F16", "F2_16",            # XOR tables
+     "F9", "F3_6",              # odd tables with a full addition table
+     "F3_10", "F7_5",           # chunked addition
+     "F4099",                   # a prime field
+     "F2_17", "F3_11"],         # polynomial arithmetic
+)
+def test_scalar_ops_on_every_kernel_kind(name, field_named):
+    F = field_named(name)
+    E = F.element
+    rng = random.Random(name)
+    big = F.order > 1 << 16
+    n, d = F.order - 1, F.degree
+    points = [1, F.p - 1, F.order - 1]
+    points += [rng.randrange(1, F.order) for _ in range(4 if big else 40)]
+    for a in [0] + points:
+        x = E(a)
+        for b in points[:6] + [0]:
+            y = E(b)
+            assert F.mul_i(a, b) == naive_mul(F, x, y).i
+            if b:
+                inv = F.inv_i(b)
+                assert naive_mul(F, y, E(inv)).i == 1
+                assert F.div_i(a, b) == naive_mul(F, x, E(inv)).i
+        for k in (0, 1, 2, 5, n, n + 3):
+            assert F.pow_i(a, k) == naive_pow(F, x, k).i
+        if a:
+            for k in (-1, -3):
+                assert F.pow_i(a, k) == naive_pow(F, x, k % n).i
+        for j in (0, 1, d - 1, d, d + 2, 2 * d + 1):
+            assert F.frob_i(a, j) == naive_pow(F, x, F.p ** (j % d)).i
+    with pytest.raises(ZeroDivisionError):
+        F.inv_i(0)
+    with pytest.raises(ZeroDivisionError):
+        F.pow_i(0, -1)
+    if big:
+        _assert_no_table(F)
+
+
+@pytest.mark.parametrize("p", [2, 5])
+def test_primitive_flag_rejects_a_zero_generator(p):
+    """With modulus x the variable is 0, which no table can be built on."""
+    with pytest.raises(ValueError, match="generator is 0"):
+        FieldSpec(p, (0, 1), primitive=True)
+    F = FieldSpec(p, (0, 1))   # without the flag a generator is searched
+    a = F.element(p - 1)
+    assert F.mul_i(a.i, a.i) == naive_mul(F, a, a).i
+    assert naive_mul(F, a, F.element(F.inv_i(a.i))) == F.one
 
 
 @pytest.mark.parametrize(

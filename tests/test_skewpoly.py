@@ -442,6 +442,32 @@ def test_bezout_both_sides(polys):
         assert d2.degree + lcrm(f1, f2).degree == f1.degree + f2.degree
 
 
+# every preset at every admissible e (each divisor of the degree, the identity
+# included), and the polynomial kernel above the table limit at e = 1
+AXIOM_RINGS = [
+    SkewRing(get_field(name), e)
+    for name in PRESETS
+    for e in range(1, get_field(name).degree + 1)
+    if get_field(name).degree % e == 0
+] + [SkewRing(FieldSpec(*BIG_FIELDS["F2_17"], name="F2_17"), 1)]
+
+
+@pytest.mark.parametrize("ring", AXIOM_RINGS, ids=lambda R: f"{R.field.name}-e{R.e}")
+@given(data=st.data())
+def test_ring_axioms(ring, data):
+    F = ring.field
+    coeffs = st.lists(st.integers(0, F.order - 1), max_size=5)
+    f, g, h = (ring.from_indices(data.draw(coeffs)) for _ in range(3))
+    assert (f * g) * h == f * (g * h)
+    assert f * (g + h) == f * g + f * h
+    assert (f + g) * h == f * h + g * h
+    # x a = sigma(a) x, with sigma(a) = a^q from the coefficient oracle
+    a = F.element(data.draw(st.integers(0, F.order - 1)))
+    sigma_a = naive_pow(F, a, ring.q)
+    assert ring.x * ring.poly([a]) == ring.poly([sigma_a]) * ring.x
+    assert (ring.x * ring.poly([a]))._ci == ((0, sigma_a.i) if a else ())
+
+
 # -- evaluation ----------------------------------------------------------------------
 
 

@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from conftest import PRESETS
 from skewcodes.errors import GuardExceededError, ParseError
 from skewcodes.fields import FieldSpec, get_field
 from skewcodes.skewpoly import SkewRing
@@ -110,6 +113,15 @@ def test_roundtrip_primitive_and_tuple_fields(R4):
                 [rng.randrange(ring.field.order) for _ in range(rng.randrange(1, 6))]
             )
             assert parse_poly(ring, format_poly(f)) == f
+
+
+@pytest.mark.parametrize("name", PRESETS)
+@given(data=st.data())
+def test_parse_format_roundtrip_on_every_preset(name, data):
+    F = get_field(name)
+    ring = SkewRing(F, 1)
+    f = ring.from_indices(data.draw(st.lists(st.integers(0, F.order - 1), max_size=7)))
+    assert parse_poly(ring, format_poly(f)) == f
 
 
 def test_format_element_styles(F8):
