@@ -18,16 +18,17 @@ from math import comb, gcd
 
 from .codes import Modulus, SkewCyclicCode, _codewords
 from .errors import ConditionViolatedError, GuardExceededError, SearchCancelledError
-from .fields import FieldElement, norm_exponent
-from .linalg import rank_i, right_kernel_i, unwrap
-from .linearized import moore_matrix
-from .rootsets import _subfield_minimal_polynomial, minimal_polynomial, skew_vandermonde
-from .skewpoly import SkewRing, apply_automorphism
+from .fields import FieldElement
+from .linalg import rank_i, right_kernel_i, unwrap, wrap
+from .rootsets import _minpoly_ci, _subfield_minimal_polynomial, _vandermonde_i
+from .skewpoly import SkewPoly, SkewRing, apply_automorphism
 
 
 # -- minimum distance oracle -------------------------------------------------------
 
 _DISTANCE_LENGTH_GUARD = 24
+_LENGTH_GUARD = 1 << 16   # the largest modulus degree parse_poly accepts
+_DESIGNED_SET_GUARD = 1 << 20
 _MESSAGE_ROUTE_GUARD = 1 << 24
 _COLUMN_ROUTE_GUARD = 1 << 25
 
@@ -58,22 +59,20 @@ def min_distance_exact(code, strategy="auto", cancel=None):
         raise GuardExceededError(f"distance oracle limited to n <= 24, got {n}")
     if rank_i(rows, field) != k:
         raise ValueError("generator matrix must have full rank")
+    msg_cost = field.order ** k
+    col_cost = sum(comb(n, w) for w in range(1, n - k + 2))
     if strategy == "auto":
-        msg_cost = field.order ** k
-        col_cost = sum(comb(n, w) for w in range(1, n - k + 2))
         strategy = "messages" if msg_cost <= col_cost else "columns"
     if strategy == "messages":
-        cost = field.order ** k
-        if cost > _MESSAGE_ROUTE_GUARD:
+        if msg_cost > _MESSAGE_ROUTE_GUARD:
             raise GuardExceededError(
-                f"message enumeration cost {cost} exceeds 2^24", cost=cost
+                f"message enumeration cost {msg_cost} exceeds 2^24", cost=msg_cost
             )
         return _distance_by_messages(rows, field, n, cancel)
     if strategy == "columns":
-        cost = sum(comb(n, w) for w in range(1, n - k + 2))
-        if cost > _COLUMN_ROUTE_GUARD:
+        if col_cost > _COLUMN_ROUTE_GUARD:
             raise GuardExceededError(
-                f"column search cost {cost} exceeds 2^25", cost=cost
+                f"column search cost {col_cost} exceeds 2^25", cost=col_cost
             )
         return _distance_by_columns(rows, field, n, k, cancel)
     raise ValueError(f"unknown strategy {strategy!r}")
@@ -125,8 +124,8 @@ class EvaluationCode:
         n = len(pts)
         if not 1 <= k < n:
             raise ValueError("need 1 <= k < n")
-        full = skew_vandermonde(ring, n, pts)
-        if rank_i(unwrap(full), field) != n:
+        full = _vandermonde_i(ring, n, [a.i for a in pts])
+        if rank_i(full, field) != n:
             raise ConditionViolatedError(
                 "points do not have full skew Vandermonde rank"
             )
@@ -135,8 +134,11 @@ class EvaluationCode:
         self.points = tuple(pts)
         self.n = n
         self.k = k
-        self.generator_matrix = [row[:] for row in full[:k]]
-        self._gen_rows_i = unwrap(self.generator_matrix)
+        self._gen_rows_i = full[:k]
+
+    @property
+    def generator_matrix(self):
+        return wrap(self._gen_rows_i, self.field)
 
     def __repr__(self):
         return f"EvaluationCode(n={self.n}, k={self.k})"
@@ -178,6 +180,11 @@ class _BchSpec:
 
     def designed_exponents(self):
         """The set {b + t1*i + t2*j : i <= delta-2, j <= nu}."""
+        count = (self.delta - 1) * (self.nu + 1)
+        if count > _DESIGNED_SET_GUARD:
+            raise GuardExceededError(
+                f"designed exponent set of {count} exceeds 2^20", cost=count
+            )
         return {
             self.b + self.t1 * i + self.t2 * j
             for i in range(self.delta - 1)
@@ -199,10 +206,15 @@ class _BchSpec:
 def _unit_brackets(field, q, bases, limit):
     """Yield (ell, i) for each base (numbered from 1) with a bracket power
     base^[i] = 1, [i] = (q^i-1)/(q-1), at some 1 <= i < limit: the least
-    such i."""
+    such i.  [i + 1] = q[i] + 1 is stepped modulo N = order - 1, a bijection
+    of Z/N, so [i] returns to [0] = 0 within N steps: a nonzero base reaches
+    1 by i = N, and 0 never does."""
+    n = field.order - 1
     for ell, base in enumerate(bases, 1):
-        for i in range(1, limit):
-            if field.pow_i(base, norm_exponent(q, i)) == 1:
+        k = 0
+        for i in range(1, min(limit, n + 1) if base else 0):
+            k = (k * q + 1) % n
+            if field.pow_i(base, k) == 1:
                 yield ell, i
                 break
 
@@ -292,6 +304,8 @@ def bch1_code(spec, n=None):
         raise ConditionViolatedError(
             f"generator degree {g.degree} exceeds length {n}"
         )
+    if n > _LENGTH_GUARD:
+        raise GuardExceededError(f"code length {n} exceeds 2^16", cost=n)
     f = constacyclic_modulus_for(spec.base_ring, g, n) or left_x_multiple(g, n)
     return SkewCyclicCode(Modulus(f), g), designed
 
@@ -314,10 +328,7 @@ def skew_rs1(ring, alpha, b, delta, n, f=None):
         raise ConditionViolatedError(
             "alpha^[0..n-1] are not distinct; length too large"
         )
-    roots = [
-        FieldElement(field, field.pow_i(alpha.i, b + i)) for i in range(delta - 1)
-    ]
-    g = minimal_polynomial(ring, roots)
+    g = SkewPoly(ring, _minpoly_ci(ring, [field.pow_i(alpha.i, b + i) for i in range(delta - 1)]))
     if g.degree != delta - 1:
         raise ConditionViolatedError(
             "designed roots are not P-independent; generator degree dropped"
@@ -333,20 +344,23 @@ def skew_rs1(ring, alpha, b, delta, n, f=None):
 
 
 def _is_normal(ring, a):
-    """Whether the sigma-orbit of a is a basis over the fixed field: its
-    Moore matrix has full rank m."""
+    """Whether the sigma-orbit of the packed a is a basis over the fixed
+    field: its Moore matrix, the Hankel matrix sigma^(i+j)(a), has full
+    rank m.  sigma^m is the identity, so row i is the orbit rotated by i."""
     m = ring.m
-    orbit = [ring.sigma(a, j) for j in range(m)]
-    return rank_i(unwrap(moore_matrix(ring, orbit, m)), ring.field) == m
+    orbit = [ring.sigma_i(a, j) for j in range(m)]
+    return rank_i([orbit[i:] + orbit[:i] for i in range(m)], ring.field) == m
 
 
 def find_normal_element(ring):
     """The first power of the primitive element whose sigma-orbit is a basis
     over the fixed field (Moore matrix invertible); deterministic scan."""
-    gen = ring.field.gen
-    for k in range(1, ring.field.order - 1):
-        if _is_normal(ring, cand := gen ** k):
-            return cand
+    field = ring.field
+    cand = 1
+    for _ in range(1, field.order - 1):
+        cand = field.mul_i(cand, field._x)
+        if _is_normal(ring, cand):
+            return FieldElement(field, cand)
     raise ArithmeticError("no normal element found; this cannot happen")
 
 
@@ -365,8 +379,11 @@ class Bch2Spec(_BchSpec):
 
     @property
     def beta(self):
-        field = self.emb.target
-        return FieldElement(field, field.pow_i(self.alpha.i, self.base_ring.q - 1))
+        return FieldElement(self.emb.target, self._beta_i)
+
+    @property
+    def _beta_i(self):
+        return self.emb.target.pow_i(self.alpha.i, self.base_ring.q - 1)
 
     def validate(self):
         super().validate()
@@ -380,7 +397,7 @@ class Bch2Spec(_BchSpec):
             raise ConditionViolatedError(
                 f"gcd(n, t2) = {gcd(n, self.t2)} >= delta = {self.delta}"
             )
-        if not _is_normal(ext, self.alpha):
+        if not _is_normal(ext, self.alpha.i):
             raise ConditionViolatedError("alpha does not generate a normal basis")
 
 
@@ -401,7 +418,7 @@ def bch2_generator(spec):
     spec.validate()
     field = spec.emb.target
     q = spec.base_ring.q
-    beta = spec.beta.i
+    beta = spec._beta_i
     S, _ = bch2_exponent_sets(spec)
     roots = [field.pow_i(beta, q ** t) for t in S]
     g = _subfield_minimal_polynomial(spec.base_ring, spec.emb, roots)

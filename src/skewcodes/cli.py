@@ -5,11 +5,11 @@ eval-code, minpoly, vanish.  Output is human-readable by default;
 --machine emits deterministic key=value lines (elements in both power and
 tuple form where they appear standalone).
 
-Exit status: 0 success, 2 parse/usage errors, 3 guard exceeded,
-4 condition violated, 1 other domain errors.  A flag value that parses but
-that the field rejects, such as an --e that does not divide the field
-degree, is a domain error (1); an x exponent above 2^16 in polynomial text
-is a guard refusal (3).
+Exit status: 0 success, 2 parse/usage errors (an unknown preset name
+included), 3 guard exceeded, 4 condition violated, 1 other domain errors.
+A flag value that parses but that the field rejects, such as an --e that
+does not divide the field degree, is a domain error (1); an x exponent
+above 2^16 in polynomial text is a guard refusal (3).
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ def _resolve_field(args):
     if args.preset and args.config:
         raise ParseError("give either --preset or --config, not both")
     if args.preset:
-        return get_field(args.preset), (1 if args.e is None else args.e)
+        return _preset(args.preset), (1 if args.e is None else args.e)
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             field, e = parse_field_config(fh.read())
@@ -96,9 +96,16 @@ def _resolve_ring(args):
     return SkewRing(field, e)
 
 
+def _preset(name):
+    try:
+        return get_field(name)
+    except KeyError as exc:   # an unknown name is a usage error
+        raise ParseError(exc.args[0]) from None
+
+
 def _resolve_ext_field(args):
     if getattr(args, "ext_preset", None):
-        return get_field(args.ext_preset)
+        return _preset(args.ext_preset)
     if getattr(args, "ext_config", None):
         with open(args.ext_config, "r", encoding="utf-8") as fh:
             field, _ = parse_field_config(fh.read())

@@ -20,14 +20,15 @@ from .errors import (
     SearchCancelledError,
 )
 from .fields import FieldElement
-from .linalg import is_zero_matrix_i, mat_mul_i, rank_i, unwrap, wrap
-from .rootsets import _lift, require_wedderburn_roots, skew_vandermonde
+from .linalg import is_zero_matrix_i, mat_mul_i, rank_i, wrap
+from .rootsets import _lift, _vandermonde_i, _wedderburn_roots_i
 from .skewpoly import (
     SkewPoly,
     _mirror_ci,
     _monic_right_divisors_ci,
     _mul_ci,
     _right_divmod_ci,
+    _sigma_ci,
     _trim,
     apply_automorphism,
     is_two_sided,
@@ -111,11 +112,8 @@ def _codewords(field, rows, n, cancel=None):
 def _banded_rows_i(ring, g_ci, count, n):
     """Rows i < count of sigma^i(g) shifted i places: x^i * g while
     i + deg g < n, so these are also the first rows of the circulant."""
-    rows = []
-    for i in range(count):
-        shifted = [0] * i + [ring.sigma_i(c, i) for c in g_ci]
-        rows.append(shifted + [0] * (n - len(shifted)))
-    return rows
+    tail = n - len(g_ci)
+    return [[0] * i + list(_sigma_ci(ring, g_ci, i)) + [0] * (tail - i) for i in range(count)]
 
 
 class SkewCirculant:
@@ -434,13 +432,12 @@ def vandermonde_parity_check(code, roots=None, emb=None):
         # are the embedded generator rows
         g = _lift(code.generator, emb)
         ring, rows = g.ring, _banded_rows_i(g.ring, g._ci, code.k, code.n)
-    if roots is None:
-        roots = require_wedderburn_roots(code.generator)
-    else:
-        roots = [ring.field.element(rt) for rt in roots]
-    M = skew_vandermonde(ring, code.n, roots)
-    M_i = unwrap(M)
     field = ring.field
+    if roots is None:
+        roots = _wedderburn_roots_i(code.generator)
+    else:
+        roots = [field.element(rt).i for rt in roots]
+    M_i = _vandermonde_i(ring, code.n, roots)
     for row in rows:
         prod = mat_mul_i([row], M_i, field)
         if not is_zero_matrix_i(prod):
@@ -449,7 +446,7 @@ def vandermonde_parity_check(code, roots=None, emb=None):
         # annihilation plus matching kernel dimension pins the kernel to the code
         if code.n - rank_i(M_i, field) != code.k:
             raise ArithmeticError("Vandermonde kernel dimension mismatch; bug")
-    return M
+    return wrap(M_i, field)
 
 
 # -- divisor enumeration ------------------------------------------------------------

@@ -32,6 +32,9 @@ coefficient arithmetic and builds no table.
 The F_p-linear algebra on packed indices (``_fp_kernel``, ``_fp_span``)
 lives here with the packing; it finds the roots in a conjugacy class and
 the subfield an embedding searches, the F_p-kernel of a -> a^(p^d1) - a.
+Packed indices are the working form: the loops over elements run on them,
+and a FieldElement is built where a public function returns one
+(``_embed_i`` and ``_restrict_i`` serve the tower routes of ``rootsets``).
 """
 
 from __future__ import annotations
@@ -368,8 +371,8 @@ class FieldSpec:
         self.order = p ** self.degree
         self.primitive = bool(primitive)
         self.name = name or f"F{p}^{self.degree}"
-        # x^d reduced: the element -sum_{i<d} m_i x^i, packed
-        self._xd = self._pack([(-c) % p for c in modulus[:-1]])
+        # the variable, packed: x itself, or for d = 1 its residue -m_0
+        self._x = p if self.degree > 1 else -modulus[0] % p
         # reentrant: building one lazy table may trigger building another
         self._lock = threading.RLock()
         self._exp = None       # antilog table, length 2*(order-1)
@@ -432,9 +435,7 @@ class FieldSpec:
     @property
     def gen(self):
         """The residue class of the variable."""
-        if self.degree == 1:
-            return FieldElement(self, self._xd)
-        return FieldElement(self, self.p)
+        return FieldElement(self, self._x)
 
     def element(self, value):
         """Build an element from an int index, coefficient iterable, or element."""
@@ -505,7 +506,7 @@ class FieldSpec:
                     f"log tables limited to 2^16 elements, field has {self.order}"
                 )
             n = self.order - 1
-            gen = self.gen.i
+            gen = self._x
             if self.primitive:
                 if gen == 0:   # the modulus is x
                     raise ValueError(f"{self.name}: primitive flag set but the generator is 0")
@@ -780,8 +781,7 @@ class FrobeniusAut:
         return gcd(j, d) if j else d
 
     def apply(self, a, j=1):
-        a = self.field.element(a)
-        return FieldElement(self.field, self.field.frob_i(a.i, (self.e * j) % self.field.degree))
+        return FieldElement(self.field, self.apply_i(self.field.element(a).i, j))
 
     def apply_i(self, a, j=1):
         return self.field.frob_i(a, (self.e * j) % self.field.degree)
@@ -820,14 +820,11 @@ def norm_exponent(q, i):
 
 def norm(aut, i, a):
     """The i-th norm N_i(a) = prod_{j<i} sigma^j(a), by the recurrence."""
-    a = aut.field.element(a)
     field = aut.field
+    a = field.element(a).i
     acc = 1
-    cur = a.i
     for j in range(i):
-        if j:
-            cur = aut.apply_i(a.i, j)
-        acc = field.mul_i(acc, cur)
+        acc = field.mul_i(acc, aut.apply_i(a, j))
     return FieldElement(field, acc)
 
 
@@ -848,24 +845,24 @@ def conjugate(aut, a, c):
 
 
 def conjugacy_class(aut, a):
-    """The conjugacy class of a under c -> sigma(c) a c^(-1), as a frozenset."""
-    a = aut.field.element(a)
+    """The conjugacy class of a under c -> sigma(c) a c^(-1), as a frozenset.
+
+    With sigma(c) = c^s, s = p^(e mod d), the conjugate is a c^(s - 1).
+    """
+    f = aut.field
+    a = f.element(a)
     if not a:
         return frozenset([a])
-    f = aut.field
-    out = set()
-    ai = a.i
-    for c in range(1, f.order):
-        out.add(f.mul_i(f.mul_i(f.frob_i(c, aut.e % f.degree), ai), f.inv_i(c)))
-    return frozenset(FieldElement(f, i) for i in out)
+    kern = f.kernel()
+    mul, pow_, k = kern.mul, kern.pow, f.p ** (aut.e % f.degree) - 1
+    return frozenset(FieldElement(f, i) for i in {mul(a.i, pow_(c, k)) for c in range(1, f.order)})
 
 
 def conjugacy_classes(aut):
     """All conjugacy classes, the zero class first, the rest sorted."""
     f = aut.field
-    seen = set()
+    seen = {0}
     out = [conjugacy_class(aut, f.zero)]
-    seen.add(0)
     for i in range(1, f.order):
         if i in seen:
             continue
@@ -928,10 +925,12 @@ class FieldEmbedding:
     subfield of order p^d1, the F_p-kernel of a -> a^(p^d1) - a, and only
     its span is searched.  When source and target are the same spec the
     identity map is used.  Every element is embedded, and every candidate
-    checked, by polynomial evaluation through the target's kernel.
+    checked, by polynomial evaluation through the target's kernel.  The
+    span and the inverse map have p^d1 entries each, so the source order
+    is bounded; ``_embed_i`` and ``_restrict_i`` map packed indices.
     """
 
-    _ROOT_SEARCH_LIMIT = 1 << 20
+    _SOURCE_LIMIT = 1 << 20
 
     def __init__(self, source, target):
         if source.p != target.p:
@@ -940,9 +939,9 @@ class FieldEmbedding:
             raise ValueError(
                 f"degree {source.degree} does not divide {target.degree}"
             )
-        if target.order > self._ROOT_SEARCH_LIMIT:
+        if source.order > self._SOURCE_LIMIT:
             raise GuardExceededError(
-                f"root search limited to 2^20 elements, target has {target.order}"
+                f"embedding limited to sources of 2^20 elements, source has {source.order}"
             )
         self.source = source
         self.target = target
@@ -968,26 +967,22 @@ class FieldEmbedding:
     def relative_degree(self):
         return self.target.degree // self.source.degree
 
-    def embed(self, a):
-        a = self.source.element(a)
-        g = self.generator_image.i
-        return FieldElement(self.target, self.target.kernel().evaluate(a.coeffs, g, 0))
+    def _embed_i(self, a):
+        return self.target.kernel().evaluate(self.source.coeffs_of(a), self.generator_image.i, 0)
 
-    def _build_inverse(self):
-        # idempotent; a benign race just rebuilds the same dict
-        evaluate, g = self.target.kernel().evaluate, self.generator_image.i
-        coeffs_of = self.source.coeffs_of
-        self._inverse = {evaluate(coeffs_of(a), g, 0): a for a in range(self.source.order)}
+    def _restrict_i(self, b):
+        """The source index of b, or None when b is not in the subfield."""
+        if self._inverse is None:   # idempotent; a benign race just rebuilds the same dict
+            self._inverse = {self._embed_i(a): a for a in range(self.source.order)}
+        return self._inverse.get(b)
+
+    def embed(self, a):
+        return FieldElement(self.target, self._embed_i(self.source.element(a).i))
 
     def restrict(self, b):
         """Invert the embedding; returns None when b is not in the subfield."""
-        b = self.target.element(b)
-        if self._inverse is None:
-            self._build_inverse()
-        idx = self._inverse.get(b.i)
-        if idx is None:
-            return None
-        return FieldElement(self.source, idx)
+        idx = self._restrict_i(self.target.element(b).i)
+        return None if idx is None else FieldElement(self.source, idx)
 
     def __repr__(self):
         return f"FieldEmbedding({self.source.name} -> {self.target.name})"
@@ -1047,15 +1042,7 @@ def preset_names():
 def find_irreducible(p, degree):
     """Lexicographically first monic irreducible polynomial of the degree."""
     for idx in range(p ** degree):
-        cand = []
-        k = idx
-        for _ in range(degree):
-            cand.append(k % p)
-            k //= p
-        cand.append(1)
-        try:
-            if _fp_is_irreducible(cand, p):
-                return tuple(cand)
-        except GuardExceededError:
-            raise
+        cand = [idx // p ** i % p for i in range(degree)] + [1]
+        if _fp_is_irreducible(cand, p):
+            return tuple(cand)
     raise ArithmeticError("no irreducible polynomial found")

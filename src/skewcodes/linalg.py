@@ -1,10 +1,11 @@
 """Exact dense linear algebra over a FieldSpec.
 
-Matrices are lists of rows.  Public helpers accept FieldElement grids and
-unwrap to packed indices; the elimination kernels work on int rows so that
-the distance oracle and rank sweeps stay fast.  Elimination and the matrix
-product bind the field's kernel (FieldSpec.kernel) once per call and make
-one row operation per row: a pivot step, or a scaled row added.
+Matrices are lists of rows.  The routines work on int grids of packed
+indices; ``wrap`` boxes a grid once, where a public function returns it,
+and ``unwrap`` (so ``matrix_rank``) also takes FieldElement grids.
+Elimination and the matrix product bind the field's kernel
+(FieldSpec.kernel) once per call and make one row operation per row: a
+pivot step, or a scaled row added.
 """
 
 from __future__ import annotations

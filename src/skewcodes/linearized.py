@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .errors import FieldMismatchError
 from .fields import FieldElement
-from .skewpoly import SkewPoly, _add_ci, _eval_ci, _mul_ci, _trim
+from .skewpoly import SkewPoly, _add_ci, _eval_ci, _join_terms, _mul_ci, _trim
 
 
 class LinearizedPoly:
@@ -87,22 +87,12 @@ class LinearizedPoly:
         return hash((self.ring, self._ci))
 
     def __str__(self):
-        if not self._ci:
-            return "0"
-        parts = []
-        for i in range(len(self._ci) - 1, -1, -1):
-            c = self._ci[i]
-            if not c:
-                continue
-            if i == 0:
-                ypart = "y"
-            elif i == 1:
-                ypart = "y^q"
-            else:
-                ypart = f"y^q^{i}"
-            token = self.ring.field.format_element(c)
-            parts.append(ypart if c == 1 else f"{token}*{ypart}")
-        return "+".join(parts)
+        ci = self._ci
+        return _join_terms(
+            ((ci[i], "y" if i == 0 else "y^q" if i == 1 else f"y^q^{i}")
+             for i in range(len(ci) - 1, -1, -1)),
+            self.ring.field.format_element,
+        )
 
     def __repr__(self):
         return f"<linearized over {self.ring.field.name}: {self}>"
@@ -129,13 +119,12 @@ def moore_matrix(ring, elements, rows=None):
     the elements are linearly independent over F_q.
     """
     field = ring.field
-    els = [field.element(b) for b in elements]
-    if rows is None:
-        rows = len(els)
-    out = []
-    for i in range(rows):
-        out.append([FieldElement(field, ring.sigma_i(b.i, i)) for b in els])
-    return out
+    idx = [field.element(b).i for b in elements]
+    frob, d, e = field.kernel().frobenius, field.degree, ring.e
+    return [
+        [FieldElement(field, frob(b, e * i % d)) for b in idx]
+        for i in range(len(idx) if rows is None else rows)
+    ]
 
 
 def dickson_matrix(g):
@@ -153,15 +142,11 @@ def dickson_matrix(g):
     ci = g.reduce_map()._ci
     coeffs = list(ci) + [0] * (m - len(ci))
     field = ring.field
-    rows = []
-    for i in range(m):
-        rows.append(
-            [
-                FieldElement(field, ring.sigma_i(coeffs[(j - i) % m], i))
-                for j in range(m)
-            ]
-        )
-    return rows
+    frob, d, e = field.kernel().frobenius, field.degree, ring.e
+    return [
+        [FieldElement(field, frob(coeffs[(j - i) % m], e * i % d)) for j in range(m)]
+        for i in range(m)
+    ]
 
 
 def root_correspondence(g, b):

@@ -4,15 +4,17 @@ matrices for right evaluation of skew polynomials.
 Roots are found one sigma-conjugacy class at a time: each class is one
 F_p-kernel, solved and spanned by the packed-digit algebra of ``fields``
 (``_fp_kernel``, ``_fp_span``), with every scalar through the field kernel
-bound once per call.
+bound once per call.  Roots, minimal polynomials (``_minpoly_ci``), the
+Vandermonde rows and the tower transport work on packed indices; a public
+function boxes FieldElement values once, where it returns.
 """
 
 from __future__ import annotations
 
 from .errors import GuardExceededError, NotWedderburnError
-from .fields import FieldElement, _fp_kernel, _fp_span, _prime_factors, relative_automorphisms
-from .linalg import matrix_rank
-from .skewpoly import SkewRing, _eval_ci, _mul_ci, lclm
+from .fields import FieldElement, _fp_kernel, _fp_span, _prime_factors
+from .linalg import rank_i, wrap
+from .skewpoly import SkewPoly, SkewRing, _eval_ci, _lclm_ci, _mul_ci
 
 _DOMAIN_SWEEP_LIMIT = 1 << 20
 
@@ -25,9 +27,12 @@ class AlgebraicSet:
     """
 
     def __init__(self, field, elements):
-        idx = sorted({field.element(a).i for a in elements})
-        self.field = field
-        self.elements = tuple(FieldElement(field, i) for i in idx)
+        self._box(field, sorted({field.element(a).i for a in elements}))
+
+    def _box(self, field, idx):
+        """Fill the set from sorted distinct packed indices; returns it."""
+        self.field, self.elements = field, tuple(FieldElement(field, i) for i in idx)
+        return self
 
     def __iter__(self):
         return iter(self.elements)
@@ -72,7 +77,12 @@ def vanishing_set(f, emb=None):
     extended as the Frobenius power of the same q.
     """
     if emb is not None:
-        return vanishing_set(_lift(f, emb))
+        f = _lift(f, emb)
+    return AlgebraicSet.__new__(AlgebraicSet)._box(f.ring.field, _roots_i(f))
+
+
+def _roots_i(f):
+    """The right roots of f as sorted packed indices (see vanishing_set)."""
     ring = f.ring
     domain = ring.field
     if domain.order > _DOMAIN_SWEEP_LIMIT:
@@ -81,18 +91,16 @@ def vanishing_set(f, emb=None):
         )
     ci = f._ci
     if not ci:   # f = 0 vanishes everywhere
-        return AlgebraicSet(domain, range(domain.order))
+        return list(range(domain.order))
     if ring.m == 1:
-        return AlgebraicSet(
-            domain, [a for a in range(domain.order) if _eval_ci(ring, ci, a) == 0]
-        )
+        return [a for a in range(domain.order) if _eval_ci(ring, ci, a) == 0]
     kern = domain.kernel()
     mul, pow_, q1 = kern.mul, kern.pow, ring.q - 1
     roots = set() if ci[0] else {0}
     for a, basis in _class_kernels(ring, ci):
         # sigma(c) a c^-1 = a c^(q-1)
         roots.update(mul(a, pow_(c, q1)) for c in _fp_span(domain, basis)[1:])
-    return AlgebraicSet(domain, roots)
+    return sorted(roots)
 
 
 def _class_kernels(ring, ci):
@@ -132,10 +140,15 @@ def _class_kernels(ring, ci):
 
 def minimal_polynomial(ring, points):
     """m_A = lclm(x - a : a in A), the monic minimal polynomial of the set."""
-    pts = points if isinstance(points, AlgebraicSet) else AlgebraicSet(ring.field, points)
-    if len(pts) == 0:
+    return SkewPoly(ring, _minpoly_ci(ring, [ring.field.element(a).i for a in points]))
+
+
+def _minpoly_ci(ring, idx):
+    """lclm(x - a) over the distinct packed points, folded in index order."""
+    if not idx:
         raise ValueError("minimal polynomial of the empty set")
-    return lclm(*(ring.x_minus(a) for a in pts))
+    neg = ring.field.neg_i
+    return _lclm_ci(ring, [(neg(a), 1) for a in sorted(set(idx))])
 
 
 def set_rank(ring, points):
@@ -149,19 +162,20 @@ def skew_vandermonde(ring, n, points):
     Satisfies (g(a_1), ..., g(a_r)) = (g_0, ..., g_{n-1}) V for deg g < n,
     and its rank equals the rank of the point set when n >= r.
     """
+    field = ring.field
+    return wrap(_vandermonde_i(ring, n, [field.element(a).i for a in points]), field)
+
+
+def _vandermonde_i(ring, n, idx):
+    """skew_vandermonde on packed points: row i + 1 is row i times sigma^i(a_j)."""
     if n < 1:
         raise ValueError("need at least one row")
     field = ring.field
-    pts = [field.element(a) for a in points]
-    rows = []
-    norms = [1] * len(pts)
-    for i in range(n):
-        if i:
-            norms = [
-                field.mul_i(cur, ring.sigma_i(a.i, i - 1))
-                for cur, a in zip(norms, pts)
-            ]
-        rows.append([FieldElement(field, c) for c in norms])
+    mul, frob = field.mul_i, field.kernel().frobenius
+    rows = [[1] * len(idx)]
+    for i in range(n - 1):
+        t = ring.e * i % field.degree
+        rows.append([mul(c, frob(a, t)) for c, a in zip(rows[-1], idx)])
     return rows
 
 
@@ -175,26 +189,28 @@ def is_wedderburn(f, emb=None):
         raise ValueError("Wedderburn test applies to monic polynomials")
     if emb is not None:
         f = _lift(f, emb)
-    roots = vanishing_set(f)
-    if len(roots) == 0:
-        return f.degree == 0
-    return minimal_polynomial(f.ring, roots) == f
+    roots = _roots_i(f)
+    return _minpoly_ci(f.ring, roots) == f._ci if roots else f.degree == 0
 
 
 def require_wedderburn_roots(f):
     """The root list of a Wedderburn polynomial (raises otherwise)."""
-    roots = vanishing_set(f)
-    if len(roots) == 0 or minimal_polynomial(f.ring, roots) != f:
+    return [FieldElement(f.ring.field, a) for a in _wedderburn_roots_i(f)]
+
+
+def _wedderburn_roots_i(f):
+    roots = _roots_i(f)
+    if not roots or _minpoly_ci(f.ring, roots) != f._ci:
         raise NotWedderburnError(
             f"{f} is not the minimal polynomial of its vanishing set"
         )
-    return list(roots)
+    return roots
 
 
 def minimal_poly_over_subfield(base_ring, emb, a):
     """The monic polynomial over the base field of least degree with right
     root a in the extension."""
-    return _subfield_minimal_polynomial(base_ring, emb, [a])
+    return _subfield_minimal_polynomial(base_ring, emb, [emb.target.element(a).i])
 
 
 # -- transport along a field tower: one lift, one restriction ----------------------
@@ -205,43 +221,40 @@ def _lift(f, emb):
     the same e: sigma extends as the Frobenius power of the same q."""
     if emb.source != f.ring.field:
         raise ValueError("embedding source must be the coefficient field")
-    ring = SkewRing(emb.target, f.ring.e)
-    return ring.from_indices(emb.embed(c).i for c in f.coefficients)
+    return SkewRing(emb.target, f.ring.e).from_indices(emb._embed_i(c) for c in f._ci)
 
 
 def _restrict(base_ring, emb, m):
-    """m, a polynomial over the extension, with every coefficient restricted
+    """The coefficients m of a polynomial over the extension, each restricted
     to the base field.  Only minimal polynomials of automorphism-closed sets
     come here, and their coefficients lie in the base field by theorem, so a
     coefficient that escapes means an arithmetic bug."""
-    coeffs = []
-    for c in m.coefficients:
-        r = emb.restrict(c)
-        if r is None:
-            raise ArithmeticError(
-                "minimal polynomial coefficient escaped the base field; "
-                "this indicates a bug in the orbit computation"
-            )
-        coeffs.append(r)
-    return base_ring.poly(coeffs)
+    coeffs = [emb._restrict_i(c) for c in m]
+    if None in coeffs:
+        raise ArithmeticError(
+            "minimal polynomial coefficient escaped the base field; "
+            "this indicates a bug in the orbit computation"
+        )
+    return base_ring.from_indices(coeffs)
 
 
-def _subfield_minimal_polynomial(base_ring, emb, points):
+def _subfield_minimal_polynomial(base_ring, emb, idx):
     """The monic polynomial over the base field of least degree with every
-    point of the extension as a right root.
+    packed point of the extension as a right root.
 
-    The automorphisms of the extension fixing the base field commute with
-    sigma, so a base polynomial vanishing at the points vanishes on their
-    closure under them; the extension ring's minimal polynomial of that
-    closure has its coefficients fixed by them, hence in the base field.
+    The automorphisms a -> a^(p^(d1*l)) of the extension fixing the base
+    field F_{p^d1} commute with sigma, so a base polynomial vanishing at the
+    points vanishes on their closure under them; the extension ring's
+    minimal polynomial of that closure has its coefficients fixed by them,
+    hence in the base field.
     """
     if emb.source != base_ring.field:
         raise ValueError("embedding source must be the base ring's field")
-    pts = [emb.target.element(a) for a in points]
-    closure = [tau.apply(a) for tau in relative_automorphisms(emb) for a in pts]
-    m = minimal_polynomial(SkewRing(emb.target, base_ring.e), closure)
-    return _restrict(base_ring, emb, m)
+    frob, d1 = emb.target.frob_i, emb.source.degree
+    closure = [frob(a, d1 * l) for l in range(emb.relative_degree) for a in idx]
+    return _restrict(base_ring, emb, _minpoly_ci(SkewRing(emb.target, base_ring.e), closure))
 
 
 def vandermonde_rank(ring, n, points):
-    return matrix_rank(skew_vandermonde(ring, n, points), ring.field)
+    field = ring.field
+    return rank_i(_vandermonde_i(ring, n, [field.element(a).i for a in points]), field)

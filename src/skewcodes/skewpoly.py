@@ -463,25 +463,23 @@ class SkewPoly:
         return "(" + field.format_element(c, style="tuple") + ")"
 
     def __str__(self):
-        if not self._ci:
-            return "0"
-        parts = []
-        for i in range(len(self._ci) - 1, -1, -1):
-            c = self._ci[i]
-            if not c:
-                continue
-            if i == 0:
-                parts.append(self._coeff_token(c))
-                continue
-            xpart = "x" if i == 1 else f"x^{i}"
-            if c == 1:
-                parts.append(xpart)
-            else:
-                parts.append(self._coeff_token(c) + "*" + xpart)
-        return "+".join(parts)
+        ci = self._ci
+        return _join_terms(
+            ((ci[i], "x" if i == 1 else f"x^{i}" if i else "") for i in range(len(ci) - 1, -1, -1)),
+            self._coeff_token,
+        )
 
     def __repr__(self):
         return f"<{self.ring!r}: {self}>"
+
+
+def _join_terms(terms, token):
+    """The text of (coefficient, variable part) terms, highest first, joined
+    by '+': zero terms are skipped, a coefficient 1 before a variable part
+    is left out, and a constant is token(c) alone; '0' when none is left."""
+    return "+".join(
+        v if v and c == 1 else f"{token(c)}*{v}" if v else token(c) for c, v in terms if c
+    ) or "0"
 
 
 # -- Euclidean theory -------------------------------------------------------------
@@ -742,17 +740,11 @@ class CommutativePoly:
         )
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for e in sorted(self.coeffs, reverse=True):
-            token = self.field.format_element(self.coeffs[e])
-            if e == 0:
-                parts.append(token)
-            else:
-                ypart = "y" if e == 1 else f"y^{e}"
-                parts.append(ypart if self.coeffs[e] == 1 else f"{token}*{ypart}")
-        return "+".join(parts)
+        return _join_terms(
+            ((self.coeffs[e], "y" if e == 1 else f"y^{e}" if e else "")
+             for e in sorted(self.coeffs, reverse=True)),
+            self.field.format_element,
+        )
 
     __repr__ = __str__
 

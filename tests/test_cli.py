@@ -1,6 +1,10 @@
+import contextlib
 import importlib
+import io
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from skewcodes.cli import (
     EXIT_CONDITION,
@@ -432,3 +436,113 @@ def test_primitive_flag_on_the_modulus_x_exits_1(capsys, tmp_path):
     code, out, err = run_cli(capsys, "field-info", "--config", str(cfg))
     assert code == EXIT_DOMAIN and out == ""
     assert "generator is 0" in err
+
+
+def test_unknown_preset_is_a_usage_error(capsys):
+    for argv in (
+        ("field-info", "--preset", "F5"),
+        ("bch1", "--preset", "F4", "--ext-preset", "F7", "--alpha", "a",
+         "--delta", "2", "--n", "3"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_PARSE and out == ""
+        assert "unknown field preset" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    # alpha = 0 has no unit bracket, so no length is refused as inadmissible
+    (("bch1", "--preset", "F4", "--alpha", "0", "--delta", "2", "--n", "100000000"),
+     "code length 100000000 exceeds 2^16"),
+    (("bch1", "--preset", "F16", "--alpha", "a", "--delta", "100000000", "--n", "3"),
+     "designed exponent set of 99999999 exceeds 2^20"),
+    (("bch2", "--preset", "F4", "--alpha", "auto", "--delta", "2", "--nu", "2000000"),
+     "designed exponent set of 2000001 exceeds 2^20"),
+])
+def test_huge_bch_parameters_exit_guard(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_GUARD and out == ""
+    assert message in err
+
+
+# -- argument fuzzing ------------------------------------------------------------------
+
+# Small presets and polynomials of degree at most 3 keep every example fast.
+# Each value is a valid token three times in four, else a hostile one:
+# garbage, a negative or huge integer, or an x exponent above 2^16.
+
+
+def _mostly(valid, hostile):
+    return st.one_of(*[st.sampled_from(valid)] * 3, st.sampled_from(hostile))
+
+
+_PRESETS = _mostly(["F4", "F16", "F8", "F9", "F27", "F2"], ["f4", "F5", "", "F2^1", "F64x"])
+_INTS = _mostly(["1", "2", "3", "0", "4", "6"],
+                ["12", "-1", "-7", str(2 ** 70), str(-2 ** 70), "x", "", "1.5"])
+_ELEMENT_TOKENS = ["0", "1", "a", "a^2", "a^7", "(1,0)", "1,1"]
+_HOSTILE_ELEMENTS = ["a^" + "9" * 30, "(1,1,1,1)", "(0,5)", "a^-1", "b", "", "("]
+_ELEMENTS = _mostly(_ELEMENT_TOKENS + ["auto"], _HOSTILE_ELEMENTS)
+_TERMS = st.builds(
+    lambda c, x: c + ("*" if c and x else "") + x,
+    _mostly(["", "1", "a", "a^2", "(1,1)"], _HOSTILE_ELEMENTS),
+    _mostly(["", "x", "x^2", "x^3"], ["x^65537", "x^" + "9" * 120, "x^", "x^-1", "xx"]),
+)
+_POLYS = st.one_of(
+    st.lists(st.tuples(st.sampled_from(["+", "-"]), _TERMS), min_size=1, max_size=3)
+    .map(lambda terms: "".join(sign + term for sign, term in terms)),
+    _mostly(["x^2+1", "x^3-a", "x^2+a*x+1", "x^3+1", "x+1", "x", "1"],
+            ["0", "+", "--x", "x^2+(1,1", ")", "x^70000+1"]),
+)
+_POINTS = st.lists(_ELEMENTS.filter(lambda t: t != "auto"), min_size=1, max_size=4).map(";".join)
+_MISSING = st.just("no-such-dir/no-such-file.cfg")
+_VALUES = {
+    "--preset": _PRESETS, "--ext-preset": _PRESETS, "--e": _INTS,
+    "--config": _MISSING, "--code-config": _MISSING, "--ext-config": _MISSING,
+    "--poly": _POLYS, "--f": _POLYS, "--g": _POLYS, "--points": _POINTS,
+    "--alpha": _ELEMENTS, "--strategy": _mostly(["auto", "columns", "messages"], ["x"]),
+    **{flag: _INTS for flag in ("--degree", "--b", "--t1", "--t2", "--delta", "--nu",
+                                "--n", "--k")},
+}
+_FIELD_FLAGS = ["--preset", "--config", "--e", "--commutative", "--machine"]
+_CODE_FLAGS = _FIELD_FLAGS + ["--f", "--g", "--code-config"]
+_BCH_FLAGS = _FIELD_FLAGS + ["--ext-preset", "--ext-config", "--alpha", "--b", "--t1",
+                             "--t2", "--delta", "--nu", "--verify-distance"]
+_COMMAND_FLAGS = {
+    "field-info": _FIELD_FLAGS,
+    "divisors": _FIELD_FLAGS + ["--poly", "--count-only", "--degree"],
+    "code": _CODE_FLAGS + ["--distance", "--dual", "--check-poly", "--strategy"],
+    "dual": _CODE_FLAGS,
+    "distance": _CODE_FLAGS + ["--strategy"],
+    "bch1": _BCH_FLAGS + ["--n"],
+    "bch2": _BCH_FLAGS,
+    "eval-code": _FIELD_FLAGS + ["--points", "--k"],
+    "minpoly": _FIELD_FLAGS + ["--points"],
+    "vanish": _FIELD_FLAGS + ["--poly"],
+}
+# a flag is present when a draw from 0..9 falls in its range: nine in ten for the
+# usual flags, one in ten for the rare ones and four in ten for the others
+_USUAL = {"--preset", "--poly", "--f", "--g", "--alpha", "--delta", "--n", "--k", "--points"}
+_RARE = {"--config", "--code-config", "--ext-config", "--no-such-flag"}
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_COMMAND_FLAGS) + ["no-such-command"]))
+    argv = [command]
+    for flag in _COMMAND_FLAGS.get(command, []) + ["--no-such-flag"]:
+        d = draw(st.integers(0, 9))
+        if d < 9 if flag in _USUAL else d == 9 if flag in _RARE else d >= 6:
+            # --flag=value, so that a value starting with '-' stays a value
+            argv.append(f"{flag}={draw(_VALUES[flag])}" if flag in _VALUES else flag)
+    return argv
+
+
+@given(_argvs())
+def test_fuzzed_arguments_exit_with_a_documented_code(argv):
+    """Any argv ends in a documented exit status, 0 to 4, returned or raised
+    as SystemExit (argparse usage errors); no other exception escapes."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (EXIT_OK, EXIT_DOMAIN, EXIT_PARSE, EXIT_GUARD, EXIT_CONDITION), argv

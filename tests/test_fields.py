@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from skewcodes.errors import FieldMismatchError
+from skewcodes.errors import FieldMismatchError, GuardExceededError
 from skewcodes.fields import (
     FieldEmbedding,
     FieldSpec,
@@ -28,6 +28,14 @@ from skewcodes.skewpoly import SkewRing
 def test_f4_defining_relation(F4):
     w = F4.gen
     assert w * w == w + F4.one
+
+
+@pytest.mark.parametrize("p,modulus,gen", [(2, (1, 1), 1), (5, (2, 1), 3), (4099, (1, 1), 4098)])
+def test_prime_field_gen_is_the_root_of_its_modulus(p, modulus, gen):
+    """Over F_p the variable is the residue -m_0 of x modulo x + m_0."""
+    F = FieldSpec(p, modulus)
+    assert F.gen.i == gen
+    assert naive_add(F, modulus[0], F.gen.i) == 0
 
 
 def test_identity_element(F8):
@@ -499,13 +507,19 @@ def _assert_no_table(F):
     assert F._frob_tables == [None] * F.degree
 
 
-@pytest.mark.parametrize("source,image", [("F4", 37384), ("F8", 584)])
-def test_embedding_above_the_table_limit(source, image):
-    """Into F_2^18 the roots come from the subfield's span, not a scan of
-    the 2^18 elements, and the target builds no table."""
+@pytest.mark.parametrize("source,degree,modulus,image", [
+    pytest.param("F4", 18, (1, 0, 0, 1) + (0,) * 14 + (1,), 37384, id="F4-37384"),
+    pytest.param("F8", 18, (1, 0, 0, 1) + (0,) * 14 + (1,), 584, id="F8-584"),
+    pytest.param("F4", 22, (1, 1) + (0,) * 20 + (1,), 2166038, id="F4-F2_22-2166038"),
+])
+def test_embedding_above_the_table_limit(source, degree, modulus, image):
+    """Into F_2^18 (x^18 + x^3 + 1) and F_2^22 (x^22 + x + 1) the roots come
+    from the subfield's span, not a scan of the target, and the target
+    builds no table; a target above 2^20 elements is not refused, since the
+    cost grows with the source."""
     S = get_field(source)
-    T = FieldSpec(2, find_irreducible(2, 18))
-    assert T.modulus == (1, 0, 0, 1) + (0,) * 14 + (1,)   # x^18 + x^3 + 1
+    T = FieldSpec(2, find_irreducible(2, degree))
+    assert T.modulus == modulus
     start = time.perf_counter()
     emb = FieldEmbedding(S, T)
     assert time.perf_counter() - start < 1.0
@@ -525,6 +539,18 @@ def test_embedding_above_the_table_limit(source, image):
     for a in S.elements():
         assert emb.restrict(emb.embed(a)) == a
     _assert_no_table(T)
+
+
+def test_embedding_refuses_a_source_above_2_20():
+    """The subfield span and the inverse map have an entry per source
+    element, so a source above 2^20 elements is refused before either is
+    built, the identity embedding included."""
+    S = FieldSpec(2, find_irreducible(2, 21))
+    start = time.perf_counter()
+    with pytest.raises(GuardExceededError, match="source has 2097152"):
+        FieldEmbedding(S, S)
+    assert time.perf_counter() - start < 0.1
+    _assert_no_table(S)
 
 
 @pytest.mark.parametrize(

@@ -3,8 +3,9 @@ import random
 
 import pytest
 
+from conftest import PRESETS
 from skewcodes.codes import Modulus, skew_circulant
-from skewcodes.fields import get_field
+from skewcodes.fields import FrobeniusAut, conjugacy_class, get_field
 from skewcodes.linalg import matrix_rank
 from skewcodes.linearized import (
     LinearizedPoly,
@@ -15,8 +16,9 @@ from skewcodes.linearized import (
     root_correspondence,
     to_linearized,
 )
+from skewcodes.rootsets import skew_vandermonde
 from skewcodes.skewpoly import SkewRing
-from oracle_utils import linearized_apply_naive, mat_mul
+from oracle_utils import linearized_apply_naive, mat_mul, naive_add, naive_mul, naive_pow
 
 
 def test_transport_of_x(R8):
@@ -224,3 +226,63 @@ def test_linearized_str():
     R = SkewRing(F8, 1)
     L = LinearizedPoly._make(R, (1, 0, F8.gen.i))
     assert str(L) == "a*y^q^2+y"
+
+
+BUILDER_RINGS = [
+    (name, e)
+    for name in PRESETS
+    for e in range(1, get_field(name).degree + 1)
+    if get_field(name).degree % e == 0
+] + [("F2_17", 1)]
+
+
+@pytest.mark.parametrize("name,e", BUILDER_RINGS)
+def test_element_builders_against_naive_arithmetic(name, e, field_named):
+    """skew_vandermonde, moore_matrix and dickson_matrix entry by entry, and
+    conjugacy_class as a set, against naive_pow and naive_mul: N_i(a) as the
+    product of the a^(q^j), j < i, the Moore entries b^(q^i), the Dickson
+    entries sigma^i of the coefficients folded modulo m, and the class of a
+    as sigma(c) a c^(-1) over every nonzero c = g^k.  Above the table limit
+    (F2_17) only the two matrices are built."""
+    F = field_named(name)
+    ring = SkewRing(F, e)
+    q, m = ring.q, ring.m
+    rng = random.Random(f"{name}-{e}")
+    pts = [F.zero, F.one] + [F.element(rng.randrange(1, F.order)) for _ in range(3)]
+
+    def sigma(a, i):
+        return naive_pow(F, a, q ** i)
+
+    rows, norms = [], [F.one] * len(pts)
+    for i in range(m + 2):
+        rows.append(norms)
+        norms = [naive_mul(F, nb, sigma(a, i)) for nb, a in zip(norms, pts)]
+    assert skew_vandermonde(ring, m + 2, pts) == rows
+    for count in (len(pts), m):
+        moore = [[sigma(b, i) for b in pts] for i in range(count)]
+        assert moore_matrix(ring, pts, count) == moore
+    assert moore_matrix(ring, pts) == moore_matrix(ring, pts, len(pts))
+    if name == "F2_17":
+        return
+    g = ring.from_indices([rng.randrange(F.order) for _ in range(m + 3)])
+    folded = [0] * m
+    for j, c in enumerate(g._ci):
+        folded[j % m] = naive_add(F, folded[j % m], c)
+    dickson = [[sigma(F.element(folded[(j - i) % m]), i) for j in range(m)] for i in range(m)]
+    assert dickson_matrix(g) == dickson
+    assert dickson_matrix(to_linearized(g)) == dickson
+    n = F.order - 1
+    powers = [F.one]
+    for _ in range(n - 1):
+        powers.append(naive_mul(F, powers[-1], F.gen))
+    # sigma(c) c^(-1) for c = g^k: sigma(g^k) = g^(k q) and (g^k)^(-1) = g^(n - k)
+    units = [naive_mul(F, powers[k * q % n], powers[-k % n]) for k in range(n)]
+    aut = FrobeniusAut(F, e)
+    assert conjugacy_class(aut, F.zero) == frozenset([F.zero])
+    for a in pts[1:3]:
+        assert conjugacy_class(aut, a) == {naive_mul(F, u, a) for u in units}
+
+
+def test_zero_map_prints_as_zero(R8):
+    """An untrimmed zero coefficient list prints like the trimmed zero map."""
+    assert str(LinearizedPoly(R8, (0, 0))) == str(LinearizedPoly(R8, ())) == "0"
