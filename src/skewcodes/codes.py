@@ -11,6 +11,7 @@ division modulo f.
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 
 from .errors import (
     GuardExceededError,
@@ -28,7 +29,6 @@ from .skewpoly import (
     _monic_right_divisors_ci,
     _mul_ci,
     _right_divmod_ci,
-    _sigma_ci,
     _trim,
     apply_automorphism,
     is_two_sided,
@@ -74,17 +74,21 @@ def _as_modulus(f):
     return f if isinstance(f, Modulus) else Modulus(f)
 
 
-def _circulant_rows_i(mod, g_ci):
-    """Rows v_f(x^i g) as packed index lists; row 0 is g reduced mod f."""
-    ring = mod.ring
+def _circulant_rows_i(ring, f_ci, g_ci, count):
+    """The first count rows v_f(x^i g) of the skew circulant of g modulo the
+    monic f, as packed index lists; row 0 is g reduced mod f.  While
+    i + deg g < n, row i is sigma^i(g) shifted i places.  Refuses more than
+    2^20 entries."""
+    n = len(f_ci) - 1
+    if count * n > 1 << 20:
+        raise GuardExceededError(f"code matrix of {count * n} entries exceeds 2^20", cost=count * n)
     field = ring.field
     kern = field.kernel()
-    n = mod.n
-    _, row = _right_divmod_ci(ring, g_ci, mod.poly._ci)
+    _, row = _right_divmod_ci(ring, g_ci, f_ci)
     rows = [list(row) + [0] * (n - len(row))]
     # x^n = f - sum_{j<n} f_j x^j in the coset: add top * (-f_j)
-    negf = [(j, field.neg_i(fj)) for j, fj in enumerate(mod.poly._ci[:-1]) if fj]
-    for _ in range(n - 1):
+    negf = [(j, field.neg_i(fj)) for j, fj in enumerate(f_ci[:-1]) if fj]
+    for _ in range(count - 1):
         nxt = [0] * (n + 1)   # x * row = sum sigma(c_j) x^(j+1)
         kern.addmul(nxt, 1, 1, [(j, c) for j, c in enumerate(rows[-1]) if c],
                     ring.e % field.degree)
@@ -92,7 +96,7 @@ def _circulant_rows_i(mod, g_ci):
         if top:
             kern.addmul(nxt, 0, top, negf, 0)
         rows.append(nxt)
-    return rows
+    return rows[:count]
 
 
 def _codewords(field, rows, n, cancel=None):
@@ -109,13 +113,6 @@ def _codewords(field, rows, n, cancel=None):
         yield word
 
 
-def _banded_rows_i(ring, g_ci, count, n):
-    """Rows i < count of sigma^i(g) shifted i places: x^i * g while
-    i + deg g < n, so these are also the first rows of the circulant."""
-    tail = n - len(g_ci)
-    return [[0] * i + list(_sigma_ci(ring, g_ci, i)) + [0] * (tail - i) for i in range(count)]
-
-
 class SkewCirculant:
     """The n x n matrix whose rows are x^i * g reduced modulo the modulus."""
 
@@ -124,7 +121,7 @@ class SkewCirculant:
         g = mod.ring.poly(g.coefficients) if g.ring != mod.ring else g
         self.modulus = mod
         self.poly = g
-        self._rows_i = _circulant_rows_i(mod, g._ci)
+        self._rows_i = _circulant_rows_i(mod.ring, mod.poly._ci, g._ci, mod.n)
 
     @property
     def rows(self):
@@ -178,9 +175,9 @@ def constacyclic_shift(ring, a, word):
 class SkewCyclicCode:
     """The code generated by a monic right divisor g of the modulus f.
 
-    Dimension k = n - deg g; the generator matrix is the banded k x n
-    matrix whose row i carries sigma^i of the coefficients of g shifted i
-    places (the first k rows of the skew circulant of g).
+    Dimension k = n - deg g; the generator matrix is the first k rows of
+    the skew circulant of g, row i sigma^i of the coefficients of g shifted
+    i places, built on first use.
     """
 
     def __init__(self, mod, g):
@@ -200,7 +197,10 @@ class SkewCyclicCode:
         self.cofactor = SkewPoly(mod.ring, s)          # f = cofactor * g
         self.n = mod.n
         self.k = mod.n - g.degree
-        self._gen_rows_i = _banded_rows_i(mod.ring, g._ci, self.k, self.n)
+
+    @cached_property
+    def _gen_rows_i(self):
+        return _circulant_rows_i(self.ring, self.modulus.poly._ci, self.generator._ci, self.k)
 
     @property
     def generator_matrix(self):
@@ -255,11 +255,12 @@ def two_sided_circulant_product(mod, g, g2):
     mod = _as_modulus(mod)
     if not mod.two_sided:
         raise NotTwoSidedError(f"{mod.poly} is not two-sided")
-    left = _circulant_rows_i(mod, _mul_ci(mod.ring, g._ci, g2._ci))
+    ring, f_ci, n = mod.ring, mod.poly._ci, mod.n
+    left = _circulant_rows_i(ring, f_ci, _mul_ci(ring, g._ci, g2._ci), n)
     right = mat_mul_i(
-        _circulant_rows_i(mod, g._ci),
-        _circulant_rows_i(mod, g2._ci),
-        mod.ring.field,
+        _circulant_rows_i(ring, f_ci, g._ci, n),
+        _circulant_rows_i(ring, f_ci, g2._ci, n),
+        ring.field,
     )
     if left != right:
         raise ArithmeticError("two-sided circulant multiplicativity failed; bug")
@@ -345,7 +346,7 @@ def dual_code(code):
     return DualData(
         SkewCyclicCode(dual_mod, h_rec.monic()),
         h_rec,
-        wrap(_banded_rows_i(ring, h_rec._ci, n - code.k, n), code.field),
+        wrap(_circulant_rows_i(ring, dual_mod.poly._ci, h_rec._ci, n - code.k), code.field),
         wrap(code._gen_rows_i, code.field),
     )
 
@@ -431,17 +432,16 @@ def vandermonde_parity_check(code, roots=None, emb=None):
         # the embedding commutes with sigma: the rows of the lifted generator
         # are the embedded generator rows
         g = _lift(code.generator, emb)
-        ring, rows = g.ring, _banded_rows_i(g.ring, g._ci, code.k, code.n)
+        f_ci = _lift(code.modulus.poly, emb)._ci
+        ring, rows = g.ring, _circulant_rows_i(g.ring, f_ci, g._ci, code.k)
     field = ring.field
     if roots is None:
         roots = _wedderburn_roots_i(code.generator)
     else:
         roots = [field.element(rt).i for rt in roots]
     M_i = _vandermonde_i(ring, code.n, roots)
-    for row in rows:
-        prod = mat_mul_i([row], M_i, field)
-        if not is_zero_matrix_i(prod):
-            raise ArithmeticError("codeword fails Vandermonde annihilation; bug")
+    if not is_zero_matrix_i(mat_mul_i(rows, M_i, field)):
+        raise ArithmeticError("codeword fails Vandermonde annihilation; bug")
     if emb is None:
         # annihilation plus matching kernel dimension pins the kernel to the code
         if code.n - rank_i(M_i, field) != code.k:

@@ -10,24 +10,23 @@ at most 2^16 elements.
 No table entry costs a polynomial product.  The antilog table steps
 acc -> acc*g through a split map: with P = p^ceil(d/2), acc = l + P*h
 gives acc*g = (l*g) + ((P*h)*g), two tables of about p^(d/2) entries each,
-added in one loop by the kernel's own addition: XOR in characteristic 2,
-mod p in a prime field, and otherwise the half-width digit-add table
-applied chunk by chunk.  Addition tables (odd p, at most 2^12 elements)
-are built by digit recursion, and each Frobenius table a -> a^(p^j) is
-the antilog table permuted, exp[log(a) * p^j].
+added in one loop: XOR in characteristic 2, mod p in a prime field, and
+otherwise the half-width digit-add table applied chunk by chunk.  Each
+Frobenius table a -> a^(p^j) is the antilog table permuted,
+exp[log(a) * p^j].
 
 ``FieldSpec.kernel()`` is the one arithmetic interface of a field, and
-``_make_kernel`` the one place that chooses tables or polynomials.  Every
-kernel has the scalar operations (``add``, ``neg``, ``mul``, ``inv``,
-``pow``, ``frobenius``), behind ``FieldSpec.add_i`` .. ``frob_i``, and the
-row operations the ring and elimination loops call once per row
-(``addmul``, ``divstep``, ``scale``, ``evaluate``, ``eliminate``).  Up to
-2^16 elements it works in the log domain over references to these tables;
-XOR (p = 2) or table addition is chosen when it is built.  Odd-p addition
-uses the full table up to 2^12 elements and, above that, the half-width
-digit-add table applied chunk by chunk; negation is a shift by
-log(-1) = (order - 1)/2.  Above 2^16 elements the kernel multiplies by
-coefficient arithmetic and builds no table.
+``_make_kernel`` the one place that chooses tables or polynomials and the
+one adder, from p and d: XOR for p = 2, mod p in a prime field, and for odd
+p with d > 1 the full digit-add table (built by digit recursion with the
+kernel) up to 2^12 elements, the half-width table chunk by chunk up to 2^16
+and digit by digit above.  Every kernel has the scalar operations (``add``,
+``neg``, ``mul``, ``inv``, ``pow``, ``frobenius``), behind ``FieldSpec.add_i``
+.. ``frob_i`` for every p, and the row operations the ring and elimination
+loops call once per row (``addmul``, ``divstep``, ``scale``, ``evaluate``,
+``eliminate``).  Up to 2^16 elements it works in the log domain over
+references to the tables, negation a shift by log(-1) = (order - 1)/2;
+above, it multiplies by coefficient arithmetic and builds no table.
 
 The F_p-linear algebra on packed indices (``_fp_kernel``, ``_fp_span``)
 lives here with the packing; it finds the roots in a conjugacy class and
@@ -139,14 +138,24 @@ def _digit_add_table(p, k):
 
 
 def _chunked_adder(p, d, table):
-    """Addition on packed indices of F_p^d through the digit-add table of
-    width c = d // 2: chunks of c digits, with one middle digit when d is
-    odd (the table's first p entries of a row add single digits).  Prime
-    fields add mod p."""
+    """Addition on packed indices of F_p^d, odd p: mod p in a prime field,
+    one lookup in the full digit-add table (p^d rows), two or three in the
+    table of width c = d // 2 (chunks of c digits, with one middle digit when
+    d is odd: a row's first p entries add single digits), and digit by
+    digit when table is None."""
     P = p ** (d // 2)
     if d == 1:
         def add(a, b):
             return (a + b) % p
+    elif table is None:
+        def add(a, b):
+            out, unit = 0, 1
+            while a or b:   # (a + b) % p is the low digit of the sum
+                out, a, b, unit = out + (a + b) % p * unit, a // p, b // p, unit * p
+            return out
+    elif len(table) == p ** d:
+        def add(a, b):
+            return table[a][b]
     elif d % 2 == 0:
         def add(a, b):
             return table[a % P][b % P] + P * table[a // P][b // P]
@@ -163,8 +172,8 @@ class _TableKernel:
     c * sigma^t(x) is exp[log c + log frob_t[x]].  exp (length 2n), log and
     frob (the Frobenius tables by shift, each filled on first use through
     FieldSpec.frob_table) are the field's own lists, n = order - 1 and
-    half = log(-1).  ``add`` adds two indices: operator.xor for p = 2,
-    whose subclass inlines XOR in its hot loops.
+    half = log(-1).  ``add`` is the field's adder from _make_kernel;
+    for p = 2 it is operator.xor, which the subclass inlines in its loops.
 
     The scalars c, lead, ginv, the point a and the arguments of mul, inv
     and pow are nonzero, ``pairs`` lists (j, x) with x nonzero, the power k
@@ -281,16 +290,11 @@ class _XorKernel(_TableKernel):
 class _PolyKernel:
     """The same operations above the table limit, by coefficient arithmetic:
     a product is one _slow_mul, and a power, an inverse a^(order - 2) and
-    sigma^t(a) = a^(p^t) are each one _slow_pow.  No table is built."""
+    sigma^t(a) = a^(p^t) are each one _slow_pow; ``add`` is the field's
+    adder from _make_kernel.  No table is built."""
 
-    def __init__(self, field):
-        self.field, self.mul = field, field._slow_mul
-
-    def add(self, a, b):
-        F = self.field
-        if F.p == 2:
-            return a ^ b
-        return F._pack([(x + y) % F.p for x, y in zip(F.coeffs_of(a), F.coeffs_of(b))])
+    def __init__(self, field, add):
+        self.field, self.add, self.mul = field, add, field._slow_mul
 
     def neg(self, a):
         F = self.field
@@ -379,13 +383,9 @@ class FieldSpec:
         self._log = None       # log table, log[0] unused
         self._gen_index = None
         self._frob_tables = [None] * self.degree
-        self._add_table = None
-        self._half_add = None  # digit-add table of width d // 2 (odd p)
+        self._add_table = None  # full digit-add table (odd p, d > 1, <= 2^12)
+        self._half_add = None   # digit-add table of width d // 2 (odd p)
         self._kernel = None
-        if p == 2:
-            self.add_i = lambda a, b: a ^ b
-            self.sub_i = self.add_i
-            self.neg_i = lambda a: a
         self._zero = FieldElement(self, 0)
         self._one = FieldElement(self, 1)
         if primitive:
@@ -534,9 +534,9 @@ class FieldSpec:
 
         With P = p^ceil(d/2) and acc = l + P*h, acc*g = lo[l] + hi[h] where
         lo[l] = l*g and hi[h] = (P*h)*g: 2*p^(d/2) slow products in all.  The
-        sum is XOR for p = 2; for odd p it is the kernel's ``_chunked_adder``
-        over the digit-add table of width d // 2 (kept as ``_half_add``), so
-        no table exceeds p^d entries and a prime field adds mod p.
+        sum is XOR for p = 2; for odd p it is ``_chunked_adder`` over the
+        digit-add table of width d // 2 (kept as ``_half_add``), so no table
+        exceeds p^d entries and a prime field adds mod p.
         """
         p, d = self.p, self.degree
         P = p ** ((d + 1) // 2)
@@ -555,10 +555,9 @@ class FieldSpec:
         return out
 
     def kernel(self):
-        """The row-operation kernel, built once under the lock: a
-        _TableKernel over the log tables up to 2^16 elements (XOR for p = 2,
-        else the full addition table up to 2^12 elements, built on the first
-        addition, and chunked digit addition above), a _PolyKernel above."""
+        """The kernel, built once under the lock: a _TableKernel over the log
+        tables up to 2^16 elements, a _PolyKernel above, either with the one
+        adder _make_kernel chooses from p and d (see the module docstring)."""
         if self._kernel is None:
             with self._lock:
                 if self._kernel is None:
@@ -566,37 +565,26 @@ class FieldSpec:
         return self._kernel
 
     def _make_kernel(self):
-        if self.order > _TABLE_LIMIT:
-            return _PolyKernel(self)
-        self._build_tables()
-        if self.p == 2:
-            return _XorKernel(self, xor)
-        if self.order > _ADD_TABLE_LIMIT:
-            return _TableKernel(self, _chunked_adder(self.p, self.degree, self._half_add))
-        table = self._add_table
-
-        def add(a, b):
-            nonlocal table
-            if table is None:   # built on the first addition
-                table = self._build_add_table()
-            return table[a][b]
-        return _TableKernel(self, add)
+        p, d, big = self.p, self.degree, self.order > _TABLE_LIMIT
+        if not big:
+            self._build_tables()
+        if p == 2:
+            add = xor
+        else:   # above 2^16 elements neither table exists: digit by digit
+            if d > 1 and self.order <= _ADD_TABLE_LIMIT:
+                self._add_table = _digit_add_table(p, d)
+            add = _chunked_adder(p, d, self._add_table or self._half_add)
+        return (_PolyKernel if big else _XorKernel if p == 2 else _TableKernel)(self, add)
 
     # -- scalar arithmetic (int indices) ---------------------------------------
 
-    def add_i(self, a, b):  # overwritten for p == 2 in __init__
+    def add_i(self, a, b):
         return (self._kernel or self.kernel()).add(a, b)
 
-    def _build_add_table(self):
-        with self._lock:
-            if self._add_table is None:
-                self._add_table = _digit_add_table(self.p, self.degree)
-            return self._add_table
-
-    def neg_i(self, a):  # overwritten for p == 2
+    def neg_i(self, a):
         return (self._kernel or self.kernel()).neg(a)
 
-    def sub_i(self, a, b):  # overwritten for p == 2
+    def sub_i(self, a, b):
         return self.add_i(a, self.neg_i(b))
 
     def mul_i(self, a, b):

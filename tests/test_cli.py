@@ -1,6 +1,7 @@
 import contextlib
 import importlib
 import io
+import time
 
 import pytest
 from hypothesis import given
@@ -252,6 +253,19 @@ def test_x_exponent_longer_than_int_reads_exits_guard(capsys):
     assert code == EXIT_GUARD == 3
     assert out == ""
     assert err == "guard exceeded: x exponent of 5000 digits exceeds 2^16\n"
+
+
+@pytest.mark.parametrize("command", ["code", "dual", "distance"])
+def test_code_matrix_above_2_20_entries_exits_guard(capsys, command):
+    """n = 2^16 with g = 1 asks for a 2^16 x 2^16 generator matrix."""
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, command, "--preset", "F2", "--f", "x^65536+1", "--g", "1", "--machine",
+    )
+    assert code == EXIT_GUARD == 3
+    assert out == ""
+    assert err == "guard exceeded: code matrix of 4294967296 entries exceeds 2^20\n"
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("e", ["3", "0"])

@@ -1,6 +1,7 @@
 import itertools
 import random
 import threading
+import time
 
 import pytest
 
@@ -31,15 +32,18 @@ from skewcodes.errors import (
     NotWedderburnError,
     SearchCancelledError,
 )
+from skewcodes.fields import get_field
 from skewcodes.linalg import matrix_rank, unwrap
 from skewcodes.skewpoly import (
     SkewRing,
     apply_automorphism,
     gcrd,
     is_two_sided,
+    lclm,
     left_reciprocal,
 )
 from skewcodes.textio import parse_poly
+from conftest import PRESETS
 from oracle_utils import (
     assert_check_identity,
     assert_cofactor_identities,
@@ -167,6 +171,61 @@ def test_generator_matrix_banded_sigma_shift(R8, F8):
     C = skew_circulant(mod, g)
     assert rows == C.rows[:3]
     assert row_space_equal(rows, C.rows, F8)
+
+
+CODE_CASES = [
+    (name, e)
+    for name in PRESETS
+    for e in range(1, get_field(name).degree + 1)
+    if get_field(name).degree % e == 0
+]
+
+
+def _preset_codes(ring):
+    """Length-6 codes of x^6 - 1 and x^6 - N_6(a), a the generator: generated
+    by 1, by the lclm of up to three linear right divisors, and by the
+    modulus itself."""
+    x6 = ring.x_pow_minus(6, ring.field.zero)
+    for c in (ring.field.one, x6(ring.field.gen)):
+        f = ring.x_pow_minus(6, c)
+        linear = enumerate_right_divisors(f, degrees=1)[1]
+        gens = [ring.one, f] + ([lclm(*linear[::max(1, len(linear) // 3)][:3])] if linear else [])
+        yield from (SkewCyclicCode(Modulus(f), g) for g in gens)
+
+
+@pytest.mark.parametrize("name,e", CODE_CASES)
+def test_code_matrices_are_circulant_rows(name, e):
+    """The generator matrix is the top k rows of the circulant of g, row i
+    sigma^i(g) shifted i places; the primal parity check is the top n - k
+    rows of the circulant of h_rec modulo the dual modulus."""
+    ring = SkewRing(get_field(name), e)
+    for code in _preset_codes(ring):
+        n, k, g = code.n, code.k, code.generator
+        assert code.circulant().rows[:k] == code.generator_matrix
+        for i, row in enumerate(code.generator_matrix):
+            band = list(apply_automorphism(g, i).coefficients)
+            assert row == [ring.field.zero] * i + band + [ring.field.zero] * (n - i - len(band))
+        data = dual_code(code)
+        circ = skew_circulant(data.code.modulus, data.raw_generator)
+        assert data.primal_parity_check == circ.rows[:n - k]
+
+
+def test_code_matrices_above_the_entry_guard(R2, F2):
+    """A code is built with one division, its matrices on first use, and a
+    matrix of more than 2^20 entries is refused."""
+    start = time.perf_counter()
+    code = SkewCyclicCode(Modulus(R2.x_pow_minus(1 << 16, F2.one)), R2.poly([1, 1]))
+    assert time.perf_counter() - start < 1
+    assert code.contains([1, 1] + [0] * ((1 << 16) - 2))
+    assert not code.contains([1] + [0] * ((1 << 16) - 1))
+    with pytest.raises(GuardExceededError) as exc:
+        code.generator_matrix
+    assert exc.value.cost == ((1 << 16) - 1) << 16
+    f = Modulus(R2.x_pow_minus(2048, F2.one))
+    for build in (lambda: SkewCyclicCode(f, R2.one).generator_matrix,
+                  lambda: skew_circulant(f, R2.one)):
+        with pytest.raises(GuardExceededError):
+            build()
 
 
 def test_membership(R8, F8):

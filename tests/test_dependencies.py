@@ -76,3 +76,35 @@ def test_tables_stay_behind_the_field_kernel():
         for line, name in _table_references(fn)
     ]
     assert inside == []
+
+
+ADDERS = {"xor", "_chunked_adder", "_digit_add_table"}
+SCALAR_ADDITION = {"add_i", "sub_i", "neg_i"}
+
+
+def test_one_adder_per_field():
+    """In fields.py only _make_kernel chooses an adder, and _powers the sum
+    that steps the antilog table before any kernel exists; no FieldSpec
+    method sets a scalar addition, and the polynomial kernel has no
+    addition of its own."""
+    tree = ast.parse((SRC / "fields.py").read_text(encoding="utf-8"))
+    classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+    functions = [fn for node in tree.body
+                 for fn in (node.body if isinstance(node, ast.ClassDef) else [node])
+                 if isinstance(fn, ast.FunctionDef)]
+    users = {
+        fn.name
+        for fn in functions
+        for sub in ast.walk(fn)
+        if getattr(sub, "id", getattr(sub, "attr", None)) in ADDERS
+    }
+    assert users == {"_make_kernel", "_powers"}
+    assigned = [
+        f"FieldSpec:{sub.lineno}: {sub.attr}"
+        for sub in ast.walk(classes["FieldSpec"])
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+        and sub.attr in SCALAR_ADDITION
+    ]
+    assert assigned == []
+    assert "add" not in {fn.name for fn in classes["_PolyKernel"].body
+                         if isinstance(fn, ast.FunctionDef)}

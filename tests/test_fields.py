@@ -449,6 +449,27 @@ def test_odd_add_sub_neg_against_coefficients(name, field_named):
         assert (-y).i == naive_neg(F, b)
 
 
+@pytest.mark.parametrize("p", [4093, 65537])
+def test_prime_field_adds_mod_p_without_a_table(p):
+    """A prime field builds no p x p addition table: p = 4093 (at most 2^12
+    elements) adds mod p in the table kernel, p = 65537 (above 2^16) in the
+    polynomial kernel."""
+    F = FieldSpec(p, (0, 1))
+    start = time.perf_counter()
+    assert F.add_i(p - 1, 2) == 1
+    assert time.perf_counter() - start < 0.1
+    assert F._add_table is None
+    assert (F._exp is None) == (p > 1 << 16)
+    rng = random.Random(p)
+    edge = [0, 1, p // 2, p - 1]
+    pairs = [(a, b) for a in edge for b in edge]
+    pairs += [(rng.randrange(p), rng.randrange(p)) for _ in range(300)]
+    for a, b in pairs:
+        assert F.add_i(a, b) == naive_add(F, a, b)
+        assert F.sub_i(a, b) == naive_add(F, a, b, sign=-1)
+        assert F.neg_i(b) == naive_neg(F, b)
+
+
 def test_kernel_references_the_field_tables(field_named):
     for name in ["F4", "F9", "F2_16", "F3_10", "F37_3"]:
         F = field_named(name)
@@ -464,10 +485,15 @@ def test_kernel_references_the_field_tables(field_named):
         if F.p != 2 and F.order > 1 << 12:
             assert F._add_table is None
             assert len(F._half_add) ** 2 <= F.order
-    fresh = FieldSpec(3, (2, 1, 1))   # the addition table waits for an addition
-    assert fresh.neg_i(fresh.kernel().exp[1]) == naive_neg(fresh, fresh.kernel().exp[1])
-    assert fresh._add_table is None
-    assert fresh.add_i(4, 7) == naive_add(fresh, 4, 7) and fresh._add_table is not None
+    assert field_named("F2_17").kernel().add is operator.xor
+    for modulus in [(2, 1, 1), (1, 2, 0, 1), (2, 1, 0, 0, 0, 0, 1)]:
+        # odd p, d > 1, at most 2^12 elements: the addition table comes with the kernel
+        fresh = FieldSpec(3, modulus)
+        assert fresh._add_table is None
+        kern = fresh.kernel()
+        assert len(fresh._add_table) == fresh.order
+        assert fresh.neg_i(kern.exp[1]) == naive_neg(fresh, kern.exp[1])
+        assert fresh.add_i(4, 7) == naive_add(fresh, 4, 7)
     # above the table limit: a polynomial kernel that serves every operation
     # against the coefficient oracles and builds no table
     big = FieldSpec(3, (2, 0, 1) + (0,) * 8 + (1,))
