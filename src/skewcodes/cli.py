@@ -49,6 +49,7 @@ from .textio import (
     format_element,
     format_matrix,
     format_poly,
+    format_word,
     parse_code_config,
     parse_element,
     parse_field_config,
@@ -232,10 +233,13 @@ def _code_report(args, code, with_distance=False, with_dual=False, with_check=Fa
         f"generator g = {format_poly(code.generator)}",
         f"length n = {code.n}, dimension k = {code.k}",
         "generator matrix:",
-        format_matrix(code.generator_matrix),
     ]
-    for i, row in enumerate(code.generator_matrix):
-        pairs.append((f"genrow{i}", " ".join(format_element(c) for c in row)))
+    # generator_matrix boxes every entry: read it once, for the selected output
+    if args.machine:
+        for i, row in enumerate(code.generator_matrix):
+            pairs.append((f"genrow{i}", format_word(row)))
+    else:
+        human.append(format_matrix(code.generator_matrix))
     if with_distance and code.k > 0:
         d = min_distance_exact(code, strategy=args.strategy)
         pairs.extend(_distance_pairs(code, d))

@@ -26,7 +26,10 @@ and digit by digit above.  Every kernel has the scalar operations (``add``,
 loops call once per row (``addmul``, ``divstep``, ``scale``, ``evaluate``,
 ``eliminate``).  Up to 2^16 elements it works in the log domain over
 references to the tables, negation a shift by log(-1) = (order - 1)/2;
-above, it multiplies by coefficient arithmetic and builds no table.
+above, it builds no table of the field and works on packed indices: a
+carry-less product for p = 2, a Kronecker-substitution product for odd p
+(``_packed_mul``, which the table builds use too), an extended-Euclid
+inverse (``_packed_inv``) and square-and-multiply powers.
 
 The F_p-linear algebra on packed indices (``_fp_kernel``, ``_fp_span``)
 lives here with the packing; it finds the roots in a conjugacy class and
@@ -167,6 +170,175 @@ def _chunked_adder(p, d, table):
     return add
 
 
+# -- packed arithmetic: products, inverses and negation on packed indices --
+
+def _power(mul, a, k):
+    """a^k for k >= 0 by square-and-multiply over mul, with no product by
+    the initial 1 and no squaring past the top bit of k."""
+    r = None
+    while True:
+        if k & 1:
+            r = a if r is None else mul(r, a)
+        k >>= 1
+        if not k:
+            return 1 if r is None else r
+        a = mul(a, a)
+
+
+def _chunk(p, d):
+    """(c, p^c) for the chunk tables of F_p^d: the most digits c <= d with
+    p^c <= 256, or c = 1 (a table of p entries) when p > 256."""
+    c = 1
+    while c < d and p ** (c + 1) <= 256:
+        c += 1
+    return c, p ** c
+
+
+def _packed_mul(p, modulus):
+    """The product of F_p[x]/(modulus) on packed indices, chosen once from p
+    and d = deg(modulus).
+
+    - d = 1: a * b mod p.
+    - p = 2: the carry-less product, a shifted copy of a XORed in for each
+      set bit of b; the bits from x^d up are then folded back by
+      x^d = m0(x), the modulus bits below x^d, until none is left.
+    - odd p, d > 1: Kronecker substitution.  Each operand's digits are
+      spread into w-bit slots, c digits at a time through a table of the p^c
+      chunks (``_chunk``), so one int product holds the 2d - 1 coefficient
+      sums.  The slots from x^d up are folded back as integers by
+      x^d = r(x), r = -m0 mod p, until none is left; w holds the largest sum
+      the product and the folds can reach, so no slot carries into the
+      next.  The d slots are then read mod p and repacked.
+    """
+    d = len(modulus) - 1
+    if d == 1:
+        return lambda a, b: a * b % p
+    if p == 2:
+        mask = (1 << d) - 1
+        taps = [j for j, m in enumerate(modulus[:-1]) if m]
+
+        def mul(a, b):
+            r = 0
+            while b:
+                bit = b & -b
+                r ^= a * bit
+                b ^= bit
+            while r >> d:
+                h, r = r >> d, r & mask
+                for j in taps:
+                    r ^= h << j
+            return r
+        return mul
+    rem = [-m % p for m in modulus[:-1]]
+    # Every slot sum is a polynomial with nonnegative coefficients in the
+    # digits, so the square of the element with all digits p - 1 holds the
+    # largest sum of every slot after the product and after each fold.
+    sums = [(p - 1) ** 2 * min(k + 1, 2 * d - 1 - k) for k in range(2 * d - 1)]
+    widest = max(sums)
+    while len(sums) > d:
+        high, sums = sums[d:], sums[:d] + [0] * (len(sums) - d - 1)
+        for i, h in enumerate(high):
+            for j, x in enumerate(rem):
+                sums[i + j] += h * x
+        widest = max(widest, *_fp_trim(sums))
+    w = widest.bit_length()
+    c, P = _chunk(p, d)
+    table = [sum(v // p ** i % p << w * i for i in range(c)) for v in range(P)]
+    step, top, slot = c * w, d * w, (1 << w) - 1
+    low, fold = (1 << top) - 1, sum(x << w * j for j, x in enumerate(rem))
+    shifts = range((d - 1) * w, -1, -w)
+
+    def spread(a):
+        s = sh = 0
+        while a:
+            a, v = divmod(a, P)
+            s |= table[v] << sh
+            sh += step
+        return s
+
+    def mul(a, b):
+        r = spread(a) * spread(b)
+        while r >> top:
+            r = (r & low) + (r >> top) * fold
+        out = 0
+        for sh in shifts:
+            out = out * p + (r >> sh & slot) % p
+        return out
+    return mul
+
+
+def _packed_inv(p, modulus):
+    """The inverse of a nonzero packed index of F_p[x]/(modulus), by the
+    extended Euclidean algorithm in F_p[x] with one leading term cleared per
+    step (Hankerson, Menezes and Vanstone, *Guide to Elliptic Curve
+    Cryptography*, Algorithm 2.48): u, v start at a and the modulus with
+    g1 a = u and g2 a = v (mod modulus), the one of higher degree loses its
+    leading term to a shifted multiple of the other, and when u is a
+    constant c, a^(-1) = g1 / c.  For p = 2 the polynomials are the packed
+    ints and a step is two XORs; for odd p they are digit lists.  No field
+    product is made; a prime field inverts by a^(p - 2) mod p.
+    """
+    d = len(modulus) - 1
+    if d == 1:
+        return lambda a: pow(a, p - 2, p)
+    if p == 2:
+        m = sum(bit << j for j, bit in enumerate(modulus))
+
+        def inv(a):
+            u, v, g1, g2 = a, m, 1, 0
+            while u != 1:
+                j = u.bit_length() - v.bit_length()
+                if j < 0:
+                    u, v, g1, g2, j = v, u, g2, g1, -j
+                u ^= v << j
+                g1 ^= g2 << j
+            return g1
+        return inv
+
+    def inv(a):
+        u, v, g1, g2 = [], list(modulus), [1], []
+        while a:
+            a, x = divmod(a, p)
+            u.append(x)
+        while len(u) != 1:
+            j = len(u) - len(v)
+            if j < 0:
+                u, v, g1, g2, j = v, u, g2, g1, -j
+            c = u[-1] * pow(v[-1], p - 2, p) % p
+            u = _fp_trim(u[:j] + [(x - c * y) % p for x, y in zip(u[j:], v)])
+            g1 += [0] * (len(g2) + j - len(g1))
+            for i, y in enumerate(g2, j):
+                g1[i] = (g1[i] - c * y) % p
+            _fp_trim(g1)
+        c = pow(u[0], p - 2, p)
+        out = 0
+        for x in reversed(g1):
+            out = out * p + x * c % p
+        return out
+    return inv
+
+
+def _packed_neg(p, d):
+    """Negation on packed indices: the identity for p = 2, -a mod p in a
+    prime field, and otherwise c digits at a time through a table of the p^c
+    chunks (``_chunk``)."""
+    if p == 2:
+        return lambda a: a
+    if d == 1:
+        return lambda a: -a % p
+    c, P = _chunk(p, d)
+    table = [sum(-(v // p ** i) % p * p ** i for i in range(c)) for v in range(P)]
+
+    def neg(a):
+        out, unit = 0, 1
+        while a:
+            a, v = divmod(a, P)
+            out += table[v] * unit
+            unit *= P
+        return out
+    return neg
+
+
 class _TableKernel:
     """Row operations of a field of at most 2^16 elements, in the log domain:
     c * sigma^t(x) is exp[log c + log frob_t[x]].  exp (length 2n), log and
@@ -288,26 +460,24 @@ class _XorKernel(_TableKernel):
 
 
 class _PolyKernel:
-    """The same operations above the table limit, by coefficient arithmetic:
-    a product is one _slow_mul, and a power, an inverse a^(order - 2) and
-    sigma^t(a) = a^(p^t) are each one _slow_pow; ``add`` is the field's
-    adder from _make_kernel.  No table is built."""
+    """The same operations above the table limit, on packed indices and with
+    no table of the field: ``mul`` is the field's packed product
+    (``_packed_mul``), ``inv`` the extended Euclidean algorithm of
+    ``_packed_inv``, which makes no product, and a power and
+    sigma^t(a) = a^(p^t) are square-and-multiply over ``mul``.  ``neg`` is
+    the identity for p = 2 (``_packed_neg``) and ``add`` the field's adder
+    from _make_kernel."""
 
     def __init__(self, field, add):
-        self.field, self.add, self.mul = field, add, field._slow_mul
-
-    def neg(self, a):
-        F = self.field
-        return F._pack([-x % F.p for x in F.coeffs_of(a)])
-
-    def inv(self, a):
-        return self.field._slow_pow(a, self.field.order - 2)
+        self.field, self.add, self.mul = field, add, field._mul
+        self.inv = _packed_inv(field.p, field.modulus)
+        self.neg = _packed_neg(field.p, field.degree)
 
     def pow(self, a, k):
-        return self.field._slow_pow(a, k)
+        return _power(self.mul, a, k)
 
     def frobenius(self, a, t):
-        return self.field._slow_pow(a, self.field.p ** t) if t and a else a
+        return _power(self.mul, a, self.field.p ** t) if t and a else a
 
     def scale(self, c, f):
         mul = self.mul
@@ -377,6 +547,10 @@ class FieldSpec:
         self.name = name or f"F{p}^{self.degree}"
         # the variable, packed: x itself, or for d = 1 its residue -m_0
         self._x = p if self.degree > 1 else -modulus[0] % p
+        # the packed product that the table build and the polynomial kernel
+        # share; a plain attribute, since a cached_property writes through
+        # __dict__, which slows every later attribute load on the instance
+        self._mul = _packed_mul(p, modulus)
         # reentrant: building one lazy table may trigger building another
         self._lock = threading.RLock()
         self._exp = None       # antilog table, length 2*(order-1)
@@ -462,36 +636,11 @@ class FieldSpec:
 
     # -- raw arithmetic (no tables) ------------------------------------------
 
-    def _slow_mul(self, a, b):
-        p = self.p
-        ac = list(self.coeffs_of(a))
-        bc = self.coeffs_of(b)
-        out = [0] * (2 * self.degree - 1) if self.degree > 1 else [0]
-        for i, ai in enumerate(ac):
-            if ai:
-                for j, bj in enumerate(bc):
-                    out[i + j] = (out[i + j] + ai * bj) % p
-        red = _fp_rem(out, list(self.modulus), p)
-        red += [0] * (self.degree - len(red))
-        return self._pack(red)
-
-    def _slow_pow(self, a, k):
-        """a^k for k >= 0 by square-and-multiply, with no product by the
-        initial 1 and no squaring past the top bit of k."""
-        r = None
-        while True:
-            if k & 1:
-                r = a if r is None else self._slow_mul(r, a)
-            k >>= 1
-            if not k:
-                return 1 if r is None else r
-            a = self._slow_mul(a, a)
-
     def _element_order_raw(self, a):
         n = self.order - 1
         order = n
         for q in _prime_factors(n):
-            while order % q == 0 and self._slow_pow(a, order // q) == 1:
+            while order % q == 0 and _power(self._mul, a, order // q) == 1:
                 order //= q
         return order
 
@@ -533,15 +682,16 @@ class FieldSpec:
         """[g^0, ..., g^(n-1)], stepping acc -> acc*g through a split map.
 
         With P = p^ceil(d/2) and acc = l + P*h, acc*g = lo[l] + hi[h] where
-        lo[l] = l*g and hi[h] = (P*h)*g: 2*p^(d/2) slow products in all.  The
+        lo[l] = l*g and hi[h] = (P*h)*g: 2*p^(d/2) packed products in all.  The
         sum is XOR for p = 2; for odd p it is ``_chunked_adder`` over the
         digit-add table of width d // 2 (kept as ``_half_add``), so no table
         exceeds p^d entries and a prime field adds mod p.
         """
         p, d = self.p, self.degree
         P = p ** ((d + 1) // 2)
-        lo = [self._slow_mul(a, g) for a in range(P)]
-        hi = [self._slow_mul(P * a, g) for a in range(self.order // P)]
+        mul = self._mul
+        lo = [mul(a, g) for a in range(P)]
+        hi = [mul(P * a, g) for a in range(self.order // P)]
         if p == 2:
             add = xor
         else:

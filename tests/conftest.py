@@ -126,10 +126,15 @@ EXTRA_FIELDS = {
     "F4099": (4099, (1, 1)),
     "F5_4": (5, (2, 0, 0, 0, 1)),
 }
-# Fields above the 2^16 table limit, served by the polynomial kernel.
+# Fields above the 2^16 table limit, served by the polynomial kernel: the
+# carry-less product (p = 2) and Kronecker products for odd p, with slot
+# widths that grow with p, a dense modulus whose x^6 term makes the reduction
+# fold six times (F5_7) and p^2 > 256, one digit per chunk (F17_4).
 BIG_FIELDS = {
     "F2_17": (2, (1, 0, 0, 1) + (0,) * 13 + (1,)),
     "F3_11": (3, (2, 0, 1) + (0,) * 8 + (1,)),
+    "F5_7": (5, (1, 0, 0, 0, 0, 1, 4, 1)),
+    "F17_4": (17, (8, 0, 1, 16, 1)),
 }
 PRESETS = preset_names()
 

@@ -387,6 +387,63 @@ genrow1=0 1 a a^2
 }
 
 
+CODE_REPORTS = {
+    # (argv, human output, --machine output), recorded before _code_report
+    # read the generator matrix once and formatted it one way
+    "F4": (("code", "--preset", "F4", "--e", "1", "--f", "x^4+1", "--g", "x^2+a*x+a^2"), """\
+modulus f = x^4+1
+generator g = x^2+a*x+a^2
+length n = 4, dimension k = 2
+generator matrix:
+a^2 a 1 0
+0 a a^2 1
+""", """\
+f=x^4+1
+g=x^2+a*x+a^2
+n=4
+k=2
+genrow0=a^2 a 1 0
+genrow1=0 a a^2 1
+"""),
+    "readme": (README_CODE, """\
+modulus f = x^7+a
+generator g = x^4+a*x^3+a^5*x^2+a
+length n = 7, dimension k = 3
+generator matrix:
+a 0 a^5 a 1 0 0
+0 a^2 0 a^3 a^2 1 0
+0 0 a^4 0 a^6 a^4 1
+exact minimum distance = 4
+dual generator (monic) = x^3+a*x+1
+dual generator (raw) = x^3+a*x+1
+dual modulus = x^7+a^6
+check polynomial = x^3+a^4*x^2+1
+check twist constant = a
+""", README_MACHINE_OUTPUT["code"][1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CODE_REPORTS))
+def test_code_report_in_both_modes(capsys, monkeypatch, name):
+    """The code report is byte-identical in both modes and reads the
+    generator matrix, which boxes every entry, once."""
+    from skewcodes.codes import SkewCyclicCode
+
+    reads = []
+    matrix = SkewCyclicCode.generator_matrix
+
+    def counted(code):
+        reads.append(code)
+        return matrix.fget(code)
+
+    monkeypatch.setattr(SkewCyclicCode, "generator_matrix", property(counted))
+    argv, human, machine = CODE_REPORTS[name]
+    for extra, expected in [((), human), (("--machine",), machine)]:
+        reads.clear()
+        assert run_cli(capsys, *argv, *extra) == (EXIT_OK, expected, "")
+        assert len(reads) == 1
+
+
 @pytest.mark.parametrize("name", sorted(README_MACHINE_OUTPUT))
 def test_readme_examples_machine_output(capsys, name):
     argv, expected = README_MACHINE_OUTPUT[name]

@@ -3,6 +3,8 @@ import random
 import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from skewcodes.errors import FieldMismatchError, GuardExceededError
 from skewcodes.fields import (
@@ -344,9 +346,10 @@ def test_exp_log_tables_against_slow_mul(name):
     n, exp, log, gen = F.order - 1, F._exp, F._log, F._gen_index
     assert len(exp) == 2 * n and exp[:n] == exp[n:]
     assert exp[0] == 1
+    g = F.element(gen)
     for k in range(n):
         assert log[exp[k]] == k
-        assert exp[k + 1] == F._slow_mul(exp[k], gen)
+        assert exp[k + 1] == naive_mul(F, F.element(exp[k]), g).i
     assert F._element_order_raw(gen) == n
 
 
@@ -359,21 +362,24 @@ def test_frobenius_tables_against_slow_pow(name):
         points = random.Random(name).sample(range(F.order), 64)
     for j in range(F.degree):
         e = F.p ** j
-        assert [F.frob_i(a, j) for a in points] == [F._slow_pow(a, e) for a in points]
+        assert [F.frob_i(a, j) for a in points] == [naive_pow(F, F.element(a), e).i
+                                                    for a in points]
 
 
 def test_slow_pow_makes_no_product_by_one_and_no_extra_square(field_named, monkeypatch):
-    """Above 2^16 elements frob_i(a, j) is j squarings: no product by the
-    initial 1 and no squaring past the top bit of p^j."""
+    """Above 2^16 elements frob_i(a, j) is j squarings through the kernel's
+    multiply: no product by the initial 1 and no squaring past the top bit
+    of p^j.  The inverse is extended Euclid and makes no multiply call."""
     F = field_named("F2_17")
+    kern = F.kernel()
     calls = []
-    slow_mul = F._slow_mul
+    mul = kern.mul
 
     def counted(a, b):
         calls.append((a, b))
-        return slow_mul(a, b)
+        return mul(a, b)
 
-    monkeypatch.setattr(F, "_slow_mul", counted)
+    monkeypatch.setattr(kern, "mul", counted)
     a = 0b1011011
     for j, count in [(0, 0), (1, 1), (5, 5)]:
         calls.clear()
@@ -381,8 +387,43 @@ def test_slow_pow_makes_no_product_by_one_and_no_extra_square(field_named, monke
         assert len(calls) == count
     calls.clear()
     inv = F.inv_i(a)
-    assert len(calls) == 31   # 2^17 - 2: 16 squarings, 15 products
+    assert calls == []
     assert naive_mul(F, F.element(a), F.element(inv)).i == 1
+
+
+# -- the packed kernel above the table limit against the coefficient oracles --
+
+
+def test_big_field_moduli_are_irreducible():
+    """The BIG_FIELDS moduli are irreducible by sympy's test, which shares no
+    code with the trial division of FieldSpec."""
+    from sympy import Poly, symbols
+
+    for p, modulus in BIG_FIELDS.values():
+        assert Poly(list(reversed(modulus)), symbols("x"), modulus=p).is_irreducible
+
+
+@pytest.mark.parametrize("name", sorted(BIG_FIELDS))
+def test_packed_inv_against_naive_mul(name, field_named):
+    """Extended Euclid against naive_mul on 1, order - 1 and 1,000 sampled
+    elements: every inverse is a packed index with a * inv(a) = 1."""
+    F = field_named(name)
+    E = F.element
+    points = [1, F.order - 1] + random.Random(name).sample(range(2, F.order - 1), 1000)
+    for a in points:
+        inv = F.inv_i(a)
+        assert 0 < inv < F.order
+        assert naive_mul(F, E(a), E(inv)).i == 1
+
+
+@pytest.mark.parametrize("name", sorted(BIG_FIELDS))
+@given(data=st.data())
+def test_packed_mul_commutes_and_distributes(name, field_named, data):
+    F = field_named(name)
+    a, b, c = (F.element(data.draw(st.integers(0, F.order - 1))) for _ in range(3))
+    ab = naive_mul(F, a, b)
+    assert a * b == ab and b * a == ab
+    assert (a * (b + c)).i == naive_add(F, ab.i, naive_mul(F, a, c).i)
 
 
 def test_frobenius_above_the_table_limit_builds_no_table():
@@ -418,21 +459,28 @@ def test_add_table_sampled_rows_f3_6():
 # -- the public kernel against coefficient arithmetic ------------------------------
 
 
-@pytest.mark.parametrize("name", PRESETS + ["F2_16", "F3_10", "F3_6"])
+@pytest.mark.parametrize("name", PRESETS + ["F2_16", "F3_10", "F3_6"] + sorted(BIG_FIELDS))
 def test_mul_against_naive_mul(name, field_named):
+    """Above 2^16 elements the edge pairs are the slot-overflow cases of the
+    packed product: order - 1, every coefficient p - 1, squared fills each
+    slot of a Kronecker product with its largest sum, and products of the
+    top-degree monomials x^(d-1) and (p - 1) x^(d-1) put the largest sums
+    in the slots that fold back."""
     F = field_named(name)
     if F.order <= 1 << 8:
         pairs = [(a, b) for a in range(F.order) for b in range(F.order)]
     else:
         rng = random.Random(name)
         pairs = [(rng.randrange(F.order), rng.randrange(F.order)) for _ in range(600)]
-        pairs += [(0, 1), (1, 0), (F.order - 1, F.order - 1)]
+        top = F.p ** (F.degree - 1)
+        edge = [1, F.p - 1, F.order - 1, top, (F.p - 1) * top, F.order - 1 - top]
+        pairs += [(0, 1), (1, 0)] + [(a, b) for a in edge for b in edge]
     for a, b in pairs:
         x, y = F.element(a), F.element(b)
         assert x * y == naive_mul(F, x, y)
 
 
-@pytest.mark.parametrize("name", ["F3_10", "F7_5", "F37_3", "F4099"])
+@pytest.mark.parametrize("name", ["F3_10", "F7_5", "F37_3", "F4099", "F3_11", "F5_7", "F17_4"])
 def test_odd_add_sub_neg_against_coefficients(name, field_named):
     F = field_named(name)
     rng = random.Random(name)
@@ -585,7 +633,8 @@ def test_embedding_refuses_a_source_above_2_20():
      "F9", "F3_6",              # odd tables with a full addition table
      "F3_10", "F7_5",           # chunked addition
      "F4099",                   # a prime field
-     "F2_17", "F3_11"],         # polynomial arithmetic
+     "F2_17", "F3_11",          # packed arithmetic: carry-less and Kronecker
+     "F5_7", "F17_4"],
 )
 def test_scalar_ops_on_every_kernel_kind(name, field_named):
     F = field_named(name)
