@@ -46,10 +46,9 @@ from .fields import FieldEmbedding, get_field, preset_names
 from .rootsets import minimal_polynomial, vanishing_set
 from .skewpoly import SkewRing
 from .textio import (
+    _format_row_i,
     format_element,
-    format_matrix,
     format_poly,
-    format_word,
     parse_code_config,
     parse_element,
     parse_field_config,
@@ -221,6 +220,16 @@ def _build_code(args):
     return SkewCyclicCode(Modulus(f), g)
 
 
+def _matrix_report(args, code, pairs, human):
+    """The generator matrix from its int rows: genrowN pairs with --machine,
+    else the human matrix text."""
+    lines = [_format_row_i(code.field, row) for row in code._gen_rows_i]
+    if args.machine:
+        pairs.extend((f"genrow{i}", line) for i, line in enumerate(lines))
+    else:
+        human.append("\n".join(lines))
+
+
 def _code_report(args, code, with_distance=False, with_dual=False, with_check=False):
     pairs = [
         ("f", format_poly(code.modulus.poly)),
@@ -234,12 +243,7 @@ def _code_report(args, code, with_distance=False, with_dual=False, with_check=Fa
         f"length n = {code.n}, dimension k = {code.k}",
         "generator matrix:",
     ]
-    # generator_matrix boxes every entry: read it once, for the selected output
-    if args.machine:
-        for i, row in enumerate(code.generator_matrix):
-            pairs.append((f"genrow{i}", format_word(row)))
-    else:
-        human.append(format_matrix(code.generator_matrix))
+    _matrix_report(args, code, pairs, human)
     if with_distance and code.k > 0:
         d = min_distance_exact(code, strategy=args.strategy)
         pairs.extend(_distance_pairs(code, d))
@@ -396,13 +400,11 @@ def cmd_eval_code(args):
         ("n", code.n),
         ("k", code.k),
     ] + _distance_pairs(code, d)
-    for i, row in enumerate(code.generator_matrix):
-        pairs.append((f"genrow{i}", " ".join(format_element(c) for c in row)))
     human = [
         f"[{code.n},{code.k}] evaluation code, exact distance {d}",
         "generator matrix:",
-        format_matrix(code.generator_matrix),
     ]
+    _matrix_report(args, code, pairs, human)
     _emit(args, pairs, human)
     return EXIT_OK
 

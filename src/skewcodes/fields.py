@@ -3,26 +3,25 @@
 Elements are coefficient vectors over F_p in the power basis of the residue
 class of the variable.  A vector (c_0, ..., c_{d-1}) is packed positionally
 into the integer sum(c_i * p^i); this is a packing of the canonical
-coefficient form, not a discrete logarithm.  Log/antilog tables over a
-multiplicative generator are built lazily (once, under a lock) for fields of
-at most 2^16 elements.
+coefficient form, not a discrete logarithm.  A field of at most 2^16
+elements has log/antilog tables over a multiplicative generator and the d
+Frobenius tables, all built with its kernel on the first operation.
 
 No table entry costs a polynomial product.  The antilog table steps
 acc -> acc*g through a split map: with P = p^ceil(d/2), acc = l + P*h
 gives acc*g = (l*g) + ((P*h)*g), two tables of about p^(d/2) entries each,
-added in one loop: XOR in characteristic 2, mod p in a prime field, and
-otherwise the half-width digit-add table applied chunk by chunk.  Each
-Frobenius table a -> a^(p^j) is the antilog table permuted,
-exp[log(a) * p^j].
+added by the field's adder.  The Frobenius table a -> a^p is the antilog
+table permuted, exp[log(a) * p], and the table of shift j + 1 is the table
+of shift j read through it.
 
 ``FieldSpec.kernel()`` is the one arithmetic interface of a field, and
-``_make_kernel`` the one place that chooses tables or polynomials and the
-one adder, from p and d: XOR for p = 2, mod p in a prime field, and for odd
-p with d > 1 the full digit-add table (built by digit recursion with the
-kernel) up to 2^12 elements, the half-width table chunk by chunk up to 2^16
-and digit by digit above.  Every kernel has the scalar operations (``add``,
-``neg``, ``mul``, ``inv``, ``pow``, ``frobenius``), behind ``FieldSpec.add_i``
-.. ``frob_i`` for every p, and the row operations the ring and elimination
+``_make_kernel``, under the field's lock, the one place that builds a table
+and chooses tables or polynomials and the one adder, from p and d: XOR for
+p = 2, mod p in a prime field, and for odd p with d > 1 the full digit-add
+table (built by digit recursion) up to 2^12 elements, the half-width table
+chunk by chunk up to 2^16 and digit by digit above.  Every kernel has the
+scalar operations (``add``, ``neg``, ``mul``, ``inv``, ``pow``,
+``frobenius``), behind ``FieldSpec.add_i`` .. ``frob_i`` for every p, and the row operations the ring and elimination
 loops call once per row (``addmul``, ``divstep``, ``scale``, ``evaluate``,
 ``eliminate``).  Up to 2^16 elements it works in the log domain over
 references to the tables, negation a shift by log(-1) = (order - 1)/2;
@@ -54,14 +53,7 @@ _ADD_TABLE_LIMIT = 1 << 12
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
+    return n >= 2 and _prime_factors(n) == [n]
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -342,10 +334,10 @@ def _packed_neg(p, d):
 class _TableKernel:
     """Row operations of a field of at most 2^16 elements, in the log domain:
     c * sigma^t(x) is exp[log c + log frob_t[x]].  exp (length 2n), log and
-    frob (the Frobenius tables by shift, each filled on first use through
-    FieldSpec.frob_table) are the field's own lists, n = order - 1 and
-    half = log(-1).  ``add`` is the field's adder from _make_kernel;
-    for p = 2 it is operator.xor, which the subclass inlines in its loops.
+    frob (the d Frobenius tables by shift) are the field's own lists, all
+    built by FieldSpec._make_kernel, n = order - 1 and half = log(-1).
+    ``add`` is the field's adder from _make_kernel; for p = 2 it is
+    operator.xor, which the subclass inlines in its loops.
 
     The scalars c, lead, ginv, the point a and the arguments of mul, inv
     and pow are nonzero, ``pairs`` lists (j, x) with x nonzero, the power k
@@ -373,7 +365,7 @@ class _TableKernel:
 
     def frobenius(self, a, t):
         """sigma^t(a) = a^(p^t), from the table of shift t."""
-        return (self.frob[t] or self.field.frob_table(t))[a]
+        return self.frob[t][a]
 
     def scale(self, c, f):
         """The tuple of c * x over f."""
@@ -384,7 +376,7 @@ class _TableKernel:
     def addmul(self, out, off, c, pairs, t):
         """out[off + j] += c * sigma^t(x) for (j, x) in pairs."""
         exp, log, add = self.exp, self.log, self.add
-        table = self.frob[t] or self.field.frob_table(t)
+        table = self.frob[t]
         lc = log[c]
         for j, x in pairs:
             out[off + j] = add(out[off + j], exp[lc + log[table[x]]])
@@ -393,7 +385,7 @@ class _TableKernel:
         """One step of right division: the quotient digit
         c = lead * sigma^t(ginv), returned after r[off + j] -= c * sigma^t(x)."""
         exp, log, n, add = self.exp, self.log, self.n, self.add
-        table = self.frob[t] or self.field.frob_table(t)
+        table = self.frob[t]
         lc = (log[lead] + log[table[ginv]]) % n
         ln = (lc + self.half) % n   # log of -c
         for j, x in pairs:
@@ -407,7 +399,7 @@ class _TableKernel:
         acc, lcur = f[0], 0   # lcur = log N_i(a)
         for i in range(1, len(f)):
             t = e * (i - 1) % d
-            lcur = (lcur + log[(frob[t] or self.field.frob_table(t))[a]]) % n
+            lcur = (lcur + log[frob[t][a]]) % n
             if f[i]:
                 acc = add(acc, exp[log[f[i]] + lcur])
         return acc
@@ -433,14 +425,14 @@ class _XorKernel(_TableKernel):
 
     def addmul(self, out, off, c, pairs, t):
         exp, log = self.exp, self.log
-        table = self.frob[t] or self.field.frob_table(t)
+        table = self.frob[t]
         lc = log[c]
         for j, x in pairs:
             out[off + j] ^= exp[lc + log[table[x]]]
 
     def divstep(self, r, off, lead, ginv, pairs, t):
         exp, log = self.exp, self.log
-        table = self.frob[t] or self.field.frob_table(t)
+        table = self.frob[t]
         lc = (log[lead] + log[table[ginv]]) % self.n
         for j, x in pairs:
             r[off + j] ^= exp[lc + log[table[x]]]
@@ -526,7 +518,8 @@ class FieldSpec:
         construction by trial division (desk scale only).
     primitive
         Whether the residue class of the variable generates the
-        multiplicative group.  Verified when the log table is built.
+        multiplicative group.  Verified at construction; a primitive field
+        has at most 2^16 elements.
     name
         Optional display name.
     """
@@ -551,19 +544,29 @@ class FieldSpec:
         # share; a plain attribute, since a cached_property writes through
         # __dict__, which slows every later attribute load on the instance
         self._mul = _packed_mul(p, modulus)
-        # reentrant: building one lazy table may trigger building another
-        self._lock = threading.RLock()
+        if primitive:
+            if self.order > _TABLE_LIMIT:
+                raise GuardExceededError(
+                    f"log tables limited to 2^16 elements, field has {self.order}"
+                )
+            if self._x == 0:   # the modulus is x
+                raise ValueError(f"{self.name}: primitive flag set but the generator is 0")
+            order = self._element_order_raw(self._x)
+            if order != self.order - 1:
+                raise ValueError(
+                    f"{self.name}: primitive flag set but the generator has "
+                    f"order {order}, not {self.order - 1}"
+                )
+        # the tables, all built by _make_kernel up to 2^16 elements
+        self._lock = threading.Lock()
         self._exp = None       # antilog table, length 2*(order-1)
         self._log = None       # log table, log[0] unused
         self._gen_index = None
         self._frob_tables = [None] * self.degree
-        self._add_table = None  # full digit-add table (odd p, d > 1, <= 2^12)
-        self._half_add = None   # digit-add table of width d // 2 (odd p)
+        self._add_table = None  # the digit-add table the adder reads (odd p, d > 1)
         self._kernel = None
         self._zero = FieldElement(self, 0)
         self._one = FieldElement(self, 1)
-        if primitive:
-            self._build_tables()   # validates the flag eagerly
 
     # -- identity -----------------------------------------------------------
 
@@ -644,59 +647,17 @@ class FieldSpec:
                 order //= q
         return order
 
-    def _build_tables(self):
-        if self._exp is not None:
-            return
-        with self._lock:
-            if self._exp is not None:
-                return
-            if self.order > _TABLE_LIMIT:
-                raise GuardExceededError(
-                    f"log tables limited to 2^16 elements, field has {self.order}"
-                )
-            n = self.order - 1
-            gen = self._x
-            if self.primitive:
-                if gen == 0:   # the modulus is x
-                    raise ValueError(f"{self.name}: primitive flag set but the generator is 0")
-                if self._element_order_raw(gen) != n:
-                    raise ValueError(
-                        f"{self.name}: primitive flag set but the generator has "
-                        f"order {self._element_order_raw(gen)}, not {n}"
-                    )
-            else:
-                # element 1 has order 1, so it is picked only in F_2
-                gen = next(
-                    a for a in range(1, self.order)
-                    if self._element_order_raw(a) == n
-                )
-            seq = self._powers(gen, n)
-            log = [0] * self.order
-            for k, a in enumerate(seq):
-                log[a] = k
-            self._gen_index = gen
-            self._log = log
-            self._exp = seq + seq
-
-    def _powers(self, g, n):
+    def _powers(self, g, n, add):
         """[g^0, ..., g^(n-1)], stepping acc -> acc*g through a split map.
 
-        With P = p^ceil(d/2) and acc = l + P*h, acc*g = lo[l] + hi[h] where
-        lo[l] = l*g and hi[h] = (P*h)*g: 2*p^(d/2) packed products in all.  The
-        sum is XOR for p = 2; for odd p it is ``_chunked_adder`` over the
-        digit-add table of width d // 2 (kept as ``_half_add``), so no table
-        exceeds p^d entries and a prime field adds mod p.
+        With P = p^ceil(d/2) and acc = l + P*h, acc*g = add(lo[l], hi[h])
+        where lo[l] = l*g and hi[h] = (P*h)*g: 2*p^(d/2) packed products in
+        all, summed by the field's adder.
         """
-        p, d = self.p, self.degree
-        P = p ** ((d + 1) // 2)
+        P = self.p ** ((self.degree + 1) // 2)
         mul = self._mul
         lo = [mul(a, g) for a in range(P)]
         hi = [mul(P * a, g) for a in range(self.order // P)]
-        if p == 2:
-            add = xor
-        else:
-            self._half_add = _digit_add_table(p, d // 2)
-            add = _chunked_adder(p, d, self._half_add)
         out = [0] * n
         acc = 1
         for k in range(n):
@@ -706,8 +667,9 @@ class FieldSpec:
 
     def kernel(self):
         """The kernel, built once under the lock: a _TableKernel over the log
-        tables up to 2^16 elements, a _PolyKernel above, either with the one
-        adder _make_kernel chooses from p and d (see the module docstring)."""
+        and Frobenius tables up to 2^16 elements, a _PolyKernel above,
+        either with the one adder _make_kernel chooses from p and d (see the
+        module docstring)."""
         if self._kernel is None:
             with self._lock:
                 if self._kernel is None:
@@ -715,16 +677,36 @@ class FieldSpec:
         return self._kernel
 
     def _make_kernel(self):
-        p, d, big = self.p, self.degree, self.order > _TABLE_LIMIT
-        if not big:
-            self._build_tables()
+        p, d, n = self.p, self.degree, self.order - 1
+        big = self.order > _TABLE_LIMIT
         if p == 2:
             add = xor
-        else:   # above 2^16 elements neither table exists: digit by digit
-            if d > 1 and self.order <= _ADD_TABLE_LIMIT:
-                self._add_table = _digit_add_table(p, d)
-            add = _chunked_adder(p, d, self._add_table or self._half_add)
-        return (_PolyKernel if big else _XorKernel if p == 2 else _TableKernel)(self, add)
+        else:   # above 2^16 elements no table: digit by digit
+            if d > 1 and not big:
+                width = d if self.order <= _ADD_TABLE_LIMIT else d // 2
+                self._add_table = _digit_add_table(p, width)
+            add = _chunked_adder(p, d, self._add_table)
+        if big:
+            return _PolyKernel(self, add)
+        if self.primitive:   # checked at construction
+            gen = self._x
+        else:   # element 1 has order 1, so it is picked only in F_2
+            gen = next(a for a in range(1, self.order) if self._element_order_raw(a) == n)
+        seq = self._powers(gen, n, add)
+        log = [0] * self.order
+        for k, a in enumerate(seq):
+            log[a] = k
+        exp = seq + seq
+        # a^p = exp[log(a) * p], and a^(p^(j+1)) = (a^(p^j))^p: every entry
+        # is the exp table's own int
+        ident = [exp[k] for k in log]
+        step = [exp[k * p % n] for k in log]
+        ident[0] = step[0] = 0
+        frob = [ident]
+        for _ in range(1, d):
+            frob.append(list(map(step.__getitem__, frob[-1])))
+        self._gen_index, self._log, self._exp, self._frob_tables = gen, log, exp, frob
+        return (_XorKernel if p == 2 else _TableKernel)(self, add)
 
     # -- scalar arithmetic (int indices) ---------------------------------------
 
@@ -764,33 +746,13 @@ class FieldSpec:
         limit each call is one power and no table is built."""
         return (self._kernel or self.kernel()).frobenius(a, j % self.degree)
 
-    def frob_table(self, j):
-        """The table of a -> a^(p^j) for 0 <= j < degree, built on first use;
-        table-backed fields only (at most 2^16 elements)."""
-        table = self._frob_tables[j]
-        if table is not None:
-            return table
-        with self._lock:
-            table = self._frob_tables[j]
-            if table is not None:
-                return table
-            # a^e = exp[log(a)*e]: every entry is the exp table's own int
-            self._build_tables()
-            e = self.p ** j
-            exp, n = self._exp, self.order - 1
-            table = [exp[k * e % n] for k in self._log]
-            table[0] = 0
-            self._frob_tables[j] = table
-            return table
-
     def log_i(self, a):
         """Discrete log with respect to the designated primitive element."""
         if not self.primitive:
             raise ValueError(f"{self.name} has no designated primitive element")
         if a == 0:
             raise ValueError("log of zero")
-        self._build_tables()
-        return self._log[a]
+        return (self._kernel or self.kernel()).log[a]
 
     def element_order(self, a):
         a = self.element(a)

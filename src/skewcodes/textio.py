@@ -148,8 +148,16 @@ def format_poly(f):
     return str(f)
 
 
+def _format_row_i(field, row, style="auto"):
+    """A row of packed indices of field, each element by
+    field.format_element, space-separated."""
+    fmt = field.format_element
+    return " ".join([fmt(i, style) for i in row])
+
+
 def format_word(word, style="auto"):
-    return " ".join(format_element(c, style=style) for c in word)
+    word = tuple(word)
+    return _format_row_i(word[0].field, [c.i for c in word], style) if word else ""
 
 
 def format_matrix(rows, style="auto"):

@@ -425,8 +425,8 @@ check twist constant = a
 
 @pytest.mark.parametrize("name", sorted(CODE_REPORTS))
 def test_code_report_in_both_modes(capsys, monkeypatch, name):
-    """The code report is byte-identical in both modes and reads the
-    generator matrix, which boxes every entry, once."""
+    """The code report is byte-identical in both modes and never reads the
+    generator matrix, which boxes every entry: it formats the int rows."""
     from skewcodes.codes import SkewCyclicCode
 
     reads = []
@@ -441,7 +441,7 @@ def test_code_report_in_both_modes(capsys, monkeypatch, name):
     for extra, expected in [((), human), (("--machine",), machine)]:
         reads.clear()
         assert run_cli(capsys, *argv, *extra) == (EXIT_OK, expected, "")
-        assert len(reads) == 1
+        assert reads == []
 
 
 @pytest.mark.parametrize("name", sorted(README_MACHINE_OUTPUT))

@@ -31,8 +31,7 @@ def test_every_import_is_relative_or_standard_library():
 
 
 # The tables and the limit that decides between table and polynomial arithmetic.
-TABLE_NAMES = {"_exp", "_log", "_frob_tables", "_add_table", "_half_add", "_gen_index",
-               "_TABLE_LIMIT"}
+TABLE_NAMES = {"_exp", "_log", "_frob_tables", "_add_table", "_gen_index", "_TABLE_LIMIT"}
 SCALAR_METHODS = ("mul_i", "inv_i", "pow_i", "frob_i")
 
 
@@ -83,10 +82,10 @@ SCALAR_ADDITION = {"add_i", "sub_i", "neg_i"}
 
 
 def test_one_adder_per_field():
-    """In fields.py only _make_kernel chooses an adder, and _powers the sum
-    that steps the antilog table before any kernel exists; no FieldSpec
-    method sets a scalar addition, and the polynomial kernel has no
-    addition of its own."""
+    """In fields.py only _make_kernel chooses an adder, and builds the
+    digit-add table it reads; _powers steps the antilog table with the adder
+    it is given.  No FieldSpec method sets a scalar addition, and the
+    polynomial kernel has no addition of its own."""
     tree = ast.parse((SRC / "fields.py").read_text(encoding="utf-8"))
     classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
     functions = [fn for node in tree.body
@@ -98,7 +97,7 @@ def test_one_adder_per_field():
         for sub in ast.walk(fn)
         if getattr(sub, "id", getattr(sub, "attr", None)) in ADDERS
     }
-    assert users == {"_make_kernel", "_powers"}
+    assert users == {"_make_kernel"}
     assigned = [
         f"FieldSpec:{sub.lineno}: {sub.attr}"
         for sub in ast.walk(classes["FieldSpec"])
@@ -108,3 +107,20 @@ def test_one_adder_per_field():
     assert assigned == []
     assert "add" not in {fn.name for fn in classes["_PolyKernel"].body
                          if isinstance(fn, ast.FunctionDef)}
+
+
+def test_tables_are_built_only_by_make_kernel():
+    """FieldSpec.__init__ sets each table to None (the Frobenius tables to
+    a list of None) and FieldSpec._make_kernel is the one function in
+    fields.py that writes a built table, whole or entry by entry."""
+    tree = ast.parse((SRC / "fields.py").read_text(encoding="utf-8"))
+    stores = [
+        (fn.name, ast.unparse(sub.value))
+        for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+        for sub in ast.walk(fn) if isinstance(sub, ast.Assign)
+        if any(isinstance(leaf, ast.Attribute) and leaf.attr in TABLE_NAMES
+               for target in sub.targets for leaf in ast.walk(target))
+    ]
+    assert {name for name, _ in stores} == {"__init__", "_make_kernel"}
+    assert sorted(value for name, value in stores if name == "__init__") == (
+        ["None"] * 4 + ["[None] * self.degree"])

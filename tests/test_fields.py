@@ -97,6 +97,28 @@ def test_primitive_flag_validated():
     assert spec.element_order(spec.gen) == 5
 
 
+@pytest.mark.parametrize("modulus,error,message", [
+    ((0, 1), ValueError, "F2^1: primitive flag set but the generator is 0"),
+    ((1, 1, 1, 1, 1), ValueError,
+     "F2^4: primitive flag set but the generator has order 5, not 15"),
+    ((1, 0, 0, 1) + (0,) * 13 + (1,), GuardExceededError,
+     "log tables limited to 2^16 elements, field has 131072"),
+])
+def test_primitive_flag_refusals(modulus, error, message):
+    """The flag is checked when the field is built, with no table built."""
+    with pytest.raises(error) as info:
+        FieldSpec(2, modulus, primitive=True)
+    assert str(info.value) == message
+
+
+def test_primitive_field_builds_its_tables_on_first_use():
+    F = FieldSpec(2, (1, 1, 0, 0, 1), primitive=True)
+    assert F._exp is None and F._log is None and F._frob_tables == [None] * 4
+    assert F.mul_i(F.gen.i, 8) == 3   # x * x^3 = x + 1
+    assert F._gen_index == F.gen.i and F.log_i(3) == 4
+    assert None not in F._frob_tables
+
+
 def test_frobenius_basics(F4, aut4):
     w = F4.gen
     assert aut4.apply(w) == w * w
@@ -525,14 +547,14 @@ def test_kernel_references_the_field_tables(field_named):
         assert kern is F.kernel()
         assert kern.exp is F._exp and kern.log is F._log
         assert kern.frob is F._frob_tables and kern.n == F.order - 1
+        assert None not in F._frob_tables
         assert kern.half == (0 if F.p == 2 else kern.n // 2)
         if F.p == 2:
             assert kern.add is operator.xor
         else:
             assert callable(kern.add)
         if F.p != 2 and F.order > 1 << 12:
-            assert F._add_table is None
-            assert len(F._half_add) ** 2 <= F.order
+            assert len(F._add_table) ** 2 <= F.order
     assert field_named("F2_17").kernel().add is operator.xor
     for modulus in [(2, 1, 1), (1, 2, 0, 1), (2, 1, 0, 0, 0, 0, 1)]:
         # odd p, d > 1, at most 2^12 elements: the addition table comes with the kernel
@@ -728,7 +750,7 @@ def test_threaded_first_touch_matches_single_threaded():
         out.append([emb.restrict(b) for b in range(emb.target.order)])
 
     def tables(F):
-        return [(G._exp, G._log, G._add_table, G._half_add, G._frob_tables)
+        return [(G._exp, G._log, G._add_table, G._frob_tables)
                 for G in F.values()]
 
     ref_F, ref_emb = fresh()

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import PRESETS
 from skewcodes.codes import Modulus, skew_circulant
@@ -33,6 +35,31 @@ def test_transport_roundtrip_and_iso_exhaustive_f4(R4):
         for g in polys:
             assert to_linearized(f * g) == lin_compose(to_linearized(f), to_linearized(g))
             assert to_linearized(f + g) == to_linearized(f) + to_linearized(g)
+
+
+# every preset at every admissible e, the identity e = d included
+TRANSPORT_RINGS = [
+    SkewRing(get_field(name), e)
+    for name in PRESETS
+    for e in range(1, get_field(name).degree + 1)
+    if get_field(name).degree % e == 0
+]
+
+
+@pytest.mark.parametrize("ring", TRANSPORT_RINGS, ids=lambda R: f"{R.field.name}-e{R.e}")
+@given(data=st.data())
+def test_transport_takes_products_to_compositions(ring, data):
+    """The map of f * g is the map of f after the map of g.  Both sides are
+    checked against sum f_i b^(q^i) by naive_mul and naive_pow, which read
+    no table of the field."""
+    F = ring.field
+    coeffs = st.lists(st.integers(0, F.order - 1), max_size=4)
+    f, g = (ring.from_indices(data.draw(coeffs)) for _ in range(2))
+    a = F.element(data.draw(st.integers(0, F.order - 1)))
+    expect = linearized_apply_naive(
+        ring, to_linearized(f), linearized_apply_naive(ring, to_linearized(g), a))
+    assert to_linearized(f * g).apply(a) == expect
+    assert to_linearized(f).apply(to_linearized(g).apply(a)) == expect
 
 
 def test_monomial_composition(R8, F8):
