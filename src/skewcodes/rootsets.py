@@ -4,17 +4,22 @@ matrices for right evaluation of skew polynomials.
 Roots are found one sigma-conjugacy class at a time: each class is one
 F_p-kernel, solved and spanned by the packed-digit algebra of ``fields``
 (``_fp_kernel``, ``_fp_span``), with every scalar through the field kernel
-bound once per call.  Roots, minimal polynomials (``_minpoly_ci``), the
-Vandermonde rows and the tower transport work on packed indices; a public
-function boxes FieldElement values once, where it returns.
+bound once per call.  The reduced norm chi_f (``_reduced_norm_ci``, the
+characteristic polynomial of x^m on R/Rf from ``linalg.charpoly_i``)
+vanishes exactly at the norms of the classes that hold roots, so only
+those, at most deg f, are solved, and one kernel vector per F_q-line is
+mapped to its root (``_line_points``).  Roots, minimal polynomials
+(``_minpoly_ci``), the Vandermonde rows and the tower transport work on
+packed indices; a public function boxes FieldElement values once, where it
+returns.
 """
 
 from __future__ import annotations
 
 from .errors import GuardExceededError, NotWedderburnError
 from .fields import FieldElement, _fp_kernel, _fp_span, _prime_factors
-from .linalg import rank_i, wrap
-from .skewpoly import SkewPoly, SkewRing, _eval_ci, _lclm_ci, _mul_ci
+from .linalg import charpoly_i, rank_i, wrap
+from .skewpoly import SkewPoly, SkewRing, _eval_ci, _lclm_ci, _monic_ci, _mul_ci
 
 _DOMAIN_SWEEP_LIMIT = 1 << 20
 
@@ -70,8 +75,12 @@ def vanishing_set(f, emb=None):
     L_a(c) = sum_i f_i N_i(a) sigma^i(c) = 0, and L_a is F_q-linear: the
     roots in the class of a are its conjugates by the nonzero vectors of
     one d x d kernel over F_p (``_class_kernels``), and 0 is a root when
-    f_0 = 0.  With sigma the identity every class is one point, and f is
-    evaluated there directly.
+    f_0 = 0.  The class of norm gamma holds a root exactly when the
+    reduced norm chi_f (``_reduced_norm_ci``) vanishes at gamma, so at most
+    deg f kernels are solved.  sigma(c) a c^-1 = a c^(q-1) is the same for
+    every F_q-multiple of c, so one vector per F_q-line of the kernel is
+    mapped and each root is computed once.  With sigma the identity every
+    class is one point, and f is evaluated there directly.
 
     With an embedding the roots are taken in the extension field, with sigma
     extended as the Frobenius power of the same q.
@@ -96,24 +105,31 @@ def _roots_i(f):
         return [a for a in range(domain.order) if _eval_ci(ring, ci, a) == 0]
     kern = domain.kernel()
     mul, pow_, q1 = kern.mul, kern.pow, ring.q - 1
-    roots = set() if ci[0] else {0}
+    roots = [] if ci[0] else [0]
     for a, basis in _class_kernels(ring, ci):
-        # sigma(c) a c^-1 = a c^(q-1)
-        roots.update(mul(a, pow_(c, q1)) for c in _fp_span(domain, basis)[1:])
+        # sigma(c) a c^-1 = a c^(q-1), one c per F_q-line
+        roots += [mul(a, pow_(c, q1)) for c in _line_points(domain, basis, ring.e)]
     return sorted(roots)
 
 
 def _class_kernels(ring, ci):
-    """Yield (a, basis) for the representative a = g^j of each nonzero
-    conjugacy class, 0 <= j < q - 1, where basis is an F_p-basis, as packed
-    indices, of the kernel of L_a(c) = sum_i f_i N_i(a) sigma^i(c).
+    """Yield (a, basis) for the representative a = g^j, 0 <= j < q - 1, of
+    each nonzero conjugacy class that holds a right root of f, where basis
+    is an F_p-basis, as packed indices, of the kernel of
+    L_a(c) = sum_i f_i N_i(a) sigma^i(c).
 
-    g is the first element whose norm gamma = N(g) generates F_q^*, so the
-    g^j lie in distinct classes.  L_a(c) is the right evaluation of the
-    product f*c at a, and L_a is F_q-linear: the gamma^u x^v, u < e, v < m,
-    are an F_p-basis of the field (1, x, ..., x^(m-1) span it over F_q), so
-    each class takes m evaluations of the products f*x^v, formed once, and
-    e*m scalings.
+    g is the first element whose norm nu = N(g) generates F_q^*, so the g^j
+    lie in distinct classes, of norms nu^j.  When q - 1 > deg f the reduced
+    norm chi_f is evaluated at each nu^j and only its roots, at most deg f,
+    are solved; otherwise every class is.  L_a(c) is the right evaluation
+    of the product f*c at a, and L_a is F_q-linear: the gamma^u x^v, u < e,
+    v < m, are an F_p-basis of the field (1, x, ..., x^(m-1) span it over
+    F_q, and gamma = nu^u), so each class takes m evaluations of the
+    products f*x^v, formed once, and e*m scalings.  Taken in that order
+    (v outer), the kernel comes in runs of e vectors: the first of each run
+    is x^v plus an F_q-combination of the x^v' with v' < v, so the run
+    starts form an F_q-basis, and the runs before one span the F_q-span of
+    their starts (``_line_points`` relies on both).
     """
     field = ring.field
     kern = field.kernel()
@@ -124,18 +140,58 @@ def _class_kernels(ring, ci):
         a for a in range(1, field.order)
         if all(pow_(a, n // r) != 1 for r in primes)
     )
-    gammas = [pow_(g, u * (n // (q - 1))) for u in range(ring.e)]
+    nu = pow_(g, n // (q - 1))
+    gammas = [pow_(nu, u) for u in range(ring.e)]
     xs = [p ** v for v in range(ring.m)]
     domain = [mul(gu, xv) for xv in xs for gu in gammas]
     products = [_mul_ci(ring, ci, (xv,)) for xv in xs]
-    a = 1
+    chi = _reduced_norm_ci(ring, ci) if q - 1 > len(ci) - 1 else None
+    a = gamma = 1
     for _ in range(q - 1):
-        cols = []
-        for fx in products:
-            acc = _eval_ci(ring, fx, a)
-            cols += scale(acc, gammas) if acc else [0] * ring.e
-        yield a, _fp_kernel(field, cols, domain)
-        a = mul(a, g)
+        if chi is None or not kern.evaluate(chi, gamma, field.degree):
+            cols = []
+            for fx in products:
+                acc = _eval_ci(ring, fx, a)
+                cols += scale(acc, gammas) if acc else [0] * ring.e
+            yield a, _fp_kernel(field, cols, domain)
+        a, gamma = mul(a, g), mul(gamma, nu)
+
+
+def _reduced_norm_ci(ring, ci):
+    """chi_f(y), the characteristic polynomial of right multiplication by
+    the central y = x^m on R/Rf, ascending; its coefficients lie in F_q.
+
+    Row i of the matrix is x^(i+m) mod_r f for the monic f, and
+    x^(k+1) mod_r f is x times x^k mod_r f: a shift that twists each
+    coefficient by sigma, then one left multiple of f subtracted.
+    """
+    field = ring.field
+    kern = field.kernel()
+    frob, neg, e = kern.frobenius, kern.neg, ring.e
+    f = _monic_ci(ring, ci)
+    n = len(f) - 1
+    tail = [(j, c) for j, c in enumerate(f[:n]) if c]
+    rows, r = [], [1] + [0] * (n - 1)
+    for k in range(1, ring.m + n):
+        r = [0] + [frob(c, e) for c in r]
+        lead = r.pop()
+        if lead:
+            kern.addmul(r, 0, neg(lead), tail, 0)
+        if k >= ring.m:
+            rows.append(r)
+    return charpoly_i(rows, field)
+
+
+def _line_points(field, basis, e):
+    """One vector on each F_q-line of the span of a class kernel basis, in
+    the order ``_class_kernels`` gives it: basis[j] for each run start j,
+    plus every F_p-combination of basis[:j], which spans F_q-combinations
+    of the earlier run starts."""
+    add = field.kernel().add
+    points = []
+    for j in range(0, len(basis), e):
+        points += [add(s, basis[j]) for s in _fp_span(field, basis[:j])]
+    return points
 
 
 def minimal_polynomial(ring, points):
@@ -191,11 +247,6 @@ def is_wedderburn(f, emb=None):
         f = _lift(f, emb)
     roots = _roots_i(f)
     return _minpoly_ci(f.ring, roots) == f._ci if roots else f.degree == 0
-
-
-def require_wedderburn_roots(f):
-    """The root list of a Wedderburn polynomial (raises otherwise)."""
-    return [FieldElement(f.ring.field, a) for a in _wedderburn_roots_i(f)]
 
 
 def _wedderburn_roots_i(f):

@@ -20,6 +20,11 @@ oracle here shares a path with the field kernel that the ring loops bind.
 generator by one full division per nonzero a, ``rs1_brackets_repeat_by_scan``
 checks a skew-RS length by a set of the brackets a^[i], and ``vanishing_set_by_sweep``
 finds the right roots of a polynomial by evaluating it at every point.
+``roots_by_all_classes`` finds them by solving one kernel in every
+conjugacy class and mapping every kernel vector, without the reduced-norm
+prefilter or the one-vector-per-line map, and ``charpoly_by_cofactors``
+expands det(yI - M) by cofactors over F[y] on ``naive_mul``, with no
+elimination.
 ``bch1_generator_by_fold`` folds one subfield minimal polynomial per
 designed root by base-ring lclm, and ``bch2_generator_by_closure`` takes the
 extension-ring lclm of x - beta^(q^t) over the coset closure and restricts
@@ -46,7 +51,13 @@ import numpy as np
 
 from skewcodes.bch import bch1_root_exponents, bch2_exponent_sets
 from skewcodes.codes import Modulus, dual_code, skew_circulant
-from skewcodes.fields import FieldElement, norm_exponent
+from skewcodes.fields import (
+    FieldElement,
+    _fp_kernel,
+    _fp_span,
+    _prime_factors,
+    norm_exponent,
+)
 from skewcodes.linalg import (
     is_zero_matrix_i,
     mat_mul_i,
@@ -56,7 +67,13 @@ from skewcodes.linalg import (
     wrap,
 )
 from skewcodes.rootsets import AlgebraicSet, minimal_poly_over_subfield
-from skewcodes.skewpoly import _eval_ci, apply_automorphism, lclm, left_reciprocal
+from skewcodes.skewpoly import (
+    _eval_ci,
+    _mul_ci,
+    apply_automorphism,
+    lclm,
+    left_reciprocal,
+)
 
 
 def naive_mul(field, a, b):
@@ -200,6 +217,66 @@ def vanishing_set_by_sweep(f):
     return AlgebraicSet(
         field, [a for a in range(field.order) if _eval_ci(ring, f._ci, a) == 0]
     )
+
+
+def roots_by_all_classes(f):
+    """The right roots of a nonzero f with m >= 2: for each of the q - 1
+    representatives a = g^j (g of norm generating F_q^*), the conjugates
+    a c^(q-1) by every nonzero c in the F_p-kernel of
+    c -> sum_i f_i N_i(a) sigma^i(c), with 0 when f_0 = 0."""
+    ring, field, ci = f.ring, f.ring.field, f._ci
+    kern = field.kernel()
+    mul, pow_, scale = kern.mul, kern.pow, kern.scale
+    n, q = field.order - 1, ring.q
+    primes = _prime_factors(q - 1)
+    g = next(a for a in range(1, field.order) if all(pow_(a, n // r) != 1 for r in primes))
+    gammas = [pow_(g, u * (n // (q - 1))) for u in range(ring.e)]
+    xs = [field.p ** v for v in range(ring.m)]
+    domain = [mul(gu, xv) for xv in xs for gu in gammas]
+    products = [_mul_ci(ring, ci, (xv,)) for xv in xs]
+    roots, a = set() if ci[0] else {0}, 1
+    for _ in range(q - 1):
+        cols = []
+        for fx in products:
+            acc = _eval_ci(ring, fx, a)
+            cols += scale(acc, gammas) if acc else [0] * ring.e
+        span = _fp_span(field, _fp_kernel(field, cols, domain))
+        roots.update(mul(a, pow_(c, q - 1)) for c in span[1:])
+        a = mul(a, g)
+    return AlgebraicSet(field, roots)
+
+
+def _naive_poly_mul(field, a, b):
+    """Product in F[y] of ascending index tuples by naive_mul and naive_add."""
+    out = [0] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if x and y:
+                term = naive_mul(field, FieldElement(field, x), FieldElement(field, y))
+                out[i + j] = naive_add(field, out[i + j], term.i)
+    return naive_poly_add(field, out, ())
+
+
+def charpoly_by_cofactors(field, rows):
+    """det(yI - M) of a square int grid as an ascending index tuple, by
+    cofactor expansion along the first row over F[y]."""
+    def det(m):
+        if not m:
+            return (1,)
+        out = ()
+        for j, entry in enumerate(m[0]):
+            if entry:
+                term = _naive_poly_mul(field, entry, det([r[:j] + r[j + 1:] for r in m[1:]]))
+                if j % 2:
+                    term = tuple(naive_neg(field, c) for c in term)
+                out = naive_poly_add(field, out, term)
+        return out
+
+    return det([
+        [naive_poly_add(field, (naive_neg(field, c),), (0, 1) if i == j else ())
+         for j, c in enumerate(row)]
+        for i, row in enumerate(rows)
+    ])
 
 
 def constacyclic_modulus_by_scan(ring, g, n):

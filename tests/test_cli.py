@@ -190,6 +190,44 @@ def test_vanish(capsys):
     assert pairs["roots"] == "1;a;a^2"
 
 
+# vanish --machine over F_2^12 at e = 3 and 6 (7 and 63 conjugacy classes):
+# a minimal polynomial of three points, two of them conjugate, and the
+# product of an irreducible quadratic with x - a^9; each stdout is pinned
+# byte for byte.
+VANISH_PINS = [
+    ("3", "x^3+a^2143*x^2+a^1420*x+a^2760", 10, [
+        "a^5", "a^1328", "a^1000", "a^54", "a^3169", "a^3526", "a^3302", "a^3491",
+        "a^369", "a^1447",
+    ]),
+    ("3", "x^3+a^2637*x^2+a^3947*x+a^10", 1, [
+        "a^9",
+    ]),
+    ("6", "x^3+a^1000*x^2+a^325*x+a^1325", 66, [
+        "a^4037", "a^5", "a^3470", "a^1706", "a^194", "a^2903", "a^2210", "a^68",
+        "a^446", "a^2714", "a^1328", "a^1769", "a^1517", "a^2525", "a^2399", "a^1000",
+        "a^3281", "a^2777", "a^3407", "a^3659", "a^3092", "a^320", "a^1265", "a^3029",
+        "a^383", "a^950", "a^3596", "a^509", "a^1643", "a^1391", "a^2336", "a^698",
+        "a^1013", "a^1202", "a^761", "a^2147", "a^1895", "a^887", "a^2084", "a^2966",
+        "a^1832", "a^257", "a^1580", "a^2462", "a^1454", "a^1958", "a^3155", "a^3911",
+        "a^2588", "a^3785", "a^3974", "a^3344", "a^3722", "a^3848", "a^131", "a^3218",
+        "a^572", "a^1139", "a^2273", "a^635", "a^2840", "a^2651", "a^3533", "a^2021",
+        "a^824", "a^1076",
+    ]),
+    ("6", "x^3+a^4073*x^2+a^2458*x+a^18", 1, [
+        "a^9",
+    ]),
+]
+
+
+@pytest.mark.parametrize("e,poly,count,roots", VANISH_PINS)
+def test_vanish_machine_output_pinned(capsys, e, poly, count, roots):
+    code, out, _ = run_cli(
+        capsys, "vanish", "--preset", "F2_12", "--e", e, "--poly", poly, "--machine",
+    )
+    assert code == EXIT_OK
+    assert out == f"f={poly}\ncount={count}\nroots={';'.join(roots)}\n"
+
+
 def test_code_config_file(capsys, tmp_path):
     cfg = tmp_path / "code.cfg"
     cfg.write_text(

@@ -4,11 +4,25 @@ import random
 import pytest
 
 from conftest import PRESETS
-from oracle_utils import norm_eval, vanishing_set_by_sweep
-from skewcodes.fields import FieldEmbedding, FieldSpec, conjugacy_class, get_field
+from oracle_utils import (
+    charpoly_by_cofactors,
+    norm_eval,
+    roots_by_all_classes,
+    vanishing_set_by_sweep,
+)
+from skewcodes import rootsets
+from skewcodes.fields import (
+    FieldEmbedding,
+    FieldSpec,
+    conjugacy_class,
+    get_field,
+    norm_exponent,
+)
+from skewcodes.linalg import charpoly_i
 from skewcodes.rootsets import (
     AlgebraicSet,
     _class_kernels,
+    _reduced_norm_ci,
     is_wedderburn,
     minimal_poly_over_subfield,
     minimal_polynomial,
@@ -375,6 +389,109 @@ def test_class_kernel_dimensions_give_the_rank(name, field_named):
             cases.append(minimal_polynomial(R, [0] + rng.sample(range(1, F.order), 2)))
             for f in cases:
                 assert _class_rank(R, f) == _rank(R, vanishing_set(f)), (e, f)
+
+
+# -- the reduced norm chi_f and the classes it selects --------------------------------
+
+
+def _class_cases(R, rng):
+    """_random_cases, each also times x (f_0 = 0), and the minimal
+    polynomial of a point, one conjugate of it (so a whole F_q-line of the
+    class) and a third point."""
+    F = R.field
+    cases = _random_cases(R, rng)
+    cases += [f * R.x for f in cases[1:5]]
+    a, c, b = rng.sample(range(1, F.order), 3)
+    conj = F.mul_i(a, F.pow_i(c, R.q - 1))   # sigma(c) a c^-1
+    cases.append(minimal_polynomial(R, [a, conj, b]))
+    return cases
+
+
+@pytest.mark.parametrize("name,e", [("F3_10", 1), ("F3_10", 2), ("F3_10", 5), ("F2_16", 8)])
+def test_vanishing_set_against_all_classes(name, e, field_named):
+    """Fields too large for the point sweep against every class solved."""
+    F = field_named(name)
+    R = SkewRing(F, e)
+    for f in _class_cases(R, random.Random(f"classes {name}/{e}")):
+        assert vanishing_set(f) == roots_by_all_classes(f), f
+
+
+COUNT_CASES = [("F9", 1), ("F27", 1), ("F2_12", 3), ("F2_12", 6), ("F3_6", 3),
+               ("F3_10", 1), ("F3_10", 5), ("F2_16", 1), ("F2_16", 8)]
+
+
+@pytest.mark.parametrize("name,e", COUNT_CASES)
+def test_solves_and_mapped_vectors_are_counted(name, e, field_named, monkeypatch):
+    """At most deg f kernel solves per call (one per class that holds a root
+    when q - 1 > deg f), and one mapped kernel vector per nonzero root."""
+    counts = {"solves": 0, "mapped": 0}
+    fp_kernel, line_points = rootsets._fp_kernel, rootsets._line_points
+
+    def counted_kernel(*args):
+        counts["solves"] += 1
+        return fp_kernel(*args)
+
+    def counted_points(*args):
+        points = line_points(*args)
+        counts["mapped"] += len(points)
+        return points
+
+    monkeypatch.setattr(rootsets, "_fp_kernel", counted_kernel)
+    monkeypatch.setattr(rootsets, "_line_points", counted_points)
+    F = field_named(name)
+    R = SkewRing(F, e)
+    for f in _class_cases(R, random.Random(f"counts {name}/{e}")):
+        counts.update(solves=0, mapped=0)
+        nonzero = [a for a in vanishing_set(f) if a]
+        assert counts["solves"] <= f.degree, f
+        assert counts["mapped"] == len(nonzero), f
+        if R.q - 1 > f.degree:
+            norms = {a ** norm_exponent(R.q, R.m) for a in nonzero}
+            assert counts["solves"] == len(norms), f
+
+
+CHI_CASES = [(name, e) for name in PRESETS for e in _admissible(get_field(name))[:-1]]
+
+
+def _right_multiplication_by_y(f):
+    """Rows x^(i+m) mod_r f, i < deg f, by the ring's right division."""
+    R, n = f.ring, f.degree
+    rows = []
+    for i in range(n):
+        rem = (R.x ** (i + R.m)).right_divmod(f)[1]
+        rows.append([c.i for c in rem.coefficients] + [0] * (n - len(rem.coefficients)))
+    return rows
+
+
+@pytest.mark.parametrize("name,e", CHI_CASES)
+def test_reduced_norm_against_cofactor_determinant(name, e):
+    """chi_f is det(yI - M) for M the matrix of right multiplication by
+    x^m on R/Rf, monic of degree deg f, with every coefficient in F_q."""
+    F = get_field(name)
+    R = SkewRing(F, e)
+    rng = random.Random(f"chi {name}/{e}")
+    for n in range(1, 5):
+        for f0 in (0, rng.randrange(1, F.order)):
+            f = R.from_indices([f0] + [rng.randrange(F.order) for _ in range(n - 1)]
+                               + [rng.randrange(1, F.order)])
+            chi = _reduced_norm_ci(R, f._ci)
+            assert chi == charpoly_by_cofactors(F, _right_multiplication_by_y(f)), f
+            assert len(chi) == n + 1 and chi[-1] == 1
+            assert all(F.frob_i(c, e) == c for c in chi), f
+
+
+@pytest.mark.parametrize("name", ["F4", "F9", "F27", "F2_6", "F5_4"])
+def test_charpoly_against_cofactor_determinant(name, field_named):
+    """Hessenberg reduction against cofactor expansion on random square
+    grids, sparse ones too, so that pivots are searched and swapped."""
+    F = field_named(name)
+    rng = random.Random(f"charpoly {name}")
+    for n in range(5):
+        for density in (1.0, 0.5, 0.2):
+            for _ in range(4):
+                rows = [[rng.randrange(1, F.order) if rng.random() < density else 0
+                         for _ in range(n)] for _ in range(n)]
+                assert charpoly_i(rows, F) == charpoly_by_cofactors(F, rows), rows
 
 
 def test_vanishing_set_above_the_table_limit():
