@@ -28,7 +28,8 @@ references to the tables, negation a shift by log(-1) = (order - 1)/2;
 above, it builds no table of the field and works on packed indices: a
 carry-less product for p = 2, a Kronecker-substitution product for odd p
 (``_packed_mul``, which the table builds use too), an extended-Euclid
-inverse (``_packed_inv``) and square-and-multiply powers.
+inverse (``_packed_inv``) and square-and-multiply powers; these two also
+check the defining polynomial, by Rabin's test (``_fp_is_irreducible``).
 
 The F_p-linear algebra on packed indices (``_fp_kernel``, ``_fp_span``)
 lives here with the packing; it finds the roots in a conjugacy class and
@@ -43,17 +44,13 @@ from __future__ import annotations
 import threading
 from bisect import bisect_right
 from functools import partial
-from math import gcd
+from math import gcd, isqrt
 from operator import xor
 
 from .errors import FieldMismatchError, GuardExceededError
 
 _TABLE_LIMIT = 1 << 16
 _ADD_TABLE_LIMIT = 1 << 12
-
-
-def _is_prime(n: int) -> bool:
-    return n >= 2 and _prime_factors(n) == [n]
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -70,48 +67,47 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-# -- dense polynomial helpers over F_p (int coefficient lists, ascending) --
-
 def _fp_trim(c):
     while c and c[-1] == 0:
         c.pop()
     return c
 
 
-def _fp_rem(a, b, p):
-    """Remainder of a modulo monic-normalizable b, over F_p."""
-    a = list(a)
-    inv_lead = pow(b[-1], p - 2, p)
-    while len(a) >= len(b) and a:
-        c = (a[-1] * inv_lead) % p
-        shift = len(a) - len(b)
-        for j, bj in enumerate(b):
-            a[shift + j] = (a[shift + j] - c * bj) % p
-        _fp_trim(a)
-    return a
+# -- the defining polynomial: range guard and Rabin's irreducibility test --
 
-
-def _fp_is_irreducible(poly, p):
-    """Trial division by all monic polynomials of degree <= d/2 (desk scale)."""
-    d = len(poly) - 1
-    if d < 1:
-        return False
-    half = d // 2
-    if p ** half > _TABLE_LIMIT:
+def _check_modulus(p, modulus):
+    """Refuse p not prime (trial division below 2^16 decides every p < 2^32),
+    a modulus not monic of degree d >= 1, and p^(d//2) > 2^16, the range that
+    bounds Rabin's cost and the p-entry chunk tables of _packed_mul."""
+    root = isqrt(max(p, 0))
+    if p < 2 or any(p % f == 0 for f in range(2, min(root + 1, _TABLE_LIMIT))):
+        raise ValueError(f"characteristic {p} is not prime")
+    if root >= _TABLE_LIMIT:
         raise GuardExceededError(
-            f"irreducibility check needs {p}^{half} trial divisors", cost=p ** half
-        )
-    for deg in range(1, half + 1):
-        for idx in range(p ** deg):
-            cand = []
-            k = idx
-            for _ in range(deg):
-                cand.append(k % p)
-                k //= p
-            cand.append(1)
-            if not _fp_rem(poly, cand, p):
-                return False
-    return True
+            f"primality check of {p} needs {root - 1} trial divisors, exceeds 2^16", cost=root - 1)
+    if len(modulus) < 2 or modulus[-1] != 1:
+        raise ValueError("defining polynomial must be monic of degree >= 1")
+    d = len(modulus) - 1
+    if p ** (d // 2) > _TABLE_LIMIT:
+        raise GuardExceededError(f"field modulus of degree {d} over F_{p} is out of range: "
+                                 f"{p}^{d // 2} exceeds 2^16", cost=p ** (d // 2))
+
+
+def _fp_is_irreducible(p, modulus, mul):
+    """Rabin's test (SIAM J. Comput. 1980): a monic modulus of degree d > 1
+    is irreducible iff x^(p^d) = x and gcd(x^(p^(d/r)) - x, modulus) = 1 for
+    each prime r | d.  x packs to p, mul is the packed product, the gcd is 1
+    iff _packed_inv finds an inverse, and subtracting x lowers digit 1 mod p."""
+    d = len(modulus) - 1
+    if d == 1:
+        return True
+    powers = [p]   # x^(p^k), k = 0 .. d
+    for _ in range(d):
+        powers.append(_power(mul, powers[-1], p))
+    inv = _packed_inv(p, modulus)
+    return powers[d] == p and all(
+        inv(a - p if a // p % p else a + (p - 1) * p)
+        for a in (powers[d // r] for r in _prime_factors(d)))
 
 
 def _digit_add_table(p, k):
@@ -260,13 +256,14 @@ def _packed_mul(p, modulus):
 
 
 def _packed_inv(p, modulus):
-    """The inverse of a nonzero packed index of F_p[x]/(modulus), by the
-    extended Euclidean algorithm in F_p[x] with one leading term cleared per
-    step (Hankerson, Menezes and Vanstone, *Guide to Elliptic Curve
+    """The inverse of a packed index of F_p[x]/(modulus), by the extended
+    Euclidean algorithm in F_p[x] with one leading term cleared per step
+    (Hankerson, Menezes and Vanstone, *Guide to Elliptic Curve
     Cryptography*, Algorithm 2.48): u, v start at a and the modulus with
     g1 a = u and g2 a = v (mod modulus), the one of higher degree loses its
     leading term to a shifted multiple of the other, and when u is a
-    constant c, a^(-1) = g1 / c.  For p = 2 the polynomials are the packed
+    constant c, a^(-1) = g1 / c; if u reaches 0, gcd(a, modulus) = v is not
+    constant and 0 is returned.  For p = 2 the polynomials are the packed
     ints and a step is two XORs; for odd p they are digit lists.  No field
     product is made; a prime field inverts by a^(p - 2) mod p.
     """
@@ -278,13 +275,13 @@ def _packed_inv(p, modulus):
 
         def inv(a):
             u, v, g1, g2 = a, m, 1, 0
-            while u != 1:
+            while u > 1:
                 j = u.bit_length() - v.bit_length()
                 if j < 0:
                     u, v, g1, g2, j = v, u, g2, g1, -j
                 u ^= v << j
                 g1 ^= g2 << j
-            return g1
+            return g1 if u else 0
         return inv
 
     def inv(a):
@@ -292,7 +289,7 @@ def _packed_inv(p, modulus):
         while a:
             a, x = divmod(a, p)
             u.append(x)
-        while len(u) != 1:
+        while len(u) > 1:
             j = len(u) - len(v)
             if j < 0:
                 u, v, g1, g2, j = v, u, g2, g1, -j
@@ -302,6 +299,8 @@ def _packed_inv(p, modulus):
             for i, y in enumerate(g2, j):
                 g1[i] = (g1[i] - c * y) % p
             _fp_trim(g1)
+        if not u:
+            return 0
         c = pow(u[0], p - 2, p)
         out = 0
         for x in reversed(g1):
@@ -515,7 +514,8 @@ class FieldSpec:
     modulus
         Monic defining polynomial of degree d as ascending coefficients over
         F_p, e.g. (1, 1, 1) for x^2 + x + 1.  Checked irreducible at
-        construction by trial division (desk scale only).
+        construction by Rabin's test; p^(d//2) > 2^16 is refused with
+        GuardExceededError.
     primitive
         Whether the residue class of the variable generates the
         multiplicative group.  Verified at construction; a primitive field
@@ -526,11 +526,12 @@ class FieldSpec:
 
     def __init__(self, p, modulus, primitive=False, name=None):
         modulus = tuple(int(c) % p for c in modulus)
-        if not _is_prime(p):
-            raise ValueError(f"characteristic {p} is not prime")
-        if len(modulus) < 2 or modulus[-1] != 1:
-            raise ValueError("defining polynomial must be monic of degree >= 1")
-        if not _fp_is_irreducible(list(modulus), p):
+        _check_modulus(p, modulus)
+        # the packed product that Rabin's test, the table build and the
+        # polynomial kernel share; a plain attribute, since a cached_property
+        # writes through __dict__, which slows every later attribute load
+        self._mul = _packed_mul(p, modulus)
+        if not _fp_is_irreducible(p, modulus, self._mul):
             raise ValueError(f"defining polynomial {modulus} is reducible over F_{p}")
         self.p = p
         self.modulus = modulus
@@ -540,10 +541,6 @@ class FieldSpec:
         self.name = name or f"F{p}^{self.degree}"
         # the variable, packed: x itself, or for d = 1 its residue -m_0
         self._x = p if self.degree > 1 else -modulus[0] % p
-        # the packed product that the table build and the polynomial kernel
-        # share; a plain attribute, since a cached_property writes through
-        # __dict__, which slows every later attribute load on the instance
-        self._mul = _packed_mul(p, modulus)
         if primitive:
             if self.order > _TABLE_LIMIT:
                 raise GuardExceededError(
@@ -1140,9 +1137,11 @@ def preset_names():
 
 
 def find_irreducible(p, degree):
-    """Lexicographically first monic irreducible polynomial of the degree."""
+    """Lexicographically first monic irreducible polynomial of the degree,
+    by the checks FieldSpec makes."""
+    _check_modulus(p, (0,) * degree + (1,))
     for idx in range(p ** degree):
-        cand = [idx // p ** i % p for i in range(degree)] + [1]
-        if _fp_is_irreducible(cand, p):
-            return tuple(cand)
+        cand = tuple(idx // p ** i % p for i in range(degree)) + (1,)
+        if _fp_is_irreducible(p, cand, _packed_mul(p, cand)):
+            return cand
     raise ArithmeticError("no irreducible polynomial found")

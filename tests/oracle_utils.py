@@ -11,7 +11,9 @@ agrees with the remainder of right division by x - a at every point a.
 ``split_quotient_divisor_profile`` counts monic right divisors by degree from
 the simple components of a split quotient R/Rf, by Gaussian binomials alone,
 and ``f2_is_irreducible`` checks the central factors that fix those
-components by trial division over F_2.  ``twisted_mul`` multiplies in
+components by trial division over F_2.  ``fp_is_irreducible_by_trial_division``
+is the same check over any F_p, the reference for the Rabin test that
+FieldSpec runs on its modulus.  ``twisted_mul`` multiplies in
 F[x; a -> a^(p^t)] for any shift t, and ``norm_eval`` evaluates through
 N_i(a) = a^((q^i - 1)/(q - 1)), and ``linearized_apply_naive`` evaluates
 sum f_i a^(q^i) by ``naive_pow``; all three sum with ``naive_add``, so no
@@ -390,6 +392,27 @@ def f2_is_irreducible(bits):
         return f
 
     return deg >= 1 and all(rem(bits, g) for g in range(2, 1 << (deg // 2 + 1)))
+
+
+def fp_is_irreducible_by_trial_division(poly, p):
+    """Irreducibility over F_p of the monic ascending coefficient list
+    ``poly`` by trial division: no monic polynomial of degree 1 .. d/2
+    divides it.  The reference for the Rabin test FieldSpec makes."""
+
+    def rem(a, b):
+        a = list(a)
+        while len(a) >= len(b):
+            c, shift = a[-1], len(a) - len(b)
+            for j, bj in enumerate(b):
+                a[shift + j] = (a[shift + j] - c * bj) % p
+            while a and a[-1] == 0:
+                a.pop()
+        return a
+
+    d = len(poly) - 1
+    return d >= 1 and all(
+        rem(poly, [idx // p ** i % p for i in range(deg)] + [1])
+        for deg in range(1, d // 2 + 1) for idx in range(p ** deg))
 
 
 def gaussian_binomial(n, k, q):

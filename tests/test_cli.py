@@ -547,6 +547,37 @@ def test_primitive_flag_on_the_modulus_x_exits_1(capsys, tmp_path):
     assert "generator is 0" in err
 
 
+def test_field_modulus_out_of_range_exits_guard(capsys, tmp_path):
+    # p^(d//2) = 2^17 exceeds 2^16: refused before any product is built
+    cfg = tmp_path / "f2_34.cfg"
+    cfg.write_text("p=2\ne=1\nd=34\nmodpoly=1,1" + ",0" * 32 + ",1\n")
+    code, out, err = run_cli(capsys, "field-info", "--config", str(cfg))
+    assert code == EXIT_GUARD and out == ""
+    assert err == ("guard exceeded: field modulus of degree 34 over F_2 is out of range: "
+                   "2^17 exceeds 2^16 (estimated cost 131072)\n")
+
+
+def test_huge_characteristic_exits_guard(capsys, tmp_path):
+    # a prime above 2^32 is not proved prime by trial division below 2^16
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("p=1000000000000000003\ne=1\nd=1\nmodpoly=0,1\n")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "field-info", "--config", str(cfg))
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_GUARD and out == ""
+    assert err == ("guard exceeded: primality check of 1000000000000000003 needs "
+                   "999999999 trial divisors, exceeds 2^16\n")
+
+
+def test_composite_characteristic_above_2_32_exits_1(capsys, tmp_path):
+    # 2^32 + 1 = 641 * 6700417: a factor below 2^16 decides it
+    cfg = tmp_path / "fermat.cfg"
+    cfg.write_text("p=4294967297\ne=1\nd=1\nmodpoly=0,1\n")
+    code, out, err = run_cli(capsys, "field-info", "--config", str(cfg))
+    assert code == EXIT_DOMAIN and out == ""
+    assert err == "error: characteristic 4294967297 is not prime\n"
+
+
 def test_unknown_preset_is_a_usage_error(capsys):
     for argv in (
         ("field-info", "--preset", "F5"),

@@ -11,6 +11,7 @@ from skewcodes.fields import (
     FieldEmbedding,
     FieldSpec,
     FrobeniusAut,
+    _packed_inv,
     conjugacy_class,
     conjugacy_classes,
     conjugate,
@@ -23,7 +24,13 @@ from skewcodes.fields import (
     relative_automorphisms,
 )
 from conftest import BIG_FIELDS, EXTRA_FIELDS, PRESETS
-from oracle_utils import naive_add, naive_mul, naive_neg, naive_pow
+from oracle_utils import (
+    fp_is_irreducible_by_trial_division,
+    naive_add,
+    naive_mul,
+    naive_neg,
+    naive_pow,
+)
 from skewcodes.skewpoly import SkewRing
 
 
@@ -73,6 +80,133 @@ def test_mixed_field_arithmetic_rejected(F4, F8):
 def test_reducible_modulus_rejected():
     with pytest.raises(ValueError):
         FieldSpec(2, (1, 0, 1))  # x^2 + 1 = (x+1)^2 over F_2
+
+
+# Reducible moduli (ascending) with x^(p^d) = x, so only the gcd step of
+# Rabin's test refuses them: x^(p^(d/r)) - x is 0 modulo the first two and
+# shares a proper factor with the last two.  Factors are descending.
+_RABIN_GCD_CASES = [
+    pytest.param(2, (0, 1, 0, 0, 1), [[1, 0], [1, 1], [1, 1, 1]], True, id="F2-x^4+x"),
+    pytest.param(3, (2, 1, 0, 1, 1), [[1, 0, 1], [1, 1, 2]], True,
+                 id="F3-(x^2+1)(x^2+x+2)"),
+    pytest.param(2, (1, 1, 0, 0, 1, 0, 1), [[1, 1], [1, 1, 1], [1, 0, 1, 1]], False,
+                 id="F2-(x+1)(x^2+x+1)(x^3+x+1)"),
+    pytest.param(3, (1, 0, 0, 1, 0, 1, 1), [[1, 1], [1, 0, 1], [1, 0, 2, 1]], False,
+                 id="F3-(x+1)(x^2+1)(x^3+2x+1)"),
+]
+
+
+@pytest.mark.parametrize("p,modulus,factors,vanishes", _RABIN_GCD_CASES)
+def test_rabin_gcd_step_refuses(p, modulus, factors, vanishes):
+    """Each modulus is the product of its factors and passes x^(p^d) = x,
+    by sympy; some prime r | d gives h = x^(p^(d/r)) - x that is 0 mod the
+    modulus (vanishes) or a nonzero h with a common factor, and FieldSpec
+    refuses it."""
+    from sympy import Poly, gcd, prod, symbols
+
+    x = symbols("x")
+    m = Poly(list(reversed(modulus)), x, modulus=p)
+    assert prod(Poly(f, x, modulus=p) for f in factors) == m
+    d = m.degree()
+    assert Poly(x ** p ** d - x, x, modulus=p).rem(m).is_zero
+    hs = [Poly(x ** p ** (d // r) - x, x, modulus=p).rem(m) for r in (2, 3) if d % r == 0]
+    if vanishes:
+        assert any(h.is_zero for h in hs)
+    else:
+        assert all(not h.is_zero for h in hs) and any(gcd(h, m).degree() > 0 for h in hs)
+    with pytest.raises(ValueError, match="reducible"):
+        FieldSpec(p, modulus)
+
+
+@pytest.mark.parametrize("p,modulus,factors,vanishes", _RABIN_GCD_CASES)
+def test_packed_inv_on_a_reducible_modulus(p, modulus, factors, vanishes):
+    """Over F_p[x]/(m) with m reducible, _packed_inv returns 0 exactly when
+    gcd(a, m) is not 1 (by sympy), and otherwise an inverse that sympy
+    checks: a * inv(a) = 1 mod m."""
+    from sympy import Poly, gcd, symbols
+
+    x = symbols("x")
+    m = Poly(list(reversed(modulus)), x, modulus=p)
+    d = len(modulus) - 1
+    inv = _packed_inv(p, modulus)
+
+    def poly(a):
+        return Poly([a // p ** i % p for i in reversed(range(d))], x, modulus=p)
+
+    units = 0
+    for a in range(1, p ** d):
+        b = inv(a)
+        if gcd(poly(a), m).degree() > 0:
+            assert b == 0
+        else:
+            units += 1
+            assert 0 < b < p ** d and (poly(a) * poly(b)).rem(m) == Poly(1, x, modulus=p)
+    assert 0 < units < p ** d - 1
+
+
+def test_modulus_check_against_trial_division():
+    """FieldSpec accepts exactly the moduli that trial division calls
+    irreducible: every monic polynomial of degree 1 .. 10 over F_2, 6 over
+    F_3, 4 over F_5 and 3 over F_7, 4,317 in all."""
+    count = 0
+    for p, top in [(2, 10), (3, 6), (5, 4), (7, 3)]:
+        for d in range(1, top + 1):
+            for idx in range(p ** d):
+                modulus = tuple(idx // p ** i % p for i in range(d)) + (1,)
+                try:
+                    FieldSpec(p, modulus)
+                    accepted = True
+                except ValueError:
+                    accepted = False
+                assert accepted == fp_is_irreducible_by_trial_division(list(modulus), p), modulus
+                count += 1
+    assert count == 4317
+
+
+@pytest.mark.parametrize("p,degree,earlier", [(2, 32, 141), (3, 20, 34)])
+def test_find_irreducible_first_candidate(p, degree, earlier):
+    """find_irreducible returns a modulus sympy calls irreducible, in under
+    1 s, and sympy calls every earlier candidate reducible."""
+    from sympy import Poly, symbols
+
+    x = symbols("x")
+    start = time.perf_counter()
+    modulus = find_irreducible(p, degree)
+    assert time.perf_counter() - start < 1.0
+    assert Poly(list(reversed(modulus)), x, modulus=p).is_irreducible
+    assert sum(c * p ** i for i, c in enumerate(modulus[:-1])) == earlier
+    for idx in range(earlier):
+        cand = [idx // p ** i % p for i in range(degree)] + [1]
+        assert not Poly(list(reversed(cand)), x, modulus=p).is_irreducible
+
+
+@pytest.mark.parametrize("p,prime", [
+    (4294967291, True),     # the largest prime below 2^32
+    (65521 ** 2, False),    # the square of the largest prime below 2^16
+    (4294967311, None),     # the smallest prime above 2^32: not decided
+])
+def test_characteristic_by_trial_division_below_2_16(p, prime):
+    """Trial division by every integer below 2^16 decides each p < 2^32; a
+    larger p with no factor below 2^16 is refused, not searched further."""
+    if prime:
+        assert FieldSpec(p, (0, 1)).order == p
+    elif prime is None:
+        with pytest.raises(GuardExceededError, match="needs 65535 trial divisors"):
+            FieldSpec(p, (0, 1))
+    else:
+        with pytest.raises(ValueError, match=f"characteristic {p} is not prime"):
+            FieldSpec(p, (0, 1))
+
+
+def test_modulus_out_of_range_refused():
+    """p^(d//2) > 2^16 is refused, with its cost: degree 34 over F_2 and
+    degree 2 over a prime above 2^16."""
+    with pytest.raises(GuardExceededError) as info:
+        find_irreducible(2, 34)
+    assert str(info.value) == "field modulus of degree 34 over F_2 is out of range: 2^17 exceeds 2^16"
+    assert info.value.cost == 2 ** 17
+    with pytest.raises(GuardExceededError, match="65537\\^1 exceeds 2\\^16"):
+        FieldSpec(65537, (3, 0, 1))
 
 
 def test_prime_field_f2_without_primitive_flag():
@@ -418,7 +552,7 @@ def test_slow_pow_makes_no_product_by_one_and_no_extra_square(field_named, monke
 
 def test_big_field_moduli_are_irreducible():
     """The BIG_FIELDS moduli are irreducible by sympy's test, which shares no
-    code with the trial division of FieldSpec."""
+    code with the Rabin test of FieldSpec."""
     from sympy import Poly, symbols
 
     for p, modulus in BIG_FIELDS.values():
