@@ -13,7 +13,6 @@ the base field (``rootsets._subfield_minimal_polynomial``).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb, gcd
 
 from .codes import Modulus, SkewCyclicCode, _codewords
@@ -151,20 +150,59 @@ def evaluation_code(ring, points, k):
 # -- skew-BCH specifications ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _BchSpec:
+class _Frozen:
+    """An immutable record over the names in ``_fields``: built from
+    positional or keyword values, compared and hashed as the tuple of its
+    values (only against its own class), shown as ``Name(field=value, ...)``,
+    and refusing assignment and deletion with AttributeError."""
+
+    _fields = ()
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self).__qualname__
+        if len(args) > len(self._fields):
+            raise TypeError(f"{cls}() takes {len(self._fields)} arguments, got {len(args)}")
+        values = dict(zip(self._fields, args))
+        for name, value in kwargs.items():
+            if name not in self._fields:
+                raise TypeError(f"{cls}() got an unexpected keyword argument {name!r}")
+            if name in values:
+                raise TypeError(f"{cls}() got multiple values for argument {name!r}")
+            values[name] = value
+        missing = [name for name in self._fields if name not in values]
+        if missing:
+            raise TypeError(f"{cls}() missing arguments: {', '.join(missing)}")
+        for name in self._fields:
+            object.__setattr__(self, name, values[name])
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _BchSpec(_Frozen):
     """The parameters both kinds share: ``base_ring`` is F_{q^m}[x; sigma],
     ``emb`` embeds the base field into the extension where alpha lives, and
     the designed exponents are b + t1*i + t2*j for i <= delta-2, j <= nu."""
 
-    base_ring: SkewRing
-    emb: object
-    alpha: FieldElement
-    b: int
-    t1: int
-    t2: int
-    delta: int
-    nu: int
+    _fields = ("base_ring", "emb", "alpha", "b", "t1", "t2", "delta", "nu")
 
     @property
     def s(self):
@@ -227,14 +265,13 @@ def _bch1_brackets(spec, limit):
     return _unit_brackets(field, spec.base_ring.q, bases, limit)
 
 
-@dataclass(frozen=True)
 class Bch1Spec(_BchSpec):
     """Parameters for a first-kind construction of length n: alpha lives in
     F_{q^(ms)} (the identity embedding when s = 1) and the designed roots
     are alpha^(b + t1*i + t2*j) for i <= delta-2, j <= nu.
     """
 
-    n: int
+    _fields = _BchSpec._fields + ("n",)
 
     def validate(self):
         super().validate()
@@ -364,7 +401,6 @@ def find_normal_element(ring):
     raise ArithmeticError("no normal element found; this cannot happen")
 
 
-@dataclass(frozen=True)
 class Bch2Spec(_BchSpec):
     """Parameters for a second-kind construction over F_{q^m}, length n = ms.
 

@@ -436,70 +436,86 @@ def cmd_vanish(args):
     return EXIT_OK
 
 
-def build_parser():
+def _code_args(sub):
+    _add_code_args(sub, "--distance", "--dual", "--check-poly", strategy=True)
+
+
+def _distance_args(sub):
+    _add_code_args(sub, strategy=True)
+
+
+def _divisors_args(sub):
+    _add_field_args(sub)
+    sub.add_argument("--poly", required=True)
+    sub.add_argument("--count-only", action="store_true")
+    sub.add_argument("--degree", type=int, default=None)
+
+
+def _bch1_args(sub):
+    _add_field_args(sub, ext=True)
+    _bch_common_args(sub)
+    sub.add_argument("--n", type=int, required=True)
+
+
+def _bch2_args(sub):
+    _add_field_args(sub, ext=True)
+    _bch_common_args(sub)
+
+
+def _eval_code_args(sub):
+    _add_field_args(sub)
+    sub.add_argument("--points", required=True,
+                     help="semicolon-separated element tokens")
+    sub.add_argument("--k", type=int, required=True)
+
+
+def _minpoly_args(sub):
+    _add_field_args(sub)
+    sub.add_argument("--points", required=True)
+
+
+def _vanish_args(sub):
+    _add_field_args(sub)
+    sub.add_argument("--poly", required=True)
+
+
+# (name, help, arguments, handler) of each subcommand, in help order
+_COMMANDS = (
+    ("field-info", "field and ring facts", _add_field_args, cmd_field_info),
+    ("divisors", "enumerate monic right divisors", _divisors_args, cmd_divisors),
+    ("code", "code report from modulus and generator", _code_args, cmd_code),
+    ("dual", "dual code of a constacyclic code", _add_code_args, cmd_dual),
+    ("distance", "exact minimum distance", _distance_args, cmd_distance),
+    ("bch1", "first-kind skew-BCH construction", _bch1_args, cmd_bch1),
+    ("bch2", "second-kind skew-BCH construction", _bch2_args, cmd_bch2),
+    ("eval-code", "evaluation code from points", _eval_code_args, cmd_eval_code),
+    ("minpoly", "minimal polynomial of a point set", _minpoly_args, cmd_minpoly),
+    ("vanish", "vanishing set of a polynomial", _vanish_args, cmd_vanish),
+)
+
+
+def build_parser(argv=None):
+    """The parser with every subcommand declared.  When argv[0] names a
+    subcommand, only that one gets its arguments: argparse hands the rest
+    of argv to it alone, and the top-level help and choice errors read
+    only the names.  Otherwise every subcommand gets its arguments."""
     parser = argparse.ArgumentParser(
         prog="skewcodes",
         description="Exact skew-polynomial rings and skew-cyclic codes.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("field-info", help="field and ring facts")
-    _add_field_args(sub)
-    sub.set_defaults(func=cmd_field_info)
-
-    sub = subs.add_parser("divisors", help="enumerate monic right divisors")
-    _add_field_args(sub)
-    sub.add_argument("--poly", required=True)
-    sub.add_argument("--count-only", action="store_true")
-    sub.add_argument("--degree", type=int, default=None)
-    sub.set_defaults(func=cmd_divisors)
-
-    sub = subs.add_parser("code", help="code report from modulus and generator")
-    _add_code_args(sub, "--distance", "--dual", "--check-poly", strategy=True)
-    sub.set_defaults(func=cmd_code)
-
-    sub = subs.add_parser("dual", help="dual code of a constacyclic code")
-    _add_code_args(sub)
-    sub.set_defaults(func=cmd_dual)
-
-    sub = subs.add_parser("distance", help="exact minimum distance")
-    _add_code_args(sub, strategy=True)
-    sub.set_defaults(func=cmd_distance)
-
-    sub = subs.add_parser("bch1", help="first-kind skew-BCH construction")
-    _add_field_args(sub, ext=True)
-    _bch_common_args(sub)
-    sub.add_argument("--n", type=int, required=True)
-    sub.set_defaults(func=cmd_bch1)
-
-    sub = subs.add_parser("bch2", help="second-kind skew-BCH construction")
-    _add_field_args(sub, ext=True)
-    _bch_common_args(sub)
-    sub.set_defaults(func=cmd_bch2)
-
-    sub = subs.add_parser("eval-code", help="evaluation code from points")
-    _add_field_args(sub)
-    sub.add_argument("--points", required=True,
-                     help="semicolon-separated element tokens")
-    sub.add_argument("--k", type=int, required=True)
-    sub.set_defaults(func=cmd_eval_code)
-
-    sub = subs.add_parser("minpoly", help="minimal polynomial of a point set")
-    _add_field_args(sub)
-    sub.add_argument("--points", required=True)
-    sub.set_defaults(func=cmd_minpoly)
-
-    sub = subs.add_parser("vanish", help="vanishing set of a polynomial")
-    _add_field_args(sub)
-    sub.add_argument("--poly", required=True)
-    sub.set_defaults(func=cmd_vanish)
-
+    only = argv[0] if argv and argv[0] in (c[0] for c in _COMMANDS) else None
+    for name, text, add_args, func in _COMMANDS:
+        sub = subs.add_parser(name, help=text)
+        if only in (None, name):
+            add_args(sub)
+        sub.set_defaults(func=func)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

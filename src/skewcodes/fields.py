@@ -76,21 +76,25 @@ def _fp_trim(c):
 # -- the defining polynomial: range guard and Rabin's irreducibility test --
 
 def _check_modulus(p, modulus):
-    """Refuse p not prime (trial division below 2^16 decides every p < 2^32),
-    a modulus not monic of degree d >= 1, and p^(d//2) > 2^16, the range that
-    bounds Rabin's cost and the p-entry chunk tables of _packed_mul."""
+    """The coefficients of modulus reduced mod p, as a tuple.  Refuses p not
+    prime (trial division below 2^16 decides every p < 2^32) before any
+    coefficient is reduced, then a modulus not monic of degree d >= 1, and
+    p^(d//2) > 2^16, the range that bounds Rabin's cost and the p-entry
+    chunk tables of _packed_mul."""
     root = isqrt(max(p, 0))
     if p < 2 or any(p % f == 0 for f in range(2, min(root + 1, _TABLE_LIMIT))):
         raise ValueError(f"characteristic {p} is not prime")
     if root >= _TABLE_LIMIT:
         raise GuardExceededError(
             f"primality check of {p} needs {root - 1} trial divisors, exceeds 2^16", cost=root - 1)
+    modulus = tuple(int(c) % p for c in modulus)
     if len(modulus) < 2 or modulus[-1] != 1:
         raise ValueError("defining polynomial must be monic of degree >= 1")
     d = len(modulus) - 1
     if p ** (d // 2) > _TABLE_LIMIT:
         raise GuardExceededError(f"field modulus of degree {d} over F_{p} is out of range: "
                                  f"{p}^{d // 2} exceeds 2^16", cost=p ** (d // 2))
+    return modulus
 
 
 def _fp_is_irreducible(p, modulus, mul):
@@ -182,9 +186,36 @@ def _chunk(p, d):
     return c, p ** c
 
 
+def _slot_width(p, rem):
+    """The bits of a Kronecker slot for F_p[x]/(x^d - rem(x)), d = len(rem):
+    every slot sum is a polynomial with nonnegative coefficients in the
+    digits and in rem, so the square of the element with all digits p - 1
+    holds the largest sum of every slot after the product and after each
+    fold, and rem = [p - 1] * d gives a width that fits every modulus of
+    degree d."""
+    d = len(rem)
+    sums = [(p - 1) ** 2 * min(k + 1, 2 * d - 1 - k) for k in range(2 * d - 1)]
+    widest = max(sums)
+    while len(sums) > d:
+        high, sums = sums[d:], sums[:d] + [0] * (len(sums) - d - 1)
+        for i, h in enumerate(high):
+            for j, x in enumerate(rem):
+                sums[i + j] += h * x
+        widest = max(widest, *_fp_trim(sums))
+    return widest.bit_length()
+
+
 def _packed_mul(p, modulus):
-    """The product of F_p[x]/(modulus) on packed indices, chosen once from p
-    and d = deg(modulus).
+    """The product of F_p[x]/(modulus) on packed indices: ``_packed_muls``
+    of its degree, at the least slot width this modulus needs."""
+    d = len(modulus) - 1
+    w = _slot_width(p, [-m % p for m in modulus[:-1]]) if p > 2 and d > 1 else None
+    return _packed_muls(p, d, w)(modulus)
+
+
+def _packed_muls(p, d, w=None):
+    """modulus -> the product of F_p[x]/(modulus) on packed indices, for
+    monic moduli of degree d; what depends only on p, d and w is built once.
 
     - d = 1: a * b mod p.
     - p = 2: the carry-less product, a shifted copy of a XORed in for each
@@ -196,44 +227,36 @@ def _packed_mul(p, modulus):
       sums.  The slots from x^d up are folded back as integers by
       x^d = r(x), r = -m0 mod p, until none is left; w holds the largest sum
       the product and the folds can reach, so no slot carries into the
-      next.  The d slots are then read mod p and repacked.
+      next.  The d slots are then read mod p and repacked.  w defaults to
+      the width that fits every modulus of degree d (``_slot_width``).
     """
-    d = len(modulus) - 1
     if d == 1:
-        return lambda a, b: a * b % p
+        return lambda modulus: lambda a, b: a * b % p
     if p == 2:
         mask = (1 << d) - 1
-        taps = [j for j, m in enumerate(modulus[:-1]) if m]
 
-        def mul(a, b):
-            r = 0
-            while b:
-                bit = b & -b
-                r ^= a * bit
-                b ^= bit
-            while r >> d:
-                h, r = r >> d, r & mask
-                for j in taps:
-                    r ^= h << j
-            return r
-        return mul
-    rem = [-m % p for m in modulus[:-1]]
-    # Every slot sum is a polynomial with nonnegative coefficients in the
-    # digits, so the square of the element with all digits p - 1 holds the
-    # largest sum of every slot after the product and after each fold.
-    sums = [(p - 1) ** 2 * min(k + 1, 2 * d - 1 - k) for k in range(2 * d - 1)]
-    widest = max(sums)
-    while len(sums) > d:
-        high, sums = sums[d:], sums[:d] + [0] * (len(sums) - d - 1)
-        for i, h in enumerate(high):
-            for j, x in enumerate(rem):
-                sums[i + j] += h * x
-        widest = max(widest, *_fp_trim(sums))
-    w = widest.bit_length()
+        def for_modulus(modulus):
+            taps = [j for j, m in enumerate(modulus[:-1]) if m]
+
+            def mul(a, b):
+                r = 0
+                while b:
+                    bit = b & -b
+                    r ^= a * bit
+                    b ^= bit
+                while r >> d:
+                    h, r = r >> d, r & mask
+                    for j in taps:
+                        r ^= h << j
+                return r
+            return mul
+        return for_modulus
+    if w is None:
+        w = _slot_width(p, [p - 1] * d)
     c, P = _chunk(p, d)
     table = [sum(v // p ** i % p << w * i for i in range(c)) for v in range(P)]
     step, top, slot = c * w, d * w, (1 << w) - 1
-    low, fold = (1 << top) - 1, sum(x << w * j for j, x in enumerate(rem))
+    low = (1 << top) - 1
     shifts = range((d - 1) * w, -1, -w)
 
     def spread(a):
@@ -244,15 +267,19 @@ def _packed_mul(p, modulus):
             sh += step
         return s
 
-    def mul(a, b):
-        r = spread(a) * spread(b)
-        while r >> top:
-            r = (r & low) + (r >> top) * fold
-        out = 0
-        for sh in shifts:
-            out = out * p + (r >> sh & slot) % p
-        return out
-    return mul
+    def for_modulus(modulus):
+        fold = sum(-m % p << w * j for j, m in enumerate(modulus[:-1]))
+
+        def mul(a, b):
+            r = spread(a) * spread(b)
+            while r >> top:
+                r = (r & low) + (r >> top) * fold
+            out = 0
+            for sh in shifts:
+                out = out * p + (r >> sh & slot) % p
+            return out
+        return mul
+    return for_modulus
 
 
 def _packed_inv(p, modulus):
@@ -525,8 +552,7 @@ class FieldSpec:
     """
 
     def __init__(self, p, modulus, primitive=False, name=None):
-        modulus = tuple(int(c) % p for c in modulus)
-        _check_modulus(p, modulus)
+        modulus = _check_modulus(p, modulus)
         # the packed product that Rabin's test, the table build and the
         # polynomial kernel share; a plain attribute, since a cached_property
         # writes through __dict__, which slows every later attribute load
@@ -1138,10 +1164,12 @@ def preset_names():
 
 def find_irreducible(p, degree):
     """Lexicographically first monic irreducible polynomial of the degree,
-    by the checks FieldSpec makes."""
+    by the checks FieldSpec makes.  The candidates' products share one
+    ``_packed_muls``, built once for p and the degree."""
     _check_modulus(p, (0,) * degree + (1,))
+    muls = _packed_muls(p, degree)
     for idx in range(p ** degree):
         cand = tuple(idx // p ** i % p for i in range(degree)) + (1,)
-        if _fp_is_irreducible(p, cand, _packed_mul(p, cand)):
+        if _fp_is_irreducible(p, cand, muls(cand)):
             return cand
     raise ArithmeticError("no irreducible polynomial found")

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import itertools
+import pickle
 import random
 from math import gcd
 
@@ -511,10 +513,10 @@ def test_bch_generators_match_old_routes(base, ext):
             moore_matrix(ext_ring, [ext_ring.sigma(E.gen ** k, j) for j in range(n)], n), E
         ) == n), 8))
         for _ in range(12):
-            spec = Bch1Spec(ring, emb, E.gen ** rng.randrange(1, E.order - 1),
-                            rng.randrange(20), rng.randrange(1, 30), rng.randrange(1, 30),
-                            rng.randrange(2, 5), rng.randrange(2), n=1)
-            spec = dataclasses.replace(spec, n=bch1_max_length(spec) or 1)
+            params = (ring, emb, E.gen ** rng.randrange(1, E.order - 1),
+                      rng.randrange(20), rng.randrange(1, 30), rng.randrange(1, 30),
+                      rng.randrange(2, 5), rng.randrange(2))
+            spec = Bch1Spec(*params, n=bch1_max_length(Bch1Spec(*params, n=1)) or 1)
             g, _ = bch1_generator(spec)
             assert g == bch1_generator_by_fold(spec), (e, spec)
         for _ in range(12):
@@ -525,3 +527,78 @@ def test_bch_generators_match_old_routes(base, ext):
                             delta, rng.randrange(2))
             g, _ = bch2_generator(spec)
             assert g == bch2_generator_by_closure(spec), (e, spec)
+
+
+# -- the spec records against a frozen dataclass twin ------------------------------------
+
+
+def _twin(cls):
+    """A frozen dataclass over the same field names, for the behaviour the
+    specs keep without importing dataclasses in the library."""
+    return dataclasses.make_dataclass(cls.__name__, cls._fields, frozen=True)
+
+
+def _spec_values(spec):
+    return {name: getattr(spec, name) for name in type(spec)._fields}
+
+
+@pytest.mark.parametrize("fixture", ["spec1", "spec2"])
+def test_spec_matches_dataclass_twin(request, fixture):
+    spec = request.getfixturevalue(fixture)
+    cls = type(spec)
+    values = _spec_values(spec)
+    twin = _twin(cls)(**values)
+    assert cls(*values.values()) == cls(**values) == spec
+    assert repr(spec) == repr(twin)
+    assert hash(spec) == hash(twin) == hash(cls(**values))
+    assert spec != twin and twin != spec
+    changed = cls(**{**values, "b": spec.b + 1})
+    assert changed != spec and (changed == spec) == (_twin(cls)(**{**values, "b": spec.b + 1}) == twin)
+    assert copy.copy(spec) == spec
+
+
+def test_spec_kinds_never_compare_equal(spec2):
+    values = _spec_values(spec2)
+    assert Bch1Spec(**values, n=spec2.n) != spec2
+    assert spec2.n == 12   # a property on the second kind, a field on the first
+
+
+@pytest.mark.parametrize("cls", [Bch1Spec, Bch2Spec])
+def test_spec_refuses_assignment_like_dataclass_twin(cls):
+    values = dict.fromkeys(cls._fields, 1)
+    for obj in (cls(**values), _twin(cls)(**values)):
+        with pytest.raises(AttributeError, match="cannot assign to field 'b'"):
+            obj.b = 2
+        with pytest.raises(AttributeError, match="cannot assign to field 'cache'"):
+            obj.cache = 2
+        with pytest.raises(AttributeError, match="cannot delete field 'b'"):
+            del obj.b
+        assert obj.b == 1
+
+
+@pytest.mark.parametrize("cls", [Bch1Spec, Bch2Spec])
+def test_spec_constructor_arity_like_dataclass_twin(cls):
+    values = list(range(len(cls._fields)))
+    for make in (cls, _twin(cls)):
+        with pytest.raises(TypeError):
+            make(*values[:-1])
+        with pytest.raises(TypeError):
+            make(*values, 0)
+        with pytest.raises(TypeError):
+            make(*values[1:], **{cls._fields[1]: 0})
+        with pytest.raises(TypeError):
+            make(*values, extra=0)
+
+
+@pytest.mark.parametrize("cls", [Bch1Spec, Bch2Spec])
+def test_spec_copy_and_pickle_round_trip(cls):
+    values = {name: (name, i) for i, name in enumerate(cls._fields)}
+    spec, twin = cls(**values), _twin(cls)(**values)
+    # the twin is a class of no importable module, so only the spec is pickled
+    clones = [copy.copy(spec), copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))]
+    twins = [copy.copy(twin), copy.deepcopy(twin)]
+    for clone in clones:
+        assert type(clone) is cls and clone == spec and hash(clone) == hash(spec)
+        assert [repr(clone)] == sorted({repr(t) for t in twins})
+        with pytest.raises(AttributeError):
+            clone.b = 0

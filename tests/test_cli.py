@@ -578,6 +578,15 @@ def test_composite_characteristic_above_2_32_exits_1(capsys, tmp_path):
     assert err == "error: characteristic 4294967297 is not prime\n"
 
 
+def test_characteristic_zero_is_refused_before_reduction(capsys, tmp_path):
+    # the characteristic is checked before any coefficient is reduced mod p
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text("p=0\ne=1\nd=1\nmodpoly=0,1\n")
+    code, out, err = run_cli(capsys, "field-info", "--config", str(cfg))
+    assert code == EXIT_DOMAIN and out == ""
+    assert err == "error: characteristic 0 is not prime\n"
+
+
 def test_unknown_preset_is_a_usage_error(capsys):
     for argv in (
         ("field-info", "--preset", "F5"),

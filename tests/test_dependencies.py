@@ -2,7 +2,9 @@
 the package itself or from the standard library."""
 
 import ast
+import os
 import pathlib
+import subprocess
 import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "skewcodes"
@@ -28,6 +30,24 @@ def test_every_import_is_relative_or_standard_library():
         if root != "skewcodes" and root not in sys.stdlib_module_names
     ]
     assert foreign == []
+
+
+# Standard-library modules a cold CLI call must not pay for: dataclasses
+# alone pulls in inspect, ast, dis and tokenize.
+HEAVY_MODULES = ("dataclasses", "inspect")
+
+
+def test_cli_import_loads_no_heavy_standard_modules():
+    """A fresh interpreter that imports skewcodes.cli, and so the whole
+    library, loads none of HEAVY_MODULES."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC.parent) + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    probe = ("import sys, skewcodes.cli; "
+             f"print(' '.join(m for m in {HEAVY_MODULES!r} if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 # The tables and the limit that decides between table and polynomial arithmetic.
