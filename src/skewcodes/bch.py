@@ -277,6 +277,8 @@ class Bch1Spec(_BchSpec):
         super().validate()
         if self.t1 < 1 or self.t2 < 1 or self.b < 0 or self.nu < 0:
             raise ConditionViolatedError("need t1, t2 >= 1 and b, nu >= 0")
+        if not self.alpha:
+            raise ConditionViolatedError("alpha must be nonzero")
         hit = next(_bch1_brackets(self, self.n), None)
         if hit is not None:
             ell, i = hit
@@ -348,19 +350,18 @@ def bch1_code(spec, n=None):
 
 
 def _rs1_brackets_repeat(ring, a, n):
-    """Whether a^[0], ..., a^[n-1] repeat.  For a != 0, a^[j] = a^[i] exactly
-    when a^[j-i] = 1, since a^[j]/a^[i] = (a^[j-i])^(q^i); 0^[i] = 0 for
-    every i >= 1."""
-    if a == 0:
-        return n >= 3
+    """Whether a^[0], ..., a^[n-1] repeat, for a != 0: a^[j] = a^[i] exactly
+    when a^[j-i] = 1, since a^[j]/a^[i] = (a^[j-i])^(q^i)."""
     return next(_unit_brackets(ring.field, ring.q, [a], n), None) is not None
 
 
 def skew_rs1(ring, alpha, b, delta, n, f=None):
-    """The code generated by lclm(x - alpha^(b+i) : i <= delta-2) for alpha
-    in the base field; dimension n - delta + 1 and MDS."""
+    """The code generated by lclm(x - alpha^(b+i) : i <= delta-2) for a
+    nonzero alpha in the base field; dimension n - delta + 1 and MDS."""
     field = ring.field
     alpha = field.element(alpha)
+    if not alpha:
+        raise ConditionViolatedError("alpha must be nonzero")
     if _rs1_brackets_repeat(ring, alpha.i, n):
         raise ConditionViolatedError(
             "alpha^[0..n-1] are not distinct; length too large"

@@ -25,10 +25,12 @@ from .linalg import is_zero_matrix_i, mat_mul_i, rank_i, wrap
 from .rootsets import _lift, _vandermonde_i, _wedderburn_roots_i
 from .skewpoly import (
     SkewPoly,
+    _circulant_rows_i,
     _mirror_ci,
     _monic_right_divisors_ci,
     _mul_ci,
     _right_divmod_ci,
+    _shift_ci,
     _trim,
     apply_automorphism,
     is_two_sided,
@@ -72,31 +74,6 @@ class Modulus:
 
 def _as_modulus(f):
     return f if isinstance(f, Modulus) else Modulus(f)
-
-
-def _circulant_rows_i(ring, f_ci, g_ci, count):
-    """The first count rows v_f(x^i g) of the skew circulant of g modulo the
-    monic f, as packed index lists; row 0 is g reduced mod f.  While
-    i + deg g < n, row i is sigma^i(g) shifted i places.  Refuses more than
-    2^20 entries."""
-    n = len(f_ci) - 1
-    if count * n > 1 << 20:
-        raise GuardExceededError(f"code matrix of {count * n} entries exceeds 2^20", cost=count * n)
-    field = ring.field
-    kern = field.kernel()
-    _, row = _right_divmod_ci(ring, g_ci, f_ci)
-    rows = [list(row) + [0] * (n - len(row))]
-    # x^n = f - sum_{j<n} f_j x^j in the coset: add top * (-f_j)
-    negf = [(j, field.neg_i(fj)) for j, fj in enumerate(f_ci[:-1]) if fj]
-    for _ in range(count - 1):
-        nxt = [0] * (n + 1)   # x * row = sum sigma(c_j) x^(j+1)
-        kern.addmul(nxt, 1, 1, [(j, c) for j, c in enumerate(rows[-1]) if c],
-                    ring.e % field.degree)
-        top = nxt.pop()
-        if top:
-            kern.addmul(nxt, 0, top, negf, 0)
-        rows.append(nxt)
-    return rows[:count]
 
 
 def _codewords(field, rows, n, cancel=None):
@@ -163,13 +140,15 @@ def word_to_poly(ring, word):
 
 
 def constacyclic_shift(ring, a, word):
-    """(c_0, ..., c_{n-1}) -> (a sigma(c_{n-1}), sigma(c_0), ..., sigma(c_{n-2}))."""
+    """(c_0, ..., c_{n-1}) -> (a sigma(c_{n-1}), sigma(c_0), ..., sigma(c_{n-2})):
+    the word of x*w mod_r (x^n - a)."""
     field = ring.field
     a = field.element(a)
     idx = [field.element(c).i for c in word]
-    out = [field.mul_i(a.i, ring.sigma_i(idx[-1]))]
-    out.extend(ring.sigma_i(c) for c in idx[:-1])
-    return tuple(FieldElement(field, c) for c in out)
+    if not idx:
+        raise IndexError("constacyclic shift of an empty word")
+    f = ring.x_pow_minus(len(idx), a)._ci
+    return tuple(FieldElement(field, c) for c in _shift_ci(ring, f, idx))
 
 
 class SkewCyclicCode:

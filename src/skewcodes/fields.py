@@ -1165,11 +1165,12 @@ def preset_names():
 def find_irreducible(p, degree):
     """Lexicographically first monic irreducible polynomial of the degree,
     by the checks FieldSpec makes.  The candidates' products share one
-    ``_packed_muls``, built once for p and the degree."""
+    ``_packed_muls``, built once for p and the degree.  Above degree 1 a
+    candidate with constant term 0 is divisible by x and is skipped."""
     _check_modulus(p, (0,) * degree + (1,))
     muls = _packed_muls(p, degree)
     for idx in range(p ** degree):
         cand = tuple(idx // p ** i % p for i in range(degree)) + (1,)
-        if _fp_is_irreducible(p, cand, muls(cand)):
+        if (cand[0] or degree == 1) and _fp_is_irreducible(p, cand, muls(cand)):
             return cand
     raise ArithmeticError("no irreducible polynomial found")

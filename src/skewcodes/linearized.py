@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from .errors import FieldMismatchError
 from .fields import FieldElement
-from .skewpoly import SkewPoly, _add_ci, _eval_ci, _join_terms, _mul_ci, _trim
+from .linalg import wrap
+from .skewpoly import SkewPoly, _add_ci, _circulant_rows_i, _eval_ci, _join_terms, _mul_ci, _trim
 
 
 class LinearizedPoly:
@@ -130,23 +131,14 @@ def moore_matrix(ring, elements, rows=None):
 def dickson_matrix(g):
     """The m x m q-circulant D with D[i][j] = sigma^i(g_{(j-i) mod m}).
 
-    Input may be a SkewPoly (reduced modulo x^m - 1 first) or a
-    LinearizedPoly (reduced modulo y^(q^m) - y).  Equals the skew circulant
-    of g for the modulus x^m - 1, and represents the induced map of the
-    linearized counterpart up to Moore-matrix conjugation.
+    Input may be a SkewPoly or a LinearizedPoly; either is reduced modulo
+    x^m - 1, which folds exponents modulo m as reduce_map does.  It is the
+    skew circulant of g for the modulus x^m - 1, and represents the induced
+    map of the linearized counterpart up to Moore-matrix conjugation.
     """
     ring = g.ring
-    m = ring.m
-    if not isinstance(g, LinearizedPoly):
-        g = to_linearized(g)
-    ci = g.reduce_map()._ci
-    coeffs = list(ci) + [0] * (m - len(ci))
-    field = ring.field
-    frob, d, e = field.kernel().frobenius, field.degree, ring.e
-    return [
-        [FieldElement(field, frob(coeffs[(j - i) % m], e * i % d)) for j in range(m)]
-        for i in range(m)
-    ]
+    f = ring.x_pow_minus(ring.m, ring.field.one)._ci
+    return wrap(_circulant_rows_i(ring, f, g._ci, ring.m), ring.field)
 
 
 def root_correspondence(g, b):

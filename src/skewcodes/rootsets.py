@@ -19,7 +19,7 @@ from __future__ import annotations
 from .errors import GuardExceededError, NotWedderburnError
 from .fields import FieldElement, _fp_kernel, _fp_span, _prime_factors
 from .linalg import charpoly_i, rank_i, wrap
-from .skewpoly import SkewPoly, SkewRing, _eval_ci, _lclm_ci, _monic_ci, _mul_ci
+from .skewpoly import SkewPoly, SkewRing, _circulant_rows_i, _eval_ci, _lclm_ci, _monic_ci, _mul_ci
 
 _DOMAIN_SWEEP_LIMIT = 1 << 20
 
@@ -161,25 +161,13 @@ def _reduced_norm_ci(ring, ci):
     """chi_f(y), the characteristic polynomial of right multiplication by
     the central y = x^m on R/Rf, ascending; its coefficients lie in F_q.
 
-    Row i of the matrix is x^(i+m) mod_r f for the monic f, and
-    x^(k+1) mod_r f is x times x^k mod_r f: a shift that twists each
-    coefficient by sigma, then one left multiple of f subtracted.
+    Row i of the matrix is x^(i+m) mod_r f for the monic f: rows m and up
+    of the skew circulant of 1.  _class_kernels builds chi_f only when
+    deg f < q - 1, and _roots_i admits at most 2^20 elements, so
+    (m + n) * n <= 1024 * 1022 < 2^20 and the circulant's guard never fires.
     """
-    field = ring.field
-    kern = field.kernel()
-    frob, neg, e = kern.frobenius, kern.neg, ring.e
-    f = _monic_ci(ring, ci)
-    n = len(f) - 1
-    tail = [(j, c) for j, c in enumerate(f[:n]) if c]
-    rows, r = [], [1] + [0] * (n - 1)
-    for k in range(1, ring.m + n):
-        r = [0] + [frob(c, e) for c in r]
-        lead = r.pop()
-        if lead:
-            kern.addmul(r, 0, neg(lead), tail, 0)
-        if k >= ring.m:
-            rows.append(r)
-    return charpoly_i(rows, field)
+    f, m = _monic_ci(ring, ci), ring.m
+    return charpoly_i(_circulant_rows_i(ring, f, (1,), m + len(f) - 1)[m:], ring.field)
 
 
 def _line_points(field, basis, e):

@@ -25,7 +25,7 @@ from .errors import (
     GuardExceededError,
     SearchCancelledError,
 )
-from .fields import FieldElement, FrobeniusAut, norm_exponent
+from .fields import FieldElement, FrobeniusAut, _power, norm_exponent
 
 NEG_INF = -inf
 
@@ -300,6 +300,32 @@ def _eval_ci(ring, f, a):
     return ring.field.kernel().evaluate(f, a, ring.e)
 
 
+def _shift_ci(ring, f, w):
+    """x*w mod_r f for the monic f of degree n and a word w of n packed
+    coefficients, as a list: w twisted by sigma and shifted one place, its
+    top coefficient folded back through x^n = -sum_{j<n} f_j x^j."""
+    kern, n, t = ring.field.kernel(), len(f) - 1, ring.e % ring.field.degree
+    out = [0] + [kern.frobenius(c, t) for c in w]
+    top = out.pop()
+    if top:
+        kern.addmul(out, 0, kern.neg(top), [(j, c) for j, c in enumerate(f[:n]) if c], 0)
+    return out
+
+
+def _circulant_rows_i(ring, f, g, count):
+    """The first count rows v_f(x^i g) of the skew circulant of g modulo the
+    monic f, as packed index lists: row 0 is g mod_r f and row i + 1 is
+    _shift_ci of row i.  Refuses more than 2^20 entries."""
+    n = len(f) - 1
+    if count * n > 1 << 20:
+        raise GuardExceededError(f"code matrix of {count * n} entries exceeds 2^20", cost=count * n)
+    _, row = _right_divmod_ci(ring, g, f)
+    rows = [list(row) + [0] * (n - len(row))]
+    for _ in range(count - 1):
+        rows.append(_shift_ci(ring, f, rows[-1]))
+    return rows[:count]
+
+
 class SkewPoly:
     """A polynomial in a SkewRing, with left coefficients.
 
@@ -391,14 +417,10 @@ class SkewPoly:
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative powers are not defined")
-        result = self.ring.one
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        if k == 0:
+            return self.ring.one
+        ring = self.ring
+        return SkewPoly(ring, _power(lambda a, b: _mul_ci(ring, a, b), self._ci, k))
 
     def times_x(self, k=1):
         """Right multiplication by x^k (a plain coefficient shift)."""

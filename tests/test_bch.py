@@ -289,18 +289,32 @@ def test_skew_rs_rejects_repeated_brackets(R4, F4):
 @pytest.mark.parametrize("name", ["F4", "F16", "F2_6"])
 def test_rs1_bracket_scan_matches_set_scan(name):
     """skew_rs1's length check (one bracket scan a^[i] = 1) against the set
-    of a^[0..n-1], for every a (0 included), every e and every n up to the
+    of a^[0..n-1], for every nonzero a, every e and every n up to the
     field order."""
     F = get_field(name)
     for e in (e for e in range(1, F.degree + 1) if F.degree % e == 0):
         R = SkewRing(F, e)
-        for a in range(F.order):
+        for a in range(1, F.order):
             for n in range(F.order + 1):
                 assert _rs1_brackets_repeat(R, a, n) == rs1_brackets_repeat_by_scan(R, a, n)
-    R4 = SkewRing(get_field("F4"), 1)
-    assert skew_rs1(R4, 0, b=0, delta=2, n=2).k == 1
-    with pytest.raises(ConditionViolatedError, match=r"alpha\^\[0\.\.n-1\] are not distinct"):
-        skew_rs1(R4, 0, b=0, delta=2, n=3)
+
+
+def test_first_kind_constructions_refuse_zero_alpha(F4):
+    """alpha = 0 has no unit bracket, so no length would be refused, and its
+    designed roots are 0 and 1: the first-kind spec and skew_rs1 refuse it
+    rather than build a code whose distance falls short of the design
+    (over F4, a [4,3] code of distance 1 for delta = 3, and a [2,1] code of
+    distance 1 called MDS)."""
+    R = SkewRing(F4, 1)
+    spec = Bch1Spec(base_ring=R, emb=FieldEmbedding(F4, F4), alpha=F4.zero,
+                    b=1, t1=1, t2=1, delta=3, nu=0, n=4)
+    with pytest.raises(ConditionViolatedError, match="alpha must be nonzero"):
+        spec.validate()
+    with pytest.raises(ConditionViolatedError, match="alpha must be nonzero"):
+        bch1_code(spec)
+    for n in (2, 3):
+        with pytest.raises(ConditionViolatedError, match="alpha must be nonzero"):
+            skew_rs1(R, F4.zero, 1, 2, n)
 
 
 def test_skew_rs_explicit_modulus(R16, F16):

@@ -598,10 +598,30 @@ def test_unknown_preset_is_a_usage_error(capsys):
         assert "unknown field preset" in err
 
 
+def test_bch1_zero_alpha_exits_condition(capsys):
+    code, out, err = run_cli(
+        capsys, "bch1", "--preset", "F4", "--alpha", "0", "--b", "1", "--delta", "3",
+        "--n", "4", "--verify-distance", "--machine",
+    )
+    assert code == EXIT_CONDITION and out == ""
+    assert err == "condition violated: alpha must be nonzero\n"
+
+
+def test_bch1_length_above_2_16_exits_guard(capsys, tmp_path):
+    """Over F_65539, where 2 is primitive, alpha = 2 has no unit bracket
+    below 65538, so length 65537 is admissible and meets the 2^16 guard."""
+    cfg = tmp_path / "f65539.cfg"
+    cfg.write_text("p=65539\ne=1\nd=1\nmodpoly=65537,1\n")
+    code, out, err = run_cli(capsys, "bch1", "--config", str(cfg), "--alpha", "(2)",
+                             "--delta", "2", "--n", "65537")
+    assert code == EXIT_GUARD and out == ""
+    assert err == "guard exceeded: code length 65537 exceeds 2^16\n"
+
+
 @pytest.mark.parametrize("argv,message", [
-    # alpha = 0 has no unit bracket, so no length is refused as inadmissible
-    (("bch1", "--preset", "F4", "--alpha", "0", "--delta", "2", "--n", "100000000"),
-     "code length 100000000 exceeds 2^16"),
+    (("bch1", "--preset", "F16", "--alpha", "a", "--delta", "2", "--nu", "100000000",
+      "--n", "3"),
+     "designed exponent set of 100000001 exceeds 2^20"),
     (("bch1", "--preset", "F16", "--alpha", "a", "--delta", "100000000", "--n", "3"),
      "designed exponent set of 99999999 exceeds 2^20"),
     (("bch2", "--preset", "F4", "--alpha", "auto", "--delta", "2", "--nu", "2000000"),

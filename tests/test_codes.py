@@ -53,6 +53,8 @@ from oracle_utils import (
     f2_is_irreducible,
     in_row_space,
     mat_mul,
+    naive_mul,
+    naive_pow,
     row_space_equal,
     row_space_membership,
     self_dual_generators_by_product,
@@ -268,6 +270,24 @@ def test_constacyclic_shift_classical(F4):
     word = [F4.one, w, F4.zero, w * w]
     shifted = constacyclic_shift(Rc, F4.one, word)
     assert list(shifted) == [w * w, F4.one, w, F4.zero]
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_constacyclic_shift_against_explicit_formula(name):
+    """At e = 1 the shift is (a c_{n-1}^q, c_0^q, ..., c_{n-2}^q), built by
+    naive_pow and naive_mul, for a = 0, a = 1 and a random a, at several
+    lengths; an empty word has no last coefficient and raises IndexError."""
+    F = get_field(name)
+    R = SkewRing(F, 1)
+    rng = random.Random(name)
+    for a in (F.zero, F.one, F.element(rng.randrange(F.order))):
+        for n in (1, 2, 3, 7):
+            word = [F.element(rng.randrange(F.order)) for _ in range(n)]
+            twisted = [naive_pow(F, c, R.q) for c in word]
+            expected = [naive_mul(F, a, twisted[-1])] + twisted[:-1]
+            assert list(constacyclic_shift(R, a, word)) == expected, (a, word)
+    with pytest.raises(IndexError):
+        constacyclic_shift(R, F.one, [])
 
 
 def test_shift_matches_circulant_row(R8, F8):

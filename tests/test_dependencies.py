@@ -144,3 +144,33 @@ def test_tables_are_built_only_by_make_kernel():
     assert {name for name, _ in stores} == {"__init__", "_make_kernel"}
     assert sorted(value for name, value in stores if name == "__init__") == (
         ["None"] * 4 + ["[None] * self.degree"])
+
+
+SKEW_SHIFT = {"_shift_ci", "_circulant_rows_i"}
+SIGMA_CALLS = {"frobenius", "sigma_i", "frob_i"}
+SHIFT_USERS = {"rootsets.py": "_reduced_norm_ci", "codes.py": "constacyclic_shift",
+               "linearized.py": "dickson_matrix"}
+
+
+def test_one_skew_shift():
+    """skewpoly.py alone defines the skew shift x*w mod_r f (_shift_ci) and
+    the circulant rows it steps (_circulant_rows_i); the reduced norm, the
+    constacyclic shift and the Dickson matrix reference one of them and
+    apply no sigma of their own."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    defined = sorted(
+        (module, node.name)
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name in SKEW_SHIFT
+    )
+    assert defined == [("skewpoly.py", "_circulant_rows_i"), ("skewpoly.py", "_shift_ci")]
+    for module, name in SHIFT_USERS.items():
+        fn = next(node for node in trees[module].body
+                  if isinstance(node, ast.FunctionDef) and node.name == name)
+        referenced = {getattr(sub, "id", getattr(sub, "attr", None)) for sub in ast.walk(fn)}
+        called = {getattr(sub.func, "id", getattr(sub.func, "attr", None))
+                  for sub in ast.walk(fn) if isinstance(sub, ast.Call)}
+        assert referenced & SKEW_SHIFT, name
+        assert not called & SIGMA_CALLS, name

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from skewcodes import fields
 from skewcodes.errors import FieldMismatchError, GuardExceededError
 from skewcodes.fields import (
     FieldEmbedding,
@@ -203,6 +204,28 @@ def test_find_irreducible_against_trial_division():
                 count += 1
             assert find_irreducible(p, d) == irreducible[0], (p, d)
     assert count == 22016
+
+
+@pytest.mark.parametrize("p,degree,earlier", [(2, 32, 141), (3, 20, 34), (2, 1, 0), (5, 1, 0)])
+def test_find_irreducible_skips_candidates_divisible_by_x(monkeypatch, p, degree, earlier):
+    """Above degree 1 find_irreducible runs Rabin's test only on candidates
+    with a nonzero constant term, one per such index up to the first
+    irreducible one; at degree 1 the first candidate, x, is irreducible."""
+    seen = []
+
+    def counted(p_, modulus, mul):
+        seen.append(modulus)
+        return _fp_is_irreducible(p_, modulus, mul)
+
+    monkeypatch.setattr(fields, "_fp_is_irreducible", counted)
+    modulus = find_irreducible(p, degree)
+    assert sum(c * p ** i for i, c in enumerate(modulus[:-1])) == earlier
+    assert seen[-1] == modulus
+    if degree > 1:
+        assert all(cand[0] for cand in seen)
+        assert len(seen) == sum(1 for idx in range(earlier + 1) if idx % p)
+    else:
+        assert seen == [(0, 1)]
 
 
 def test_shared_slot_width_keeps_products():

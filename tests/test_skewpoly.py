@@ -17,6 +17,7 @@ from oracle_utils import (
 )
 from skewcodes.errors import GuardExceededError
 from skewcodes.fields import FieldElement, FieldSpec, conjugacy_class, conjugate, get_field
+from skewcodes import skewpoly
 from skewcodes.linalg import mat_mul_i, rank_i, right_kernel_i, unwrap
 from skewcodes.skewpoly import (
     SkewRing,
@@ -855,3 +856,27 @@ def test_left_side_above_the_table_limit():
     for j in (1, -1, 5):
         assert apply_automorphism(f, j) == R.poly([frob(x, j) for x in f.coefficients])
     assert F._frob_tables == [None] * 17
+
+
+@pytest.mark.parametrize("name", ["F4", "F9"])
+def test_pow_is_one_square_and_multiply(monkeypatch, name):
+    """f ** k equals the k-fold product, ring.one at k = 0, and makes
+    bit_length(k) - 1 squarings and popcount(k) - 1 products: no product
+    by one and no squaring past the top bit of k."""
+    F = get_field(name)
+    R = SkewRing(F, 1)
+    rng = random.Random(name)
+    for f in (rand_poly(R, 3, rng), R.x, R.zero):
+        products = [R.one]
+        for _ in range(9):
+            products.append(products[-1] * f)
+        calls = []
+        mul_ci = skewpoly._mul_ci
+        monkeypatch.setattr(skewpoly, "_mul_ci", lambda *args: calls.append(1) or mul_ci(*args))
+        for k in range(10):
+            calls.clear()
+            assert f ** k == products[k], (f, k)
+            assert len(calls) == (k.bit_length() - 1 + bin(k).count("1") - 1 if k else 0)
+        monkeypatch.undo()
+        with pytest.raises(ValueError):
+            f ** -1
