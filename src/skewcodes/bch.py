@@ -16,7 +16,7 @@ import itertools
 from math import comb, gcd
 
 from .codes import Modulus, SkewCyclicCode, _codewords
-from .errors import ConditionViolatedError, GuardExceededError, SearchCancelledError
+from .errors import ConditionViolatedError, GuardExceededError, SearchCancelledError, _guard
 from .fields import FieldElement
 from .linalg import rank_i, right_kernel_i, unwrap, wrap
 from .rootsets import _minpoly_ci, _subfield_minimal_polynomial, _vandermonde_i
@@ -63,16 +63,10 @@ def min_distance_exact(code, strategy="auto", cancel=None):
     if strategy == "auto":
         strategy = "messages" if msg_cost <= col_cost else "columns"
     if strategy == "messages":
-        if msg_cost > _MESSAGE_ROUTE_GUARD:
-            raise GuardExceededError(
-                f"message enumeration cost {msg_cost} exceeds 2^24", cost=msg_cost
-            )
+        _guard("message enumeration cost {} exceeds 2^24", _MESSAGE_ROUTE_GUARD, msg_cost)
         return _distance_by_messages(rows, field, n, cancel)
     if strategy == "columns":
-        if col_cost > _COLUMN_ROUTE_GUARD:
-            raise GuardExceededError(
-                f"column search cost {col_cost} exceeds 2^25", cost=col_cost
-            )
+        _guard("column search cost {} exceeds 2^25", _COLUMN_ROUTE_GUARD, col_cost)
         return _distance_by_columns(rows, field, n, k, cancel)
     raise ValueError(f"unknown strategy {strategy!r}")
 
@@ -218,11 +212,8 @@ class _BchSpec(_Frozen):
 
     def designed_exponents(self):
         """The set {b + t1*i + t2*j : i <= delta-2, j <= nu}."""
-        count = (self.delta - 1) * (self.nu + 1)
-        if count > _DESIGNED_SET_GUARD:
-            raise GuardExceededError(
-                f"designed exponent set of {count} exceeds 2^20", cost=count
-            )
+        _guard("designed exponent set of {} exceeds 2^20", _DESIGNED_SET_GUARD,
+               (self.delta - 1) * (self.nu + 1))
         return {
             self.b + self.t1 * i + self.t2 * j
             for i in range(self.delta - 1)
@@ -241,18 +232,19 @@ class _BchSpec(_Frozen):
 # -- skew-BCH codes of the first kind ---------------------------------------------------
 
 
-def _unit_brackets(field, q, bases, limit):
+def _unit_brackets(field, e, bases, limit):
     """Yield (ell, i) for each base (numbered from 1) with a bracket power
-    base^[i] = 1, [i] = (q^i-1)/(q-1), at some 1 <= i < limit: the least
-    such i.  [i + 1] = q[i] + 1 is stepped modulo N = order - 1, a bijection
-    of Z/N, so [i] returns to [0] = 0 within N steps: a nonzero base reaches
-    1 by i = N, and 0 never does."""
+    base^[i] = 1, [i] = (q^i-1)/(q-1), q = p^e, at some 1 <= i < limit: the
+    least such i.  [i + 1] = q[i] + 1, so base^[i+1] = sigma(base^[i]) * base,
+    and modulo N = order - 1 the step is a bijection of Z/N: [i] returns to
+    [0] = 0 within N steps, a nonzero base reaches 1 by i = N, 0 never does."""
     n = field.order - 1
+    kern, t = field.kernel(), e % field.degree
     for ell, base in enumerate(bases, 1):
-        k = 0
+        power = 1
         for i in range(1, min(limit, n + 1) if base else 0):
-            k = (k * q + 1) % n
-            if field.pow_i(base, k) == 1:
+            power = kern.mul(kern.frobenius(power, t), base)
+            if power == 1:
                 yield ell, i
                 break
 
@@ -262,7 +254,7 @@ def _bch1_brackets(spec, limit):
     field = spec.emb.target
     ts = (spec.t1,) if spec.nu == 0 else (spec.t1, spec.t2)
     bases = [field.pow_i(spec.alpha.i, t) for t in ts]
-    return _unit_brackets(field, spec.base_ring.q, bases, limit)
+    return _unit_brackets(field, spec.base_ring.e, bases, limit)
 
 
 class Bch1Spec(_BchSpec):
@@ -338,13 +330,13 @@ def bch1_code(spec, n=None):
     generator matrix does not depend on this choice.
     """
     n = spec.n if n is None else n
+    # before the spec's bracket scan, which runs up to min(n, field order)
+    _guard("code length {} exceeds 2^16", _LENGTH_GUARD, n)
     g, designed = bch1_generator(spec)
     if g.degree > n:
         raise ConditionViolatedError(
             f"generator degree {g.degree} exceeds length {n}"
         )
-    if n > _LENGTH_GUARD:
-        raise GuardExceededError(f"code length {n} exceeds 2^16", cost=n)
     f = constacyclic_modulus_for(spec.base_ring, g, n) or left_x_multiple(g, n)
     return SkewCyclicCode(Modulus(f), g), designed
 
@@ -352,7 +344,7 @@ def bch1_code(spec, n=None):
 def _rs1_brackets_repeat(ring, a, n):
     """Whether a^[0], ..., a^[n-1] repeat, for a != 0: a^[j] = a^[i] exactly
     when a^[j-i] = 1, since a^[j]/a^[i] = (a^[j-i])^(q^i)."""
-    return next(_unit_brackets(ring.field, ring.q, [a], n), None) is not None
+    return next(_unit_brackets(ring.field, ring.e, [a], n), None) is not None
 
 
 def skew_rs1(ring, alpha, b, delta, n, f=None):

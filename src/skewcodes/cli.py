@@ -41,6 +41,7 @@ from .errors import (
     GuardExceededError,
     ParseError,
     SkewError,
+    _cost_text,
 )
 from .fields import FieldEmbedding, get_field, preset_names
 from .rootsets import minimal_polynomial, vanishing_set
@@ -523,8 +524,8 @@ def main(argv=None):
         return EXIT_PARSE
     except GuardExceededError as exc:
         # most guard messages already state their cost
-        shown = not exc.cost or str(exc.cost) in str(exc).split()
-        cost = "" if shown else f" (estimated cost {exc.cost})"
+        text = exc.cost and _cost_text(exc.cost)
+        cost = "" if not text or f" {text} " in f" {exc} " else f" (estimated cost {text})"
         print(f"guard exceeded: {exc}{cost}", file=sys.stderr)
         return EXIT_GUARD
     except ConditionViolatedError as exc:

@@ -14,11 +14,11 @@ import itertools
 from functools import cached_property
 
 from .errors import (
-    GuardExceededError,
     NotARightDivisorError,
     NotConstacyclicError,
     NotTwoSidedError,
     SearchCancelledError,
+    _guard,
 )
 from .fields import FieldElement
 from .linalg import is_zero_matrix_i, mat_mul_i, rank_i, wrap
@@ -200,9 +200,7 @@ class SkewCyclicCode:
 
     def words(self, limit=1 << 20):
         """Iterate all codewords (message enumeration); cost-guarded."""
-        count = self.field.order ** self.k
-        if count > limit:
-            raise GuardExceededError(f"code has {count} words", cost=count)
+        _guard("code has {} words", limit, self.field.order, [self.k])
         for word in _codewords(self.field, self._gen_rows_i, self.n):
             yield tuple(FieldElement(self.field, c) for c in word)
 
@@ -374,9 +372,7 @@ def self_dual_search(ring, n, eps=1, cancel=None):
         raise ValueError("eps must be 1 or -1")
     field = ring.field
     eps_el = field.one if eps == 1 else -field.one
-    cost = field.order ** (n // 2)
-    if cost > (1 << 20):
-        raise GuardExceededError(f"self-dual search cost {cost} exceeds 2^20", cost=cost)
+    _guard("self-dual search cost {} exceeds 2^20", 1 << 20, field.order, [n // 2])
     target = ring.x_pow_minus(n, eps_el)
     mod = Modulus(target)
     mirror = ring._mirror
@@ -448,24 +444,15 @@ def enumerate_right_divisors(f, degrees=None, cancel=None):
     if not f.is_monic:
         raise ValueError("divisor enumeration needs a monic modulus")
     ring = f.ring
-    N = ring.field.order
     n = f.degree
-    if degrees is None:
-        wanted = list(range(n + 1))
-    elif isinstance(degrees, int):
-        wanted = [degrees]
-    else:
-        wanted = sorted(set(degrees))
-    cost = sum(N ** min(d, n - d) for d in wanted)
-    if cost > _ENUM_COST_GUARD:
-        raise GuardExceededError(
-            f"divisor enumeration cost {cost} exceeds 2^25", cost=cost
-        )
+    if isinstance(degrees, int):
+        degrees = [degrees]
+    wanted = range(n + 1) if degrees is None else sorted({d for d in degrees if 0 <= d <= n})
+    _guard("divisor enumeration cost {} exceeds 2^25", _ENUM_COST_GUARD, ring.field.order,
+           [min(d, n - d) for d in wanted])
     fci = f._ci
     out = {}
     for d in wanted:
-        if d < 0 or d > n:
-            continue
         if d == 0:
             out[d] = [ring.one]
             continue

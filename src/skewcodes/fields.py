@@ -47,7 +47,7 @@ from functools import partial
 from math import gcd, isqrt
 from operator import xor
 
-from .errors import FieldMismatchError, GuardExceededError
+from .errors import FieldMismatchError, GuardExceededError, _guard
 
 _TABLE_LIMIT = 1 << 16
 _ADD_TABLE_LIMIT = 1 << 12
@@ -84,16 +84,15 @@ def _check_modulus(p, modulus):
     root = isqrt(max(p, 0))
     if p < 2 or any(p % f == 0 for f in range(2, min(root + 1, _TABLE_LIMIT))):
         raise ValueError(f"characteristic {p} is not prime")
-    if root >= _TABLE_LIMIT:
-        raise GuardExceededError(
-            f"primality check of {p} needs {root - 1} trial divisors, exceeds 2^16", cost=root - 1)
+    # the 2^16 - 2 divisors 2 .. 2^16 - 1 tried above
+    _guard(f"primality check of {p} needs {{}} trial divisors, exceeds 2^16",
+           _TABLE_LIMIT - 2, root - 1)
     modulus = tuple(int(c) % p for c in modulus)
     if len(modulus) < 2 or modulus[-1] != 1:
         raise ValueError("defining polynomial must be monic of degree >= 1")
     d = len(modulus) - 1
-    if p ** (d // 2) > _TABLE_LIMIT:
-        raise GuardExceededError(f"field modulus of degree {d} over F_{p} is out of range: "
-                                 f"{p}^{d // 2} exceeds 2^16", cost=p ** (d // 2))
+    _guard(f"field modulus of degree {d} over F_{p} is out of range: {p}^{d // 2} exceeds 2^16",
+           _TABLE_LIMIT, p, [d // 2])
     return modulus
 
 

@@ -20,11 +20,7 @@ import itertools
 from collections import namedtuple
 from math import inf
 
-from .errors import (
-    FieldMismatchError,
-    GuardExceededError,
-    SearchCancelledError,
-)
+from .errors import FieldMismatchError, SearchCancelledError, _guard
 from .fields import FieldElement, FrobeniusAut, _power, norm_exponent
 
 NEG_INF = -inf
@@ -317,8 +313,7 @@ def _circulant_rows_i(ring, f, g, count):
     monic f, as packed index lists: row 0 is g mod_r f and row i + 1 is
     _shift_ci of row i.  Refuses more than 2^20 entries."""
     n = len(f) - 1
-    if count * n > 1 << 20:
-        raise GuardExceededError(f"code matrix of {count * n} entries exceeds 2^20", cost=count * n)
+    _guard("code matrix of {} entries exceeds 2^20", 1 << 20, count * n)
     _, row = _right_divmod_ci(ring, g, f)
     rows = [list(row) + [0] * (n - len(row))]
     for _ in range(count - 1):
@@ -679,10 +674,9 @@ def similar_bruteforce(f, g, cancel=None):
     ring = f.ring
     n = f.degree
     if n > _SIMILARITY_DEGREE_GUARD or ring.field.order > _SIMILARITY_FIELD_GUARD:
-        raise GuardExceededError(
-            "similarity search guarded to degree <= 4 over fields of size <= 16",
-            cost=ring.field.order ** n,
-        )
+        # limit 0: refused whatever the cost, which counts the N^n candidates
+        _guard("similarity search guarded to degree <= 4 over fields of size <= 16",
+               0, ring.field.order, [n])
     for ci in itertools.product(range(ring.field.order), repeat=n):
         if cancel is not None and cancel.is_set():
             raise SearchCancelledError("similarity search cancelled")
@@ -719,12 +713,8 @@ def is_irreducible_bruteforce(f, cancel=None):
     if n == 1:
         return True
     ring = f.ring
-    N = ring.field.order
-    cost = N ** (n // 2)
-    if cost > _IRREDUCIBLE_COST_GUARD:
-        raise GuardExceededError(
-            f"irreducibility enumeration cost {cost} exceeds 2^24", cost=cost
-        )
+    _guard("irreducibility enumeration cost {} exceeds 2^24", _IRREDUCIBLE_COST_GUARD,
+           ring.field.order, [n // 2])
     for d in range(1, n // 2 + 1):
         for _ in _monic_right_divisors_ci(ring, f._ci, d, cancel):
             return False

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import GuardExceededError, ParseError
+from .errors import GuardExceededError, ParseError, _guard
 from .fields import FieldSpec
 from .skewpoly import SkewRing
 
@@ -132,8 +132,7 @@ def parse_poly(ring, text):
             if len(digits) > _EXPONENT_DIGITS:
                 raise GuardExceededError(f"x exponent of {len(digits)} digits exceeds 2^16")
             exp = int(digits)
-            if exp > _EXPONENT_LIMIT:
-                raise GuardExceededError(f"x exponent {exp} exceeds 2^16", cost=exp)
+            _guard("x exponent {} exceeds 2^16", _EXPONENT_LIMIT, exp)
         if sign < 0:
             c = -c
         prev = coeffs.get(exp, field.zero)

@@ -633,6 +633,92 @@ def test_huge_bch_parameters_exit_guard(capsys, argv, message):
     assert message in err
 
 
+# -- hostile input: every size-bearing value at its guard, one past it, and huge --------
+
+def _field_config(p, modpoly):
+    return f"p={p}\ne=1\nd={len(modpoly) - 1}\nmodpoly={','.join(map(str, modpoly))}\n"
+
+
+_HUGE = "9" * 4000   # int() reads it; the product of two passes str()'s 4,300-digit limit
+_F65539 = _field_config(65539, (65537, 1))      # 2 is primitive: no unit bracket
+_F1048573 = _field_config(1048573, (1048571, 1))
+_BCH1_F16 = ("bch1", "--preset", "F16", "--alpha", "a")
+_BCH1_CONFIG = ("bch1", "--alpha", "(2)", "--delta", "2")
+_MERSENNE_127 = 2 ** 127 - 1
+_ENUM_REFUSAL = "guard exceeded: divisor enumeration cost at least 10^100 exceeds 2^25\n"
+
+# (argv, field config given as --config or None, exit code, stderr or None)
+_HOSTILE_CALLS = [
+    # --n of bch1: lengths above 2^16 are refused before the unit-bracket scan
+    (_BCH1_F16 + ("--delta", "2", "--n", "65536"), None, EXIT_CONDITION, None),
+    (_BCH1_F16 + ("--delta", "2", "--n", "65537"), None, EXIT_GUARD,
+     "guard exceeded: code length 65537 exceeds 2^16\n"),
+    (_BCH1_F16 + ("--delta", "2", "--n", _HUGE), None, EXIT_GUARD,
+     "guard exceeded: code length at least 10^100 exceeds 2^16\n"),
+    (_BCH1_CONFIG + ("--n", "65536"), _F65539, EXIT_OK, ""),
+    (_BCH1_CONFIG + ("--n", "65537"), _F65539, EXIT_GUARD, None),
+    (_BCH1_CONFIG + ("--n", "1000000"), _F1048573, EXIT_GUARD,
+     "guard exceeded: code length 1000000 exceeds 2^16\n"),
+    # --delta and --nu: (delta - 1) * (nu + 1) = 2^20 designed exponents at the guard
+    (_BCH1_F16 + ("--delta", "1025", "--nu", "1023", "--n", "3"), None, EXIT_CONDITION, None),
+    (_BCH1_F16 + ("--delta", "1026", "--nu", "1023", "--n", "3"), None, EXIT_GUARD,
+     "guard exceeded: designed exponent set of 1049600 exceeds 2^20\n"),
+    (_BCH1_F16 + ("--delta", "1025", "--nu", "1024", "--n", "3"), None, EXIT_GUARD, None),
+    (_BCH1_F16 + ("--delta", _HUGE, "--n", "3"), None, EXIT_GUARD, None),
+    (_BCH1_F16 + ("--delta", _HUGE, "--nu", _HUGE, "--n", "3"), None, EXIT_GUARD,
+     "guard exceeded: designed exponent set of at least 10^100 exceeds 2^20\n"),
+    (("bch2", "--preset", "F4", "--alpha", "auto", "--delta", "2", "--nu", _HUGE), None,
+     EXIT_GUARD, None),
+    # x exponents: at most 2^16, and at most 100 digits before int() reads them
+    (("vanish", "--preset", "F2", "--poly", "x^65536+1"), None, EXIT_OK, ""),
+    (("vanish", "--preset", "F2", "--poly", "x^65537+1"), None, EXIT_GUARD,
+     "guard exceeded: x exponent 65537 exceeds 2^16\n"),
+    (("vanish", "--preset", "F2", "--poly", "x^" + "9" * 100), None, EXIT_GUARD,
+     f"guard exceeded: x exponent {'9' * 100} exceeds 2^16\n"),
+    (("vanish", "--preset", "F2", "--poly", "x^" + _HUGE), None, EXIT_GUARD,
+     "guard exceeded: x exponent of 4000 digits exceeds 2^16\n"),
+    # a divisor count whose cost is a sum of 30,001 powers of 27
+    (("divisors", "--preset", "F27", "--e", "1", "--poly", "x^30000+1", "--count-only"),
+     None, EXIT_GUARD, _ENUM_REFUSAL),
+    (("divisors", "--preset", "F4", "--e", "1", "--poly", "x^65536+1", "--count-only",
+      "--machine"), None, EXIT_GUARD, _ENUM_REFUSAL),
+    # config p: trial division below 2^16 decides each p < 2^32
+    (("field-info",), _field_config(4294967291, (0, 1)), EXIT_OK, ""),
+    (("field-info",), _field_config(4294967311, (0, 1)), EXIT_GUARD,
+     "guard exceeded: primality check of 4294967311 needs 65535 trial divisors, "
+     "exceeds 2^16\n"),
+    (("field-info",), _field_config(_MERSENNE_127 ** 30, (0, 1)), EXIT_GUARD,
+     f"guard exceeded: primality check of {_MERSENNE_127 ** 30} needs at least 10^100 "
+     "trial divisors, exceeds 2^16\n"),
+    # config d: p^(d//2) at most 2^16
+    (("field-info",), _field_config(2, (1, 1, 0, 1, 0, 0, 1) + (0,) * 26 + (1,)), EXIT_OK, ""),
+    (("field-info",), _field_config(2, (1, 1) + (0,) * 32 + (1,)), EXIT_GUARD, None),
+    (("field-info",), _field_config(2, (1,) + (0,) * 29999 + (1,)), EXIT_GUARD,
+     "guard exceeded: field modulus of degree 30000 over F_2 is out of range: "
+     "2^15000 exceeds 2^16 (estimated cost at least 10^100)\n"),
+]
+
+
+@pytest.mark.parametrize("argv,config,exit_code,err", _HOSTILE_CALLS,
+                         ids=[f"row{i}" for i in range(len(_HOSTILE_CALLS))])
+def test_hostile_input_exits_fast(capsys, tmp_path, argv, config, exit_code, err):
+    """Each call ends within about a second with its documented exit code;
+    a refusal writes one printable line, its cost in decimal below 10^100
+    and by its size past that."""
+    if config is not None:
+        path = tmp_path / "field.cfg"
+        path.write_text(config)
+        argv += ("--config", str(path))
+    start = time.perf_counter()
+    code, out, got = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == exit_code
+    if code != EXIT_OK:
+        assert out == "" and got.count("\n") == 1
+    if err is not None:
+        assert got == err
+
+
 # -- argument fuzzing ------------------------------------------------------------------
 
 # Small presets and polynomials of degree at most 3 keep every example fast.

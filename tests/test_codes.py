@@ -38,6 +38,7 @@ from skewcodes.skewpoly import (
     SkewRing,
     apply_automorphism,
     gcrd,
+    is_irreducible_bruteforce,
     is_two_sided,
     lclm,
     left_reciprocal,
@@ -748,6 +749,29 @@ def test_self_dual_rejects_odd_length(R4):
 def test_self_dual_guard(R16):
     with pytest.raises(GuardExceededError):
         self_dual_search(R16, 12, 1)    # 16^6 candidates exceeds 2^20
+
+
+@pytest.mark.parametrize("search,message", [
+    (lambda R27, R16: self_dual_search(R27, 20000),
+     "self-dual search cost at least 10^100 exceeds 2^20"),
+    (lambda R27, R16: is_irreducible_bruteforce(R27.x_pow_minus(20000, -R27.field.one)),
+     "irreducibility enumeration cost at least 10^100 exceeds 2^24"),
+    (lambda R27, R16: enumerate_right_divisors(R27.x_pow_minus(30000, -R27.field.one)),
+     "divisor enumeration cost at least 10^100 exceeds 2^25"),
+    (lambda R27, R16: next(SkewCyclicCode(Modulus(R16.x_pow_minus(4000, R16.field.one)),
+                                          R16.one).words()),
+     "code has at least 10^100 words"),
+], ids=["self_dual", "irreducible", "divisors", "words"])
+def test_searches_refuse_costs_past_10_100_fast(R27, R16, search, message):
+    """x^20000 + 1 and x^30000 + 1 over F27, and the 16^4000 words of the
+    full code of length 4000 over F16: each cost is decided on capped powers
+    and printed by its size, so the refusal is fast and printable."""
+    start = time.perf_counter()
+    with pytest.raises(GuardExceededError) as info:
+        search(R27, R16)
+    assert time.perf_counter() - start < 1
+    assert str(info.value) == message
+    assert info.value.cost >= 10 ** 100
 
 
 def test_vandermonde_parity_check_wedderburn(R4, F4):

@@ -174,3 +174,48 @@ def test_one_skew_shift():
                   for sub in ast.walk(fn) if isinstance(sub, ast.Call)}
         assert referenced & SKEW_SHIFT, name
         assert not called & SIGMA_CALLS, name
+
+
+# The refusals that build GuardExceededError themselves, each with numbers
+# bounded by construction: a field's order (at most p^d with p^(d//2) <= 2^16),
+# the distance oracle's n <= 24, and an x exponent's digit count, checked
+# before int() reads it.  Every cost refusal goes through errors._guard.
+BESPOKE_REFUSALS = [
+    ("bch.py", "min_distance_exact"),          # n <= 24
+    ("fields.py", "FieldEmbedding.__init__"),  # sources of at most 2^20 elements
+    ("fields.py", "FieldSpec.__init__"),       # log tables of at most 2^16 elements
+    ("rootsets.py", "_roots_i"),               # a root sweep of at most 2^20 points
+    ("textio.py", "parse_poly"),               # an x exponent of more than 100 digits
+]
+
+
+def _functions(tree):
+    """(qualified name, node) for each module-level function and method."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef):
+                    yield f"{node.name}.{fn.name}", fn
+
+
+def test_one_cost_guard():
+    """Outside errors.py, GuardExceededError is built only by the bespoke
+    refusals, each once, and only the digit-count one says "exceeds 2^":
+    every other "... exceeds 2^k" refusal is an errors._guard call."""
+    sites = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls = [sub for sub in ast.walk(tree) if isinstance(sub, ast.Call)
+                 and getattr(sub.func, "id", None) == "GuardExceededError"]
+        in_functions = [(path.name, name, sub) for name, fn in _functions(tree)
+                        for sub in ast.walk(fn) if sub in calls]
+        assert len(in_functions) == len(calls), path.name
+        sites += in_functions
+    assert sorted((module, name) for module, name, _ in sites) == BESPOKE_REFUSALS
+    says_exceeds = [(module, name) for module, name, call in sites
+                    if "exceeds 2^" in ast.unparse(call.args[0])]
+    assert says_exceeds == [("textio.py", "parse_poly")]
