@@ -210,15 +210,24 @@ class _BchSpec(_Frozen):
     def designed_distance(self):
         return self.delta + self.nu
 
-    def designed_exponents(self):
-        """The set {b + t1*i + t2*j : i <= delta-2, j <= nu}."""
+    def _designed_ranges(self):
+        """The ranges of i and j in b + t1*i + t2*j, after the guard on the
+        number of designed exponents."""
         _guard("designed exponent set of {} exceeds 2^20", _DESIGNED_SET_GUARD,
                (self.delta - 1) * (self.nu + 1))
-        return {
-            self.b + self.t1 * i + self.t2 * j
-            for i in range(self.delta - 1)
-            for j in range(self.nu + 1)
-        }
+        return range(self.delta - 1), range(self.nu + 1)
+
+    def designed_exponents(self):
+        """The set {b + t1*i + t2*j : i <= delta-2, j <= nu}."""
+        rows, cols = self._designed_ranges()
+        return {self.b + self.t1 * i + self.t2 * j for i in rows for j in cols}
+
+    def _designed_residues(self, order):
+        """designed_exponents() modulo order, without the set: t*i mod order
+        has a period dividing order, so i and j run below order."""
+        rows, cols = self._designed_ranges()
+        return {(self.b + self.t1 * i + self.t2 * j) % order
+                for i in rows[:order] for j in cols[:order]}
 
     def validate(self):
         if self.emb.source != self.base_ring.field:
@@ -296,7 +305,9 @@ def bch1_generator(spec):
     has minimum distance at least delta + nu."""
     spec.validate()
     field = spec.emb.target
-    roots = [field.pow_i(spec.alpha.i, t) for t in bch1_root_exponents(spec)]
+    # alpha^t depends on t modulo the order of alpha
+    residues = spec._designed_residues(field.element_order(spec.alpha))
+    roots = [field.pow_i(spec.alpha.i, t) for t in sorted(residues)]
     g = _subfield_minimal_polynomial(spec.base_ring, spec.emb, roots)
     return g, spec.designed_distance
 
@@ -383,12 +394,13 @@ def _is_normal(ring, a):
 
 
 def find_normal_element(ring):
-    """The first power of the primitive element whose sigma-orbit is a basis
-    over the fixed field (Moore matrix invertible); deterministic scan."""
+    """The first power g^1, ..., g^(order-1) of the generator g of F^* the
+    field is built on whose sigma-orbit is a basis over the fixed field
+    (Moore matrix invertible); deterministic scan."""
     field = ring.field
-    cand = 1
-    for _ in range(1, field.order - 1):
-        cand = field.mul_i(cand, field._x)
+    gen, cand = field._generator_i(), 1
+    for _ in range(field.order - 1):
+        cand = field.mul_i(cand, gen)
         if _is_normal(ring, cand):
             return FieldElement(field, cand)
     raise ArithmeticError("no normal element found; this cannot happen")
@@ -435,7 +447,7 @@ def bch2_exponent_sets(spec):
     under the order-s subgroup generated by m (smallest union of cosets)."""
     n = spec.n
     m = spec.base_ring.m
-    S = sorted({t % n for t in spec.designed_exponents()})
+    S = sorted(spec._designed_residues(n))
     closed = sorted({(t + m * l) % n for t in S for l in range(spec.s)})
     return S, closed
 

@@ -47,7 +47,7 @@ from functools import partial
 from math import gcd, isqrt
 from operator import xor
 
-from .errors import FieldMismatchError, GuardExceededError, _guard
+from .errors import FieldMismatchError, GuardExceededError, _cost_text, _guard
 
 _TABLE_LIMIT = 1 << 16
 _ADD_TABLE_LIMIT = 1 << 12
@@ -83,7 +83,7 @@ def _check_modulus(p, modulus):
     chunk tables of _packed_mul."""
     root = isqrt(max(p, 0))
     if p < 2 or any(p % f == 0 for f in range(2, min(root + 1, _TABLE_LIMIT))):
-        raise ValueError(f"characteristic {p} is not prime")
+        raise ValueError(f"characteristic {_cost_text(p)} is not prime")
     # the 2^16 - 2 divisors 2 .. 2^16 - 1 tried above
     _guard(f"primality check of {p} needs {{}} trial divisors, exceeds 2^16",
            _TABLE_LIMIT - 2, root - 1)
@@ -669,6 +669,17 @@ class FieldSpec:
                 order //= q
         return order
 
+    def _generator_i(self):
+        """The packed generator of F^* the tables are built on: x when the
+        field is primitive (checked at construction), else the first element
+        of full order (1 only in F_2), found by the same search above 2^16."""
+        if self._gen_index is not None:
+            return self._gen_index
+        if self.primitive:
+            return self._x
+        n = self.order - 1
+        return next(a for a in range(1, self.order) if self._element_order_raw(a) == n)
+
     def _powers(self, g, n, add):
         """[g^0, ..., g^(n-1)], stepping acc -> acc*g through a split map.
 
@@ -710,10 +721,7 @@ class FieldSpec:
             add = _chunked_adder(p, d, self._add_table)
         if big:
             return _PolyKernel(self, add)
-        if self.primitive:   # checked at construction
-            gen = self._x
-        else:   # element 1 has order 1, so it is picked only in F_2
-            gen = next(a for a in range(1, self.order) if self._element_order_raw(a) == n)
+        gen = self._generator_i()
         seq = self._powers(gen, n, add)
         log = [0] * self.order
         for k, a in enumerate(seq):

@@ -17,7 +17,7 @@ returns.
 from __future__ import annotations
 
 from .errors import GuardExceededError, NotWedderburnError
-from .fields import FieldElement, _fp_kernel, _fp_span, _prime_factors
+from .fields import FieldElement, _fp_kernel, _fp_span
 from .linalg import charpoly_i, rank_i, wrap
 from .skewpoly import SkewPoly, SkewRing, _circulant_rows_i, _eval_ci, _lclm_ci, _monic_ci, _mul_ci
 
@@ -118,10 +118,10 @@ def _class_kernels(ring, ci):
     is an F_p-basis, as packed indices, of the kernel of
     L_a(c) = sum_i f_i N_i(a) sigma^i(c).
 
-    g is the first element whose norm nu = N(g) generates F_q^*, so the g^j
-    lie in distinct classes, of norms nu^j.  When q - 1 > deg f the reduced
-    norm chi_f is evaluated at each nu^j and only its roots, at most deg f,
-    are solved; otherwise every class is.  L_a(c) is the right evaluation
+    g is the generator of F^* the field is built on, so its norm nu = N(g)
+    generates F_q^* and the g^j lie in distinct classes, of norms nu^j.
+    When q - 1 > deg f the reduced norm chi_f is evaluated at each nu^j and
+    only its roots, at most deg f, are solved; otherwise every class is.  L_a(c) is the right evaluation
     of the product f*c at a, and L_a is F_q-linear: the gamma^u x^v, u < e,
     v < m, are an F_p-basis of the field (1, x, ..., x^(m-1) span it over
     F_q, and gamma = nu^u), so each class takes m evaluations of the
@@ -135,11 +135,7 @@ def _class_kernels(ring, ci):
     kern = field.kernel()
     mul, pow_, scale = kern.mul, kern.pow, kern.scale
     p, n, q = field.p, field.order - 1, ring.q
-    primes = _prime_factors(q - 1)
-    g = next(
-        a for a in range(1, field.order)
-        if all(pow_(a, n // r) != 1 for r in primes)
-    )
+    g = field._generator_i()
     nu = pow_(g, n // (q - 1))
     gammas = [pow_(nu, u) for u in range(ring.e)]
     xs = [p ** v for v in range(ring.m)]

@@ -5,6 +5,10 @@ handled by field negation; term := coeff ['*'] ['x' ['^' INT]];
 coeff := '0' | '1' | 'a' | 'a^' INT | '(' INT (',' INT)* ')' where 'a'
 is the designated primitive element and tuples are ascending prime-field
 coefficients.  Printing round-trips losslessly through parsing.
+parse_poly checks that the parentheses balance, splits the text on its
+signs, refuses an empty term, cuts each term at its 'x' and reads the
+coefficient with parse_element, the reader of element tokens, which also
+takes a bare 'c0,c1'.
 
 Field configs are line-oriented key=value text:
 
@@ -31,10 +35,8 @@ _EXPONENT_LIMIT = 1 << 16
 # (CPython's int() refuses decimal strings of more than 4,300 digits)
 _EXPONENT_DIGITS = 100
 
-_TERM_RE = re.compile(
-    r"^(?:(?P<coeff>0|1|a(?:\^(?P<apow>\d+))?|\((?P<tuple>\d+(?:,\d+)*)\))\*?)?"
-    r"(?P<xpart>x(?:\^(?P<xpow>\d+))?)?$"
-)
+_SIGN_RE = re.compile(r"([+-])")
+_X_RE = re.compile(r"x(?:\^(\d+))?")
 
 
 def parse_element(field, text):
@@ -71,69 +73,44 @@ def format_element(a, style="auto"):
     return a.field.format_element(a.i, style=style)
 
 
-def _split_terms(text):
-    """Split on top-level +/-, keeping signs; parens shield tuple commas.
-    A sign must be followed by a term; only the first term may be preceded
-    by a sign with no term before it."""
-    out = []
-    depth = 0
-    sign = 1
-    cur = []
-    signed = False   # a sign seen and no term after it yet
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ParseError("unbalanced parentheses")
-        if ch in "+-" and depth == 0:
-            if cur:
-                out.append((sign, "".join(cur)))
-                cur = []
-            elif signed:
-                raise ParseError(f"empty term in {text!r}")
-            signed = True
-            sign = -1 if ch == "-" else 1
-            continue
-        signed = False
-        cur.append(ch)
-    if depth:
-        raise ParseError("unbalanced parentheses")
-    if signed:
-        raise ParseError(f"empty term in {text!r}")
-    if cur:
-        out.append((sign, "".join(cur)))
-    return out
-
-
 def parse_poly(ring, text):
     """A SkewPoly from the shared grammar.  An x exponent above 2^16, of any
     length, raises GuardExceededError before any coefficient list is built."""
     stripped = "".join(text.split())
     if not stripped:
         raise ParseError("empty polynomial text")
+    depth = 0
+    for ch in stripped:
+        depth += (ch == "(") - (ch == ")")
+        if depth < 0:
+            break
+    if depth:
+        raise ParseError("unbalanced parentheses")
+    parts = _SIGN_RE.split(stripped)   # term, sign, term, ..., sign, term
+    if "" in parts[2::2]:   # only the first term may be empty, before a sign
+        raise ParseError(f"empty term in {stripped!r}")
     field = ring.field
     coeffs = {}
-    for sign, term in _split_terms(stripped):
-        m = _TERM_RE.fullmatch(term)
-        if not m or (m.group("coeff") is None and m.group("xpart") is None):
+    for sign, term in zip(["+"] + parts[1::2], parts[::2]):
+        if not term:
+            continue
+        head, x, tail = term.partition("x")
+        coeff = head[:-1] if head.endswith("*") else head
+        power = _X_RE.fullmatch(x + tail)
+        # a tuple other than 0 and 1 is parenthesized, a power of a never is
+        if (x and not power) or not (
+                coeff in ("0", "1") or coeff[:1] == "a"
+                or coeff[:1] == "(" and coeff[1:2] != "a" or x and not head):
             raise ParseError(f"cannot parse term {term!r}")
-        if m.group("coeff") is None:
-            c = field.one
-        else:
-            c = parse_element(field, m.group("coeff"))
-        if m.group("xpart") is None:
-            exp = 0
-        elif m.group("xpow") is None:
-            exp = 1
-        else:
-            digits = m.group("xpow").lstrip("0") or "0"
+        c = parse_element(field, coeff) if coeff else field.one
+        exp = 0
+        if x:
+            digits = (power.group(1) or "1").lstrip("0") or "0"
             if len(digits) > _EXPONENT_DIGITS:
                 raise GuardExceededError(f"x exponent of {len(digits)} digits exceeds 2^16")
             exp = int(digits)
             _guard("x exponent {} exceeds 2^16", _EXPONENT_LIMIT, exp)
-        if sign < 0:
+        if sign == "-":
             c = -c
         prev = coeffs.get(exp, field.zero)
         coeffs[exp] = prev + c

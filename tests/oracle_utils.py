@@ -45,14 +45,22 @@ and ``assert_self_dual`` check the circulant and product identities behind
 ``check_polynomial`` and ``self_dual_search``, and
 ``self_dual_generators_by_product`` redoes the self-dual search by full
 products over all monic candidates.
+
+``parse_poly`` is the polynomial parser as it was before the text grammar
+was read by ``parse_element`` alone: a regular expression for the whole
+term (``_TERM_RE``) after a depth-tracking sign splitter (``_split_terms``),
+kept verbatim as the reference for the value or exception class of every
+polynomial text.
 """
 
 import random
+import re
 
 import numpy as np
 
 from skewcodes.bch import bch1_root_exponents, bch2_exponent_sets
 from skewcodes.codes import Modulus, dual_code, skew_circulant
+from skewcodes.errors import GuardExceededError, ParseError, _guard
 from skewcodes.fields import (
     FieldElement,
     _fp_kernel,
@@ -76,6 +84,7 @@ from skewcodes.skewpoly import (
     lclm,
     left_reciprocal,
 )
+from skewcodes.textio import _EXPONENT_DIGITS, _EXPONENT_LIMIT, parse_element
 
 
 def naive_mul(field, a, b):
@@ -580,3 +589,83 @@ def self_dual_generators_by_product(ring, n, eps):
             if h * h_rec == target:
                 out.append(h_rec.monic())
     return out
+
+
+# -- the polynomial parser before one text grammar -----------------------------
+
+_TERM_RE = re.compile(
+    r"^(?:(?P<coeff>0|1|a(?:\^(?P<apow>\d+))?|\((?P<tuple>\d+(?:,\d+)*)\))\*?)?"
+    r"(?P<xpart>x(?:\^(?P<xpow>\d+))?)?$"
+)
+
+
+def _split_terms(text):
+    """Split on top-level +/-, keeping signs; parens shield tuple commas.
+    A sign must be followed by a term; only the first term may be preceded
+    by a sign with no term before it."""
+    out = []
+    depth = 0
+    sign = 1
+    cur = []
+    signed = False   # a sign seen and no term after it yet
+    for ch in text:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                raise ParseError("unbalanced parentheses")
+        if ch in "+-" and depth == 0:
+            if cur:
+                out.append((sign, "".join(cur)))
+                cur = []
+            elif signed:
+                raise ParseError(f"empty term in {text!r}")
+            signed = True
+            sign = -1 if ch == "-" else 1
+            continue
+        signed = False
+        cur.append(ch)
+    if depth:
+        raise ParseError("unbalanced parentheses")
+    if signed:
+        raise ParseError(f"empty term in {text!r}")
+    if cur:
+        out.append((sign, "".join(cur)))
+    return out
+
+
+def parse_poly(ring, text):
+    """A SkewPoly from the shared grammar.  An x exponent above 2^16, of any
+    length, raises GuardExceededError before any coefficient list is built."""
+    stripped = "".join(text.split())
+    if not stripped:
+        raise ParseError("empty polynomial text")
+    field = ring.field
+    coeffs = {}
+    for sign, term in _split_terms(stripped):
+        m = _TERM_RE.fullmatch(term)
+        if not m or (m.group("coeff") is None and m.group("xpart") is None):
+            raise ParseError(f"cannot parse term {term!r}")
+        if m.group("coeff") is None:
+            c = field.one
+        else:
+            c = parse_element(field, m.group("coeff"))
+        if m.group("xpart") is None:
+            exp = 0
+        elif m.group("xpow") is None:
+            exp = 1
+        else:
+            digits = m.group("xpow").lstrip("0") or "0"
+            if len(digits) > _EXPONENT_DIGITS:
+                raise GuardExceededError(f"x exponent of {len(digits)} digits exceeds 2^16")
+            exp = int(digits)
+            _guard("x exponent {} exceeds 2^16", _EXPONENT_LIMIT, exp)
+        if sign < 0:
+            c = -c
+        prev = coeffs.get(exp, field.zero)
+        coeffs[exp] = prev + c
+    if not coeffs:
+        return ring.zero
+    top = max(coeffs)
+    return ring.poly([coeffs.get(i, field.zero) for i in range(top + 1)])

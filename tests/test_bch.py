@@ -7,6 +7,7 @@ from math import gcd
 
 import pytest
 
+import skewcodes.bch as bch
 from skewcodes.bch import (
     Bch1Spec,
     Bch2Spec,
@@ -28,7 +29,7 @@ from skewcodes.bch import (
 )
 from skewcodes.codes import Modulus, SkewCyclicCode, vandermonde_parity_check
 from skewcodes.errors import ConditionViolatedError, GuardExceededError
-from skewcodes.fields import FieldEmbedding, get_field
+from skewcodes.fields import FieldEmbedding, FieldSpec, get_field
 from skewcodes.linalg import matrix_rank
 from skewcodes.linearized import moore_matrix
 from skewcodes.rootsets import vandermonde_rank
@@ -343,6 +344,59 @@ def test_find_normal_element_f2_12(F4096):
     assert nrm == F4096.gen**5
     orbit = [big.sigma(nrm, j) for j in range(12)]
     assert matrix_rank(moore_matrix(big, orbit, 12), F4096) == 12
+
+
+# find_normal_element on every preset and sigma exponent: the packed first
+# power of the generator with a normal orbit (F2 has only 1, the last power)
+_NORMAL_ELEMENTS = {
+    ("F2", 1): 1, ("F4", 1): 2, ("F4", 2): 2, ("F8", 1): 3, ("F8", 3): 2,
+    ("F9", 1): 3, ("F9", 2): 3, ("F16", 1): 8, ("F16", 2): 2, ("F16", 4): 2,
+    ("F27", 1): 9, ("F27", 3): 3, ("F2_6", 1): 32, ("F2_6", 2): 2, ("F2_6", 3): 2,
+    ("F2_6", 6): 2, ("F2_12", 1): 32, ("F2_12", 2): 2, ("F2_12", 3): 2,
+    ("F2_12", 4): 2, ("F2_12", 6): 2, ("F2_12", 12): 2,
+}
+
+
+@pytest.mark.parametrize("name,e", sorted(_NORMAL_ELEMENTS))
+def test_find_normal_element_on_every_preset(name, e):
+    ring = SkewRing(get_field(name), e)
+    a = find_normal_element(ring)
+    assert a.i == _NORMAL_ELEMENTS[name, e]
+    orbit = [ring.sigma(a, j) for j in range(ring.m)]
+    assert matrix_rank(moore_matrix(ring, orbit, ring.m), ring.field) == ring.m
+
+
+def test_find_normal_element_off_the_cycle_of_x():
+    """x has order 4 in F_3[x]/(x^2 + 1), so no power of x is normal over
+    F_3; the scan steps the generator of F_9^* and finds one of the four
+    normal elements."""
+    a = find_normal_element(SkewRing(FieldSpec(3, (1, 0, 1)), 1))
+    assert a.coeffs in {(1, 1), (2, 1), (1, 2), (2, 2)}
+
+
+def test_bch1_generator_takes_each_power_of_alpha_once(monkeypatch):
+    """alpha = a in F16 has 15 distinct powers, so 2^20 designed exponents
+    give at most 15 roots, and the generator is the one of all 15."""
+    seen = []
+    minpoly = bch._subfield_minimal_polynomial
+    monkeypatch.setattr(bch, "_subfield_minimal_polynomial",
+                        lambda ring, emb, idx: seen.append(len(idx)) or minpoly(ring, emb, idx))
+    F16 = get_field("F16")
+    kw = dict(base_ring=SkewRing(F16, 1), emb=FieldEmbedding(F16, F16), alpha=F16.gen,
+              b=0, t1=1, t2=1, nu=0, n=3)
+    g, designed = bch1_generator(Bch1Spec(delta=(1 << 20) + 1, **kw))
+    assert seen == [15] and designed == (1 << 20) + 1
+    assert g == bch1_generator_by_fold(Bch1Spec(delta=16, **kw))
+
+
+def test_bch1_and_bch2_reduce_long_exponent_ranges(R64, tower, F4096):
+    """Ranges of i and j past the order of alpha (here 13 * 315) and past n
+    give the generator of the whole designed set."""
+    kw = dict(base_ring=R64, emb=tower, b=3, t1=5, t2=7, delta=40, nu=3)
+    spec = Bch1Spec(alpha=F4096.gen ** 315, n=2, **kw)
+    assert bch1_generator(spec)[0] == bch1_generator_by_fold(spec)
+    spec = Bch2Spec(alpha=F4096.gen ** 5, **kw)
+    assert bch2_exponent_sets(spec)[0] == sorted({t % 12 for t in spec.designed_exponents()})
 
 
 def test_bch2_exponent_sets(spec2):

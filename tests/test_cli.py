@@ -146,6 +146,20 @@ def test_bch2_auto_normal(capsys):
     assert pairs["exponents_closed"] == "0,4,5,6,10,11"
 
 
+@pytest.mark.parametrize("field", [("--preset", "F2"), ("--config", "p=3\ne=1\nd=2\nmodpoly=1,0,1\n")])
+def test_bch2_auto_normal_without_a_primitive_x(capsys, tmp_path, field):
+    """--alpha auto on F2, whose one unit is 1, and on F_3[x]/(x^2 + 1),
+    where x has order 4 and no power of x is normal."""
+    flag, value = field
+    if flag == "--config":
+        value = tmp_path / "f9.cfg"
+        value.write_text(field[1])
+    code, out, _ = run_cli(capsys, "bch2", flag, str(value), "--alpha", "auto",
+                           "--delta", "2", "--machine")
+    assert code == EXIT_OK
+    assert machine_dict(out)["alpha_tuple"] in ("1", "1,1", "2,1", "1,2", "2,2")
+
+
 def test_bch2_gate_exit(capsys):
     code, _, err = run_cli(
         capsys, "bch2", "--preset", "F2_6", "--e", "1",
@@ -696,6 +710,9 @@ _HOSTILE_CALLS = [
     (("field-info",), _field_config(2, (1,) + (0,) * 29999 + (1,)), EXIT_GUARD,
      "guard exceeded: field modulus of degree 30000 over F_2 is out of range: "
      "2^15000 exceeds 2^16 (estimated cost at least 10^100)\n"),
+    # a composite p of 4,000 digits, named by its size
+    (("field-info",), _field_config(_HUGE, (0, 1)), EXIT_DOMAIN,
+     "error: characteristic at least 10^100 is not prime\n"),
 ]
 
 
@@ -748,16 +765,25 @@ _POLYS = st.one_of(
             ["0", "+", "--x", "x^2+(1,1", ")", "x^70000+1"]),
 )
 _POINTS = st.lists(_ELEMENTS.filter(lambda t: t != "auto"), min_size=1, max_size=4).map(";".join)
-_MISSING = st.just("no-such-dir/no-such-file.cfg")
+# Config files, written once per module under the {configs} placeholder: F_9
+# with x of order 4 (not primitive), a primitive F_8, F_25, and a code over F_9.
+_CONFIG_FILES = {
+    "f9.cfg": "p=3\ne=1\nd=2\nmodpoly=1,0,1\n",
+    "f8.cfg": "p=2\ne=1\nd=3\nmodpoly=1,1,0,1\nprimitive=true\n",
+    "f25.cfg": "p=5\ne=1\nd=2\nmodpoly=2,1,1\n",
+    "code.cfg": "p=3\ne=1\nd=2\nmodpoly=1,0,1\nf=x^4-1\ng=x^2+1\n",
+}
+_CONFIGS = st.sampled_from(["no-such-dir/no-such-file.cfg",
+                            *(f"{{configs}}/{name}" for name in _CONFIG_FILES)])
 _VALUES = {
     "--preset": _PRESETS, "--ext-preset": _PRESETS, "--e": _INTS,
-    "--config": _MISSING, "--code-config": _MISSING, "--ext-config": _MISSING,
+    "--config": _CONFIGS, "--code-config": _CONFIGS, "--ext-config": _CONFIGS,
     "--poly": _POLYS, "--f": _POLYS, "--g": _POLYS, "--points": _POINTS,
     "--alpha": _ELEMENTS, "--strategy": _mostly(["auto", "columns", "messages"], ["x"]),
     **{flag: _INTS for flag in ("--degree", "--b", "--t1", "--t2", "--delta", "--nu",
                                 "--n", "--k")},
 }
-_FIELD_FLAGS = ["--preset", "--config", "--e", "--commutative", "--machine"]
+_FIELD_FLAGS = ["--config", "--preset", "--e", "--commutative", "--machine"]
 _CODE_FLAGS = _FIELD_FLAGS + ["--f", "--g", "--code-config"]
 _BCH_FLAGS = _FIELD_FLAGS + ["--ext-preset", "--ext-config", "--alpha", "--b", "--t1",
                              "--t2", "--delta", "--nu", "--verify-distance"]
@@ -774,9 +800,10 @@ _COMMAND_FLAGS = {
     "vanish": _FIELD_FLAGS + ["--poly"],
 }
 # a flag is present when a draw from 0..9 falls in its range: nine in ten for the
-# usual flags, one in ten for the rare ones and four in ten for the others
+# usual flags, one in ten for the rare ones and four in ten for the others; after
+# --config, --preset comes one time in ten
 _USUAL = {"--preset", "--poly", "--f", "--g", "--alpha", "--delta", "--n", "--k", "--points"}
-_RARE = {"--config", "--code-config", "--ext-config", "--no-such-flag"}
+_RARE = {"--code-config", "--ext-config", "--no-such-flag"}
 
 
 @st.composite
@@ -785,16 +812,29 @@ def _argvs(draw):
     argv = [command]
     for flag in _COMMAND_FLAGS.get(command, []) + ["--no-such-flag"]:
         d = draw(st.integers(0, 9))
-        if d < 9 if flag in _USUAL else d == 9 if flag in _RARE else d >= 6:
+        if flag == "--preset" and argv[-1].startswith("--config="):
+            present = d == 9
+        else:
+            present = d < 9 if flag in _USUAL else d == 9 if flag in _RARE else d >= 6
+        if present:
             # --flag=value, so that a value starting with '-' stays a value
             argv.append(f"{flag}={draw(_VALUES[flag])}" if flag in _VALUES else flag)
     return argv
 
 
+@pytest.fixture(scope="module")
+def configs(tmp_path_factory):
+    path = tmp_path_factory.mktemp("configs")
+    for name, text in _CONFIG_FILES.items():
+        (path / name).write_text(text)
+    return path
+
+
 @given(_argvs())
-def test_fuzzed_arguments_exit_with_a_documented_code(argv):
+def test_fuzzed_arguments_exit_with_a_documented_code(configs, argv):
     """Any argv ends in a documented exit status, 0 to 4, returned or raised
     as SystemExit (argparse usage errors); no other exception escapes."""
+    argv = [arg.replace("{configs}", str(configs)) for arg in argv]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
             code = main(argv)

@@ -219,3 +219,34 @@ def test_one_cost_guard():
     says_exceeds = [(module, name) for module, name, call in sites
                     if "exceeds 2^" in ast.unparse(call.args[0])]
     assert says_exceeds == [("textio.py", "parse_poly")]
+
+
+# The element patterns: a power of a, and a digit tuple.
+ELEMENT_PATTERNS = (r"a\^\d", r",\d")
+
+
+def test_one_text_grammar():
+    """textio reads every coefficient through parse_element: it defines no
+    term splitter or term pattern of its own, the element patterns appear
+    only inside parse_element, and no other module imports re."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    textio = trees["textio.py"]
+    names = {getattr(node, "name", None) for node in ast.walk(textio)}
+    names |= {target.id for node in ast.walk(textio) if isinstance(node, ast.Assign)
+              for target in node.targets if isinstance(target, ast.Name)}
+    assert not names & {"_split_terms", "_TERM_RE"}
+    parse_element = next(node for node in textio.body
+                         if isinstance(node, ast.FunctionDef) and node.name == "parse_element")
+    inside = set(ast.walk(parse_element))
+    patterns = [
+        (module, node.lineno, node in inside)
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and any(pattern in node.value for pattern in ELEMENT_PATTERNS)
+    ]
+    assert patterns and [p for p in patterns if p[0] != "textio.py" or not p[2]] == []
+    importers = sorted(module for module, tree in trees.items()
+                       for _, root in _imported_roots(tree) if root == "re")
+    assert importers == ["textio.py"]

@@ -260,6 +260,30 @@ def test_characteristic_by_trial_division_below_2_16(p, prime):
             FieldSpec(p, (0, 1))
 
 
+def test_characteristic_past_10_100_named_by_its_size():
+    """A composite p is named in decimal below 10^100 and by its size past
+    it, also past the 4,300 digits int-to-str conversion allows."""
+    with pytest.raises(ValueError, match="^characteristic 10000000001 is not prime$"):
+        FieldSpec(10 ** 10 + 1, (0, 1))
+    for p in (10 ** 100 + 1, 10 ** 5000 + 1):   # 10^100 + 1 = 73 * 137 * ...
+        with pytest.raises(ValueError, match="^characteristic at least 10\\^100 is not prime$"):
+            FieldSpec(p, (0, 1))
+
+
+def test_generator_is_the_one_the_tables_use():
+    """_generator_i is x on a primitive field, else the first element of
+    full order, before the tables exist and after, and above 2^16."""
+    nonprimitive = FieldSpec(3, (1, 0, 1))   # x has order 4 in F_9
+    for F, gen in ((FieldSpec(2, (1, 1, 0, 0, 1), primitive=True), 2), (get_field("F2"), 1),
+                   (nonprimitive, 4), (FieldSpec(2, (1, 1, 1, 1, 1)), 3)):
+        assert F._generator_i() == gen
+        F.mul_i(1, 1)
+        assert F._gen_index == gen == F._generator_i()
+        assert F._element_order_raw(gen) == F.order - 1
+    big = FieldSpec(2, (1, 0, 0, 1) + (0,) * 13 + (1,))   # 2^17 - 1 is prime
+    assert big._generator_i() == 2 and big._gen_index is None
+
+
 def test_modulus_out_of_range_refused():
     """p^(d//2) > 2^16 is refused, with its cost: degree 34 over F_2 and
     degree 2 over a prime above 2^16."""

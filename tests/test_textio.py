@@ -1,10 +1,11 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import PRESETS
+from oracle_utils import parse_poly as parse_poly_by_term_regex
 from skewcodes.errors import GuardExceededError, ParseError
 from skewcodes.fields import FieldSpec, get_field
 from skewcodes.skewpoly import SkewRing
@@ -81,6 +82,53 @@ def test_parse_poly_guards_the_x_exponent(R4):
             parse_poly(R4, text)
         assert info.value.cost == exp
     assert parse_poly(R4, "x^65536+1").degree == 1 << 16
+
+
+def test_polynomial_text_limits_on_coefficients(R4, R9):
+    """Polynomial text parenthesizes every digit tuple but 0 and 1 and never
+    a power of a; a '*' follows a coefficient only."""
+    for bad in ("2x", "1,1x", "00", "(a)x", "(a^2)", "*x", "x*", "1**x", "x^2x"):
+        with pytest.raises(ParseError, match="cannot parse term"):
+            parse_poly(R9, bad)
+    F9 = R9.field
+    assert parse_poly(R9, "(2)*x+(0)+(1,1)x^0") == R9.poly(
+        [parse_element(F9, "1,1"), parse_element(F9, "2")])
+    assert parse_poly(R4, "1*") == R4.one and parse_poly(R4, "a*x") == R4.poly([0, R4.field.gen])
+    with pytest.raises(ParseError, match="cannot parse element 'a\\^'"):
+        parse_poly(R4, "a^x")
+
+
+# Polynomial text: the grammar's tokens, stray signs and parentheses, spaces,
+# exponents past the guard and past 100 digits, and foreign characters.
+_TEXT_TOKENS = ["x", "^", "a", "+", "-", "(", ")", ",", "*", "0", "1", "2", "3", " ", "\t",
+                "y", "x^2", "a^3", "(1,2)", "(2)", "(a)", "99999999", "x^99999999",
+                "x^" + "9" * 120, "x^0003", "\u0663"]
+# F4 and F9 are primitive; x has order 5 in F2[x]/(x^4+x^3+x^2+x+1) and 4 in F3[x]/(x^2+1)
+_TEXT_RINGS = [SkewRing(get_field("F4"), 1), SkewRing(get_field("F9"), 1),
+               SkewRing(FieldSpec(2, (1, 1, 1, 1, 1)), 1), SkewRing(FieldSpec(3, (1, 0, 1)), 1)]
+
+
+def _outcome(parse, ring, text):
+    try:
+        return parse(ring, text)
+    except Exception as exc:   # the class is compared
+        return type(exc)
+
+
+@settings(max_examples=400)
+@given(st.lists(st.sampled_from(_TEXT_TOKENS), min_size=1, max_size=12).map("".join))
+# a guarded exponent before a stray parenthesis or an empty term: the syntax error wins
+@example("x^99999999+)")
+@example("x^99999999+(1")
+@example("x^99999999++1")
+@example("x^2+(1+1)x")
+@example("(a)x")
+def test_parse_poly_matches_the_term_regex_parser(text):
+    """The same polynomial, or the same exception class, as the parser that
+    matched each term with one regular expression, on primitive and
+    non-primitive fields at p = 2 and at odd p."""
+    for ring in _TEXT_RINGS:
+        assert _outcome(parse_poly, ring, text) == _outcome(parse_poly_by_term_regex, ring, text)
 
 
 def test_exponents_of_any_length(R4):
