@@ -1,9 +1,13 @@
 """Batch command-line front end.
 
 Subcommands: field-info, divisors, code, dual, distance, bch1, bch2,
-eval-code, minpoly, vanish.  Output is human-readable by default;
---machine emits deterministic key=value lines (elements in both power and
-tuple form where they appear standalone).
+eval-code, minpoly, vanish.  Each command returns its report as one
+ordered list of rows (key, value, human), and _emit prints it: with
+--machine a deterministic key=value line for each row whose key is not
+None, else the human line of each row whose human is not None.  A fact
+shown both ways is one row; a heading or the matrix text is a human-only
+row (key None), a tuple form or count a machine-only row (human None).
+Standalone elements appear in both power and tuple form under --machine.
 
 Exit status: 0 success, 2 parse/usage errors (an unknown preset name
 included), 3 guard exceeded, 4 condition violated, 1 other domain errors.
@@ -78,70 +82,81 @@ def _add_field_args(sub, ext=False):
                      help="deterministic key=value output")
 
 
-def _resolve_field(args):
-    if args.preset and args.config:
-        raise ParseError("give either --preset or --config, not both")
-    if args.preset:
-        return _preset(args.preset), (1 if args.e is None else args.e)
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            field, e = parse_field_config(fh.read())
-        return field, (e if args.e is None else args.e)
-    raise ParseError("a field is required: --preset or --config")
-
-
-def _resolve_ring(args):
-    field, e = _resolve_field(args)
-    if args.commutative:
-        e = field.degree
-    return SkewRing(field, e)
-
-
-def _preset(name):
-    try:
-        return get_field(name)
-    except KeyError as exc:   # an unknown name is a usage error
-        raise ParseError(exc.args[0]) from None
-
-
-def _resolve_ext_field(args):
-    if getattr(args, "ext_preset", None):
-        return _preset(args.ext_preset)
-    if getattr(args, "ext_config", None):
-        with open(args.ext_config, "r", encoding="utf-8") as fh:
-            field, _ = parse_field_config(fh.read())
-        return field
+def _field(preset, config):
+    """(field, e) of a preset name (e = 1) or of a config file (its e), the
+    preset first; None without either."""
+    if preset:
+        try:
+            return get_field(preset), 1
+        except KeyError as exc:   # an unknown name is a usage error
+            raise ParseError(exc.args[0]) from None
+    if config:
+        with open(config, "r", encoding="utf-8") as fh:
+            return parse_field_config(fh.read())
     return None
 
 
-def _emit(args, pairs, human_lines):
-    if args.machine:
-        for key, value in pairs:
+def _ring(args):
+    if args.preset and args.config:
+        raise ParseError("give either --preset or --config, not both")
+    found = _field(args.preset, args.config)
+    if found is None:
+        raise ParseError("a field is required: --preset or --config")
+    field, e = found
+    if args.commutative:
+        e = field.degree
+    elif args.e is not None:
+        e = args.e
+    return SkewRing(field, e)
+
+
+def _emit(args, rows):
+    """Print a report: key=value for each row with a key under --machine,
+    else each row's human line."""
+    for key, value, human in rows:
+        if args.machine and key is not None:
             print(f"{key}={value}")
-    else:
-        for line in human_lines:
-            print(line)
+        elif not args.machine and human is not None:
+            print(human)
 
 
-def _element_pairs(key, a):
-    return [
-        (key, format_element(a)),
-        (f"{key}_tuple", format_element(a, style="tuple")),
-    ]
+def _fact(key, value, label):
+    """A row whose human line is 'label = value'."""
+    return key, value, f"{label} = {value}"
 
 
-def _is_mds(code, d):
-    return d == code.n - code.k + 1
+def _element_rows(key, a, label):
+    """An element in power form, with its human line, and in tuple form."""
+    return [_fact(key, format_element(a), label),
+            (f"{key}_tuple", format_element(a, style="tuple"), None)]
 
 
-def _distance_pairs(code, d):
-    return [("distance", d), ("mds", str(_is_mds(code, d)).lower())]
+def _points(field, text):
+    return [parse_element(field, tok) for tok in text.split(";")]
+
+
+def _distance_rows(code, d, human):
+    """The distance row and the machine-only mds row; the {mds} field of the
+    human line becomes " (MDS)" for an MDS code, else nothing."""
+    mds = d == code.n - code.k + 1
+    return [("distance", d, human.format(mds=" (MDS)" if mds else "")),
+            ("mds", str(mds).lower(), None)]
+
+
+def _matrix_rows(code):
+    """The generator matrix from its int rows: genrowN rows for --machine,
+    and for the human output a heading and one row of all lines (an empty
+    line for k = 0)."""
+    lines = [_format_row_i(code.field, row) for row in code._gen_rows_i]
+    return [(None, None, "generator matrix:"),
+            *((f"genrow{i}", line, None) for i, line in enumerate(lines)),
+            (None, None, "\n".join(lines))]
 
 
 def cmd_field_info(args):
-    ring = _resolve_ring(args)
+    ring = _ring(args)
     field = ring.field
-    pairs = [
+    return [_fact(key, value, key) for key, value in (
         ("p", field.p),
         ("d", field.degree),
         ("order", field.order),
@@ -151,45 +166,28 @@ def cmd_field_info(args):
         ("sigma_order", ring.m),
         ("fixed_field_order", ring.q),
         ("center", f"F_{ring.q}[x^{ring.m}]"),
-    ]
-    human = [f"{k} = {v}" for k, v in pairs]
-    _emit(args, pairs, human)
-    return EXIT_OK
+    )]
 
 
 def cmd_divisors(args):
-    ring = _resolve_ring(args)
-    f = parse_poly(ring, args.poly)
-    degrees = args.degree if args.degree is None else [args.degree]
+    f = parse_poly(_ring(args), args.poly)
+    degrees = None if args.degree is None else [args.degree]
     result = enumerate_right_divisors(f, degrees=degrees)
-    n = f.degree
     total = count_divisors(result)
-    nontrivial = (
-        count_divisors(result, n, nontrivial=True) if degrees is None else None
-    )
-    pairs = [("f", format_poly(f)), ("n", n), ("count_total", total)]
-    human = [f"f = {format_poly(f)}"]
-    if nontrivial is not None:
-        pairs.append(("count_nontrivial", nontrivial))
-        human.append(
-            f"{nontrivial} nontrivial monic right divisors "
-            f"({total} including 1 and f)"
-        )
+    rows = [_fact("f", format_poly(f), "f"), ("n", f.degree, None)]
+    if degrees is None:
+        nontrivial = count_divisors(result, f.degree, nontrivial=True)
+        rows += [("count_total", total, None),
+                 ("count_nontrivial", nontrivial, f"{nontrivial} nontrivial monic right "
+                                                  f"divisors ({total} including 1 and f)")]
     else:
-        human.append(f"{total} monic right divisors at degree {args.degree}")
+        rows.append(("count_total", total, f"{total} monic right divisors at degree {args.degree}"))
     for d in sorted(result):
-        pairs.append((f"count_deg{d}", len(result[d])))
+        rows.append((f"count_deg{d}", len(result[d]), f"degree {d}: {len(result[d])}"))
         if not args.count_only:
-            for i, g in enumerate(result[d]):
-                pairs.append((f"divisor_deg{d}_{i}", format_poly(g)))
-    if not args.count_only:
-        for d in sorted(result):
-            human.append(f"degree {d}: {len(result[d])}")
-            human.extend(f"  {format_poly(g)}" for g in result[d])
-    else:
-        human.extend(f"degree {d}: {len(result[d])}" for d in sorted(result))
-    _emit(args, pairs, human)
-    return EXIT_OK
+            rows += [(f"divisor_deg{d}_{i}", g, f"  {g}")
+                     for i, g in enumerate(map(format_poly, result[d]))]
+    return rows
 
 
 def _add_code_args(sub, *flags, strategy=False):
@@ -207,7 +205,7 @@ def _add_code_args(sub, *flags, strategy=False):
 
 
 def _build_code(args):
-    if getattr(args, "code_config", None):
+    if args.code_config:
         if args.f or args.g or args.preset or args.config:
             raise ParseError("--code-config replaces --preset/--config/--f/--g")
         with open(args.code_config, "r", encoding="utf-8") as fh:
@@ -215,83 +213,51 @@ def _build_code(args):
     else:
         if not (args.f and args.g):
             raise ParseError("--f and --g are required without --code-config")
-        ring = _resolve_ring(args)
+        ring = _ring(args)
         f = parse_poly(ring, args.f)
         g = parse_poly(ring, args.g)
     return SkewCyclicCode(Modulus(f), g)
 
 
-def _matrix_report(args, code, pairs, human):
-    """The generator matrix from its int rows: genrowN pairs with --machine,
-    else the human matrix text."""
-    lines = [_format_row_i(code.field, row) for row in code._gen_rows_i]
-    if args.machine:
-        pairs.extend((f"genrow{i}", line) for i, line in enumerate(lines))
-    else:
-        human.append("\n".join(lines))
-
-
-def _code_report(args, code, with_distance=False, with_dual=False, with_check=False):
-    pairs = [
-        ("f", format_poly(code.modulus.poly)),
-        ("g", format_poly(code.generator)),
-        ("n", code.n),
-        ("k", code.k),
+def _code_rows(args, distance=False, dual=False, check=False):
+    code = _build_code(args)
+    rows = [
+        _fact("f", format_poly(code.modulus.poly), "modulus f"),
+        _fact("g", format_poly(code.generator), "generator g"),
+        ("n", code.n, None),
+        ("k", code.k, f"length n = {code.n}, dimension k = {code.k}"),
+        *_matrix_rows(code),
     ]
-    human = [
-        f"modulus f = {format_poly(code.modulus.poly)}",
-        f"generator g = {format_poly(code.generator)}",
-        f"length n = {code.n}, dimension k = {code.k}",
-        "generator matrix:",
-    ]
-    _matrix_report(args, code, pairs, human)
-    if with_distance and code.k > 0:
+    if distance and code.k > 0:
         d = min_distance_exact(code, strategy=args.strategy)
-        pairs.extend(_distance_pairs(code, d))
-        human.append(f"exact minimum distance = {d}"
-                     + (" (MDS)" if _is_mds(code, d) else ""))
-    if with_dual:
+        rows += _distance_rows(code, d, f"exact minimum distance = {d}{{mds}}")
+    if dual:
         data = dual_code(code)
-        pairs.append(("dual_generator", format_poly(data.code.generator)))
-        pairs.append(("dual_generator_raw", format_poly(data.raw_generator)))
-        pairs.append(("dual_modulus", format_poly(data.code.modulus.poly)))
-        human.append(f"dual generator (monic) = {format_poly(data.code.generator)}")
-        human.append(f"dual generator (raw) = {format_poly(data.raw_generator)}")
-        human.append(f"dual modulus = {format_poly(data.code.modulus.poly)}")
-    if with_check:
-        check, c_tilde = check_polynomial(code)
-        pairs.append(("check_poly", format_poly(check)))
-        pairs.extend(_element_pairs("check_twist", c_tilde))
-        human.append(f"check polynomial = {format_poly(check)}")
-        human.append(f"check twist constant = {format_element(c_tilde)}")
-    _emit(args, pairs, human)
+        rows += [
+            _fact("dual_generator", format_poly(data.code.generator), "dual generator (monic)"),
+            _fact("dual_generator_raw", format_poly(data.raw_generator), "dual generator (raw)"),
+            _fact("dual_modulus", format_poly(data.code.modulus.poly), "dual modulus"),
+        ]
+    if check:
+        check_poly, c_tilde = check_polynomial(code)
+        rows.append(_fact("check_poly", format_poly(check_poly), "check polynomial"))
+        rows += _element_rows("check_twist", c_tilde, "check twist constant")
+    return rows
 
 
 def cmd_code(args):
-    code = _build_code(args)
-    _code_report(
-        args, code,
-        with_distance=args.distance,
-        with_dual=args.dual,
-        with_check=args.check_poly,
-    )
-    return EXIT_OK
+    return _code_rows(args, args.distance, args.dual, args.check_poly)
 
 
 def cmd_dual(args):
-    code = _build_code(args)
-    _code_report(args, code, with_dual=True)
-    return EXIT_OK
+    return _code_rows(args, dual=True)
 
 
 def cmd_distance(args):
     code = _build_code(args)
     d = min_distance_exact(code, strategy=args.strategy)
-    pairs = [("n", code.n), ("k", code.k)] + _distance_pairs(code, d)
-    human = [f"[{code.n},{code.k}] code: exact minimum distance {d}"
-             + (" (MDS)" if _is_mds(code, d) else "")]
-    _emit(args, pairs, human)
-    return EXIT_OK
+    return [("n", code.n, None), ("k", code.k, None),
+            *_distance_rows(code, d, f"[{code.n},{code.k}] code: exact minimum distance {d}{{mds}}")]
 
 
 def _bch_common_args(sub):
@@ -306,135 +272,83 @@ def _bch_common_args(sub):
                      help="run the exact distance oracle")
 
 
-def _verify_distance(args, code, designed, pairs, human):
-    """With --verify-distance, append the exact distance of a nonzero code."""
-    if args.verify_distance and code.k > 0:
-        d = min_distance_exact(code)
-        pairs.extend(_distance_pairs(code, d))
-        human.append(f"actual distance = {d} (designed {designed})")
-
-
-def _bch_tower(args):
-    base_ring = _resolve_ring(args)
-    ext_field = _resolve_ext_field(args)
-    if ext_field is None:
-        ext_field = base_ring.field
-    emb = FieldEmbedding(base_ring.field, ext_field)
-    return base_ring, emb
-
-
-def cmd_bch1(args):
-    base_ring, emb = _bch_tower(args)
-    alpha = parse_element(emb.target, args.alpha)
-    spec = Bch1Spec(
-        base_ring=base_ring, emb=emb, alpha=alpha,
-        b=args.b, t1=args.t1, t2=args.t2,
-        delta=args.delta, nu=args.nu, n=args.n,
-    )
-    code, designed = bch1_code(spec)
-    g = code.generator
-    max_length = bch1_max_length(spec)
-    pairs = [
-        ("g", format_poly(g)),
-        ("designed_distance", designed),
-        ("modulus", format_poly(code.modulus.poly)),
-        ("n", code.n),
-        ("k", code.k),
-        ("max_length", max_length),
-    ]
-    human = [
-        f"generator g = {format_poly(g)}",
-        f"designed distance = {designed}",
-        f"modulus = {format_poly(code.modulus.poly)}",
-        f"[{code.n},{code.k}] code over {base_ring.field.name}",
-        f"maximal admissible length = {max_length}",
-    ]
-    _verify_distance(args, code, designed, pairs, human)
-    _emit(args, pairs, human)
-    return EXIT_OK
-
-
-def cmd_bch2(args):
-    base_ring, emb = _bch_tower(args)
-    if args.alpha == "auto":
+def _bch_spec(args, spec_class, **extra):
+    """The spec of a BCH command: the base ring in the extension field (the
+    base field itself without one; an --ext-config's e is not used), alpha
+    (bch2 searches a normal one for 'auto') and the shared parameters."""
+    base_ring = _ring(args)
+    ext = _field(args.ext_preset, args.ext_config)
+    emb = FieldEmbedding(base_ring.field, ext[0] if ext else base_ring.field)
+    if spec_class is Bch2Spec and args.alpha == "auto":
         alpha = find_normal_element(SkewRing(emb.target, base_ring.e))
     else:
         alpha = parse_element(emb.target, args.alpha)
-    spec = Bch2Spec(
-        base_ring=base_ring, emb=emb, alpha=alpha,
-        b=args.b, t1=args.t1, t2=args.t2, delta=args.delta, nu=args.nu,
-    )
+    return spec_class(base_ring=base_ring, emb=emb, alpha=alpha, b=args.b, t1=args.t1,
+                      t2=args.t2, delta=args.delta, nu=args.nu, **extra)
+
+
+def _bch_rows(args, spec, code, designed, g_label, extra):
+    """The g / designed distance / modulus / n / k block, the command's own
+    rows, and with --verify-distance the exact distance of a nonzero code."""
+    rows = [
+        _fact("g", format_poly(code.generator), g_label),
+        _fact("designed_distance", designed, "designed distance"),
+        _fact("modulus", format_poly(code.modulus.poly), "modulus"),
+        ("n", code.n, None),
+        ("k", code.k, f"[{code.n},{code.k}] code over {spec.base_ring.field.name}"),
+        *extra,
+    ]
+    if args.verify_distance and code.k > 0:
+        d = min_distance_exact(code)
+        rows += _distance_rows(code, d, f"actual distance = {d} (designed {designed})")
+    return rows
+
+
+def cmd_bch1(args):
+    spec = _bch_spec(args, Bch1Spec, n=args.n)
+    code, designed = bch1_code(spec)
+    max_length = _fact("max_length", bch1_max_length(spec), "maximal admissible length")
+    return _bch_rows(args, spec, code, designed, "generator g", [max_length])
+
+
+def cmd_bch2(args):
+    spec = _bch_spec(args, Bch2Spec)
     code, designed = bch2_code(spec)
-    g = code.generator
     S, closed = bch2_exponent_sets(spec)
-    pairs = [
-        ("alpha", format_element(alpha)),
-        ("alpha_tuple", format_element(alpha, style="tuple")),
-        ("g", format_poly(g)),
-        ("designed_distance", designed),
-        ("modulus", format_poly(code.modulus.poly)),
-        ("n", code.n),
-        ("k", code.k),
-        ("exponents", ",".join(map(str, S))),
-        ("exponents_closed", ",".join(map(str, closed))),
-    ]
-    human = [
-        f"normal element alpha = {format_element(alpha)}",
-        f"generator g' = {format_poly(g)}",
-        f"designed distance = {designed}",
-        f"modulus = {format_poly(code.modulus.poly)}",
-        f"[{code.n},{code.k}] code over {base_ring.field.name}",
-        f"exponent set = {S}, coset closure = {closed}",
-    ]
-    _verify_distance(args, code, designed, pairs, human)
-    _emit(args, pairs, human)
-    return EXIT_OK
+    exponents = [("exponents", ",".join(map(str, S)), None),
+                 ("exponents_closed", ",".join(map(str, closed)),
+                  f"exponent set = {S}, coset closure = {closed}")]
+    return (_element_rows("alpha", spec.alpha, "normal element alpha")
+            + _bch_rows(args, spec, code, designed, "generator g'", exponents))
 
 
 def cmd_eval_code(args):
-    ring = _resolve_ring(args)
-    points = [parse_element(ring.field, tok) for tok in args.points.split(";")]
-    code = evaluation_code(ring, points, args.k)
+    ring = _ring(args)
+    code = evaluation_code(ring, _points(ring.field, args.points), args.k)
     d = min_distance_exact(code)
-    pairs = [
-        ("points", ";".join(format_element(a) for a in code.points)),
-        ("n", code.n),
-        ("k", code.k),
-    ] + _distance_pairs(code, d)
-    human = [
-        f"[{code.n},{code.k}] evaluation code, exact distance {d}",
-        "generator matrix:",
+    return [
+        ("points", ";".join(format_element(a) for a in code.points), None),
+        ("n", code.n, None),
+        ("k", code.k, None),
+        *_distance_rows(code, d, f"[{code.n},{code.k}] evaluation code, exact distance {d}"),
+        *_matrix_rows(code),
     ]
-    _matrix_report(args, code, pairs, human)
-    _emit(args, pairs, human)
-    return EXIT_OK
 
 
 def cmd_minpoly(args):
-    ring = _resolve_ring(args)
-    points = [parse_element(ring.field, tok) for tok in args.points.split(";")]
-    m = minimal_polynomial(ring, points)
-    pairs = [("minpoly", format_poly(m)), ("rank", m.degree)]
-    human = [f"minimal polynomial = {format_poly(m)}", f"rank = {m.degree}"]
-    _emit(args, pairs, human)
-    return EXIT_OK
+    ring = _ring(args)
+    m = minimal_polynomial(ring, _points(ring.field, args.points))
+    return [_fact("minpoly", format_poly(m), "minimal polynomial"), _fact("rank", m.degree, "rank")]
 
 
 def cmd_vanish(args):
-    ring = _resolve_ring(args)
-    f = parse_poly(ring, args.poly)
-    roots = vanishing_set(f)
-    pairs = [
-        ("f", format_poly(f)),
-        ("count", len(roots)),
-        ("roots", ";".join(format_element(a) for a in roots)),
+    f = parse_poly(_ring(args), args.poly)
+    roots = [format_element(a) for a in vanishing_set(f)]
+    return [
+        _fact("f", format_poly(f), "f"),
+        ("count", len(roots), None),
+        ("roots", ";".join(roots), f"{len(roots)} right roots: " + ", ".join(roots)),
     ]
-    human = [
-        f"f = {format_poly(f)}",
-        f"{len(roots)} right roots: " + ", ".join(format_element(a) for a in roots),
-    ]
-    _emit(args, pairs, human)
-    return EXIT_OK
 
 
 def _code_args(sub):
@@ -518,7 +432,8 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser(argv).parse_args(argv)
     try:
-        return args.func(args)
+        _emit(args, args.func(args))
+        return EXIT_OK
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -250,3 +250,26 @@ def test_one_text_grammar():
     importers = sorted(module for module, tree in trees.items()
                        for _, root in _imported_roots(tree) if root == "re")
     assert importers == ["textio.py"]
+
+
+def test_one_cli_report():
+    """Each CLI command returns one list of (key, value, human) rows: print
+    is called only by _emit and main, no cmd_* function binds a name human
+    or pairs, and only _field reads a field config."""
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    functions = dict(_functions(tree))
+    printers = sorted(name for name, fn in functions.items()
+                      for sub in ast.walk(fn) if isinstance(sub, ast.Call)
+                      and getattr(sub.func, "id", None) == "print")
+    assert set(printers) == {"_emit", "main"}
+    commands = {name: fn for name, fn in functions.items() if name.startswith("cmd_")}
+    assert len(commands) == 10
+    bound = [
+        (name, getattr(sub, "id", None) or sub.arg)
+        for name, fn in commands.items() for sub in ast.walk(fn)
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store) or isinstance(sub, ast.arg)
+    ]
+    assert [b for b in bound if b[1] in ("human", "pairs")] == []
+    readers = {name for name, fn in functions.items()
+               for sub in ast.walk(fn) if getattr(sub, "id", None) == "parse_field_config"}
+    assert readers == {"_field"}
