@@ -85,7 +85,7 @@ def _check_modulus(p, modulus):
     if p < 2 or any(p % f == 0 for f in range(2, min(root + 1, _TABLE_LIMIT))):
         raise ValueError(f"characteristic {_cost_text(p)} is not prime")
     # the 2^16 - 2 divisors 2 .. 2^16 - 1 tried above
-    _guard(f"primality check of {p} needs {{}} trial divisors, exceeds 2^16",
+    _guard(f"primality check of {_cost_text(p)} needs {{}} trial divisors, exceeds 2^16",
            _TABLE_LIMIT - 2, root - 1)
     modulus = tuple(int(c) % p for c in modulus)
     if len(modulus) < 2 or modulus[-1] != 1:

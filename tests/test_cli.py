@@ -702,7 +702,7 @@ _HOSTILE_CALLS = [
      "guard exceeded: primality check of 4294967311 needs 65535 trial divisors, "
      "exceeds 2^16\n"),
     (("field-info",), _field_config(_MERSENNE_127 ** 30, (0, 1)), EXIT_GUARD,
-     f"guard exceeded: primality check of {_MERSENNE_127 ** 30} needs at least 10^100 "
+     "guard exceeded: primality check of at least 10^100 needs at least 10^100 "
      "trial divisors, exceeds 2^16\n"),
     # config d: p^(d//2) at most 2^16
     (("field-info",), _field_config(2, (1, 1, 0, 1, 0, 0, 1) + (0,) * 26 + (1,)), EXIT_OK, ""),

@@ -270,6 +270,17 @@ def test_characteristic_past_10_100_named_by_its_size():
             FieldSpec(p, (0, 1))
 
 
+def test_prime_candidate_past_10_100_named_by_its_size():
+    """A p of 4,588 digits with no factor below 2^16 is refused by the trial
+    division guard within a second, named by its size: its decimal form is
+    past the 4,300 digits int-to-str conversion allows."""
+    start = time.perf_counter()
+    with pytest.raises(GuardExceededError, match="^primality check of at least 10\\^100 "
+                       "needs at least 10\\^100 trial divisors, exceeds 2\\^16$"):
+        FieldSpec((2 ** 127 - 1) ** 120, (0, 1))
+    assert time.perf_counter() - start < 1
+
+
 def test_generator_is_the_one_the_tables_use():
     """_generator_i is x on a primitive field, else the first element of
     full order, before the tables exist and after, and above 2^16."""
