@@ -22,6 +22,7 @@ from math import inf
 
 from .errors import FieldMismatchError, SearchCancelledError, _guard
 from .fields import FieldElement, FrobeniusAut, _power, norm_exponent
+from .linalg import wrap
 
 NEG_INF = -inf
 
@@ -632,21 +633,14 @@ def is_two_sided(f):
 
 
 def companion_matrix(f):
-    """The n x n companion matrix: superdiagonal ones, last row -f_0..-f_{n-1}."""
+    """The n x n companion matrix: superdiagonal ones, last row -f_0..-f_{n-1}.
+    Row i is x^(i+1) mod_r f, so the matrix is rows 0..n-1 of the skew
+    circulant of x modulo f, under its 2^20-entry guard."""
     if not f.is_monic:
         raise ValueError("companion matrix needs a monic polynomial")
-    n = f.degree
-    if n < 1:
+    if f.degree < 1:
         raise ValueError("companion matrix needs degree >= 1")
-    field = f.ring.field
-    zero, one = field.zero, field.one
-    rows = []
-    for i in range(n - 1):
-        row = [zero] * n
-        row[i + 1] = one
-        rows.append(row)
-    rows.append([-f.coefficient(j) for j in range(n)])
-    return rows
+    return wrap(_circulant_rows_i(f.ring, f._ci, (0, 1), f.degree), f.ring.field)
 
 
 _SIMILARITY_DEGREE_GUARD = 4

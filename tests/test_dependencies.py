@@ -149,14 +149,14 @@ def test_tables_are_built_only_by_make_kernel():
 SKEW_SHIFT = {"_shift_ci", "_circulant_rows_i"}
 SIGMA_CALLS = {"frobenius", "sigma_i", "frob_i"}
 SHIFT_USERS = {"rootsets.py": "_reduced_norm_ci", "codes.py": "constacyclic_shift",
-               "linearized.py": "dickson_matrix"}
+               "linearized.py": "dickson_matrix", "skewpoly.py": "companion_matrix"}
 
 
 def test_one_skew_shift():
     """skewpoly.py alone defines the skew shift x*w mod_r f (_shift_ci) and
     the circulant rows it steps (_circulant_rows_i); the reduced norm, the
-    constacyclic shift and the Dickson matrix reference one of them and
-    apply no sigma of their own."""
+    constacyclic shift, the Dickson matrix and the companion matrix
+    reference one of them and apply no sigma of their own."""
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py"))}
     defined = sorted(

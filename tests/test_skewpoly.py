@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given
@@ -639,6 +640,33 @@ def test_companion_equals_circulant_of_x(R8, F8):
     cm = companion_matrix(f)
     circ = skew_circulant(Modulus(f), R8.x)
     assert cm == circ.rows
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_companion_matches_the_explicit_formula(name):
+    """Superdiagonal ones and the last row -f_0..-f_{n-1}, for monic f of
+    degree 1..6 over every preset at every e."""
+    field = get_field(name)
+    rng = random.Random(name)
+    zero, one = field.zero, field.one
+    for e in range(1, field.degree + 1):
+        if field.degree % e:
+            continue
+        ring = SkewRing(field, e)
+        for _ in range(20):
+            n = rng.randint(1, 6)
+            f = ring.poly([field.element(rng.randrange(field.order)) for _ in range(n)] + [1])
+            explicit = [[one if j == i + 1 else zero for j in range(n)] for i in range(n - 1)]
+            explicit.append([-f.coefficient(j) for j in range(n)])
+            assert companion_matrix(f) == explicit
+
+
+def test_companion_above_2_20_entries_is_refused_fast(R4):
+    """Degree 1,025 asks for 1,050,625 entries: refused before any row."""
+    start = time.perf_counter()
+    with pytest.raises(GuardExceededError, match="1050625 entries exceeds 2\\^20"):
+        companion_matrix(R4.x ** 1025 + R4.one)
+    assert time.perf_counter() - start < 1
 
 
 # -- similarity ------------------------------------------------------------------------------
