@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import pickle
 import random
+import threading
 from math import gcd
 
 import pytest
@@ -28,7 +29,7 @@ from skewcodes.bch import (
     _rs1_brackets_repeat,
 )
 from skewcodes.codes import Modulus, SkewCyclicCode, vandermonde_parity_check
-from skewcodes.errors import ConditionViolatedError, GuardExceededError
+from skewcodes.errors import ConditionViolatedError, GuardExceededError, SearchCancelledError
 from skewcodes.fields import FieldEmbedding, FieldSpec, get_field
 from skewcodes.linalg import matrix_rank
 from skewcodes.linearized import moore_matrix
@@ -99,6 +100,17 @@ def test_distance_repetition_style(F4):
     code = SkewCyclicCode(Modulus(Rc.x_pow_minus(4, one)), g)
     assert code.k == 1
     assert min_distance_exact(code) == 4
+
+
+@pytest.mark.parametrize("strategy", ["columns", "messages"])
+def test_distance_search_cancel(R8, F8, strategy):
+    a = F8.gen
+    code = SkewCyclicCode(Modulus(R8.x_pow_minus(7, a)), R8.poly([a, 0, a ** 5, a, 1]))
+    assert min_distance_exact(code, strategy=strategy, cancel=threading.Event()) == 4
+    stop = threading.Event()
+    stop.set()
+    with pytest.raises(SearchCancelledError, match="distance search cancelled"):
+        min_distance_exact(code, strategy=strategy, cancel=stop)
 
 
 def test_distance_length_guard(R4, F4):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import threading
 import time
 
 import pytest
@@ -16,7 +17,7 @@ from oracle_utils import (
     norm_eval,
     twisted_mul,
 )
-from skewcodes.errors import GuardExceededError
+from skewcodes.errors import GuardExceededError, SearchCancelledError
 from skewcodes.fields import FieldElement, FieldSpec, conjugacy_class, conjugate, get_field
 from skewcodes import skewpoly
 from skewcodes.linalg import mat_mul_i, rank_i, right_kernel_i, unwrap
@@ -683,6 +684,24 @@ def test_linear_similarity_is_conjugacy(R4, F4):
         for b in F4.elements():
             wit = similar_bruteforce(R4.x_minus(a), R4.x_minus(b))
             assert (wit is not None) == (b in cls)
+
+
+def test_similarity_search_cancel(R4, F4):
+    f = R4.poly([F4.gen, F4.gen, 1])
+    assert similar_bruteforce(f, f, cancel=threading.Event()) is not None
+    stop = threading.Event()
+    stop.set()
+    with pytest.raises(SearchCancelledError, match="similarity search cancelled"):
+        similar_bruteforce(f, f, cancel=stop)
+
+
+def test_irreducibility_search_cancel(R4):
+    f = R4.x ** 4 + R4.x + R4.one
+    assert is_irreducible_bruteforce(f, cancel=threading.Event()) == is_irreducible_bruteforce(f)
+    stop = threading.Event()
+    stop.set()
+    with pytest.raises(SearchCancelledError, match="divisor search cancelled"):
+        is_irreducible_bruteforce(f, cancel=stop)
 
 
 def test_similarity_guard(R16):
