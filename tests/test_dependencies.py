@@ -258,10 +258,10 @@ def test_one_cli_report():
     or pairs, and only _field reads a field config."""
     tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
     functions = dict(_functions(tree))
-    printers = sorted(name for name, fn in functions.items()
-                      for sub in ast.walk(fn) if isinstance(sub, ast.Call)
-                      and getattr(sub.func, "id", None) == "print")
-    assert set(printers) == {"_emit", "main"}
+    printers = {name for name, fn in functions.items()
+                for sub in ast.walk(fn) if isinstance(sub, ast.Call)
+                and getattr(sub.func, "id", None) == "print"}
+    assert printers == {"_emit", "main"}
     commands = {name: fn for name, fn in functions.items() if name.startswith("cmd_")}
     assert len(commands) == 10
     bound = [
