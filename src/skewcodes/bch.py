@@ -16,7 +16,7 @@ import itertools
 from math import comb, gcd
 
 from .codes import Modulus, SkewCyclicCode, _codewords
-from .errors import ConditionViolatedError, GuardExceededError, SearchCancelledError, _guard
+from .errors import ConditionViolatedError, _cancellable, _guard
 from .fields import FieldElement
 from .linalg import rank_i, right_kernel_i, unwrap, wrap
 from .rootsets import _minpoly_ci, _subfield_minimal_polynomial, _vandermonde_i
@@ -54,8 +54,7 @@ def min_distance_exact(code, strategy="auto", cancel=None):
     if k == 0:
         raise ValueError("the zero code has no minimum distance")
     n = len(rows[0])
-    if n > _DISTANCE_LENGTH_GUARD:
-        raise GuardExceededError(f"distance oracle limited to n <= 24, got {n}")
+    _guard("distance oracle limited to n <= 24, got {}", _DISTANCE_LENGTH_GUARD, n)
     if rank_i(rows, field) != k:
         raise ValueError("generator matrix must have full rank")
     msg_cost = field.order ** k
@@ -87,9 +86,7 @@ def _distance_by_columns(rows, field, n, k, cancel=None):
     parity = right_kernel_i(rows, field, ncols=n)   # rows of H
     cols = list(zip(*parity)) if parity else [()] * n
     for w in range(1, n + 1):
-        for subset in itertools.combinations(range(n), w):
-            if cancel is not None and cancel.is_set():
-                raise SearchCancelledError("distance search cancelled")
+        for subset in _cancellable(itertools.combinations(range(n), w), cancel, "distance"):
             sub = [list(cols[j]) for j in subset]
             if rank_i(sub, field) < w:
                 return w

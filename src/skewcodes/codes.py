@@ -17,7 +17,7 @@ from .errors import (
     NotARightDivisorError,
     NotConstacyclicError,
     NotTwoSidedError,
-    SearchCancelledError,
+    _cancellable,
     _guard,
 )
 from .fields import FieldElement
@@ -80,9 +80,8 @@ def _codewords(field, rows, n, cancel=None):
     """Yield the word u * G for each message u, in lexicographic order."""
     kern = field.kernel()
     pairs = [[(j, c) for j, c in enumerate(row) if c] for row in rows]
-    for msg in itertools.product(range(field.order), repeat=len(rows)):
-        if cancel is not None and cancel.is_set():
-            raise SearchCancelledError("distance search cancelled")
+    messages = itertools.product(range(field.order), repeat=len(rows))
+    for msg in _cancellable(messages, cancel, "distance"):
         word = [0] * n
         for u, row in zip(msg, pairs):
             if u:
@@ -188,12 +187,16 @@ class SkewCyclicCode:
     def circulant(self):
         return SkewCirculant(self.modulus, self.generator)
 
-    def contains(self, word):
-        """Membership: w is a codeword exactly when g right-divides p_f(w)."""
+    def _word_ci(self, word):
+        """p_f(w) as a trimmed index tuple; a word of length other than n raises."""
         idx = [self.field.element(c).i for c in word]
         if len(idx) != self.n:
             raise ValueError(f"word length {len(idx)}, expected {self.n}")
-        _, r = _right_divmod_ci(self.ring, tuple(_trim(idx)), self.generator._ci)
+        return tuple(_trim(idx))
+
+    def contains(self, word):
+        """Membership: w is a codeword exactly when g right-divides p_f(w)."""
+        _, r = _right_divmod_ci(self.ring, self._word_ci(word), self.generator._ci)
         return not r
 
     __contains__ = contains
@@ -347,8 +350,7 @@ def check_kernel_contains(code, check, c_tilde, word):
     """Evaluate the check map on a word: True when w * check = 0 mod
     x^n - c_tilde (the kernel is exactly the code)."""
     ring = code.ring
-    idx = tuple(_trim([ring.field.element(c).i for c in word]))
-    prod = _mul_ci(ring, idx, check._ci)
+    prod = _mul_ci(ring, code._word_ci(word), check._ci)
     mod_ct = ring.x_pow_minus(code.n, c_tilde)
     _, r = _right_divmod_ci(ring, prod, mod_ct._ci)
     return not r
@@ -376,14 +378,9 @@ def self_dual_search(ring, n, eps=1, cancel=None):
     target = ring.x_pow_minus(n, eps_el)
     mod = Modulus(target)
     mirror = ring._mirror
-    try:
-        found = list(
-            _monic_right_divisors_ci(mirror, _mirror_ci(ring, target._ci), n // 2, cancel)
-        )
-    except SearchCancelledError:
-        raise SearchCancelledError("self-dual search cancelled") from None
     out = []
-    for m, s in found:
+    for m, s in _monic_right_divisors_ci(mirror, _mirror_ci(ring, target._ci), n // 2,
+                                         cancel, "self-dual"):
         h = SkewPoly(ring, _mirror_ci(mirror, m))
         h_rec = left_reciprocal(apply_automorphism(h, -n))
         if _mirror_ci(mirror, s) == h_rec._ci:

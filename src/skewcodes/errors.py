@@ -10,8 +10,9 @@ class FieldMismatchError(SkewError):
 
 
 class GuardExceededError(SkewError):
-    """A brute-force search would exceed its desk-scale cost guard; ``cost``
-    is exact below 10^100 and a lower bound past it (see _guard), or None."""
+    """A brute-force search would exceed its desk-scale cost guard.  Every
+    library refusal goes through _guard and sets ``cost``: exact below
+    10^100 and a lower bound past it; None only when raised by hand."""
 
     def __init__(self, message, cost=None):
         super().__init__(message)
@@ -71,3 +72,17 @@ class ParseError(SkewError):
 
 class SearchCancelledError(SkewError):
     """A cooperative cancellation token stopped a long-running search."""
+
+
+def _cancellable(items, cancel, what):
+    """items itself when cancel is None; else yield them, raising
+    SearchCancelledError("<what> search cancelled") before the next item
+    once cancel (anything with is_set(), e.g. threading.Event) is set."""
+    return items if cancel is None else _checked(items, cancel, what)
+
+
+def _checked(items, cancel, what):
+    for item in items:
+        if cancel.is_set():
+            raise SearchCancelledError(f"{what} search cancelled")
+        yield item

@@ -47,7 +47,7 @@ from functools import partial
 from math import gcd, isqrt
 from operator import xor
 
-from .errors import FieldMismatchError, GuardExceededError, _cost_text, _guard
+from .errors import FieldMismatchError, _cost_text, _guard
 
 _TABLE_LIMIT = 1 << 16
 _ADD_TABLE_LIMIT = 1 << 12
@@ -567,10 +567,7 @@ class FieldSpec:
         # the variable, packed: x itself, or for d = 1 its residue -m_0
         self._x = p if self.degree > 1 else -modulus[0] % p
         if primitive:
-            if self.order > _TABLE_LIMIT:
-                raise GuardExceededError(
-                    f"log tables limited to 2^16 elements, field has {self.order}"
-                )
+            _guard("log tables limited to 2^16 elements, field has {}", _TABLE_LIMIT, self.order)
             if self._x == 0:   # the modulus is x
                 raise ValueError(f"{self.name}: primitive flag set but the generator is 0")
             order = self._element_order_raw(self._x)
@@ -1069,10 +1066,8 @@ class FieldEmbedding:
             raise ValueError(
                 f"degree {source.degree} does not divide {target.degree}"
             )
-        if source.order > self._SOURCE_LIMIT:
-            raise GuardExceededError(
-                f"embedding limited to sources of 2^20 elements, source has {source.order}"
-            )
+        _guard("embedding limited to sources of 2^20 elements, source has {}",
+               self._SOURCE_LIMIT, source.order)
         self.source = source
         self.target = target
         if source == target:

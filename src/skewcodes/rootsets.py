@@ -16,7 +16,7 @@ returns.
 
 from __future__ import annotations
 
-from .errors import GuardExceededError, NotWedderburnError
+from .errors import NotWedderburnError, _guard
 from .fields import FieldElement, _fp_kernel, _fp_span
 from .linalg import charpoly_i, rank_i, wrap
 from .skewpoly import SkewPoly, SkewRing, _circulant_rows_i, _eval_ci, _lclm_ci, _monic_ci, _mul_ci
@@ -94,10 +94,7 @@ def _roots_i(f):
     """The right roots of f as sorted packed indices (see vanishing_set)."""
     ring = f.ring
     domain = ring.field
-    if domain.order > _DOMAIN_SWEEP_LIMIT:
-        raise GuardExceededError(
-            f"root sweep limited to 2^20 points, domain has {domain.order}"
-        )
+    _guard("root sweep limited to 2^20 points, domain has {}", _DOMAIN_SWEEP_LIMIT, domain.order)
     ci = f._ci
     if not ci:   # f = 0 vanishes everywhere
         return list(range(domain.order))

@@ -20,7 +20,7 @@ import itertools
 from collections import namedtuple
 from math import inf
 
-from .errors import FieldMismatchError, SearchCancelledError, _guard
+from .errors import FieldMismatchError, _cancellable, _guard
 from .fields import FieldElement, FrobeniusAut, _power, norm_exponent
 from .linalg import wrap
 
@@ -278,12 +278,12 @@ def _lclm_ci(ring, polys):
     return acc
 
 
-def _monic_right_divisors_ci(ring, f, degree, cancel):
+def _monic_right_divisors_ci(ring, f, degree, cancel, what="divisor"):
     """Yield (g, s) with f = s*g for every monic g of the given degree, in
-    lexicographic order of the ascending coefficients of g."""
-    for tail in itertools.product(range(ring.field.order), repeat=degree):
-        if cancel is not None and cancel.is_set():
-            raise SearchCancelledError("divisor search cancelled")
+    lexicographic order of the ascending coefficients of g; a set cancel
+    stops the "<what> search"."""
+    tails = itertools.product(range(ring.field.order), repeat=degree)
+    for tail in _cancellable(tails, cancel, what):
         g = tail + (1,)
         s, r = _right_divmod_ci(ring, f, g)
         if not r:
@@ -314,7 +314,7 @@ def _circulant_rows_i(ring, f, g, count):
     monic f, as packed index lists: row 0 is g mod_r f and row i + 1 is
     _shift_ci of row i.  Refuses more than 2^20 entries."""
     n = len(f) - 1
-    _guard("code matrix of {} entries exceeds 2^20", 1 << 20, count * n)
+    _guard("matrix of {} entries exceeds 2^20", 1 << 20, count * n)
     _, row = _right_divmod_ci(ring, g, f)
     rows = [list(row) + [0] * (n - len(row))]
     for _ in range(count - 1):
@@ -671,9 +671,8 @@ def similar_bruteforce(f, g, cancel=None):
         # limit 0: refused whatever the cost, which counts the N^n candidates
         _guard("similarity search guarded to degree <= 4 over fields of size <= 16",
                0, ring.field.order, [n])
-    for ci in itertools.product(range(ring.field.order), repeat=n):
-        if cancel is not None and cancel.is_set():
-            raise SearchCancelledError("similarity search cancelled")
+    candidates = itertools.product(range(ring.field.order), repeat=n)
+    for ci in _cancellable(candidates, cancel, "similarity"):
         h = _trim(ci)
         if not h:
             continue

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import GuardExceededError, ParseError, _guard
+from .errors import ParseError, _guard
 from .fields import FieldSpec
 from .skewpoly import SkewRing
 
@@ -106,8 +106,7 @@ def parse_poly(ring, text):
         exp = 0
         if x:
             digits = (power.group(1) or "1").lstrip("0") or "0"
-            if len(digits) > _EXPONENT_DIGITS:
-                raise GuardExceededError(f"x exponent of {len(digits)} digits exceeds 2^16")
+            _guard("x exponent of {} digits exceeds 2^16", _EXPONENT_DIGITS, len(digits))
             exp = int(digits)
             _guard("x exponent {} exceeds 2^16", _EXPONENT_LIMIT, exp)
         if sign == "-":

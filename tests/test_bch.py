@@ -118,8 +118,10 @@ def test_distance_length_guard(R4, F4):
         field = F4
         generator_matrix = [[F4.one] * 25]
 
-    with pytest.raises(GuardExceededError):
+    with pytest.raises(GuardExceededError) as info:
         min_distance_exact(Fake())
+    assert str(info.value) == "distance oracle limited to n <= 24, got 25"
+    assert info.value.cost == 25
 
 
 # -- first kind ---------------------------------------------------------------------

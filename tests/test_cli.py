@@ -316,7 +316,7 @@ def test_code_matrix_above_2_20_entries_exits_guard(capsys, command):
     )
     assert code == EXIT_GUARD == 3
     assert out == ""
-    assert err == "guard exceeded: code matrix of 4294967296 entries exceeds 2^20\n"
+    assert err == "guard exceeded: matrix of 4294967296 entries exceeds 2^20\n"
     assert time.perf_counter() - start < 1
 
 
@@ -710,6 +710,9 @@ _HOSTILE_CALLS = [
     (("field-info",), _field_config(2, (1,) + (0,) * 29999 + (1,)), EXIT_GUARD,
      "guard exceeded: field modulus of degree 30000 over F_2 is out of range: "
      "2^15000 exceeds 2^16 (estimated cost at least 10^100)\n"),
+    # a root sweep over F_2^21 (x^21 + x^2 + 1): more than 2^20 points
+    (("vanish", "--poly", "x+1"), _field_config(2, (1, 0, 1) + (0,) * 18 + (1,)), EXIT_GUARD,
+     "guard exceeded: root sweep limited to 2^20 points, domain has 2097152\n"),
     # a composite p of 4,000 digits, named by its size
     (("field-info",), _field_config(_HUGE, (0, 1)), EXIT_DOMAIN,
      "error: characteristic at least 10^100 is not prime\n"),

@@ -610,6 +610,20 @@ def test_check_polynomial_kernel_sweep(R4, F4):
                     assert check_kernel_contains(code, check, ct, word) == inside
 
 
+def test_check_kernel_contains_checks_the_word_length(R4, F4):
+    """The check map refuses a word of the wrong length as contains does,
+    instead of reading it as a polynomial of another degree."""
+    code = SkewCyclicCode(Modulus(R4.x_pow_minus(4, F4.one)), R4.poly([1, 0, 1]))
+    check, ct = check_polynomial(code)
+    row = list(code.generator_matrix[0])
+    assert check_kernel_contains(code, check, ct, row) and code.contains(row)
+    for word in (row + [F4.zero], row[:3]):
+        for member in (code.contains, lambda w: check_kernel_contains(code, check, ct, w)):
+            with pytest.raises(ValueError) as info:
+                member(word)
+            assert str(info.value) == f"word length {len(word)}, expected 4"
+
+
 def test_check_polynomial_central_case(R4, F4):
     # x^4 - 1 is central: sigma^n = id, so the check poly is h and twist a
     f = Modulus(R4.x_pow_minus(4, F4.one))

@@ -1,9 +1,18 @@
-"""The one cost guard: errors._guard compares a cost with its bound, caps the
-powers and sums it is built from, and prints it with _cost_text."""
+"""The one search control: errors._guard compares a cost with its bound, caps
+the powers and sums it is built from, and prints it with _cost_text;
+errors._cancellable stops a search once its token is set."""
+
+import threading
 
 import pytest
 
-from skewcodes.errors import GuardExceededError, _cost_text, _guard
+from skewcodes.errors import (
+    GuardExceededError,
+    SearchCancelledError,
+    _cancellable,
+    _cost_text,
+    _guard,
+)
 
 
 def test_guard_refuses_only_above_its_bound():
@@ -42,3 +51,31 @@ def test_powers_and_sums_past_10_100_are_capped():
     with pytest.raises(GuardExceededError) as info:
         _guard("cost {}", 1 << 25, 2, range(10 ** 9))
     assert info.value.cost == 2 ** 333 - 1   # 2^0 + ... + 2^332, the first sum past 10^100
+
+
+def test_cancellable_without_a_token_is_the_items_themselves():
+    items = iter(range(3))
+    assert _cancellable(items, None, "divisor") is items
+
+
+def test_cancellable_refuses_before_the_first_item_once_set():
+    stop = threading.Event()
+    stop.set()
+    with pytest.raises(SearchCancelledError) as info:
+        next(_cancellable(range(3), stop, "divisor"))
+    assert str(info.value) == "divisor search cancelled"
+
+
+def test_cancellable_stops_before_the_next_item_once_set():
+    stop = threading.Event()
+    seen = []
+    with pytest.raises(SearchCancelledError, match="^similarity search cancelled$"):
+        for item in _cancellable(range(5), stop, "similarity"):
+            seen.append(item)
+            if item == 2:
+                stop.set()
+    assert seen == [0, 1, 2]
+
+
+def test_cancellable_yields_every_item_in_order_while_unset():
+    assert list(_cancellable(iter("skew"), threading.Event(), "distance")) == list("skew")

@@ -328,18 +328,19 @@ def test_primitive_flag_validated():
     assert spec.element_order(spec.gen) == 5
 
 
-@pytest.mark.parametrize("modulus,error,message", [
-    ((0, 1), ValueError, "F2^1: primitive flag set but the generator is 0"),
+@pytest.mark.parametrize("modulus,error,message,cost", [
+    ((0, 1), ValueError, "F2^1: primitive flag set but the generator is 0", None),
     ((1, 1, 1, 1, 1), ValueError,
-     "F2^4: primitive flag set but the generator has order 5, not 15"),
+     "F2^4: primitive flag set but the generator has order 5, not 15", None),
     ((1, 0, 0, 1) + (0,) * 13 + (1,), GuardExceededError,
-     "log tables limited to 2^16 elements, field has 131072"),
+     "log tables limited to 2^16 elements, field has 131072", 2 ** 17),
 ])
-def test_primitive_flag_refusals(modulus, error, message):
+def test_primitive_flag_refusals(modulus, error, message, cost):
     """The flag is checked when the field is built, with no table built."""
     with pytest.raises(error) as info:
         FieldSpec(2, modulus, primitive=True)
     assert str(info.value) == message
+    assert getattr(info.value, "cost", None) == cost
 
 
 def test_primitive_field_builds_its_tables_on_first_use():
@@ -874,9 +875,10 @@ def test_embedding_refuses_a_source_above_2_20():
     built, the identity embedding included."""
     S = FieldSpec(2, find_irreducible(2, 21))
     start = time.perf_counter()
-    with pytest.raises(GuardExceededError, match="source has 2097152"):
+    with pytest.raises(GuardExceededError, match="source has 2097152") as info:
         FieldEmbedding(S, S)
     assert time.perf_counter() - start < 0.1
+    assert info.value.cost == 2 ** 21
     _assert_no_table(S)
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -11,10 +12,12 @@ from oracle_utils import (
     vanishing_set_by_sweep,
 )
 from skewcodes import rootsets
+from skewcodes.errors import GuardExceededError
 from skewcodes.fields import (
     FieldEmbedding,
     FieldSpec,
     conjugacy_class,
+    find_irreducible,
     get_field,
     norm_exponent,
 )
@@ -507,3 +510,19 @@ def test_vanishing_set_above_the_table_limit():
     rank = _rank(R, V)
     assert rank == _class_rank(R, f) == f.degree
     assert len(V) == 2 ** rank - 1
+
+
+@pytest.mark.parametrize("e", [1, 21])
+def test_root_sweep_above_2_20_points_is_refused_fast(e):
+    """A root sweep has a point per domain element, so a domain above 2^20
+    elements is refused before any point is evaluated, in the skew ring and
+    in the commutative one (e = d)."""
+    F = FieldSpec(2, find_irreducible(2, 21))
+    f = SkewRing(F, e).poly([1, 1])
+    for search in (vanishing_set, is_wedderburn):
+        start = time.perf_counter()
+        with pytest.raises(GuardExceededError) as info:
+            search(f)
+        assert time.perf_counter() - start < 0.1
+        assert str(info.value) == "root sweep limited to 2^20 points, domain has 2097152"
+        assert info.value.cost == 2 ** 21

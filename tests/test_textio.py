@@ -135,8 +135,9 @@ def test_exponents_of_any_length(R4):
     """An x exponent longer than int() reads is refused by the guard, leading
     zeros do not count, and a^k of any length parses to a^(k mod (order-1)),
     against a positional reduction of the digits."""
-    with pytest.raises(GuardExceededError, match="x exponent of 5000 digits exceeds 2"):
+    with pytest.raises(GuardExceededError, match="x exponent of 5000 digits exceeds 2") as info:
         parse_poly(R4, "x^" + "1" * 5000 + "+1")
+    assert info.value.cost == 5000
     assert parse_poly(R4, "x^" + "0" * 5000 + "3").degree == 3
     assert parse_poly(R4, "x^" + "0" * 200 + "65536+1").degree == 1 << 16
     rng = random.Random(5000)
