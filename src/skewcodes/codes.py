@@ -429,13 +429,13 @@ _ENUM_COST_GUARD = 1 << 25
 def enumerate_right_divisors(f, degrees=None, cancel=None):
     """All monic right divisors of f, grouped by degree.
 
-    Degrees up to n/2 are found by direct candidate enumeration with a
-    right-division test; higher degrees enumerate the monic left cofactor h
-    (f = h * g) and recover g as the left quotient, which is a bijection
-    since quotients are unique; that search runs in the mirror ring (see
-    skewpoly).  Lists are ordered lexicographically on the ascending
-    coefficient sequence.  Returns {degree: [divisors]} including
-    the trivial degrees 0 and n.
+    Degrees up to n/2 are found directly by the coefficient walk of
+    skewpoly._monic_right_divisors_ci; higher degrees enumerate the monic
+    left cofactor h (f = h * g) and recover g as the left quotient, which is
+    a bijection since quotients are unique; that search runs in the mirror
+    ring (see skewpoly).  One sort orders each degree's list
+    lexicographically on the ascending coefficient sequence.  Returns
+    {degree: [divisors]} including the trivial degrees 0 and n.
     """
     f = f.poly if isinstance(f, Modulus) else f
     if not f.is_monic:
@@ -457,16 +457,14 @@ def enumerate_right_divisors(f, degrees=None, cancel=None):
             out[d] = [f]
             continue
         if d <= n - d:
-            divisors = _monic_right_divisors_ci(ring, fci, d, cancel)
-            found = [SkewPoly(ring, g) for g, _ in divisors]
+            found = [g for g, _ in _monic_right_divisors_ci(ring, fci, d, cancel)]
         else:
             # f = h * g with h monic of degree n - d exactly when mu(h)
             # right-divides mu(f) with quotient mu(g)
             mirror = ring._mirror
             cofactors = _monic_right_divisors_ci(mirror, _mirror_ci(ring, fci), n - d, cancel)
-            found = [SkewPoly(ring, _mirror_ci(mirror, s)) for _, s in cofactors]
-            found.sort(key=lambda g: g._ci)
-        out[d] = found
+            found = [_mirror_ci(mirror, s) for _, s in cofactors]
+        out[d] = [SkewPoly(ring, g) for g in sorted(found)]
     return out
 
 

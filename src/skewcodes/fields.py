@@ -23,8 +23,9 @@ chunk by chunk up to 2^16 and digit by digit above.  Every kernel has the
 scalar operations (``add``, ``neg``, ``mul``, ``inv``, ``pow``,
 ``frobenius``), behind ``FieldSpec.add_i`` .. ``frob_i`` for every p, and the row operations the ring and elimination
 loops call once per row (``addmul``, ``divstep``, ``scale``, ``evaluate``,
-``eliminate``).  Up to 2^16 elements it works in the log domain over
-references to the tables, negation a shift by log(-1) = (order - 1)/2;
+``eliminate``) or per twisted dot product sum c_i * sigma^(t_i)(x_i)
+(``dot``, for the divisor walk).  Up to 2^16 elements it works in the log
+domain over references to the tables, negation a shift by log(-1) = (order - 1)/2;
 above, it builds no table of the field and works on packed indices: a
 carry-less product for p = 2, a Kronecker-substitution product for odd p
 (``_packed_mul``, which the table builds use too), an extended-Euclid
@@ -417,6 +418,14 @@ class _TableKernel:
             r[off + j] = add(r[off + j], exp[ln + log[table[x]]])
         return exp[lc]
 
+    def dot(self, acc, cs, xs, ts):
+        """acc + sum c * sigma^t(x) over zip(cs, xs, ts); any c or x may be 0."""
+        exp, log, frob, add = self.exp, self.log, self.frob, self.add
+        for c, x, t in zip(cs, xs, ts):
+            if c and x:
+                acc = add(acc, exp[log[c] + log[frob[t][x]]])
+        return acc
+
     def evaluate(self, f, a, e):
         """sum_i f_i N_i(a) for sigma = frob_e, N_i(a) = prod_{j<i} sigma^j(a)."""
         exp, log, n, add, frob = self.exp, self.log, self.n, self.add, self.frob
@@ -462,6 +471,13 @@ class _XorKernel(_TableKernel):
         for j, x in pairs:
             r[off + j] ^= exp[lc + log[table[x]]]
         return exp[lc]
+
+    def dot(self, acc, cs, xs, ts):
+        exp, log, frob = self.exp, self.log, self.frob
+        for c, x, t in zip(cs, xs, ts):
+            if c and x:
+                acc ^= exp[log[c] + log[frob[t][x]]]
+        return acc
 
     def eliminate(self, m, r, col):
         exp, log, n = self.exp, self.log, self.n
@@ -510,6 +526,13 @@ class _PolyKernel:
         c = self.mul(lead, self.frobenius(ginv, t))
         self.addmul(r, off, self.neg(c), pairs, t)
         return c
+
+    def dot(self, acc, cs, xs, ts):
+        mul, add, frob = self.mul, self.add, self.frobenius
+        for c, x, t in zip(cs, xs, ts):
+            if c and x:
+                acc = add(acc, mul(c, frob(x, t)))
+        return acc
 
     def evaluate(self, f, a, e):
         mul, add, frob, d = self.mul, self.add, self.frobenius, self.field.degree

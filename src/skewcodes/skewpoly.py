@@ -279,15 +279,55 @@ def _lclm_ci(ring, polys):
 
 
 def _monic_right_divisors_ci(ring, f, degree, cancel, what="divisor"):
-    """Yield (g, s) with f = s*g for every monic g of the given degree, in
-    lexicographic order of the ascending coefficients of g; a set cancel
-    stops the "<what> search"."""
-    tails = itertools.product(range(ring.field.order), repeat=degree)
-    for tail in _cancellable(tails, cancel, what):
-        g = tail + (1,)
-        s, r = _right_divmod_ci(ring, f, g)
-        if not r:
-            yield g, s
+    """Yield (g, s) with f = s*g for every monic g of degree D, for a monic
+    f of degree n and 1 <= D <= n/2, which enumerate_right_divisors,
+    is_irreducible_bruteforce and self_dual_search all meet; a set cancel
+    stops the "<what> search" before the next node.
+
+    A depth-first walk fixes g_{D-1}, ..., g_0 in turn, each over the N
+    field elements in index order, so the hits come in lexicographic order
+    of (g_{D-1}, ..., g_0); a caller wanting the ascending-coefficient order
+    sorts by g.  With E = n - D, coefficient n - k of s*g is
+    s_{E-k} + sigma^E(g_{D-k}) plus terms fixed above depth k, so each node
+    fixes one quotient digit by one subtraction from a partial sum its
+    parent computes once.  A leaf derives the E - D digits left and checks
+    the remainder r_c = f_c - sum_{b<=c} s_{c-b} sigma^{c-b}(g_b) from
+    c = 0 up, stopping at the first nonzero one.  The walk visits
+    sum_{k=1}^{D} N^k <= 2 N^D nodes, so a guard's count of N^D candidates
+    bounds its work within a factor of 2.
+    """
+    kern, N = ring.field.kernel(), ring.field.order
+    add, neg, mul, frob, dot = kern.add, kern.neg, kern.mul, kern.frobenius, kern.dot
+    n, D = len(f) - 1, degree
+    E = n - D
+    tw = [ring.e * i % ring.field.degree for i in range(E + 1)]   # sigma^i's shift
+    tE, low = tw[E], range(E - D - 1, -1, -1)
+    g, ns = [0] * D + [1], [0] * (E + 1)   # ns[i] = -s_i for i < E; s_E = 1
+    nf0 = neg(f[0])
+
+    def walk(k):
+        # g_{D-k+1..D-1} and s_{E-k+1..E-1} are fixed: each g_{D-k} fixes
+        # -s_{E-k} = sigma^E(g_{D-k}) - (f_{n-k} - the terms fixed above)
+        b, lo = D - k, E - k + 1
+        rest = neg(dot(f[n - k], ns[lo:E], g[D - 1:b:-1], tw[lo:E]))
+        for v in _cancellable(range(N), cancel, what):
+            g[b] = v
+            ns[E - k] = add(rest, frob(v, tE))
+            if k < D:
+                yield from walk(k + 1)
+                continue
+            for j in low:   # the digits below the walk
+                ns[j] = neg(dot(f[j + D], ns[j + D:j:-1], g[:D], tw[j + D:j:-1]))
+            # the remainder's constant term f_0 - s_0 g_0 rejects most leaves
+            if (mul(ns[0], v) if ns[0] and v else 0) != nf0:
+                continue
+            for c in range(1, D):
+                if dot(f[c], ns[c::-1], g[:c + 1], tw[c::-1]):
+                    break
+            else:
+                yield tuple(g), tuple(map(neg, ns[:E])) + (1,)
+
+    return walk(1)
 
 
 def _eval_ci(ring, f, a):
@@ -708,8 +748,9 @@ def is_irreducible_bruteforce(f, cancel=None):
     ring = f.ring
     _guard("irreducibility enumeration cost {} exceeds 2^24", _IRREDUCIBLE_COST_GUARD,
            ring.field.order, [n // 2])
+    fci = _monic_ci(ring, f._ci)   # c*f = (c*s)*g: the same right divisors
     for d in range(1, n // 2 + 1):
-        for _ in _monic_right_divisors_ci(ring, f._ci, d, cancel):
+        for _ in _monic_right_divisors_ci(ring, fci, d, cancel):
             return False
     return True
 

@@ -46,6 +46,11 @@ and ``assert_self_dual`` check the circulant and product identities behind
 ``self_dual_generators_by_product`` redoes the self-dual search by full
 products over all monic candidates.
 
+``monic_right_divisors_by_division`` is the divisor candidate loop as it was
+before the coefficient walk: one full right division per monic candidate,
+in lexicographic order of its ascending coefficients, kept verbatim as the
+reference for ``skewpoly._monic_right_divisors_ci`` and its three callers.
+
 ``parse_poly`` is the polynomial parser as it was before the text grammar
 was read by ``parse_element`` alone: a regular expression for the whole
 term (``_TERM_RE``) after a depth-tracking sign splitter (``_split_terms``),
@@ -53,6 +58,7 @@ kept verbatim as the reference for the value or exception class of every
 polynomial text.
 """
 
+import itertools
 import random
 import re
 
@@ -60,7 +66,7 @@ import numpy as np
 
 from skewcodes.bch import bch1_root_exponents, bch2_exponent_sets
 from skewcodes.codes import Modulus, dual_code, skew_circulant
-from skewcodes.errors import GuardExceededError, ParseError, _guard
+from skewcodes.errors import GuardExceededError, ParseError, _cancellable, _guard
 from skewcodes.fields import (
     FieldElement,
     _fp_kernel,
@@ -80,6 +86,7 @@ from skewcodes.rootsets import AlgebraicSet, minimal_poly_over_subfield
 from skewcodes.skewpoly import (
     _eval_ci,
     _mul_ci,
+    _right_divmod_ci,
     apply_automorphism,
     lclm,
     left_reciprocal,
@@ -669,3 +676,18 @@ def parse_poly(ring, text):
         return ring.zero
     top = max(coeffs)
     return ring.poly([coeffs.get(i, field.zero) for i in range(top + 1)])
+
+
+# -- the divisor candidate loop before the coefficient walk ----------------------
+
+
+def monic_right_divisors_by_division(ring, f, degree, cancel=None, what="divisor"):
+    """Yield (g, s) with f = s*g for every monic g of the given degree, in
+    lexicographic order of the ascending coefficients of g; a set cancel
+    stops the "<what> search"."""
+    tails = itertools.product(range(ring.field.order), repeat=degree)
+    for tail in _cancellable(tails, cancel, what):
+        g = tail + (1,)
+        s, r = _right_divmod_ci(ring, f, g)
+        if not r:
+            yield g, s

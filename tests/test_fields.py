@@ -882,15 +882,17 @@ def test_embedding_refuses_a_source_above_2_20():
     _assert_no_table(S)
 
 
-@pytest.mark.parametrize(
-    "name",
-    ["F16", "F2_16",            # XOR tables
-     "F9", "F3_6",              # odd tables with a full addition table
-     "F3_10", "F7_5",           # chunked addition
-     "F4099",                   # a prime field
-     "F2_17", "F3_11",          # packed arithmetic: carry-less and Kronecker
-     "F5_7", "F17_4"],
-)
+_KERNEL_KINDS = [
+    "F16", "F2_16",            # XOR tables
+    "F9", "F3_6",              # odd tables with a full addition table
+    "F3_10", "F7_5",           # chunked addition
+    "F4099",                   # a prime field
+    "F2_17", "F3_11",          # packed arithmetic: carry-less and Kronecker
+    "F5_7", "F17_4",
+]
+
+
+@pytest.mark.parametrize("name", _KERNEL_KINDS)
 def test_scalar_ops_on_every_kernel_kind(name, field_named):
     F = field_named(name)
     E = F.element
@@ -920,6 +922,28 @@ def test_scalar_ops_on_every_kernel_kind(name, field_named):
     with pytest.raises(ZeroDivisionError):
         F.pow_i(0, -1)
     if big:
+        _assert_no_table(F)
+
+
+@pytest.mark.parametrize("name", _KERNEL_KINDS)
+def test_twisted_dot_on_every_kernel_kind(name, field_named):
+    """kern.dot(acc, cs, xs, ts) = acc + sum c * sigma^t(x), with zero
+    scalars and zero points among the terms, against the coefficient
+    oracles."""
+    F = field_named(name)
+    E = F.element
+    kern = F.kernel()
+    rng = random.Random(name)
+    for length in (0, 1, 2, 5):
+        cs = [rng.choice([0, 1, F.p - 1, rng.randrange(F.order)]) for _ in range(length)]
+        xs = [rng.choice([0, 1, rng.randrange(F.order)]) for _ in range(length)]
+        ts = [rng.randrange(F.degree) for _ in range(length)]
+        acc = rng.randrange(F.order)
+        want = acc
+        for c, x, t in zip(cs, xs, ts):
+            want = naive_add(F, want, naive_mul(F, E(c), naive_pow(F, E(x), F.p ** t)).i)
+        assert kern.dot(acc, cs, xs, ts) == want
+    if F.order > 1 << 16:
         _assert_no_table(F)
 
 
