@@ -128,4 +128,6 @@ from .textio import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# importing a submodule binds it here too; those names stay out of __all__
+__all__ = [name for name in dir()
+           if not name.startswith("_") and type(globals()[name]) is not type(fields)]

@@ -42,7 +42,7 @@ class Modulus:
     """A monic degree-n modulus f, with derived structure flags.
 
     ``constacyclic_constant`` is a when f = x^n - a with a nonzero, else
-    None; ``two_sided`` is recomputed from f, never user-set.
+    None; ``two_sided`` is computed from f when first read.
     """
 
     def __init__(self, f):
@@ -51,12 +51,15 @@ class Modulus:
         self.ring = f.ring
         self.poly = f
         self.n = f.degree
-        self.two_sided = is_two_sided(f)
         a = None
         ci = f._ci
         if ci[0] and all(c == 0 for c in ci[1:-1]):
             a = FieldElement(self.ring.field, self.ring.field.neg_i(ci[0]))
         self.constacyclic_constant = a
+
+    @cached_property
+    def two_sided(self):
+        return is_two_sided(self.poly)
 
     @property
     def is_constacyclic(self):

@@ -92,7 +92,7 @@ class LinearizedPoly:
         return _join_terms(
             ((ci[i], "y" if i == 0 else "y^q" if i == 1 else f"y^q^{i}")
              for i in range(len(ci) - 1, -1, -1)),
-            self.ring.field.format_element,
+            self.ring.field,
         )
 
     def __repr__(self):

@@ -514,27 +514,26 @@ class SkewPoly:
     def __bool__(self):
         return bool(self._ci)
 
-    def _coeff_token(self, c):
-        field = self.ring.field
-        if field.primitive:
-            return field.format_element(c)
-        return "(" + field.format_element(c, style="tuple") + ")"
-
     def __str__(self):
         ci = self._ci
         return _join_terms(
             ((ci[i], "x" if i == 1 else f"x^{i}" if i else "") for i in range(len(ci) - 1, -1, -1)),
-            self._coeff_token,
+            self.ring.field,
         )
 
     def __repr__(self):
         return f"<{self.ring!r}: {self}>"
 
 
-def _join_terms(terms, token):
-    """The text of (coefficient, variable part) terms, highest first, joined
-    by '+': zero terms are skipped, a coefficient 1 before a variable part
-    is left out, and a constant is token(c) alone; '0' when none is left."""
+def _join_terms(terms, field):
+    """The text of (coefficient, variable part) terms over field, highest
+    first, joined by '+': zero terms are skipped, a coefficient 1 before a
+    variable part is left out, and a constant stands alone.  A coefficient
+    prints as a power of a over a primitive field, else as its digit tuple
+    in parentheses; '0' when no term is left."""
+    def token(c):
+        return field.format_element(c) if field.primitive else f"({field.format_element(c)})"
+
     return "+".join(
         v if v and c == 1 else f"{token(c)}*{v}" if v else token(c) for c, v in terms if c
     ) or "0"
@@ -648,28 +647,18 @@ def product_eval_check(f, g, a):
 
 
 def is_two_sided(f):
-    """True when f = c x^t g with g in the center F_q[x^m].
+    """True when Rf is a two-sided ideal: f*x and f*gamma lie in Rf, for
+    gamma the field's variable, which generates F over the central F_p.
+    Then f*r lies in Rf for every r, since x and gamma generate R over F_p.
 
     The zero polynomial and nonzero constants are two-sided.  For x^n - a this
     reduces to: m divides n and sigma(a) = a.
     """
     if f.is_zero:
         return True
-    ring = f.ring
-    field = ring.field
-    ci = f._ci
-    t = next(i for i, c in enumerate(ci) if c)
-    inv0 = field.inv_i(ci[t])
-    for i in range(t, len(ci)):
-        c = ci[i]
-        if not c:
-            continue
-        if (i - t) % ring.m:
-            return False
-        ratio = field.mul_i(c, inv0)
-        if ring.sigma_i(ratio) != ratio:
-            return False
-    return True
+    ring, ci = f.ring, f._ci
+    return not any(_right_divmod_ci(ring, fr, ci)[1]
+                   for fr in ((0,) + ci, _mul_ci(ring, ci, (ring.field._x,))))
 
 
 def companion_matrix(f):
@@ -683,47 +672,34 @@ def companion_matrix(f):
     return wrap(_circulant_rows_i(f.ring, f._ci, (0, 1), f.degree), f.ring.field)
 
 
-_SIMILARITY_DEGREE_GUARD = 4
-_SIMILARITY_FIELD_GUARD = 16
-
-
 def similar_bruteforce(f, g, cancel=None):
-    """Search a witness h (nonzero, deg h < deg f) with gcrd(f, h) = 1 and
-    lclm(f, h) = monic(g * h).  Returns the witness or None.
+    """Search a witness h (nonzero, deg h < deg f) with g*h in Rf and
+    gcrd(f, h) = 1.  Returns the first in lexicographic order of the
+    ascending coefficients, or None.
 
     Such an h exists exactly when the quotient modules by f and by g are
-    isomorphic: the witness is a representative of the image of the coset
-    of 1, so its degree is below deg f, but it need not be monic and g*h is
-    a least common left multiple only up to a left unit.  (Requiring a monic
-    witness with g*h on the nose misses e.g. x-1 vs x-w over F_4.)
+    isomorphic: g*h in Rf makes 1 -> h a module map R/Rg -> R/Rf, and
+    gcrd(f, h) = 1 makes it onto, hence bijective, both having dimension n.
+    Then deg lclm(f, h) = n + deg h = deg(g*h), so lclm(f, h) = monic(g*h).
+    The witness need not be monic.  (Requiring a monic witness with
+    g*h = lclm(f, h) on the nose misses e.g. x-1 vs x-w over F_4.)
 
     Similar polynomials have equal degree, so unequal degrees raise.
-    Guarded to deg f <= 4 and field size <= 16.
+    Refuses more than 2^16 candidates N^n.
     """
     f._same_ring(g)
     if not (f.is_monic and g.is_monic):
         raise ValueError("similarity test needs monic polynomials")
     if f.degree != g.degree:
         raise ValueError("similar polynomials have equal degree")
-    ring = f.ring
-    n = f.degree
-    if n > _SIMILARITY_DEGREE_GUARD or ring.field.order > _SIMILARITY_FIELD_GUARD:
-        # limit 0: refused whatever the cost, which counts the N^n candidates
-        _guard("similarity search guarded to degree <= 4 over fields of size <= 16",
-               0, ring.field.order, [n])
+    ring, n, fci, gci = f.ring, f.degree, f._ci, g._ci
+    _guard("similarity search cost {} exceeds 2^16", 1 << 16, ring.field.order, [n])
     candidates = itertools.product(range(ring.field.order), repeat=n)
     for ci in _cancellable(candidates, cancel, "similarity"):
         h = _trim(ci)
-        if not h:
-            continue
-        # one Euclid loop: a unit last remainder is gcrd(f, h) = 1, and the
-        # same quotients fold to u with u*f = lclm(f, h)
-        qs, r = _euclid_ci(ring, f._ci, h)
-        if len(r) == 1:
-            u = _fold_ci(ring, qs, (1,), ())[1]
-            lclm_fh = _monic_ci(ring, _mul_ci(ring, u, f._ci))
-            if lclm_fh == _monic_ci(ring, _mul_ci(ring, g._ci, h)):
-                return SkewPoly(ring, h)
+        if (h and not _right_divmod_ci(ring, _mul_ci(ring, gci, h), fci)[1]
+                and len(_euclid_ci(ring, fci, h)[1]) == 1):
+            return SkewPoly(ring, h)
     return None
 
 
@@ -789,7 +765,7 @@ class CommutativePoly:
         return _join_terms(
             ((self.coeffs[e], "y" if e == 1 else f"y^{e}" if e else "")
              for e in sorted(self.coeffs, reverse=True)),
-            self.field.format_element,
+            self.field,
         )
 
     __repr__ = __str__

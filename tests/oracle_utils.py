@@ -51,6 +51,12 @@ before the coefficient walk: one full right division per monic candidate,
 in lexicographic order of its ascending coefficients, kept verbatim as the
 reference for ``skewpoly._monic_right_divisors_ci`` and its three callers.
 
+``two_sided_by_center`` decides two-sidedness by the shape c x^t g(x^m)
+with g over the fixed field, scanning the coefficients, and
+``two_call_search`` finds a similarity witness by a public gcrd and lclm
+call per candidate: the two routes ``skewpoly.is_two_sided`` and
+``skewpoly.similar_bruteforce`` had before both tested ideal membership.
+
 ``parse_poly`` is the polynomial parser as it was before the text grammar
 was read by ``parse_element`` alone: a regular expression for the whole
 term (``_TERM_RE``) after a depth-tracking sign splitter (``_split_terms``),
@@ -88,6 +94,7 @@ from skewcodes.skewpoly import (
     _mul_ci,
     _right_divmod_ci,
     apply_automorphism,
+    gcrd,
     lclm,
     left_reciprocal,
 )
@@ -691,3 +698,35 @@ def monic_right_divisors_by_division(ring, f, degree, cancel=None, what="divisor
         s, r = _right_divmod_ci(ring, f, g)
         if not r:
             yield g, s
+
+
+# -- two-sidedness and similarity before the ideal-membership tests --------------
+
+
+def two_sided_by_center(f):
+    """True when f = c x^t g with g in the center F_q[x^m]: every nonzero
+    coefficient sits at t plus a multiple of m and is c times an element of
+    the fixed field.  The zero polynomial is two-sided."""
+    if f.is_zero:
+        return True
+    ring, field, ci = f.ring, f.ring.field, f._ci
+    t = next(i for i, c in enumerate(ci) if c)
+    inv0 = field.inv_i(ci[t])
+    for i in range(t, len(ci)):
+        if ci[i]:
+            ratio = field.mul_i(ci[i], inv0)
+            if (i - t) % ring.m or ring.sigma_i(ratio) != ratio:
+                return False
+    return True
+
+
+def two_call_search(f, g):
+    """The first h, nonzero of degree below deg f in lexicographic order of
+    its ascending coefficients, with gcrd(f, h) = 1 and lclm(f, h) =
+    monic(g*h), each condition one public call; None when there is none."""
+    ring = f.ring
+    for ci in itertools.product(range(ring.field.order), repeat=f.degree):
+        h = ring.from_indices(ci)
+        if not h.is_zero and gcrd(f, h) == ring.one and lclm(f, h) == (g * h).monic():
+            return h
+    return None

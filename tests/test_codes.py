@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from skewcodes import codes
 from skewcodes.codes import (
     Modulus,
     SkewCyclicCode,
@@ -79,6 +80,21 @@ def _f8_code(R8, F8):
     f = R8.poly([a, 0, 0, 0, 0, 0, 0, F8.one])      # x^7 + a
     g = R8.poly([a, 0, a**5, a, F8.one])            # x^4 + a x^3 + a^5 x^2 + a
     return Modulus(f), g
+
+
+def test_modulus_decides_two_sidedness_on_first_read(monkeypatch, R4, F4):
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return is_two_sided(f)
+
+    monkeypatch.setattr(codes, "is_two_sided", counted)
+    f = R4.x_pow_minus(4, F4.one)
+    mod = Modulus(f)
+    assert calls == []
+    assert mod.two_sided and mod.two_sided
+    assert calls == [f]
 
 
 def test_modulus_flags(R4, F4):

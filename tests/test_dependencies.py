@@ -213,6 +213,33 @@ def test_one_cost_guard():
     assert named == ["__init__.py", "cli.py", "errors.py"]
 
 
+def test_no_guard_refuses_whatever_the_cost():
+    """Every _guard call bounds a cost: none passes the literal limit 0,
+    which would refuse its input however small the cost."""
+    def zero_limit(node):
+        if not _calls("_guard")(node):
+            return False
+        limit = node.args[1] if len(node.args) > 1 else next(
+            (kw.value for kw in node.keywords if kw.arg == "limit"), None)
+        return isinstance(limit, ast.Constant) and limit.value == 0
+
+    assert _modules_where(zero_limit) == []
+
+
+def test_star_import_binds_no_submodule():
+    """__all__ lists the exported names and no submodule, and each resolves."""
+    import types
+
+    import skewcodes
+
+    assert len(skewcodes.__all__) == 101
+    values = [getattr(skewcodes, name) for name in skewcodes.__all__]
+    assert not [v for v in values if isinstance(v, types.ModuleType)]
+    namespace = {}
+    exec("from skewcodes import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(skewcodes.__all__)
+
+
 def test_one_cancellation_check():
     """Every long search stops through errors._cancellable: only errors.py
     builds SearchCancelledError or asks a token is_set(), and no module

@@ -361,6 +361,17 @@ def test_frobenius_basics(F4, aut4):
         assert frobenius_power(aut4, 0, a) == a
 
 
+@pytest.mark.parametrize("name", PRESETS)
+def test_fixed_degree_counts_the_fixed_field(name):
+    """a -> a^(p^e) fixes exactly p^fixed_degree elements, for every e up
+    to d + 1, divisors of d or not, e = 0 and e = d the identity."""
+    field = get_field(name)
+    for e in range(field.degree + 2):
+        aut = FrobeniusAut(field, e)
+        fixed = sum(aut.fixes(a) for a in field.elements())
+        assert fixed == field.p ** aut.fixed_degree, e
+
+
 def test_frobenius_is_homomorphism(F16):
     aut = FrobeniusAut(F16, 1)
     rng = random.Random(0)

@@ -16,6 +16,8 @@ from oracle_utils import (
     naive_rank,
     norm_eval,
     twisted_mul,
+    two_call_search,
+    two_sided_by_center,
 )
 from skewcodes.errors import GuardExceededError, SearchCancelledError
 from skewcodes.fields import FieldElement, FieldSpec, conjugacy_class, conjugate, get_field
@@ -59,6 +61,15 @@ def test_known_product(R4, F4):
     f = R4.poly([w, w, 1])            # x^2 + w x + w
     g = R4.poly([w, 1])               # x + w
     assert f * g == R4.poly([w * w, w * w, 0, 1])
+
+
+def test_leading_coefficient(R4, F4):
+    w = F4.gen
+    assert R4.poly([1, w, w * w]).leading_coefficient == w * w
+    assert R4.poly([w, 1, 0]).leading_coefficient == F4.one      # trailing zeros trimmed
+    assert R4.poly([w]).leading_coefficient == w
+    with pytest.raises(ValueError, match="zero polynomial has no leading coefficient"):
+        R4.zero.leading_coefficient
 
 
 def test_multiply_by_one(R8):
@@ -619,6 +630,35 @@ def test_two_sided_degenerate_cases(R4, F4):
     assert is_two_sided(R4.poly([F4.gen]))
 
 
+@pytest.mark.parametrize("name", PRESETS)
+def test_two_sided_matches_the_center_scan(name):
+    """The ideal test (f*x and f*gamma in Rf) agrees with the coefficient
+    scan for c x^t g(x^m) at every e: on zero, constants, non-monic random
+    polynomials, constructed c x^t g(x^m) with g over the fixed field, and
+    those with one coefficient changed."""
+    field = get_field(name)
+    rng = random.Random(name)
+    N = field.order
+    for e in range(1, field.degree + 1):
+        if field.degree % e:
+            continue
+        ring = SkewRing(field, e)
+        fixed = [a for a in range(N) if ring.sigma_i(a) == a]
+        polys = [ring.zero] + [ring.from_indices([rng.randrange(1, N)]) for _ in range(3)]
+        polys += [rand_poly(ring, rng.randint(1, 8), rng) for _ in range(20)]
+        for _ in range(20):
+            g = [rng.choice(fixed) for _ in range(rng.randint(1, 4))] + [rng.randrange(1, N)]
+            ci = [0] * rng.randrange(3)
+            for c in g:   # c x^t g(x^m): g's coefficients spaced m apart
+                ci += [field.mul_i(g[-1], c)] + [0] * (ring.m - 1)
+            f = ring.from_indices(ci)
+            polys.append(f)
+            ci[rng.randrange(len(ci))] = rng.randrange(N)
+            polys.append(ring.from_indices(ci))
+        for f in polys:
+            assert is_two_sided(f) == two_sided_by_center(f), (e, f)
+
+
 # -- companion matrix -----------------------------------------------------------------------
 
 
@@ -710,6 +750,35 @@ def test_similarity_guard(R16):
         similar_bruteforce(big, big)
 
 
+def test_similarity_guard_counts_the_candidates(R16, F2, F4, F16, F27):
+    """The guard refuses N^n > 2^16 and admits N^n <= 2^16.  The admitted
+    x^n + 1 is central, so (x^n + 1) x^(n-1) lies in R(x^n + 1): the second
+    candidate x^(n-1) is a witness and the search ends at once."""
+    big = R16.x ** 5 + R16.one
+    with pytest.raises(GuardExceededError,
+                       match="^similarity search cost 1048576 exceeds 2\\^16$") as info:
+        similar_bruteforce(big, big)
+    assert info.value.cost == 16 ** 5
+    for field, n in [(F16, 4), (F27, 3), (F4, 8), (F2, 16)]:
+        ring = SkewRing(field, 1)
+        f = ring.x ** n + ring.one
+        assert similar_bruteforce(f, f) == ring.x ** (n - 1)
+
+
+def test_similarity_search_needs_no_bezout_fold_or_lclm(monkeypatch, R8):
+    def refuse(*args):
+        raise AssertionError("the similarity search folds no Bezout row")
+
+    rng = random.Random(61)
+    pairs = [similar_pair(R8, 3, rng) for _ in range(3)]
+    pairs += [(rand_poly(R8, 3, rng, monic=True), rand_poly(R8, 3, rng, monic=True))
+              for _ in range(3)]
+    expected = [two_call_search(f, g) for f, g in pairs]
+    monkeypatch.setattr(skewpoly, "_fold_ci", refuse)
+    monkeypatch.setattr(skewpoly, "_lclm_ci", refuse)
+    assert [similar_bruteforce(f, g) for f, g in pairs] == expected
+
+
 def test_similarity_matches_companion_criterion(R4, F4):
     # degree-2 cross-check: similar iff C_g = sigma(B) C_f B^(-1) for some
     # invertible B, by exhaustive sweep over GL_2(F_4)
@@ -747,17 +816,37 @@ def test_similarity_matches_companion_criterion(R4, F4):
 def test_similarity_matches_gcrd_lclm_formulation(R4):
     # the search with gcrd and lclm as two public calls per candidate must
     # return the same witness on every monic pair of degree 2
-    def two_call_search(f, g):
-        for ci in itertools.product(range(R4.field.order), repeat=f.degree):
-            h = R4.from_indices(ci)
-            if not h.is_zero and gcrd(f, h) == R4.one and lclm(f, h) == (g * h).monic():
-                return h
-        return None
-
     monic = list(R4.monic_polys(2))
     for f in monic:
         for g in monic:
             assert similar_bruteforce(f, g) == two_call_search(f, g)
+
+
+def similar_pair(ring, n, rng):
+    """(f, g) with g similar to f: lclm(f, h) = g' h for an h with
+    gcrd(f, h) = 1, and g = monic(g')."""
+    f = rand_poly(ring, n, rng, monic=True)
+    while True:
+        h = rand_poly(ring, rng.randrange(n), rng)
+        if gcrd(f, h) == ring.one:
+            return f, lclm(f, h).right_divmod(h)[0].monic()
+
+
+@pytest.mark.parametrize("name, e, n, count", [
+    ("F4", 1, 3, 40), ("F8", 1, 3, 12), ("F9", 1, 2, 40), ("F16", 1, 2, 24),
+    ("F16", 2, 2, 24), ("F27", 1, 2, 12), ("F4", 1, 5, 8),
+])
+def test_similarity_matches_the_lclm_oracle_on_samples(name, e, n, count):
+    """Witness for witness on sampled monic pairs, half of them similar by
+    construction; F27 at degree 2 and F4 at degree 5 are above the old
+    degree-4, 16-element limit and inside the 2^16 cost guard."""
+    ring = SkewRing(get_field(name), e)
+    rng = random.Random(f"{name}/{e}/{n}")
+    pairs = [similar_pair(ring, n, rng) for _ in range(count // 2)]
+    pairs += [(rand_poly(ring, n, rng, monic=True), rand_poly(ring, n, rng, monic=True))
+              for _ in range(count - count // 2)]
+    for f, g in pairs:
+        assert similar_bruteforce(f, g) == two_call_search(f, g), (f, g)
 
 
 # -- irreducibility -----------------------------------------------------------------------------

@@ -8,11 +8,14 @@ from conftest import PRESETS
 from oracle_utils import parse_poly as parse_poly_by_term_regex
 from skewcodes.errors import GuardExceededError, ParseError
 from skewcodes.fields import FieldSpec, get_field
-from skewcodes.skewpoly import SkewRing
+from skewcodes.linearized import to_linearized
+from skewcodes.skewpoly import SkewRing, to_commutative
 from skewcodes.textio import (
     format_element,
     format_field_config,
+    format_matrix,
     format_poly,
+    format_word,
     parse_code_config,
     parse_element,
     parse_field_config,
@@ -177,6 +180,30 @@ def test_format_element_styles(F8):
     a = F8.gen
     assert format_element(a**3) == "a^3"
     assert format_element(a**3, style="tuple") == "1,1,0"
+
+
+def test_format_word_and_matrix(F8):
+    """A word is its entries by format_element, space-separated; a matrix is
+    its words, one a line; an empty word is the empty text."""
+    a = F8.gen
+    word = [F8.zero, F8.one, a, a**3]
+    assert format_word(word) == "0 1 a a^3"
+    assert format_word(word, style="tuple") == "0,0,0 1,0,0 0,1,0 1,1,0"
+    assert format_word(iter(word)) == " ".join(format_element(c) for c in word)
+    assert format_word([]) == ""
+    assert format_matrix([word, [a**6, a]]) == "0 1 a a^3\na^6 a"
+    assert format_matrix([[a], []], style="tuple") == "0,1,0\n"
+    assert format_matrix([]) == ""
+
+
+def test_str_prints_tuple_coefficients_in_parentheses():
+    """Over a field without a designated primitive element every polynomial
+    class prints a coefficient as its digit tuple in parentheses."""
+    F = FieldSpec(3, (1, 0, 1), primitive=False)       # F9 = F3[x]/(x^2 + 1)
+    f = SkewRing(F, 1).poly([F.element((1, 1)), F.element((2, 1)), F.one])
+    assert str(f) == "x^2+(2,1)*x+(1,1)"
+    assert str(to_linearized(f)) == "y^q^2+(2,1)*y^q+(1,1)*y"
+    assert str(to_commutative(f)) == "y^4+(2,1)*y+(1,1)"
 
 
 def test_field_config_roundtrip(F4096):
