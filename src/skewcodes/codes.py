@@ -367,9 +367,9 @@ def self_dual_search(ring, n, eps=1, cancel=None):
     These are the self-dual codes whose monic cofactor h has h_0 = 1; a
     self-dual code with h_0 != 1 is not listed.
 
-    h left-divides x^n - eps exactly when mu(h) right-divides its mirror
-    image (see skewpoly), so the candidates are the mirror ring's right
-    divisors, each kept when its (monic) cofactor is the reciprocal factor.
+    The ring's divisor walk at degree n/2 yields each pair (g, h) of monic
+    factors with x^n - eps = h * g; a pair is kept when g is the reciprocal
+    factor of h.
     """
     if n % 2:
         raise ValueError("self-dual skew-constacyclic codes need even length")
@@ -380,14 +380,11 @@ def self_dual_search(ring, n, eps=1, cancel=None):
     _guard("self-dual search cost {} exceeds 2^20", 1 << 20, field.order, [n // 2])
     target = ring.x_pow_minus(n, eps_el)
     mod = Modulus(target)
-    mirror = ring._mirror
     out = []
-    for m, s in _monic_right_divisors_ci(mirror, _mirror_ci(ring, target._ci), n // 2,
-                                         cancel, "self-dual"):
-        h = SkewPoly(ring, _mirror_ci(mirror, m))
-        h_rec = left_reciprocal(apply_automorphism(h, -n))
-        if _mirror_ci(mirror, s) == h_rec._ci:
-            out.append((h._ci, SkewCyclicCode(mod, h_rec)))
+    for g, h in _monic_right_divisors_ci(ring, target._ci, n // 2, cancel, "self-dual"):
+        h_rec = left_reciprocal(apply_automorphism(SkewPoly(ring, h), -n))
+        if h_rec._ci == g:
+            out.append((h, SkewCyclicCode(mod, h_rec)))
     out.sort(key=lambda pair: pair[0])
     return [code for _, code in out]
 

@@ -8,48 +8,31 @@ q-circulant) represents the induced F_q-linear map.
 
 from __future__ import annotations
 
-from .errors import FieldMismatchError
 from .fields import FieldElement
 from .linalg import wrap
-from .skewpoly import SkewPoly, _add_ci, _circulant_rows_i, _eval_ci, _join_terms, _mul_ci, _trim
+from .skewpoly import SkewPoly, _TuplePoly, _circulant_rows_i, _eval_ci, _mul_ci
 
 
-class LinearizedPoly:
+class LinearizedPoly(_TuplePoly):
     """sum_i f_i y^(q^i) over F_{q^m}; the induced map a -> f(a) is F_q-linear.
 
-    Coefficients are kept as given (unreduced); reduce_map() folds exponents
-    modulo m, which does not change the induced map on F_{q^m}.
+    It shares SkewPoly's coefficient-tuple base (skewpoly._TuplePoly), read
+    through x^i -> y^(q^i).  Coefficients are kept as given (unreduced);
+    reduce_map() folds exponents modulo m, which does not change the induced
+    map on F_{q^m}.
     """
 
-    __slots__ = ("ring", "_ci")
+    __slots__ = ()
+    _mismatch = "linearized polynomials from different rings"
 
-    def __init__(self, ring, ci):
-        self.ring = ring
-        self._ci = tuple(ci)
-
-    @classmethod
-    def _make(cls, ring, ci):
-        return cls(ring, _trim(tuple(ci)))
-
-    @property
-    def coefficients(self):
-        return tuple(FieldElement(self.ring.field, c) for c in self._ci)
+    @staticmethod
+    def _term(i):
+        return "y" if i == 0 else "y^q" if i == 1 else f"y^q^{i}"
 
     @property
     def q_degree(self):
         """Largest i with a y^(q^i) term, or -1 for zero."""
         return len(self._ci) - 1
-
-    def _same_ring(self, other):
-        if not isinstance(other, LinearizedPoly):
-            raise TypeError(f"expected LinearizedPoly, got {type(other).__name__}")
-        if other.ring != self.ring:
-            raise FieldMismatchError("linearized polynomials from different rings")
-        return other
-
-    def __add__(self, other):
-        other = self._same_ring(other)
-        return LinearizedPoly(self.ring, _add_ci(self.ring, self._ci, other._ci))
 
     def compose(self, other):
         """Composition, re-expressed in the y^(q^i) basis.
@@ -76,24 +59,6 @@ class LinearizedPoly:
         ring = self.ring
         a = ring.field.element(a)
         return FieldElement(ring.field, _eval_ci(ring, _mul_ci(ring, self._ci, (a.i,)), 1))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LinearizedPoly)
-            and self.ring == other.ring
-            and self._ci == other._ci
-        )
-
-    def __hash__(self):
-        return hash((self.ring, self._ci))
-
-    def __str__(self):
-        ci = self._ci
-        return _join_terms(
-            ((ci[i], "y" if i == 0 else "y^q" if i == 1 else f"y^q^{i}")
-             for i in range(len(ci) - 1, -1, -1)),
-            self.ring.field,
-        )
 
     def __repr__(self):
         return f"<linearized over {self.ring.field.name}: {self}>"

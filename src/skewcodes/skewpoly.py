@@ -123,6 +123,8 @@ class SkewRing:
 
     def x_pow_minus(self, n, a):
         """x^n - a."""
+        if n < 0:
+            raise ValueError("negative powers are not defined")
         a = self.field.element(a)
         ci = [0] * (n + 1)
         ci[0] = self.field.neg_i(a.i)
@@ -362,11 +364,11 @@ def _circulant_rows_i(ring, f, g, count):
     return rows[:count]
 
 
-class SkewPoly:
-    """A polynomial in a SkewRing, with left coefficients.
-
-    Immutable.  The degree of the zero polynomial is -inf.
-    """
+class _TuplePoly:
+    """An immutable polynomial as its ascending packed coefficient tuple: the
+    storage, ring check, sum, equality (within one class), hash and text that
+    SkewPoly and LinearizedPoly share.  A subclass sets its ring-mismatch
+    text and _term(i), the variable part of term i."""
 
     __slots__ = ("ring", "_ci")
 
@@ -377,6 +379,45 @@ class SkewPoly:
     @classmethod
     def _make(cls, ring, ci):
         return cls(ring, _trim(tuple(ci)))
+
+    @property
+    def coefficients(self):
+        return tuple(FieldElement(self.ring.field, c) for c in self._ci)
+
+    def _same_ring(self, other):
+        if not isinstance(other, type(self)):
+            raise TypeError(f"expected {type(self).__name__}, got {type(other).__name__}")
+        if other.ring != self.ring:
+            raise FieldMismatchError(self._mismatch)
+        return other
+
+    def __add__(self, other):
+        other = self._same_ring(other)
+        return type(self)(self.ring, _add_ci(self.ring, self._ci, other._ci))
+
+    def __eq__(self, other):
+        return isinstance(other, type(self)) and self.ring == other.ring and self._ci == other._ci
+
+    def __hash__(self):
+        return hash((self.ring, self._ci))
+
+    def __str__(self):
+        ci = self._ci
+        return _join_terms(
+            ((ci[i], self._term(i)) for i in range(len(ci) - 1, -1, -1)), self.ring.field
+        )
+
+
+class SkewPoly(_TuplePoly):
+    """A polynomial in a SkewRing, with left coefficients.  Immutable; the
+    degree of the zero polynomial is -inf."""
+
+    __slots__ = ()
+    _mismatch = "polynomials from different rings"
+
+    @staticmethod
+    def _term(i):
+        return "x" if i == 1 else f"x^{i}" if i else ""
 
     # -- structure -------------------------------------------------------------
 
@@ -391,10 +432,6 @@ class SkewPoly:
     @property
     def is_monic(self):
         return bool(self._ci) and self._ci[-1] == 1
-
-    @property
-    def coefficients(self):
-        return tuple(FieldElement(self.ring.field, c) for c in self._ci)
 
     def coefficient(self, i):
         c = self._ci[i] if 0 <= i < len(self._ci) else 0
@@ -413,18 +450,7 @@ class SkewPoly:
     def monic(self):
         return SkewPoly(self.ring, _monic_ci(self.ring, self._ci))
 
-    def _same_ring(self, other):
-        if not isinstance(other, SkewPoly):
-            raise TypeError(f"expected SkewPoly, got {type(other).__name__}")
-        if other.ring != self.ring:
-            raise FieldMismatchError("polynomials from different rings")
-        return other
-
     # -- arithmetic --------------------------------------------------------------
-
-    def __add__(self, other):
-        other = self._same_ring(other)
-        return SkewPoly(self.ring, _add_ci(self.ring, self._ci, other._ci))
 
     def __sub__(self, other):
         other = self._same_ring(other)
@@ -460,6 +486,8 @@ class SkewPoly:
 
     def times_x(self, k=1):
         """Right multiplication by x^k (a plain coefficient shift)."""
+        if k < 0:
+            raise ValueError("negative powers are not defined")
         if self.is_zero:
             return self
         return SkewPoly(self.ring, (0,) * k + self._ci)
@@ -499,27 +527,10 @@ class SkewPoly:
         a = self.ring.field.element(a)
         return FieldElement(self.ring.field, _eval_ci(self.ring, self._ci, a.i))
 
-    # -- comparison and display -----------------------------------------------------
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SkewPoly)
-            and self.ring == other.ring
-            and self._ci == other._ci
-        )
-
-    def __hash__(self):
-        return hash((self.ring, self._ci))
+    # -- truth and display ---------------------------------------------------------
 
     def __bool__(self):
         return bool(self._ci)
-
-    def __str__(self):
-        ci = self._ci
-        return _join_terms(
-            ((ci[i], "x" if i == 1 else f"x^{i}" if i else "") for i in range(len(ci) - 1, -1, -1)),
-            self.ring.field,
-        )
 
     def __repr__(self):
         return f"<{self.ring!r}: {self}>"
@@ -585,8 +596,10 @@ def _multiple_ring(polys, name):
     """The common ring of nonzero lclm/lcrm operands."""
     if not polys:
         raise ValueError(f"{name} of nothing")
-    for f in polys:  # f = polys[0] first, so a non-polynomial there is a TypeError
-        if SkewPoly._same_ring(polys[0], f).is_zero:
+    if not isinstance(polys[0], SkewPoly):   # _same_ring checks its argument against self
+        raise TypeError(f"expected SkewPoly, got {type(polys[0]).__name__}")
+    for f in polys:
+        if polys[0]._same_ring(f).is_zero:
             raise ValueError(f"{name} requires nonzero operands")
     return polys[0].ring
 
@@ -684,7 +697,8 @@ def similar_bruteforce(f, g, cancel=None):
     The witness need not be monic.  (Requiring a monic witness with
     g*h = lclm(f, h) on the nose misses e.g. x-1 vs x-w over F_4.)
 
-    Similar polynomials have equal degree, so unequal degrees raise.
+    Similar polynomials have equal degree, so unequal degrees raise.  At
+    degree 0 (f = g = 1) both quotients are 0, and the witness is 1.
     Refuses more than 2^16 candidates N^n.
     """
     f._same_ring(g)
@@ -693,6 +707,8 @@ def similar_bruteforce(f, g, cancel=None):
     if f.degree != g.degree:
         raise ValueError("similar polynomials have equal degree")
     ring, n, fci, gci = f.ring, f.degree, f._ci, g._ci
+    if n == 0:
+        return ring.one
     _guard("similarity search cost {} exceeds 2^16", 1 << 16, ring.field.order, [n])
     candidates = itertools.product(range(ring.field.order), repeat=n)
     for ci in _cancellable(candidates, cancel, "similarity"):

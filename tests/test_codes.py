@@ -738,10 +738,12 @@ def test_self_dual_dimension(R4):
         assert_self_dual(code)
 
 
-def test_self_dual_search_matches_product_oracle(F4, F8, F9, F16, F27):
+def test_self_dual_search_matches_product_oracle(F2, F4, F8, F9, F16, F27, F64):
     # same generators in the same order as the full-product search, and each
     # code equals its dual
     cases = [
+        (F2, 1, (2, 4, 6, 8)),
+        (F64, 1, (2, 4)), (F64, 2, (2, 4)), (F64, 3, (2, 4)), (F64, 6, (2, 4)),
         (F4, 1, (2, 4, 6, 8)), (F4, 2, (2, 4, 6, 8)),
         (F8, 1, (2, 4, 6)), (F8, 3, (2, 4, 6)),
         (F9, 1, (2, 4, 6)), (F9, 2, (2, 4, 6)),

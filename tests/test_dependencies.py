@@ -305,3 +305,27 @@ def test_one_cli_report():
     readers = {name for name, fn in functions.items()
                for sub in ast.walk(fn) if getattr(sub, "id", None) == "parse_field_config"}
     assert readers == {"_field"}
+
+
+TUPLE_POLY_MEMBERS = {"_make", "coefficients", "_same_ring", "__add__", "__eq__", "__hash__",
+                      "__str__"}
+
+
+def test_one_tuple_polynomial():
+    """LinearizedPoly takes its storage, ring check, sum, equality, hash and
+    text from skewpoly's tuple-polynomial base: linearized.py defines none
+    of those members itself."""
+    tree = ast.parse((SRC / "linearized.py").read_text(encoding="utf-8"))
+    defined = {name.rsplit(".", 1)[-1] for name, _ in _functions(tree)}
+    assert defined & TUPLE_POLY_MEMBERS == set()
+
+
+def test_self_dual_pairs_from_the_ring_walk():
+    """self_dual_search takes its factor pairs from the ring's own divisor
+    walk: it calls _monic_right_divisors_ci and maps nothing through the
+    mirror ring."""
+    tree = ast.parse((SRC / "codes.py").read_text(encoding="utf-8"))
+    search = dict(_functions(tree))["self_dual_search"]
+    called = {_name(node.func) for node in ast.walk(search) if isinstance(node, ast.Call)}
+    assert "_monic_right_divisors_ci" in called
+    assert "_mirror_ci" not in called

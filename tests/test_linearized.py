@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import PRESETS
 from skewcodes.codes import Modulus, skew_circulant
+from skewcodes.errors import FieldMismatchError
 from skewcodes.fields import FrobeniusAut, conjugacy_class, get_field
 from skewcodes.linalg import matrix_rank
 from skewcodes.linearized import (
@@ -23,15 +24,24 @@ from skewcodes.skewpoly import SkewRing
 from oracle_utils import linearized_apply_naive, mat_mul, naive_add, naive_mul, naive_pow
 
 
-def test_transport_of_x(R8):
+def test_transport_of_x(R8, R4):
     L = to_linearized(R8.x)
     assert L._ci == (0, 1)   # y^q
+    assert not hasattr(L, "__dict__")
+    with pytest.raises(TypeError, match="^expected LinearizedPoly, got SkewPoly$"):
+        L + R8.x
+    with pytest.raises(TypeError, match="^expected LinearizedPoly, got SkewPoly$"):
+        L.compose(R8.x)
+    with pytest.raises(FieldMismatchError, match="^linearized polynomials from different rings$"):
+        L.compose(to_linearized(R4.x))
 
 
 def test_transport_roundtrip_and_iso_exhaustive_f4(R4):
     polys = [R4.from_indices(ci) for ci in itertools.product(range(4), repeat=3)]
     for f in polys:
         assert from_linearized(to_linearized(f)) == f
+        # the two classes share a base, but equality holds only within one
+        assert to_linearized(f) != f and f != to_linearized(f)
         for g in polys:
             assert to_linearized(f * g) == lin_compose(to_linearized(f), to_linearized(g))
             assert to_linearized(f + g) == to_linearized(f) + to_linearized(g)

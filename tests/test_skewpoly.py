@@ -19,7 +19,7 @@ from oracle_utils import (
     two_call_search,
     two_sided_by_center,
 )
-from skewcodes.errors import GuardExceededError, SearchCancelledError
+from skewcodes.errors import FieldMismatchError, GuardExceededError, SearchCancelledError
 from skewcodes.fields import FieldElement, FieldSpec, conjugacy_class, conjugate, get_field
 from skewcodes import skewpoly
 from skewcodes.linalg import mat_mul_i, rank_i, right_kernel_i, unwrap
@@ -56,11 +56,16 @@ def rand_poly(ring, degree, rng, monic=False):
 # -- multiplication ---------------------------------------------------------------
 
 
-def test_known_product(R4, F4):
+def test_known_product(R4, F4, R8):
     w = F4.gen
     f = R4.poly([w, w, 1])            # x^2 + w x + w
     g = R4.poly([w, 1])               # x + w
     assert f * g == R4.poly([w * w, w * w, 0, 1])
+    assert not hasattr(f, "__dict__")
+    with pytest.raises(TypeError, match="^expected SkewPoly, got int$"):
+        f * 3
+    with pytest.raises(FieldMismatchError, match="^polynomials from different rings$"):
+        f + R8.x
 
 
 def test_leading_coefficient(R4, F4):
@@ -716,6 +721,12 @@ def test_companion_above_2_20_entries_is_refused_fast(R4):
 def test_similarity_reflexive(R4, F4):
     f = R4.poly([F4.gen, F4.gen, 1])
     assert similar_bruteforce(f, f) is not None
+    # degree 0: R/R1 = 0 is isomorphic to itself, with the witness 1
+    for name in ("F4", "F9"):
+        F = get_field(name)
+        for e in range(1, F.degree + 1):
+            R = SkewRing(F, e)
+            assert similar_bruteforce(R.one, R.one) == R.one
 
 
 def test_linear_similarity_is_conjugacy(R4, F4):
@@ -1016,3 +1027,7 @@ def test_pow_is_one_square_and_multiply(monkeypatch, name):
         monkeypatch.undo()
         with pytest.raises(ValueError):
             f ** -1
+        with pytest.raises(ValueError, match="negative powers are not defined"):
+            f.times_x(-1)
+    with pytest.raises(ValueError, match="negative powers are not defined"):
+        R.x_pow_minus(-1, F.one)

@@ -204,6 +204,11 @@ def test_str_prints_tuple_coefficients_in_parentheses():
     assert str(f) == "x^2+(2,1)*x+(1,1)"
     assert str(to_linearized(f)) == "y^q^2+(2,1)*y^q+(1,1)*y"
     assert str(to_commutative(f)) == "y^4+(2,1)*y+(1,1)"
+    # a coefficient 1 before a variable part is left out, a constant stands alone
+    g = SkewRing(F, 1).poly([F.one, F.element((0, 2)), 0, F.one])
+    assert str(g) == "x^3+(0,2)*x+(1,0)"
+    assert str(to_linearized(g)) == "y^q^3+(0,2)*y^q+y"
+    assert str(to_linearized(g) + to_linearized(-g)) == str(g - g) == "0"
 
 
 def test_field_config_roundtrip(F4096):
