@@ -17,9 +17,9 @@ class LinearizedPoly(_TuplePoly):
     """sum_i f_i y^(q^i) over F_{q^m}; the induced map a -> f(a) is F_q-linear.
 
     It shares SkewPoly's coefficient-tuple base (skewpoly._TuplePoly), read
-    through x^i -> y^(q^i).  Coefficients are kept as given (unreduced);
-    reduce_map() folds exponents modulo m, which does not change the induced
-    map on F_{q^m}.
+    through x^i -> y^(q^i).  Exponents are not folded modulo m: reduce_map()
+    does that, which does not change the induced map on F_{q^m}.  Trailing
+    zero coefficients are trimmed.
     """
 
     __slots__ = ()
@@ -41,7 +41,7 @@ class LinearizedPoly(_TuplePoly):
         exponent arithmetic on q-powers is used, never a dense expansion.
         """
         other = self._same_ring(other)
-        return LinearizedPoly._make(self.ring, _mul_ci(self.ring, self._ci, other._ci))
+        return LinearizedPoly(self.ring, _mul_ci(self.ring, self._ci, other._ci))
 
     def reduce_map(self):
         """Fold exponents modulo m (valid on F_{q^m} since a^(q^m) = a):
@@ -51,7 +51,7 @@ class LinearizedPoly(_TuplePoly):
         out = [0] * m
         for b in range(0, len(ci), m):
             addmul(out, 0, 1, [(j, x) for j, x in enumerate(ci[b:b + m]) if x], 0)
-        return LinearizedPoly._make(ring, out)
+        return LinearizedPoly(ring, out)
 
     def apply(self, a):
         """Evaluate the induced map: sum f_i a^(q^i), the right evaluation

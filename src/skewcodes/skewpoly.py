@@ -1,6 +1,7 @@
 """The twisted polynomial ring F[x; sigma] with xa = sigma(a) x.
 
-Polynomials carry left coefficients (ascending, trailing zeros trimmed).
+Polynomials carry left coefficients, ascending, with trailing zeros trimmed
+by the constructor, so every polynomial's packed tuple _ci is trimmed.
 Division, gcrd/lclm with Bezout data, right evaluation through the norm
 formula, reciprocals, two-sidedness, similarity and irreducibility searches
 all live here.  Coefficients are stored internally as packed field indices
@@ -100,10 +101,10 @@ class SkewRing:
                 ci.append(c)
             else:
                 raise TypeError("coefficients must be FieldElements (or the ints 0/1)")
-        return SkewPoly._make(self, ci)
+        return SkewPoly(self, ci)
 
     def from_indices(self, indices):
-        return SkewPoly._make(self, list(indices))
+        return SkewPoly(self, indices)
 
     @property
     def zero(self):
@@ -129,7 +130,7 @@ class SkewRing:
         ci = [0] * (n + 1)
         ci[0] = self.field.neg_i(a.i)
         ci[n] = self.field.add_i(ci[n], 1) if n == 0 else 1
-        return SkewPoly._make(self, ci)
+        return SkewPoly(self, ci)
 
     def monic_polys(self, degree):
         """Iterate all monic polynomials of the exact degree, in lexicographic
@@ -143,7 +144,7 @@ class SkewRing:
     def all_polys(self, max_degree):
         """Iterate every polynomial of degree at most max_degree (incl. zero)."""
         for ci in itertools.product(range(self.field.order), repeat=max_degree + 1):
-            yield SkewPoly._make(self, list(ci))
+            yield SkewPoly(self, ci)
 
 
 # F[x; sigma^-1] for the kernels, which read only ``field`` and ``e``.  Not a
@@ -155,7 +156,8 @@ _Mirror = namedtuple("_Mirror", "field e")
 #
 # Each function binds the field's kernel (FieldSpec.kernel) once per call and
 # makes one kernel call per row or polynomial: c * sigma^t(b) added for a
-# whole row b, one division step, a scaling or an evaluation.
+# whole row b, one division step, a scaling or an evaluation.  The polynomial
+# constructor trims, so every polynomial's _ci is trimmed.
 
 
 def _trim(ci):
@@ -365,20 +367,18 @@ def _circulant_rows_i(ring, f, g, count):
 
 
 class _TuplePoly:
-    """An immutable polynomial as its ascending packed coefficient tuple: the
-    storage, ring check, sum, equality (within one class), hash and text that
-    SkewPoly and LinearizedPoly share.  A subclass sets its ring-mismatch
-    text and _term(i), the variable part of term i."""
+    """An immutable polynomial as its ascending packed coefficient tuple, which
+    the constructor trims: the constructor, ring check, sum, equality (within
+    one class), hash, truth value and text that SkewPoly and LinearizedPoly
+    share.  A subclass sets its ring-mismatch text and _term(i), the variable
+    part of term i."""
 
     __slots__ = ("ring", "_ci")
 
     def __init__(self, ring, ci):
+        ci = tuple(ci)
         self.ring = ring
-        self._ci = tuple(ci)
-
-    @classmethod
-    def _make(cls, ring, ci):
-        return cls(ring, _trim(tuple(ci)))
+        self._ci = ci if not ci or ci[-1] else _trim(ci)
 
     @property
     def coefficients(self):
@@ -400,6 +400,9 @@ class _TuplePoly:
 
     def __hash__(self):
         return hash((self.ring, self._ci))
+
+    def __bool__(self):
+        return bool(self._ci)
 
     def __str__(self):
         ci = self._ci
@@ -465,7 +468,7 @@ class SkewPoly(_TuplePoly):
             # f * c = sum f_i sigma^i(c) x^i
             if other.field != self.ring.field:
                 raise FieldMismatchError("constant from a different field")
-            return SkewPoly._make(self.ring, _mul_ci(self.ring, self._ci, (other.i,)))
+            return SkewPoly(self.ring, _mul_ci(self.ring, self._ci, (other.i,)))
         other = self._same_ring(other)
         return SkewPoly(self.ring, _mul_ci(self.ring, self._ci, other._ci))
 
@@ -488,8 +491,6 @@ class SkewPoly(_TuplePoly):
         """Right multiplication by x^k (a plain coefficient shift)."""
         if k < 0:
             raise ValueError("negative powers are not defined")
-        if self.is_zero:
-            return self
         return SkewPoly(self.ring, (0,) * k + self._ci)
 
     # -- division ----------------------------------------------------------------
@@ -526,11 +527,6 @@ class SkewPoly(_TuplePoly):
         computed as sum_i f_i N_i(a)."""
         a = self.ring.field.element(a)
         return FieldElement(self.ring.field, _eval_ci(self.ring, self._ci, a.i))
-
-    # -- truth and display ---------------------------------------------------------
-
-    def __bool__(self):
-        return bool(self._ci)
 
     def __repr__(self):
         return f"<{self.ring!r}: {self}>"
@@ -627,7 +623,7 @@ def left_reciprocal(g):
     """
     if g.is_zero:
         raise ValueError("reciprocal of the zero polynomial")
-    return SkewPoly._make(g.ring, _mirror_ci(g.ring._mirror, g._ci[::-1]))
+    return SkewPoly(g.ring, _mirror_ci(g.ring._mirror, g._ci[::-1]))
 
 
 def apply_automorphism(g, j=1):
@@ -769,6 +765,9 @@ class CommutativePoly:
     @property
     def degree(self):
         return max(self.coeffs) if self.coeffs else NEG_INF
+
+    def __bool__(self):
+        return bool(self.coeffs)
 
     def __eq__(self, other):
         return (

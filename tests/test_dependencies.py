@@ -307,17 +307,32 @@ def test_one_cli_report():
     assert readers == {"_field"}
 
 
-TUPLE_POLY_MEMBERS = {"_make", "coefficients", "_same_ring", "__add__", "__eq__", "__hash__",
-                      "__str__"}
+TUPLE_POLY_MEMBERS = {"__init__", "coefficients", "_same_ring", "__add__", "__eq__", "__hash__",
+                      "__bool__", "__str__"}
 
 
 def test_one_tuple_polynomial():
-    """LinearizedPoly takes its storage, ring check, sum, equality, hash and
-    text from skewpoly's tuple-polynomial base: linearized.py defines none
-    of those members itself."""
+    """LinearizedPoly takes its constructor, ring check, sum, equality, hash,
+    truth value and text from skewpoly's tuple-polynomial base: the base
+    defines exactly those members and linearized.py defines none of them."""
+    tree = ast.parse((SRC / "skewpoly.py").read_text(encoding="utf-8"))
+    base = {name.split(".")[1] for name, _ in _functions(tree) if name.startswith("_TuplePoly.")}
+    assert base == TUPLE_POLY_MEMBERS
     tree = ast.parse((SRC / "linearized.py").read_text(encoding="utf-8"))
     defined = {name.rsplit(".", 1)[-1] for name, _ in _functions(tree)}
     assert defined & TUPLE_POLY_MEMBERS == set()
+
+
+def test_one_polynomial_constructor():
+    """Every polynomial is built by calling its class, whose constructor (the
+    base's) trims: no module under src reaches a member through a polynomial
+    class, as the calls of the former trimming factory did, and SkewPoly
+    defines neither __init__ nor __bool__."""
+    assert _modules_where(lambda node: isinstance(node, ast.Attribute) and _name(node.value)
+                          in {"_TuplePoly", "SkewPoly", "LinearizedPoly"}) == []
+    tree = ast.parse((SRC / "skewpoly.py").read_text(encoding="utf-8"))
+    skew = {name for name, _ in _functions(tree) if name.startswith("SkewPoly.")}
+    assert skew & {"SkewPoly.__init__", "SkewPoly.__bool__"} == set()
 
 
 def test_self_dual_pairs_from_the_ring_walk():

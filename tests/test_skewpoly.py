@@ -23,7 +23,10 @@ from skewcodes.errors import FieldMismatchError, GuardExceededError, SearchCance
 from skewcodes.fields import FieldElement, FieldSpec, conjugacy_class, conjugate, get_field
 from skewcodes import skewpoly
 from skewcodes.linalg import mat_mul_i, rank_i, right_kernel_i, unwrap
+from skewcodes.codes import Modulus
+from skewcodes.linearized import LinearizedPoly
 from skewcodes.skewpoly import (
+    SkewPoly,
     SkewRing,
     _mirror_ci,
     apply_automorphism,
@@ -51,6 +54,38 @@ def rand_poly(ring, degree, rng, monic=False):
     elif ci[-1] == 0:
         ci[-1] = 1 + rng.randrange(ring.field.order - 1)
     return ring.from_indices(ci)
+
+
+# -- construction ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name,e", [(name, 1) for name in PRESETS] + [("F16", 2), ("F16", 4)])
+def test_constructor_trims_trailing_zeros(name, e):
+    """SkewPoly(R, ci + (0, 0)) is the polynomial of ci: equal, with the
+    same hash, degree, text, monicity and reciprocal, and gcrd, lclm and
+    Modulus read it as the trimmed one."""
+    R = SkewRing(get_field(name), e)
+    rng = random.Random(f"trim/{name}/{e}")
+    assert Modulus(SkewPoly(R, (1, 1, 0))).poly == R.x + R.one
+    for _ in range(6):
+        ci = tuple(rng.randrange(R.field.order) for _ in range(rng.randrange(1, 5)))
+        padded, f = SkewPoly(R, ci + (0, 0)), R.from_indices(ci)
+        assert padded == f and hash(padded) == hash(f) and padded.degree == f.degree
+        assert str(padded) == str(f) and padded.is_monic == f.is_monic
+        if f:
+            assert left_reciprocal(padded) == left_reciprocal(f)
+            g = rand_poly(R, rng.randrange(1, 4), rng)
+            padded_g = SkewPoly(R, g._ci + (0,))
+            assert lclm(padded, padded_g) == lclm(f, g)
+            assert gcrd(padded, padded_g) == gcrd(f, g)
+
+
+def test_untrimmed_inputs_give_the_trimmed_answers(R4):
+    """Over F4 at e = 1: the reciprocal of 1 given as (1, 0) is 1, x + 1
+    given as (1, 1, 0) is a modulus, and its lclm with x is x^2 + x."""
+    assert left_reciprocal(SkewPoly(R4, (1, 0))) == R4.one
+    assert Modulus(SkewPoly(R4, (1, 1, 0))).n == 1
+    assert lclm(SkewPoly(R4, (1, 1, 0)), R4.x) == R4.x * R4.x + R4.x
 
 
 # -- multiplication ---------------------------------------------------------------
@@ -934,6 +969,11 @@ def test_factorization_lengths_agree(R4, F4):
 def test_to_commutative_constant(R8, F8):
     c = to_commutative(R8.poly([F8.gen]))
     assert c.coeffs == {0: F8.gen.i}
+
+
+def test_zero_is_falsy_in_every_polynomial_class(R8):
+    assert not R8.zero and not LinearizedPoly(R8, (0,)) and not to_commutative(R8.zero)
+    assert R8.one and LinearizedPoly(R8, (1,)) and to_commutative(R8.one)
 
 
 def test_to_commutative_exponents(R4):
