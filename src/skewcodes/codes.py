@@ -97,9 +97,8 @@ class SkewCirculant:
 
     def __init__(self, mod, g):
         mod = _as_modulus(mod)
-        g = mod.ring.poly(g.coefficients) if g.ring != mod.ring else g
         self.modulus = mod
-        self.poly = g
+        self.poly = g = mod.poly._same_ring(g)
         self._rows_i = _circulant_rows_i(mod.ring, mod.poly._ci, g._ci, mod.n)
 
     @property
@@ -163,6 +162,7 @@ class SkewCyclicCode:
 
     def __init__(self, mod, g):
         mod = _as_modulus(mod)
+        g = mod.poly._same_ring(g)
         if not g.is_monic:
             raise ValueError("generator must be monic")
         s, r = _right_divmod_ci(mod.ring, mod.poly._ci, g._ci)
@@ -238,6 +238,7 @@ def two_sided_circulant_product(mod, g, g2):
     mod = _as_modulus(mod)
     if not mod.two_sided:
         raise NotTwoSidedError(f"{mod.poly} is not two-sided")
+    g, g2 = mod.poly._same_ring(g), mod.poly._same_ring(g2)
     ring, f_ci, n = mod.ring, mod.poly._ci, mod.n
     left = _circulant_rows_i(ring, f_ci, _mul_ci(ring, g._ci, g2._ci), n)
     right = mat_mul_i(
@@ -264,6 +265,7 @@ def cofactor_constant(mod, g):
     """For g a right divisor of x^n - a: c = sigma^n(g_0) a g_0^(-1), the
     constant with x^n - c = sigma^n(g) h for the cofactor h."""
     mod = _require_constacyclic(mod)
+    g = mod.poly._same_ring(g)
     ring = mod.ring
     field = ring.field
     a = mod.constacyclic_constant
@@ -353,6 +355,7 @@ def check_kernel_contains(code, check, c_tilde, word):
     """Evaluate the check map on a word: True when w * check = 0 mod
     x^n - c_tilde (the kernel is exactly the code)."""
     ring = code.ring
+    check = code.generator._same_ring(check)
     prod = _mul_ci(ring, code._word_ci(word), check._ci)
     mod_ct = ring.x_pow_minus(code.n, c_tilde)
     _, r = _right_divmod_ci(ring, prod, mod_ct._ci)

@@ -22,10 +22,11 @@ table (built by digit recursion) up to 2^12 elements, the half-width table
 chunk by chunk up to 2^16 and digit by digit above.  Every kernel has the
 scalar operations (``add``, ``neg``, ``mul``, ``inv``, ``pow``,
 ``frobenius``), behind ``FieldSpec.add_i`` .. ``frob_i`` for every p, and the row operations the ring and elimination
-loops call once per row (``addmul``, ``divstep``, ``scale``, ``evaluate``,
-``eliminate``) or per twisted dot product sum c_i * sigma^(t_i)(x_i)
-(``dot``, for the divisor walk).  Up to 2^16 elements it works in the log
-domain over references to the tables, negation a shift by log(-1) = (order - 1)/2;
+loops call once per row (``scale``, ``evaluate``, ``eliminate`` and
+``addmul``, which also makes each step of right division) or per twisted
+dot product sum c_i * sigma^(t_i)(x_i) (``dot``, for the divisor walk).  Up
+to 2^16 elements it works in the log domain over references to the tables,
+negation a shift by log(-1) = (order - 1)/2;
 above, it builds no table of the field and works on packed indices: a
 carry-less product for p = 2, a Kronecker-substitution product for odd p
 (``_packed_mul``, which the table builds use too), an extended-Euclid
@@ -365,9 +366,9 @@ class _TableKernel:
     ``add`` is the field's adder from _make_kernel; for p = 2 it is
     operator.xor, which the subclass inlines in its loops.
 
-    The scalars c, lead, ginv, the point a and the arguments of mul, inv
-    and pow are nonzero, ``pairs`` lists (j, x) with x nonzero, the power k
-    is nonnegative and the Frobenius shift t is below the degree.  Each row
+    The scalar c, the point a and the arguments of mul, inv and pow are
+    nonzero, ``pairs`` lists (j, x) with x nonzero, the power k is
+    nonnegative and the Frobenius shift t is below the degree.  Each row
     operation is one call per row or polynomial.
     """
 
@@ -406,17 +407,6 @@ class _TableKernel:
         lc = log[c]
         for j, x in pairs:
             out[off + j] = add(out[off + j], exp[lc + log[table[x]]])
-
-    def divstep(self, r, off, lead, ginv, pairs, t):
-        """One step of right division: the quotient digit
-        c = lead * sigma^t(ginv), returned after r[off + j] -= c * sigma^t(x)."""
-        exp, log, n, add = self.exp, self.log, self.n, self.add
-        table = self.frob[t]
-        lc = (log[lead] + log[table[ginv]]) % n
-        ln = (lc + self.half) % n   # log of -c
-        for j, x in pairs:
-            r[off + j] = add(r[off + j], exp[ln + log[table[x]]])
-        return exp[lc]
 
     def dot(self, acc, cs, xs, ts):
         """acc + sum c * sigma^t(x) over zip(cs, xs, ts); any c or x may be 0."""
@@ -463,14 +453,6 @@ class _XorKernel(_TableKernel):
         lc = log[c]
         for j, x in pairs:
             out[off + j] ^= exp[lc + log[table[x]]]
-
-    def divstep(self, r, off, lead, ginv, pairs, t):
-        exp, log = self.exp, self.log
-        table = self.frob[t]
-        lc = (log[lead] + log[table[ginv]]) % self.n
-        for j, x in pairs:
-            r[off + j] ^= exp[lc + log[table[x]]]
-        return exp[lc]
 
     def dot(self, acc, cs, xs, ts):
         exp, log, frob = self.exp, self.log, self.frob
@@ -521,11 +503,6 @@ class _PolyKernel:
         for j, x in pairs:
             y = frob(x, t)
             out[off + j] = add(out[off + j], y if c == 1 else mul(c, y))
-
-    def divstep(self, r, off, lead, ginv, pairs, t):
-        c = self.mul(lead, self.frobenius(ginv, t))
-        self.addmul(r, off, self.neg(c), pairs, t)
-        return c
 
     def dot(self, acc, cs, xs, ts):
         mul, add, frob = self.mul, self.add, self.frobenius

@@ -156,8 +156,9 @@ _Mirror = namedtuple("_Mirror", "field e")
 #
 # Each function binds the field's kernel (FieldSpec.kernel) once per call and
 # makes one kernel call per row or polynomial: c * sigma^t(b) added for a
-# whole row b, one division step, a scaling or an evaluation.  The polynomial
-# constructor trims, so every polynomial's _ci is trimmed.
+# whole row b (a product row or a division step), a scaling or an
+# evaluation.  The polynomial constructor trims, so every polynomial's _ci
+# is trimmed.
 
 
 def _trim(ci):
@@ -201,13 +202,15 @@ def _right_divmod_ci(ring, f, g):
     dg = len(g) - 1
     r = list(f)
     s = [0] * (len(f) - dg)
-    ginv = 1 if g[-1] == 1 else field.inv_i(g[-1])   # monic candidates skip inv_i
+    ginv = 1 if g[-1] == 1 else field.inv_i(g[-1])   # monic: no inv_i, c = lead
     tail = [(j, gj) for j, gj in enumerate(g[:dg]) if gj]
     for t in range(len(f) - 1 - dg, -1, -1):
         lead = r[t + dg]
         if lead:
-            s[t] = kern.divstep(r, t, lead, ginv, tail, e * t % d)
-            r[t + dg] = 0
+            # the digit c = lead * sigma^t(ginv); r -= c x^t g below the lead
+            tt = e * t % d
+            s[t] = c = lead if ginv == 1 else kern.mul(lead, kern.frobenius(ginv, tt))
+            kern.addmul(r, t, kern.neg(c), tail, tt)
     return tuple(_trim(s)), tuple(_trim(r[:dg]))
 
 
@@ -775,6 +778,9 @@ class CommutativePoly:
             and self.field == other.field
             and self.coeffs == other.coeffs
         )
+
+    def __hash__(self):
+        return hash((self.field, frozenset(self.coeffs.items())))
 
     def __str__(self):
         return _join_terms(

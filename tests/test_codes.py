@@ -26,6 +26,7 @@ from skewcodes.codes import (
     word_to_poly,
 )
 from skewcodes.errors import (
+    FieldMismatchError,
     GuardExceededError,
     NotARightDivisorError,
     NotConstacyclicError,
@@ -439,6 +440,34 @@ def test_noncommutative_circulant_not_multiplicative(R4, F4):
     x1 = skew_circulant(mod, R4.x)
     x2 = skew_circulant(mod, R4.x * R4.x)
     assert mat_mul(x1.rows, x1.rows, F4) != x2.rows
+
+
+def test_a_polynomial_from_another_ring_is_refused(R4, F4, F16):
+    """The code functions read packed indices, so a polynomial of another
+    ring is refused, not read as one of the modulus's ring: x + a over F16
+    (whose index 2 is F4's a) and x + a over F4 with sigma = id both
+    right-divide x^4 + 1 over F4[x; sigma] once read that way."""
+    mod = Modulus(R4.x_pow_minus(4, F4.one))
+    g = R4.x_minus(F4.one)
+    code = SkewCyclicCode(mod, g)
+    assert code.k == skew_circulant(mod, g).rank() == 3
+    check, c_tilde = check_polynomial(code)
+    word = [F4.zero] * 4
+    for h in (SkewRing(F16, 1).x_minus(F16.gen), SkewRing(F4, 2).x_minus(F4.gen)):
+        assert SkewRing(F4, 1).from_indices(h._ci) in enumerate_right_divisors(mod.poly)[1]
+        for call in (
+            lambda: SkewCyclicCode(mod, h),
+            lambda: code_from_generator(mod, h),
+            lambda: skew_circulant(mod, h),
+            lambda: cofactor_constant(mod, h),
+            lambda: transpose_decomposition(mod, h),
+            lambda: two_sided_circulant_product(mod, g, h),
+            lambda: two_sided_circulant_product(mod, h, g),
+            lambda: check_kernel_contains(code, h, c_tilde, word),
+        ):
+            with pytest.raises(FieldMismatchError):
+                call()
+    assert check_kernel_contains(code, check, c_tilde, word)
 
 
 def test_cofactor_constant_formula(R4, F4):

@@ -129,6 +129,22 @@ def test_one_adder_per_field():
                          if isinstance(fn, ast.FunctionDef)}
 
 
+KERNEL_OPERATIONS = {"__init__", "neg", "mul", "inv", "pow", "frobenius",
+                     "scale", "addmul", "dot", "evaluate", "eliminate"}
+
+
+def test_right_division_has_no_kernel_step_of_its_own():
+    """Right division makes each quotient digit from the kernel's scalar
+    operations and one addmul, so no class in fields.py has a division
+    step, and each kernel defines only scalar and row operations."""
+    tree = ast.parse((SRC / "fields.py").read_text(encoding="utf-8"))
+    methods = {node.name: {fn.name for fn in node.body if isinstance(fn, ast.FunctionDef)}
+               for node in tree.body if isinstance(node, ast.ClassDef)}
+    assert [name for name, fns in methods.items() if "divstep" in fns] == []
+    for name in ("_TableKernel", "_XorKernel", "_PolyKernel"):
+        assert methods[name] <= KERNEL_OPERATIONS, name
+
+
 def test_tables_are_built_only_by_make_kernel():
     """FieldSpec.__init__ sets each table to None (the Frobenius tables to
     a list of None) and FieldSpec._make_kernel is the one function in

@@ -35,7 +35,7 @@ from oracle_utils import (
     naive_neg,
     naive_pow,
 )
-from skewcodes.skewpoly import SkewRing
+from skewcodes.skewpoly import SkewRing, _right_divmod_ci
 
 
 def test_f4_defining_relation(F4):
@@ -826,10 +826,14 @@ def test_kernel_references_the_field_tables(field_named):
     out = [a, b]
     kern.addmul(out, 1, c, [(0, a)], 3)
     assert out == [a, naive_add(big, b, prod(c, frob(a, 3)))]
-    r = [b, a]
-    digit = kern.divstep(r, 0, c, b, [(0, a)], 2)
-    assert digit == prod(c, frob(b, 2))
-    assert r == [naive_add(big, b, prod(digit, frob(a, 2)), sign=-1), a]
+    # one step of right division through the kernel: f = c x^5 + b x^2 + a
+    # by g = b^(-1) x^3 + a in F[x; frob_1] makes the one digit at t = 2,
+    # lead * sigma^2(b), and subtracts it times sigma^2(a) from the x^2 term
+    ginv_b = naive_pow(big, E(b), big.order - 2).i
+    s, rem = _right_divmod_ci(SkewRing(big, 1), (a, 0, b, 0, 0, c), (a, 0, 0, ginv_b))
+    digit = prod(c, frob(b, 2))
+    assert s == (0, 0, digit)
+    assert rem == (a, 0, naive_add(big, b, prod(digit, frob(a, 2)), sign=-1))
     n2 = prod(b, frob(b, 1))   # N_2(b) for sigma = frob_1
     assert kern.evaluate((a, c, c), b, 1) == naive_add(big, naive_add(big, a, prod(c, b)),
                                                        prod(c, n2))

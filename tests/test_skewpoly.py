@@ -2,6 +2,7 @@ import itertools
 import random
 import threading
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -26,6 +27,7 @@ from skewcodes.linalg import mat_mul_i, rank_i, right_kernel_i, unwrap
 from skewcodes.codes import Modulus
 from skewcodes.linearized import LinearizedPoly
 from skewcodes.skewpoly import (
+    CommutativePoly,
     SkewPoly,
     SkewRing,
     _mirror_ci,
@@ -170,6 +172,44 @@ def test_known_right_division(R4, F4):
     # not a left divisor
     _, r2 = f.left_divmod(g)
     assert not r2.is_zero
+
+
+class _CountingKernel:
+    """A field kernel that records the name of each operation called on it."""
+
+    def __init__(self, kern):
+        self._kern, self.calls = kern, []
+
+    def __getattr__(self, name):
+        op = getattr(self._kern, name)
+
+        def counted(*args):
+            self.calls.append(name)
+            return op(*args)
+        return counted
+
+
+@pytest.mark.parametrize("name,e", [("F4", 1), ("F16", 2), ("F9", 1), ("F2_17", 1)])
+def test_right_division_makes_each_digit_with_one_addmul(name, e, field_named, monkeypatch):
+    """Each nonzero quotient digit is one addmul of the divisor's tail and
+    no other row operation.  A monic divisor's digit is the lead itself:
+    no mul, frobenius or inv; a non-monic one costs one inv per division
+    and one mul and one frobenius per digit."""
+    F = field_named(name)
+    R = SkewRing(F, e)
+    rng = random.Random(29)
+    kern = _CountingKernel(F.kernel())
+    monkeypatch.setattr(F, "_kernel", kern)
+    for lead in [1] * 6 + [rng.randrange(2, F.order) for _ in range(6)]:
+        f = tuple(rng.randrange(F.order) for _ in range(9)) + (rng.randrange(1, F.order),)
+        g = tuple(rng.randrange(F.order) for _ in range(3)) + (lead,)
+        kern.calls.clear()
+        s, r = skewpoly._right_divmod_ci(R, f, g)
+        k = sum(1 for c in s if c)
+        scalars = {} if lead == 1 else {"inv": 1, "mul": k, "frobenius": k}
+        assert k and Counter(kern.calls) == {"addmul": k, "neg": k, **scalars}
+        assert len(r) < len(g)
+        assert naive_poly_add(F, twisted_mul(F, e, s, g), r) == f
 
 
 def test_division_small_degree(R4):
@@ -974,6 +1014,18 @@ def test_to_commutative_constant(R8, F8):
 def test_zero_is_falsy_in_every_polynomial_class(R8):
     assert not R8.zero and not LinearizedPoly(R8, (0,)) and not to_commutative(R8.zero)
     assert R8.one and LinearizedPoly(R8, (1,)) and to_commutative(R8.one)
+
+
+def test_equal_commutative_polys_hash_equal(R8, F8):
+    """CommutativePoly hashes by value, whatever the order its exponents
+    were inserted in, so it works as a set member and a dict key."""
+    P = to_commutative(R8.poly([F8.gen, 0, 1]))   # q = 2: x^2 -> y^3
+    Q = CommutativePoly(F8, {3: 1, 0: F8.gen.i})
+    assert P == Q and list(P.coeffs) != list(Q.coeffs)
+    assert hash(P) == hash(Q)
+    assert len({P, Q, to_commutative(R8.one)}) == 2
+    assert {P: "f"}[Q] == "f"
+    assert CommutativePoly(get_field("F4"), {0: 1}) not in {CommutativePoly(F8, {0: 1})}
 
 
 def test_to_commutative_exponents(R4):
