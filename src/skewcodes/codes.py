@@ -436,21 +436,40 @@ def enumerate_right_divisors(f, degrees=None, cancel=None):
     skewpoly._monic_right_divisors_ci; higher degrees enumerate the monic
     left cofactor h (f = h * g) and recover g as the left quotient, which is
     a bijection since quotients are unique; that search runs in the mirror
-    ring (see skewpoly).  One sort orders each degree's list
+    ring (see skewpoly).  Each walk is made once per call for each distinct
+    (twist mod d, coefficient tuple, D), and both degrees D and n - D are
+    read off its (g, s) pairs.  So when sigma^2 = id (the mirror twist -e
+    is e mod d, every commutative ring included) and mu(f) = f, as for
+    every x^n - a, the cofactor walk is the ring's own walk and degree
+    n - D costs nothing more.  One sort orders each degree's list
     lexicographically on the ascending coefficient sequence.  Returns
-    {degree: [divisors]} including the trivial degrees 0 and n.
+    {degree: [divisors]} including the trivial degrees 0 and n; degrees
+    outside 0..n are skipped, and a degree that is not an int (bool
+    included) is a TypeError.
     """
     f = f.poly if isinstance(f, Modulus) else f
     if not f.is_monic:
         raise ValueError("divisor enumeration needs a monic modulus")
     ring = f.ring
     n = f.degree
-    if isinstance(degrees, int):
-        degrees = [degrees]
-    wanted = range(n + 1) if degrees is None else sorted({d for d in degrees if 0 <= d <= n})
+    if degrees is None:
+        wanted = range(n + 1)
+    else:
+        degrees = list(degrees) if hasattr(degrees, "__iter__") else [degrees]
+        for d in degrees:
+            if isinstance(d, bool) or not isinstance(d, int):
+                raise TypeError(f"degrees must be ints, got {d!r}")
+        wanted = sorted({d for d in degrees if 0 <= d <= n})
     _guard("divisor enumeration cost {} exceeds 2^25", _ENUM_COST_GUARD, ring.field.order,
            [min(d, n - d) for d in wanted])
-    fci = f._ci
+    fci, mirror_fci, walks = f._ci, None, {}
+
+    def walk(side, ci, D):
+        key = (side.e % ring.field.degree, ci, D)
+        if key not in walks:
+            walks[key] = list(_monic_right_divisors_ci(side, ci, D, cancel))
+        return walks[key]
+
     out = {}
     for d in wanted:
         if d == 0:
@@ -460,13 +479,12 @@ def enumerate_right_divisors(f, degrees=None, cancel=None):
             out[d] = [f]
             continue
         if d <= n - d:
-            found = [g for g, _ in _monic_right_divisors_ci(ring, fci, d, cancel)]
+            found = [g for g, _ in walk(ring, fci, d)]
         else:
             # f = h * g with h monic of degree n - d exactly when mu(h)
             # right-divides mu(f) with quotient mu(g)
-            mirror = ring._mirror
-            cofactors = _monic_right_divisors_ci(mirror, _mirror_ci(ring, fci), n - d, cancel)
-            found = [_mirror_ci(mirror, s) for _, s in cofactors]
+            mirror, mirror_fci = ring._mirror, mirror_fci or _mirror_ci(ring, fci)
+            found = [_mirror_ci(mirror, s) for _, s in walk(mirror, mirror_fci, n - d)]
         out[d] = [SkewPoly(ring, g) for g in sorted(found)]
     return out
 

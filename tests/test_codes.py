@@ -877,6 +877,22 @@ def test_divisor_enumeration_linear_of_x21(R4, F4):
     assert divs == [R4.poly([F4.one, 1]), R4.poly([w, 1]), R4.poly([w * w, 1])]
 
 
+@pytest.mark.parametrize("degrees", [True, [True], [2.0], 2.0, ["2"], "2", [1, None]])
+def test_divisor_enumeration_refuses_a_degree_that_is_not_an_int(degrees, R4, F4):
+    """A bool, float, str or None degree is refused by name; True read as
+    degree 1 listed {True: [...]} before."""
+    with pytest.raises(TypeError, match="^degrees must be ints"):
+        enumerate_right_divisors(R4.x_pow_minus(4, F4.one), degrees=degrees)
+
+
+def test_divisor_enumeration_takes_int_degrees_in_any_container(R4, F4):
+    f = R4.x_pow_minus(4, F4.one)
+    full = enumerate_right_divisors(f)
+    assert enumerate_right_divisors(f, degrees=1) == {1: full[1]}
+    assert enumerate_right_divisors(f, degrees=(d for d in (3, 1, 9, -1))) == {
+        1: full[1], 3: full[3]}
+
+
 def test_divisor_counts_consistency_small(R4, F4):
     # split enumeration agrees with direct enumeration on both halves
     f = R4.x_pow_minus(6, F4.one)
