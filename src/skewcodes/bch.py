@@ -286,10 +286,6 @@ class Bch1Spec(_BchSpec):
             )
 
 
-def bch1_root_exponents(spec):
-    return sorted(spec.designed_exponents())
-
-
 def bch1_max_length(spec):
     """Largest admissible n: the least i >= 1 with (alpha^t1)^[i] = 1
     (and the t2 analogue when nu > 0), scanned at desk scale."""

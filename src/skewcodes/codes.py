@@ -441,8 +441,11 @@ def enumerate_right_divisors(f, degrees=None, cancel=None):
     read off its (g, s) pairs.  So when sigma^2 = id (the mirror twist -e
     is e mod d, every commutative ring included) and mu(f) = f, as for
     every x^n - a, the cofactor walk is the ring's own walk and degree
-    n - D costs nothing more.  One sort orders each degree's list
-    lexicographically on the ascending coefficient sequence.  Returns
+    n - D costs nothing more.  Each walk takes one top digit per orbit of
+    the maps x -> lam x that fix f and yields every hit's orbit (for
+    x^14 + 1 over F4 at e = 1 all of F4^*, so half the nodes), in no fixed
+    order; one sort orders each degree's list lexicographically on the
+    ascending coefficient sequence.  Returns
     {degree: [divisors]} including the trivial degrees 0 and n; degrees
     outside 0..n are skipped, and a degree that is not an int (bool
     included) is a TypeError.

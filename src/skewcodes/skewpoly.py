@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from math import inf
+from math import gcd, inf
 
 from .errors import FieldMismatchError, _cancellable, _guard
 from .fields import FieldElement, FrobeniusAut, _power, norm_exponent
@@ -289,35 +289,59 @@ def _monic_right_divisors_ci(ring, f, degree, cancel, what="divisor"):
     """Yield (g, s) with f = s*g for every monic g of degree D, for a monic
     f of degree n and 1 <= D <= n/2, which enumerate_right_divisors,
     is_irreducible_bruteforce and self_dual_search all meet; a set cancel
-    stops the "<what> search" before the next node.
+    stops the "<what> search" before the next node.  The hits come in no
+    fixed order; a caller wanting the ascending-coefficient order sorts by g.
 
-    A depth-first walk fixes g_{D-1}, ..., g_0 in turn, each over the N
-    field elements in index order, so the hits come in lexicographic order
-    of (g_{D-1}, ..., g_0); a caller wanting the ascending-coefficient order
-    sorts by g.  With E = n - D, coefficient n - k of s*g is
-    s_{E-k} + sigma^E(g_{D-k}) plus terms fixed above depth k, so each node
-    fixes one quotient digit by one subtraction from a partial sum its
-    parent computes once.  A leaf derives the E - D digits left and checks
-    the remainder r_c = f_c - sum_{b<=c} s_{c-b} sigma^{c-b}(g_b) from
-    c = 0 up, stopping at the first nonzero one.  The walk visits
-    sum_{k=1}^{D} N^k <= 2 N^D nodes, so a guard's count of N^D candidates
-    bounds its work within a factor of 2.
+    A depth-first walk fixes g_{D-1}, ..., g_0 in turn.  With E = n - D,
+    coefficient n - k of s*g is s_{E-k} + sigma^E(g_{D-k}) plus terms fixed
+    above depth k, so each node fixes one quotient digit by one subtraction
+    from a partial sum its parent computes once.  A leaf derives the E - D
+    digits left and checks the remainder
+    r_c = f_c - sum_{b<=c} s_{c-b} sigma^{c-b}(g_b) from c = 0 up, stopping
+    at the first nonzero one.
+
+    Below the top, each digit runs over all N field elements; the top digit
+    g_{D-1} runs over one element per orbit of the maps x -> lam x that fix
+    f.  Each is a ring automorphism, x^i -> N_i(lam) x^i, and it fixes f
+    when N_i(lam) = 1 wherever f_i != 0.  With N_i(lam) = lam^(k_i) and
+    k_i = sum_{j<i} p^(shift of sigma^j), those lam form the subgroup Lam of
+    F^* of order h = gcd(N - 1, the k_i over the support of f).  Mapping
+    f = s*g and making the image monic gives f = s'*g' with
+    g'_i = g_i N_i(lam) N_D(lam)^-1 and s'_i = s_i N_i(lam) sigma^i(N_D(lam)),
+    so g'_{D-1} = g_{D-1} / sigma^{D-1}(lam): the orbit of a nonzero top
+    digit v is the coset v Lam, as sigma^{D-1} maps Lam onto itself.  The
+    top digit takes 0 and one generator power per coset, and each hit with
+    g_{D-1} != 0 is yielded with its h - 1 distinct images; the subtree of
+    g_{D-1} = 0 is walked in full.  When h = 1 the top digit runs over all N
+    elements.  The walk visits at most sum_{k=1}^{D} N^k <= 2 N^D nodes, so
+    a guard's count of N^D candidates bounds its work within a factor of 2.
     """
-    kern, N = ring.field.kernel(), ring.field.order
+    field = ring.field
+    kern, N = field.kernel(), field.order
     add, neg, mul, frob, dot = kern.add, kern.neg, kern.mul, kern.frobenius, kern.dot
     n, D = len(f) - 1, degree
     E = n - D
-    tw = [ring.e * i % ring.field.degree for i in range(E + 1)]   # sigma^i's shift
+    tw = [ring.e * i % field.degree for i in range(n)]   # sigma^i's shift
     tE, low = tw[E], range(E - D - 1, -1, -1)
     g, ns = [0] * D + [1], [0] * (E + 1)   # ns[i] = -s_i for i < E; s_E = 1
     nf0 = neg(f[0])
+    h, ki = N - 1, 0
+    for i in range(1, n + 1):
+        ki += field.p ** tw[i - 1]
+        if f[i]:
+            h = gcd(h, ki)
+    top, images = range(N), ()
+    if h > 1:
+        gen, step = field._generator_i(), (N - 1) // h
+        top = [0] + [kern.pow(gen, j) for j in range(step)]
+        images = [_orbit_rows(kern, tw, D, E, kern.pow(gen, j * step)) for j in range(1, h)]
 
     def walk(k):
         # g_{D-k+1..D-1} and s_{E-k+1..E-1} are fixed: each g_{D-k} fixes
         # -s_{E-k} = sigma^E(g_{D-k}) - (f_{n-k} - the terms fixed above)
         b, lo = D - k, E - k + 1
         rest = neg(dot(f[n - k], ns[lo:E], g[D - 1:b:-1], tw[lo:E]))
-        for v in _cancellable(range(N), cancel, what):
+        for v in _cancellable(top if k == 1 else range(N), cancel, what):
             g[b] = v
             ns[E - k] = add(rest, frob(v, tE))
             if k < D:
@@ -332,9 +356,26 @@ def _monic_right_divisors_ci(ring, f, degree, cancel, what="divisor"):
                 if dot(f[c], ns[c::-1], g[:c + 1], tw[c::-1]):
                     break
             else:
-                yield tuple(g), tuple(map(neg, ns[:E])) + (1,)
+                gt, st = tuple(g), tuple(map(neg, ns[:E])) + (1,)
+                yield gt, st
+                for gm, sm in images if g[D - 1] else ():
+                    yield (tuple(mul(c, m) if c else 0 for c, m in zip(gt, gm)),
+                           tuple(mul(c, m) if c else 0 for c, m in zip(st, sm)))
 
     return walk(1)
+
+
+def _orbit_rows(kern, tw, D, E, lam):
+    """The multipliers taking a walk hit (g, s) to its image under x -> lam x
+    made monic: (N_i(lam) N_D(lam)^-1 for i <= D, N_i(lam) sigma^i(N_D(lam))
+    for i <= E), with tw[i] the shift of sigma^i."""
+    norms = [1]   # N_i(lam) = prod_{j<i} sigma^j(lam)
+    for t in tw[:E]:
+        norms.append(kern.mul(norms[-1], kern.frobenius(lam, t)))
+    nD = norms[D]
+    inv = kern.inv(nD)
+    return ([kern.mul(c, inv) for c in norms[:D + 1]],
+            [kern.mul(c, kern.frobenius(nD, t)) for c, t in zip(norms, tw)])
 
 
 def _eval_ci(ring, f, a):

@@ -70,7 +70,7 @@ import re
 
 import numpy as np
 
-from skewcodes.bch import bch1_root_exponents, bch2_exponent_sets
+from skewcodes.bch import bch2_exponent_sets
 from skewcodes.codes import Modulus, dual_code, skew_circulant
 from skewcodes.errors import GuardExceededError, ParseError, _cancellable, _guard
 from skewcodes.fields import (
@@ -331,7 +331,7 @@ def bch1_generator_by_fold(spec):
     designed root alpha^t."""
     field = spec.emb.target
     g = None
-    for t in bch1_root_exponents(spec):
+    for t in sorted(spec.designed_exponents()):
         root = FieldElement(field, field.pow_i(spec.alpha.i, t))
         m = minimal_poly_over_subfield(spec.base_ring, spec.emb, root)
         g = m if g is None else lclm(g, m)

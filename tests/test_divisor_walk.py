@@ -5,12 +5,16 @@ replaced (oracle_utils.monic_right_divisors_by_division: one full right
 division per candidate) as sorted (g, s) lists; its three callers,
 enumerate_right_divisors, is_irreducible_bruteforce and self_dual_search,
 against the same loop put in its place; and its route and node count
-against the guard's candidate count.  enumerate_right_divisors makes each
-distinct walk once per call, so where sigma^2 = id and mu(f) = f the
-cofactor degrees n - D reuse the walk for D: counted here, along with
-degree subsets against the full call and cancellation on a shared walk.
+against the guard's candidate count.  The top digit runs over one value
+per orbit of the maps x -> lam x that fix f: the orbit sizes are read off
+the node count, and every x^n - a within the budget is walked against the
+division loop.  enumerate_right_divisors makes each distinct walk once per
+call, so where sigma^2 = id and mu(f) = f the cofactor degrees n - D reuse
+the walk for D: counted here, along with degree subsets against the full
+call and cancellation on a shared walk.
 """
 
+import itertools
 import random
 from functools import partial
 
@@ -47,10 +51,13 @@ def _moduli(ring, n, rng):
     return [tuple(dense), tuple(low), ring.x_pow_minus(n, ring.field.element(rng.randrange(1, N)))._ci]
 
 
-def _assert_walk_agrees(ring, f, degree):
-    walk = sorted(_monic_right_divisors_ci(ring, f, degree, None))
+def _counted_walk(ring, f, degree):
+    """(nodes, sorted hits) of one walk, whose hits must be the division
+    loop's, each once."""
+    token = _CountingToken()
+    walk = sorted(_monic_right_divisors_ci(ring, f, degree, token))
     assert walk == sorted(monic_right_divisors_by_division(ring, f, degree)), (ring, f, degree)
-    return walk
+    return token.asked, walk
 
 
 @pytest.mark.parametrize("name", PRESETS)
@@ -70,7 +77,7 @@ def test_walk_agrees_with_division_on_every_preset(name, field_named):
             for f in _moduli(ring, n, rng):
                 for side, fci in ((ring, f), (ring._mirror, _mirror_ci(ring, f))):
                     for degree in range(1, n // 2 + 1):
-                        found += len(_assert_walk_agrees(side, fci, degree))
+                        found += len(_counted_walk(side, fci, degree)[1])
     assert found
 
 
@@ -79,8 +86,56 @@ def test_walk_agrees_with_division_above_the_table_limit(name, f, field_named):
     """D = 1 over the polynomial kernel at e = 1: x^3 - a over F_2^17, and
     x^2 + x over F_3^11 (f_0 = 0, so x is a divisor)."""
     ring = SkewRing(field_named(name), 1)
-    walk = _assert_walk_agrees(ring, f, 1)
+    walk = _counted_walk(ring, f, 1)[1]
     assert f[0] or walk[0][0] == (0, 1)
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_walk_agrees_with_division_on_every_x_n_minus_a(name, field_named):
+    """x^n - a for every nonzero a, every admissible e, in the ring and in
+    its mirror, every D <= n/2 and every n >= 2 with N^(n//2) <= WALK_BUDGET:
+    the hits of the orbit walk are the division loop's, each once.  Where
+    maps x -> lam x fix f (fewer nodes than the full walk), some hit has
+    top digit g_{D-1} = 0 over F4 and F16, from its fully walked subtree."""
+    field = field_named(name)
+    N = field.order
+    zero_top_hits = 0
+    for ring in _rings(field):
+        for n in itertools.takewhile(lambda n: N ** (n // 2) <= WALK_BUDGET, itertools.count(2)):
+            for a in range(1, N):
+                f = ring.x_pow_minus(n, field.element(a))._ci
+                for side, fci in ((ring, f), (ring._mirror, _mirror_ci(ring, f))):
+                    for degree in range(1, n // 2 + 1):
+                        nodes, walk = _counted_walk(side, fci, degree)
+                        if nodes < sum(N ** k for k in range(1, degree + 1)):
+                            zero_top_hits += sum(not g[degree - 1] for g, _ in walk)
+    if name in ("F4", "F16"):
+        assert zero_top_hits
+
+
+@pytest.mark.parametrize("name,e,n,h", [
+    ("F4", 1, 14, 3), ("F4", 1, 12, 3), ("F8", 1, 9, 7), ("F16", 2, 6, 15), ("F4", 1, 13, 1),
+])
+def test_top_digit_takes_one_value_per_orbit(name, e, n, h):
+    """x^n - 1: the maps x -> lam x fixing f form the subgroup of order h of
+    F^*, and walk D = 1 visits 0 and one top digit per coset, in the ring
+    and in its mirror."""
+    f = _x_minus_1(name, e, n)
+    ring, N = f.ring, f.ring.field.order
+    for side, fci in ((ring, f._ci), (ring._mirror, _mirror_ci(ring, f._ci))):
+        assert _counted_walk(side, fci, 1)[0] == 1 + (N - 1) // h
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_dense_f_has_no_orbit(name, field_named):
+    """f with every coefficient nonzero: N_1(lam) = lam = 1 is forced, so
+    walk D = 1 visits all N top digits, at every e."""
+    field = field_named(name)
+    N = field.order
+    rng = random.Random(name)
+    for ring in _rings(field):
+        f = tuple(rng.randrange(1, N) for _ in range(3)) + (1,)
+        assert _counted_walk(ring, f, 1)[0] == N
 
 
 @pytest.mark.parametrize("name", PRESETS)
@@ -152,10 +207,11 @@ def test_divisor_walk_divides_no_candidate_and_visits_at_most_twice_the_guard(
         R4, F4, monkeypatch):
     """x^14 + 1 over F4, e = 1: no right division per candidate, one walk
     per degree D = 1..7 (sigma^2 = id and mu(f) = f, so the cofactor walk
-    for degree 14 - D is the walk for D), 29,116 nodes in all, and each
-    walk of degree D visits at most sum_{k=1}^{D} N^k <= 2 N^D nodes, so
-    the whole enumeration visits at most twice the guard's count
-    sum_d N^min(d, n - d)."""
+    for degree 14 - D is the walk for D), 14,558 nodes in all: every
+    lam in F4^* fixes f, so the top digit takes 0 and 1 only, and walk D
+    visits 2 (4^D - 1) / 3 nodes.  Each walk of degree D visits at most
+    sum_{k=1}^{D} N^k <= 2 N^D nodes, so the whole enumeration visits at
+    most twice the guard's count sum_d N^min(d, n - d)."""
     divisions = []
     divmod_ci = skewpoly._right_divmod_ci
     monkeypatch.setattr(skewpoly, "_right_divmod_ci",
@@ -165,8 +221,8 @@ def test_divisor_walk_divides_no_candidate_and_visits_at_most_twice_the_guard(
     out = enumerate_right_divisors(R4.x_pow_minus(n, F4.one))
     assert sum(len(out[d]) for d in range(1, n)) == 603
     assert divisions == []
-    assert sorted(degree for degree, _ in walks) == list(range(1, 8))
-    assert sum(nodes for _, nodes in walks) == 29_116
+    assert sorted(walks) == list(zip(range(1, 8), [2, 10, 42, 170, 682, 2_730, 10_922]))
+    assert sum(nodes for _, nodes in walks) == 14_558
     for degree, nodes in walks:
         assert 0 < nodes <= sum(N ** k for k in range(1, degree + 1)) <= 2 * N ** degree
     guard_cost = sum(N ** min(d, n - d) for d in range(n + 1))
@@ -188,8 +244,9 @@ def _f4_dense():
 
 
 @pytest.mark.parametrize("case,walked,total", [
-    # sigma of order 3: the mirror twist differs, so every D < n/2 walks twice
-    (partial(_x_minus_1, "F8", 1, 9), [1, 1, 2, 2, 3, 3, 4, 4], 10_688),
+    # sigma of order 3: the mirror twist differs, so every D < n/2 walks
+    # twice, each with one top digit per orbit of F8^*
+    (partial(_x_minus_1, "F8", 1, 9), [1, 1, 2, 2, 3, 3, 4, 4], 2_672),
     # sigma = id: the mirror is the ring and mu(f) = f
     (partial(_x_minus_1, "F8", 3, 9), [1, 2, 3, 4], 5_344),
     # sigma of order 2 and x^n - 1: mu(f) = f
@@ -242,13 +299,13 @@ class _SetAfter(_CountingToken):
         return self.asked > self.after
 
 
-@pytest.mark.parametrize("after", [0, 1_000, 20_000, 29_115])
+@pytest.mark.parametrize("after", [0, 1_000, 10_000, 14_557])
 def test_cancel_stops_the_shared_walk(after, R4, F4):
     """x^14 + 1 over F4, e = 1, walks each D once for both D and 14 - D; a
-    token that turns set after any of the walk's 29,116 nodes still stops
+    token that turns set after any of the walk's 14,558 nodes still stops
     the enumeration, and one set after the last does not."""
     f = R4.x_pow_minus(14, F4.one)
     with pytest.raises(SearchCancelledError, match="^divisor search cancelled$"):
         enumerate_right_divisors(f, cancel=_SetAfter(after))
-    assert count_divisors(enumerate_right_divisors(f, cancel=_SetAfter(29_116)), 14, True) == 603
+    assert count_divisors(enumerate_right_divisors(f, cancel=_SetAfter(14_558)), 14, True) == 603
 

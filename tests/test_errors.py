@@ -1,11 +1,14 @@
 """The one search control: errors._guard compares a cost with its bound, caps
 the powers and sums it is built from, and prints it with _cost_text;
-errors._cancellable stops a search once its token is set."""
+errors._cancellable stops a search once its token is set.  Each guard in
+front of the divisor walk and the similarity search admits its limit and
+refuses the next cost its formula can take."""
 
 import threading
 
 import pytest
 
+from skewcodes.codes import enumerate_right_divisors, self_dual_search
 from skewcodes.errors import (
     GuardExceededError,
     SearchCancelledError,
@@ -13,6 +16,7 @@ from skewcodes.errors import (
     _cost_text,
     _guard,
 )
+from skewcodes.skewpoly import is_irreducible_bruteforce, similar_bruteforce
 
 
 def test_guard_refuses_only_above_its_bound():
@@ -79,3 +83,31 @@ def test_cancellable_stops_before_the_next_item_once_set():
 
 def test_cancellable_yields_every_item_in_order_while_unset():
     assert list(_cancellable(iter("skew"), threading.Event(), "distance")) == list("skew")
+
+
+def _x_n_plus_1(R2, n):
+    return R2.x_pow_minus(n, R2.field.one)
+
+
+@pytest.mark.parametrize("search,limit,over,cost", [
+    (lambda R2, n, stop: self_dual_search(R2, n, 1, cancel=stop), 40, 42, 1 << 21),
+    (lambda R2, n, stop: similar_bruteforce(_x_n_plus_1(R2, n), _x_n_plus_1(R2, n), cancel=stop),
+     16, 17, 1 << 17),
+    (lambda R2, degrees, stop: enumerate_right_divisors(_x_n_plus_1(R2, 50), degrees, stop),
+     [25], [0, 25], (1 << 25) + 1),
+    (lambda R2, n, stop: is_irreducible_bruteforce(_x_n_plus_1(R2, n), cancel=stop),
+     48, 50, 1 << 25),
+], ids=["self_dual", "similarity", "divisors", "irreducible"])
+def test_search_guards_admit_their_limit_and_refuse_the_next_cost(R2, search, limit, over, cost):
+    """Over F2: a search whose cost is exactly its guard's limit (2^20
+    self-dual candidates at n = 40, 2^16 similarity candidates at n = 16,
+    2^25 divisor candidates for degree 25 of x^50 + 1, 2^24 irreducibility
+    candidates at degree 48) starts and stops at once on a set token; the
+    next cost the formula takes is refused with that exact cost."""
+    stop = threading.Event()
+    stop.set()
+    with pytest.raises(SearchCancelledError):
+        search(R2, limit, stop)
+    with pytest.raises(GuardExceededError) as info:
+        search(R2, over, stop)
+    assert info.value.cost == cost
