@@ -13,6 +13,7 @@ the base field (``rootsets._subfield_minimal_polynomial``).
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from math import comb, gcd
 
 from .codes import Modulus, SkewCyclicCode, _codewords
@@ -29,7 +30,6 @@ _DISTANCE_LENGTH_GUARD = 24
 _LENGTH_GUARD = 1 << 16   # the largest modulus degree parse_poly accepts
 _DESIGNED_SET_GUARD = 1 << 20
 _MESSAGE_ROUTE_GUARD = 1 << 24
-_COLUMN_ROUTE_GUARD = 1 << 25
 
 
 def _generator_rows_i(code):
@@ -64,8 +64,7 @@ def min_distance_exact(code, strategy="auto", cancel=None):
     if strategy == "messages":
         _guard("message enumeration cost {} exceeds 2^24", _MESSAGE_ROUTE_GUARD, msg_cost)
         return _distance_by_messages(rows, field, n, cancel)
-    if strategy == "columns":
-        _guard("column search cost {} exceeds 2^25", _COLUMN_ROUTE_GUARD, col_cost)
+    if strategy == "columns":   # n <= 24 caps its cost at 2^24 - 1 subsets
         return _distance_by_columns(rows, field, n, k, cancel)
     raise ValueError(f"unknown strategy {strategy!r}")
 
@@ -142,29 +141,19 @@ def evaluation_code(ring, points, k):
 
 
 class _Frozen:
-    """An immutable record over the names in ``_fields``: built from
-    positional or keyword values, compared and hashed as the tuple of its
-    values (only against its own class), shown as ``Name(field=value, ...)``,
-    and refusing assignment and deletion with AttributeError."""
+    """An immutable record over the names in ``_fields``: a namedtuple of the
+    class's own name, made per class, binds the positional or keyword values
+    and prints them as ``Name(field=value, ...)``; compared and hashed as the
+    tuple of its values (only against its own class), and refusing
+    assignment and deletion with AttributeError."""
 
     _fields = ()
 
+    def __init_subclass__(cls):
+        cls._record = namedtuple(cls.__name__, cls._fields)
+
     def __init__(self, *args, **kwargs):
-        cls = type(self).__qualname__
-        if len(args) > len(self._fields):
-            raise TypeError(f"{cls}() takes {len(self._fields)} arguments, got {len(args)}")
-        values = dict(zip(self._fields, args))
-        for name, value in kwargs.items():
-            if name not in self._fields:
-                raise TypeError(f"{cls}() got an unexpected keyword argument {name!r}")
-            if name in values:
-                raise TypeError(f"{cls}() got multiple values for argument {name!r}")
-            values[name] = value
-        missing = [name for name in self._fields if name not in values]
-        if missing:
-            raise TypeError(f"{cls}() missing arguments: {', '.join(missing)}")
-        for name in self._fields:
-            object.__setattr__(self, name, values[name])
+        self.__dict__.update(self._record(*args, **kwargs)._asdict())
 
     def _values(self):
         return tuple(getattr(self, name) for name in self._fields)
@@ -178,8 +167,7 @@ class _Frozen:
         return hash(self._values())
 
     def __repr__(self):
-        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__qualname__}({body})"
+        return repr(self._record(*self._values()))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -382,7 +370,7 @@ def _is_normal(ring, a):
     field: its Moore matrix, the Hankel matrix sigma^(i+j)(a), has full
     rank m.  sigma^m is the identity, so row i is the orbit rotated by i."""
     m = ring.m
-    orbit = [ring.sigma_i(a, j) for j in range(m)]
+    orbit = [ring.aut.apply_i(a, j) for j in range(m)]
     return rank_i([orbit[i:] + orbit[:i] for i in range(m)], ring.field) == m
 
 

@@ -20,7 +20,7 @@ from .errors import (
     _cancellable,
     _guard,
 )
-from .fields import FieldElement
+from .fields import FieldElement, _trim
 from .linalg import is_zero_matrix_i, mat_mul_i, rank_i, wrap
 from .rootsets import _lift, _vandermonde_i, _wedderburn_roots_i
 from .skewpoly import (
@@ -31,7 +31,6 @@ from .skewpoly import (
     _mul_ci,
     _right_divmod_ci,
     _shift_ci,
-    _trim,
     apply_automorphism,
     is_two_sided,
     left_reciprocal,
@@ -277,7 +276,7 @@ def cofactor_constant(mod, g):
         raise NotARightDivisorError(f"{g} does not right-divide {mod.poly}")
     return FieldElement(
         field,
-        field.mul_i(field.mul_i(ring.sigma_i(g0.i, mod.n), a.i), field.inv_i(g0.i)),
+        field.mul_i(field.mul_i(ring.aut.apply_i(g0.i, mod.n), a.i), field.inv_i(g0.i)),
     )
 
 
@@ -496,11 +495,12 @@ def count_divisors(result, modulus_degree=None, nontrivial=False):
     """Total divisor count over an enumeration result.
 
     With nontrivial=True the unit (degree 0) and the degree-n entries are
-    excluded; modulus_degree must then be given.
+    excluded, each once (a constant f has only degree 0); modulus_degree
+    must then be given.
     """
     total = sum(len(v) for v in result.values())
     if nontrivial:
         if modulus_degree is None:
             raise ValueError("nontrivial count needs the modulus degree")
-        total -= len(result.get(0, ())) + len(result.get(modulus_degree, ()))
+        total -= sum(len(result.get(d, ())) for d in {0, modulus_degree})
     return total

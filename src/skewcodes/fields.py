@@ -17,14 +17,15 @@ of shift j read through it.
 ``FieldSpec.kernel()`` is the one arithmetic interface of a field, and
 ``_make_kernel``, under the field's lock, the one place that builds a table
 and chooses tables or polynomials and the one adder, from p and d: XOR for
-p = 2, mod p in a prime field, and for odd p with d > 1 the full digit-add
-table (built by digit recursion) up to 2^12 elements, the half-width table
-chunk by chunk up to 2^16 and digit by digit above.  Every kernel has the
-scalar operations (``add``, ``neg``, ``mul``, ``inv``, ``pow``,
-``frobenius``), behind ``FieldSpec.add_i`` .. ``frob_i`` for every p, and the row operations the ring and elimination
-loops call once per row (``scale``, ``evaluate``, ``eliminate`` and
-``addmul``, which also makes each step of right division) or per twisted
-dot product sum c_i * sigma^(t_i)(x_i) (``dot``, for the divisor walk).  Up
+p = 2, and for odd p the full digit-add table (built by digit recursion) up
+to 2^12 elements, the half-width table chunk by chunk up to 2^16, and digit
+by digit above and in a prime field.  Every kernel has the scalar
+operations (``add``, ``neg``, ``mul``, ``inv``, ``pow``, ``frobenius``),
+behind ``FieldSpec.add_i`` .. ``frob_i`` for every p, and the row
+operations the ring and elimination loops call once per row (``scale``,
+``evaluate``, ``eliminate`` and ``addmul``, which also makes each step of
+right division) or per twisted dot product sum c_i * sigma^(t_i)(x_i)
+(``dot``, for the divisor walk).  Up
 to 2^16 elements it works in the log domain over references to the tables,
 negation a shift by log(-1) = (order - 1)/2;
 above, it builds no table of the field and works on packed indices: a
@@ -69,10 +70,12 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-def _fp_trim(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
+def _trim(c):
+    """c without its trailing zeros, as a slice of the same type."""
+    n = len(c)
+    while n and c[n - 1] == 0:
+        n -= 1
+    return c[:n]
 
 
 # -- the defining polynomial: range guard and Rabin's irreducibility test --
@@ -118,10 +121,9 @@ def _fp_is_irreducible(p, modulus, mul):
 def _digit_add_table(p, k):
     """Addition table of F_p^k on packed indices, by digit recursion:
     T_k[a0 + p*a'][b0 + p*b'] = (a0 + b0) % p + p*T_{k-1}[a'][b'].  Entries
-    are shared int objects, taken from one list(range(p^k)).  k = 0 gives
-    [[0]] without the p x p digit sums."""
+    are shared int objects, taken from one list(range(p^k))."""
     table = [[0]]
-    rots = [[(a0 + b0) % p for b0 in range(p)] for a0 in range(p)] if k else []
+    rots = [[(a0 + b0) % p for b0 in range(p)] for a0 in range(p)]
     for level in range(1, k + 1):
         vals = list(range(p ** level))
         rows = []
@@ -134,16 +136,13 @@ def _digit_add_table(p, k):
 
 
 def _chunked_adder(p, d, table):
-    """Addition on packed indices of F_p^d, odd p: mod p in a prime field,
-    one lookup in the full digit-add table (p^d rows), two or three in the
-    table of width c = d // 2 (chunks of c digits, with one middle digit when
-    d is odd: a row's first p entries add single digits), and digit by
-    digit when table is None."""
+    """Addition on packed indices of F_p^d, odd p: one lookup in the full
+    digit-add table (p^d rows), two or three in the table of width
+    c = d // 2 (chunks of c digits, with one middle digit when d is odd: a
+    row's first p entries add single digits), and digit by digit when table
+    is None, as in a prime field, where the one digit is (a + b) % p."""
     P = p ** (d // 2)
-    if d == 1:
-        def add(a, b):
-            return (a + b) % p
-    elif table is None:
+    if table is None:
         def add(a, b):
             out, unit = 0, 1
             while a or b:   # (a + b) % p is the low digit of the sum
@@ -202,7 +201,8 @@ def _slot_width(p, rem):
         for i, h in enumerate(high):
             for j, x in enumerate(rem):
                 sums[i + j] += h * x
-        widest = max(widest, *_fp_trim(sums))
+        sums = _trim(sums)
+        widest = max(widest, *sums)
     return widest.bit_length()
 
 
@@ -293,11 +293,8 @@ def _packed_inv(p, modulus):
     constant c, a^(-1) = g1 / c; if u reaches 0, gcd(a, modulus) = v is not
     constant and 0 is returned.  For p = 2 the polynomials are the packed
     ints and a step is two XORs; for odd p they are digit lists.  No field
-    product is made; a prime field inverts by a^(p - 2) mod p.
+    product is made.
     """
-    d = len(modulus) - 1
-    if d == 1:
-        return lambda a: pow(a, p - 2, p)
     if p == 2:
         m = sum(bit << j for j, bit in enumerate(modulus))
 
@@ -322,11 +319,11 @@ def _packed_inv(p, modulus):
             if j < 0:
                 u, v, g1, g2, j = v, u, g2, g1, -j
             c = u[-1] * pow(v[-1], p - 2, p) % p
-            u = _fp_trim(u[:j] + [(x - c * y) % p for x, y in zip(u[j:], v)])
+            u = _trim(u[:j] + [(x - c * y) % p for x, y in zip(u[j:], v)])
             g1 += [0] * (len(g2) + j - len(g1))
             for i, y in enumerate(g2, j):
                 g1[i] = (g1[i] - c * y) % p
-            _fp_trim(g1)
+            g1 = _trim(g1)
         if not u:
             return 0
         c = pow(u[0], p - 2, p)
@@ -711,7 +708,7 @@ class FieldSpec:
         big = self.order > _TABLE_LIMIT
         if p == 2:
             add = xor
-        else:   # above 2^16 elements no table: digit by digit
+        else:   # a prime field or above 2^16 elements: no table, digit by digit
             if d > 1 and not big:
                 width = d if self.order <= _ADD_TABLE_LIMIT else d // 2
                 self._add_table = _digit_add_table(p, width)
@@ -947,6 +944,8 @@ def norm_exponent(q, i):
 
 def norm(aut, i, a):
     """The i-th norm N_i(a) = prod_{j<i} sigma^j(a), by the recurrence."""
+    if i < 0:
+        raise ValueError("i must be nonnegative")
     field = aut.field
     a = field.element(a).i
     acc = 1

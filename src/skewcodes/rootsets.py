@@ -154,13 +154,14 @@ def _reduced_norm_ci(ring, ci):
     """chi_f(y), the characteristic polynomial of right multiplication by
     the central y = x^m on R/Rf, ascending; its coefficients lie in F_q.
 
-    Row i of the matrix is x^(i+m) mod_r f for the monic f: rows m and up
-    of the skew circulant of 1.  _class_kernels builds chi_f only when
-    deg f < q - 1, and _roots_i admits at most 2^20 elements, so
-    (m + n) * n <= 1024 * 1022 < 2^20 and the circulant's guard never fires.
+    Row i of the matrix is x^(m+i) mod_r f for the monic f of degree n: the
+    n rows of the skew circulant of x^m.  _class_kernels builds chi_f only
+    when n < q - 1, and _roots_i admits at most 2^20 elements, so with
+    m >= 2, q <= 2^10 and n^2 <= 1022^2 < 2^20: the circulant's guard never
+    fires.
     """
-    f, m = _monic_ci(ring, ci), ring.m
-    return charpoly_i(_circulant_rows_i(ring, f, (1,), m + len(f) - 1)[m:], ring.field)
+    f = _monic_ci(ring, ci)
+    return charpoly_i(_circulant_rows_i(ring, f, (0,) * ring.m + (1,), len(f) - 1), ring.field)
 
 
 def _line_points(field, basis, e):

@@ -22,7 +22,7 @@ from collections import namedtuple
 from math import gcd, inf
 
 from .errors import FieldMismatchError, _cancellable, _guard
-from .fields import FieldElement, FrobeniusAut, _power, norm_exponent
+from .fields import FieldElement, FrobeniusAut, _power, _trim, norm_exponent
 from .linalg import wrap
 
 NEG_INF = -inf
@@ -63,14 +63,6 @@ class SkewRing:
 
     def sigma(self, a, j=1):
         return self.aut.apply(a, j)
-
-    def sigma_i(self, a, j=1):
-        """sigma^j on a packed index."""
-        return self.field.frob_i(a, (self.e * j) % self.field.degree)
-
-    def in_fixed_field(self, a):
-        a = self.field.element(a)
-        return self.sigma_i(a.i) == a.i
 
     def __eq__(self, other):
         return (
@@ -161,13 +153,6 @@ _Mirror = namedtuple("_Mirror", "field e")
 # is trimmed.
 
 
-def _trim(ci):
-    n = len(ci)
-    while n and ci[n - 1] == 0:
-        n -= 1
-    return ci[:n]
-
-
 def _mul_ci(ring, a, b):
     if not a or not b:
         return ()
@@ -195,8 +180,6 @@ def _right_divmod_ci(ring, f, g):
     """(s, r) with f = s*g + r and deg r < deg g."""
     if not g:
         raise ZeroDivisionError("division by the zero polynomial")
-    if len(f) < len(g):
-        return (), tuple(f)
     field = ring.field
     kern, d, e = field.kernel(), field.degree, ring.e
     dg = len(g) - 1
@@ -688,7 +671,7 @@ def product_eval_check(f, g, a):
     if ga == 0:
         value = 0
     else:
-        conj = field.mul_i(field.mul_i(ring.sigma_i(ga), a.i), field.inv_i(ga))
+        conj = field.mul_i(field.mul_i(ring.aut.apply_i(ga), a.i), field.inv_i(ga))
         value = field.mul_i(_eval_ci(ring, f._ci, conj), ga)
     direct = _eval_ci(ring, _mul_ci(ring, f._ci, g._ci), a.i)
     if value != direct:
@@ -775,8 +758,6 @@ def is_irreducible_bruteforce(f, cancel=None):
     n = f.degree
     if f.is_zero or n < 1:
         raise ValueError("irreducibility applies to polynomials of degree >= 1")
-    if n == 1:
-        return True
     ring = f.ring
     _guard("irreducibility enumeration cost {} exceeds 2^24", _IRREDUCIBLE_COST_GUARD,
            ring.field.order, [n // 2])

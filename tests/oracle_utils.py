@@ -715,7 +715,7 @@ def two_sided_by_center(f):
     for i in range(t, len(ci)):
         if ci[i]:
             ratio = field.mul_i(ci[i], inv0)
-            if (i - t) % ring.m or ring.sigma_i(ratio) != ratio:
+            if (i - t) % ring.m or ring.aut.apply_i(ratio) != ratio:
                 return False
     return True
 

@@ -61,6 +61,18 @@ def test_divisors_count_x15(capsys):
     assert machine_dict(out)["count_total"] == "8"
 
 
+@pytest.mark.parametrize("machine,line", [
+    (True, "count_nontrivial=0"),
+    (False, "0 nontrivial monic right divisors (1 including 1 and f)"),
+])
+def test_divisors_of_a_constant_count_no_nontrivial_divisor(capsys, machine, line):
+    """f = 1 has the one divisor 1, at degree 0 = n, counted out once."""
+    code, out, _ = run_cli(capsys, "divisors", "--preset", "F4", "--poly", "1",
+                           *(["--machine"] if machine else []))
+    assert code == EXIT_OK
+    assert line in out.splitlines()
+
+
 def test_code_report_golden(capsys):
     code, out, _ = run_cli(
         capsys, "code", "--preset", "F8", "--e", "1",

@@ -911,6 +911,15 @@ def test_divisor_counts_consistency_small(R4, F4):
     assert count_divisors(res, 6, nontrivial=True) == 33
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_nontrivial_count_drops_degrees_0_and_n_once_each(R4, F4, n):
+    """A constant f has the one divisor 1 at degree 0 = n, and a linear f
+    has 1 and f: neither has a nontrivial divisor."""
+    res = enumerate_right_divisors(R4.x_pow_minus(n, F4.zero))   # 1, then x
+    assert count_divisors(res) == n + 1
+    assert count_divisors(res, n, nontrivial=True) == 0
+
+
 def test_divisor_count_x14_verified_value(R4, F4):
     """x^14 + 1: every divisor re-verified; the count matches the central
     factorization into matrix rings.

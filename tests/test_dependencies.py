@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from collections import Counter
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "skewcodes"
 
@@ -163,7 +164,7 @@ def test_tables_are_built_only_by_make_kernel():
 
 
 SKEW_SHIFT = {"_shift_ci", "_circulant_rows_i"}
-SIGMA_CALLS = {"frobenius", "sigma_i", "frob_i"}
+SIGMA_CALLS = {"frobenius", "apply_i", "frob_i"}
 SHIFT_USERS = {"rootsets.py": "_reduced_norm_ci", "codes.py": "constacyclic_shift",
                "linearized.py": "dickson_matrix", "skewpoly.py": "companion_matrix"}
 
@@ -240,6 +241,22 @@ def test_no_guard_refuses_whatever_the_cost():
         return isinstance(limit, ast.Constant) and limit.value == 0
 
     assert _modules_where(zero_limit) == []
+
+
+def test_every_guard_has_a_boundary_case():
+    """Each _guard call site in src/, listed as module.function (a method as
+    module.Class.method), has one entry per call in the boundary tables of
+    tests/test_errors.py, and no entry names a site without a call."""
+    from test_errors import GUARD_BOUNDARIES, SEARCH_GUARDS
+
+    sites, calls = Counter(), 0
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls += sum(map(_calls("_guard"), ast.walk(tree)))
+        for name, fn in _functions(tree):
+            sites[f"{path.stem}.{name}"] += sum(map(_calls("_guard"), ast.walk(fn)))
+    assert sum(sites.values()) == calls   # no call outside a function or method
+    assert +sites == Counter(case.values[0] for case in SEARCH_GUARDS + GUARD_BOUNDARIES)
 
 
 def test_star_import_binds_no_submodule():

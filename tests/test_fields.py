@@ -399,6 +399,15 @@ def test_norm_trivia(F4, aut4):
         assert norm(aut4, 0, a) == F4.one
 
 
+@pytest.mark.parametrize("fn", [norm, norm_via_exponent])
+def test_norm_refuses_a_negative_index(F16, fn):
+    """The recurrence refuses i < 0 as the closed form does, instead of
+    returning the empty product 1."""
+    for i in (-1, -5):
+        with pytest.raises(ValueError, match="^i must be nonnegative$"):
+            fn(FrobeniusAut(F16, 1), i, F16.gen)
+
+
 def test_full_norm_is_product_of_conjugates(F64):
     aut = FrobeniusAut(F64, 1)
     m = aut.order

@@ -122,7 +122,7 @@ def test_apply_against_naive_powers(name):
 
 def test_induced_map_is_linear_over_fixed_field(R9, F9):
     rng = random.Random(7)
-    fixed = [a for a in F9.elements() if R9.in_fixed_field(a)]
+    fixed = [a for a in F9.elements() if R9.aut.fixes(a)]
     for _ in range(20):
         L = LinearizedPoly(R9, [rng.randrange(9) for _ in range(3)])
         for a in F9.elements():
@@ -162,7 +162,7 @@ def _fq_matrix_of_map(ring, basis, L):
     """Column-convention matrix over F_q of the induced map in the basis."""
     field = ring.field
     q = ring.q
-    fixed = [a for a in field.elements() if ring.in_fixed_field(a)]
+    fixed = [a for a in field.elements() if ring.aut.fixes(a)]
     n = len(basis)
     cols = []
     for b in basis:
