@@ -12,7 +12,6 @@ the base field (``rootsets._subfield_minimal_polynomial``).
 
 from __future__ import annotations
 
-import itertools
 from collections import namedtuple
 from math import comb, gcd
 
@@ -44,9 +43,13 @@ def min_distance_exact(code, strategy="auto", cancel=None):
 
     Accepts any object with ``field`` and ``generator_matrix`` (full rank).
     Two search routes are implemented and must agree where both run: the
-    smallest number of linearly dependent parity-check columns, and direct
-    enumeration of all messages.  ``strategy`` picks "columns", "messages",
-    or "auto" (cheaper estimated count).
+    smallest number of linearly dependent parity-check columns, found by a
+    depth-first walk of column subsets that carries the reduced parity
+    check of each prefix (``_distance_by_columns``), and the least weight
+    over one message per projective point (``_distance_by_messages``).
+    ``strategy`` picks "columns", "messages", or "auto", the route with the
+    smaller cost formula: N^k messages against the sum over w <= n - k + 1
+    of C(n, w) column subsets.
     """
     field = code.field
     rows = _generator_rows_i(code)
@@ -70,10 +73,13 @@ def min_distance_exact(code, strategy="auto", cancel=None):
 
 
 def _distance_by_messages(rows, field, n, cancel=None):
+    """Least weight of u * G over the messages u whose last nonzero
+    coordinate is 1: every nonzero codeword is a scalar multiple of one of
+    them, and scaling keeps the weight."""
     best = n + 1
-    for word in _codewords(field, rows, n, cancel):
+    for word in _codewords(field, rows, n, cancel, projective=True):
         w = sum(1 for c in word if c)
-        if w and w < best:   # w = 0 only for the zero message
+        if w < best:
             best = w
             if best == 1:
                 return 1
@@ -81,15 +87,49 @@ def _distance_by_messages(rows, field, n, cancel=None):
 
 
 def _distance_by_columns(rows, field, n, k, cancel=None):
-    """Smallest w such that some w columns of the parity check are dependent."""
+    """Smallest w such that some w columns of the parity check H are
+    dependent, by iterative deepening over w = 1, 2, ... of a depth-first
+    walk of column subsets in lexicographic order.
+
+    A node is a prefix of s columns with H (r = n - k rows) reduced so that
+    those columns are the unit vectors e_0, ..., e_(s-1): adding column c
+    swaps a row of s..r-1 holding a nonzero of c into row s and makes one
+    ``eliminate(m, s, c)`` on a copy.  A column j is in the span of the
+    prefix exactly when it is zero in the free rows s..r-1.  Levels below w
+    found no dependent set, so every prefix at level w is independent (the
+    column added to it has a nonzero free row), and a dependent w-set is
+    reached as its w - 1 smallest columns (a prefix) and its largest column
+    j (a leaf), with no kernel call.  Level w makes C(n - w + j, j)
+    eliminations at each prefix size j = 1..w-1 and at most C(n, w)
+    zero-tests at its leaves.  With no free rows every column is dependent,
+    so the search ends by w = r + 1 (the Singleton bound).  Each node checks
+    ``cancel`` before each of its columns.
+    """
+    kern = field.kernel()
     parity = right_kernel_i(rows, field, ncols=n)   # rows of H
-    cols = list(zip(*parity)) if parity else [()] * n
-    for w in range(1, n + 1):
-        for subset in _cancellable(itertools.combinations(range(n), w), cancel, "distance"):
-            sub = [list(cols[j]) for j in subset]
-            if rank_i(sub, field) < w:
-                return w
-    raise ArithmeticError("unreachable: the full column set is always dependent")
+    r = n - k
+
+    def closes(m, s, last, w):
+        """Whether some dependent w-set extends the prefix of s columns,
+        the largest of them last; the next column stops where the w - s - 1
+        columns still to come fit after it."""
+        cols = _cancellable(range(last + 1, n - w + s + 1), cancel, "distance")
+        if s == w - 1:
+            free = m[s:]
+            return any(not any(row[c] for row in free) for c in cols)
+        for c in cols:   # the prefix and c are independent: c has a nonzero free row
+            pivot = next(i for i in range(s, r) if m[i][c])
+            sub = [list(row) for row in m]
+            sub[s], sub[pivot] = sub[pivot], sub[s]
+            kern.eliminate(sub, s, c)
+            if closes(sub, s + 1, c, w):
+                return True
+        return False
+
+    for w in range(1, r + 2):
+        if closes(parity, 0, -1, w):
+            return w
+    raise ArithmeticError("unreachable: any n - k + 1 parity-check columns are dependent")
 
 
 def is_mds(code):

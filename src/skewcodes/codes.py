@@ -78,11 +78,19 @@ def _as_modulus(f):
     return f if isinstance(f, Modulus) else Modulus(f)
 
 
-def _codewords(field, rows, n, cancel=None):
-    """Yield the word u * G for each message u, in lexicographic order."""
+def _codewords(field, rows, n, cancel=None, projective=False):
+    """Yield the word u * G for each message u, in lexicographic order.
+    With projective, only for the (N^k - 1)/(N - 1) messages whose last
+    nonzero coordinate is 1, by that coordinate's position, then
+    lexicographically."""
     kern = field.kernel()
     pairs = [[(j, c) for j, c in enumerate(row) if c] for row in rows]
-    messages = itertools.product(range(field.order), repeat=len(rows))
+    k, digits = len(rows), range(field.order)
+    if projective:
+        messages = (head + (1,) + (0,) * (k - t - 1)
+                    for t in range(k) for head in itertools.product(digits, repeat=t))
+    else:
+        messages = itertools.product(digits, repeat=k)
     for msg in _cancellable(messages, cancel, "distance"):
         word = [0] * n
         for u, row in zip(msg, pairs):

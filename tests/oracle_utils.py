@@ -57,6 +57,11 @@ with g over the fixed field, scanning the coefficients, and
 call per candidate: the two routes ``skewpoly.is_two_sided`` and
 ``skewpoly.similar_bruteforce`` had before both tested ideal membership.
 
+``distance_by_column_ranks`` is the column route of the distance oracle
+as it was before the depth-first subset walk: one rank of the chosen
+parity-check columns per subset, for w = 1, 2, ... in lexicographic order,
+kept verbatim as the reference for ``bch._distance_by_columns``.
+
 ``parse_poly`` is the polynomial parser as it was before the text grammar
 was read by ``parse_element`` alone: a regular expression for the whole
 term (``_TERM_RE``) after a depth-tracking sign splitter (``_split_terms``),
@@ -84,6 +89,7 @@ from skewcodes.linalg import (
     is_zero_matrix_i,
     mat_mul_i,
     rank_i,
+    right_kernel_i,
     rref_i,
     unwrap,
     wrap,
@@ -698,6 +704,21 @@ def monic_right_divisors_by_division(ring, f, degree, cancel=None, what="divisor
         s, r = _right_divmod_ci(ring, f, g)
         if not r:
             yield g, s
+
+
+# -- the column route of the distance oracle before the subset walk ---------------
+
+
+def distance_by_column_ranks(rows, field, n, k, cancel=None):
+    """Smallest w such that some w columns of the parity check are dependent."""
+    parity = right_kernel_i(rows, field, ncols=n)   # rows of H
+    cols = list(zip(*parity)) if parity else [()] * n
+    for w in range(1, n + 1):
+        for subset in _cancellable(itertools.combinations(range(n), w), cancel, "distance"):
+            sub = [list(cols[j]) for j in subset]
+            if rank_i(sub, field) < w:
+                return w
+    raise ArithmeticError("unreachable: the full column set is always dependent")
 
 
 # -- two-sidedness and similarity before the ideal-membership tests --------------

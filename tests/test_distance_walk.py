@@ -1,0 +1,254 @@
+"""The subset walk behind the column route of the distance oracle.
+
+bch._distance_by_columns is checked against the rank loop it replaced
+(oracle_utils.distance_by_column_ranks: one rank per column subset), and
+against the message route where N^k <= 2^13, on every code family the
+benchmark's ``codes`` workload times, on seeded random generators over
+table and polynomial kernels, and on the edge cases r = 0, a zero column,
+two proportional columns and r = 1.  Its eliminations are counted against
+the node formula of its docstring, its cancellation checks are counted and
+stopped at every one of them, and the message route is counted at one
+message per projective point.
+"""
+
+import random
+import types
+from math import comb
+
+import pytest
+
+from skewcodes.bch import (
+    Bch1Spec,
+    Bch2Spec,
+    _generator_rows_i,
+    bch1_code,
+    bch2_code,
+    min_distance_exact,
+    skew_rs1,
+)
+from skewcodes.codes import Modulus, SkewCyclicCode, enumerate_right_divisors
+from skewcodes.errors import ConditionViolatedError, SearchCancelledError
+from skewcodes.fields import get_field
+from skewcodes.linalg import rank_i
+from skewcodes.skewpoly import SkewRing
+from oracle_utils import distance_by_column_ranks
+
+MESSAGE_BUDGET = 1 << 13   # largest N^k also checked by the message route
+BCH_DESIGNS = ((2, 0), (3, 0), (4, 0), (2, 1), (3, 1))
+RS_DELTAS = {6: (2, 3, 4, 5), 12: (3, 4, 5, 6)}   # length -> delta
+# field -> (modulus degree n, generator degree): the divisor pools
+POOLS = {"F4": (12, 6), "F8": (7, 3), "F9": (6, 3)}
+
+
+def _code(field, rows):
+    return types.SimpleNamespace(field=field, _gen_rows_i=rows)
+
+
+def _assert_routes_agree(code):
+    """The walk against the rank loop, and against the message route when
+    it costs at most MESSAGE_BUDGET; returns the distance."""
+    field, rows = code.field, _generator_rows_i(code)
+    k, n = len(rows), len(rows[0])
+    d = min_distance_exact(code, strategy="columns")
+    assert d == distance_by_column_ranks(rows, field, n, k), (field, rows)
+    if field.order ** k <= MESSAGE_BUDGET:
+        assert min_distance_exact(code, strategy="messages") == d, (field, rows)
+    return d
+
+
+def _bch1_specs(R64, tower, rng):
+    """One admissible first-kind spec of length 12 per design, alpha and
+    the offsets drawn until the bracket condition holds."""
+    F4096 = tower.target
+    for delta, nu in BCH_DESIGNS:
+        while True:
+            spec = Bch1Spec(base_ring=R64, emb=tower, alpha=F4096.gen ** rng.randrange(1, 4095),
+                            b=rng.randrange(64), t1=rng.randrange(1, 64), t2=rng.randrange(1, 64),
+                            delta=delta, nu=nu, n=12)
+            try:
+                spec.validate()
+            except ConditionViolatedError:
+                continue
+            yield spec
+            break
+
+
+def test_bch1_codes_agree(R64, tower):
+    rng = random.Random(1)
+    for spec in _bch1_specs(R64, tower, rng):
+        code, designed = bch1_code(spec)
+        assert _assert_routes_agree(code) >= designed
+
+
+def test_bch2_codes_agree(R64, tower):
+    F4096 = tower.target
+    for delta, nu in BCH_DESIGNS:
+        spec = Bch2Spec(base_ring=R64, emb=tower, alpha=F4096.gen ** 5,
+                        b=0, t1=23, t2=1, delta=delta, nu=nu)
+        code, designed = bch2_code(spec)
+        assert _assert_routes_agree(code) >= designed
+
+
+@pytest.mark.parametrize("n", sorted(RS_DELTAS))
+def test_skew_rs_codes_agree(n):
+    ring = SkewRing(get_field("F2_6" if n == 6 else "F2_12"), 1)
+    F = ring.field
+    rng = random.Random(n)
+    for delta in RS_DELTAS[n]:
+        while True:
+            try:
+                code = skew_rs1(ring, F.gen ** rng.randrange(1, F.order - 1),
+                                rng.randrange(F.order - 1), delta, n)
+            except ConditionViolatedError:
+                continue
+            break
+        assert _assert_routes_agree(code) == delta
+
+
+@pytest.mark.parametrize("name", sorted(POOLS))
+def test_divisor_pool_codes_agree(name):
+    """Every divisor of the pool degree of x^n - 1, at every sigma exponent."""
+    F = get_field(name)
+    n, degree = POOLS[name]
+    for e in (e for e in range(1, F.degree + 1) if F.degree % e == 0):
+        f = SkewRing(F, e).x_pow_minus(n, F.one)
+        for g in enumerate_right_divisors(f, degrees=(degree,))[degree]:
+            _assert_routes_agree(SkewCyclicCode(Modulus(f), g))
+
+
+@pytest.mark.parametrize("name", ["F2", "F4", "F9", "F27", "F2_17"])
+def test_random_generators_agree(name, field_named):
+    """Seeded full-rank generators, a third of their entries zero so that
+    the distances spread below the Singleton bound; F_2^17 runs the
+    polynomial kernel's eliminate."""
+    F = field_named(name)
+    rng = random.Random(name)
+    seen = set()
+    for _ in range(40):
+        n = rng.randrange(2, 10)
+        k = rng.randrange(1, n + 1)
+        rows = [[rng.randrange(1, F.order) if rng.random() < 0.67 else 0 for _ in range(n)]
+                for _ in range(k)]
+        if rank_i(rows, F) == k:
+            seen.add(_assert_routes_agree(_code(F, rows)))
+    assert len(seen) >= 3
+
+
+def test_edge_cases(F4, F9):
+    a, b = 2, 3   # the elements of F4 other than 0 and 1
+    cases = [
+        (F4, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], 1),           # k = n: no parity row
+        (F4, [[1, a, b, 0], [0, 1, 1, 0], [0, 0, 0, 1]], 1),  # e_3 a codeword: H column 3 is zero
+        (F4, [[1, 1, 1, 0], [0, 1, a, 0]], 2),                # G column 3 zero
+        (F4, [[1, a, 0, 0], [0, 0, 1, 1]], 2),                # H columns 0, 1 proportional
+        (F9, [[1, 0, 0, 4], [0, 1, 0, 5], [0, 0, 1, 7]], 2),  # r = 1, H with no zero
+        (F9, [[1, 0, 0, 4], [0, 1, 0, 0], [0, 0, 1, 7]], 1),  # r = 1, H with a zero
+        (F9, [[1, 1, 1, 1, 1]], 5),                           # k = 1: d = r + 1 = n
+    ]
+    for F, rows, d in cases:
+        assert rank_i(rows, F) == len(rows)
+        assert _assert_routes_agree(_code(F, rows)) == d, rows
+
+
+# -- the work, counted -------------------------------------------------------------
+
+
+def _level_nodes(n, w):
+    """Eliminations of a whole level w: C(n - w + j, j) at each prefix size
+    j = 1..w-1."""
+    return sum(comb(n - w + j, j) for j in range(1, w))
+
+
+def _count_eliminations(monkeypatch, code):
+    """(distance, eliminate calls) of the column route on code."""
+    kern = code.field.kernel()
+    calls = []
+    real = kern.eliminate
+
+    def counted(m, r, col):
+        calls.append(col)
+        return real(m, r, col)
+
+    monkeypatch.setattr(kern, "eliminate", counted)
+    d = min_distance_exact(code, strategy="columns")
+    monkeypatch.undo()
+    return d, len(calls)
+
+
+@pytest.mark.parametrize("field,n,delta", [("F2_6", 6, 4), ("F2_12", 12, 5)])
+def test_eliminations_on_mds_codes(monkeypatch, field, n, delta):
+    """Every level below d = r + 1 in full, then the first prefix of r
+    columns, whose first leaf closes a dependent set; the full-rank check
+    and right_kernel_i add one elimination per generator row each."""
+    ring = SkewRing(get_field(field), 1)
+    code = skew_rs1(ring, ring.field.gen, 0, delta, n)
+    k, r = code.k, n - code.k
+    d, calls = _count_eliminations(monkeypatch, code)
+    assert d == r + 1 == delta
+    walk = sum(_level_nodes(n, w) for w in range(2, d)) + r
+    assert calls == walk + 2 * k
+    if n == 6:
+        assert (walk, calls) == (22, 28)
+
+
+def test_eliminations_bound_on_a_bch1_code(monkeypatch, R64, tower):
+    """Below d the levels run in full; level d makes at least the d - 1 of
+    its first prefix and at most its whole count."""
+    codes = (bch1_code(spec)[0] for spec in _bch1_specs(R64, tower, random.Random(1)))
+    code = next(c for c in codes if min_distance_exact(c) < c.n - c.k + 1)   # not MDS
+    n, k = code.n, code.k
+    d, calls = _count_eliminations(monkeypatch, code)
+    below = sum(_level_nodes(n, w) for w in range(2, d))
+    assert below + d - 1 <= calls - 2 * k <= below + _level_nodes(n, d)
+
+
+class _CountingToken:
+    """A cancellation token that sets after ``after`` checks (never when
+    None) and counts the checks."""
+
+    def __init__(self, after=None):
+        self.after, self.asked = after, 0
+
+    def is_set(self):
+        self.asked += 1
+        return self.after is not None and self.asked > self.after
+
+
+@pytest.fixture(scope="module")
+def f8_code(R8, F8):
+    """A [7, 3] code over F8 of distance 4."""
+    a = F8.gen
+    return SkewCyclicCode(Modulus(R8.x_pow_minus(7, a)), R8.poly([a, 0, a ** 5, a, 1]))
+
+
+def test_column_checks_are_the_walk_nodes(f8_code):
+    """One check per column tried at each node: C(n - w + j, j) prefix
+    columns at each size j and the C(n, w) leaves of every level below d,
+    then part of level d."""
+    token = _CountingToken()
+    assert min_distance_exact(f8_code, strategy="columns", cancel=token) == 4
+    n = 7
+    below = sum(_level_nodes(n, w) + comb(n, w) for w in range(1, 4))
+    assert below < token.asked <= below + _level_nodes(n, 4) + comb(n, 4)
+
+
+def test_messages_visit_one_per_projective_point(f8_code):
+    token = _CountingToken()
+    assert min_distance_exact(f8_code, strategy="messages", cancel=token) == 4
+    assert token.asked == (8 ** 3 - 1) // (8 - 1)
+    words = list(f8_code.words())
+    assert len(words) == len(set(words)) == 8 ** 3
+
+
+@pytest.mark.parametrize("strategy", ["columns", "messages"])
+def test_cancellation_at_every_check(f8_code, strategy):
+    """A token that sets after j checks stops the search for every j below
+    the count of a full search: at the first node, inside each level and
+    at the last one; a token that never sets returns the distance."""
+    total = _CountingToken()
+    assert min_distance_exact(f8_code, strategy=strategy, cancel=total) == 4
+    for after in range(total.asked):
+        with pytest.raises(SearchCancelledError, match="^distance search cancelled$"):
+            min_distance_exact(f8_code, strategy=strategy, cancel=_CountingToken(after))
+    assert min_distance_exact(f8_code, strategy=strategy, cancel=_CountingToken(total.asked)) == 4
+
