@@ -42,10 +42,11 @@ def min_distance_exact(code, strategy="auto", cancel=None):
     """Exact minimum Hamming distance of a linear code.
 
     Accepts any object with ``field`` and ``generator_matrix`` (full rank).
-    Two search routes are implemented and must agree where both run: the
-    smallest number of linearly dependent parity-check columns, found by a
-    depth-first walk of column subsets that carries the reduced parity
-    check of each prefix (``_distance_by_columns``), and the least weight
+    G is reduced once, to the rows of its parity check H, whose count
+    n - rank is the full-rank check.  Two search routes must agree where
+    both run: the smallest number of dependent columns of H, by a
+    depth-first walk of column subsets that carries the rows of H each
+    prefix leaves free (``_distance_by_columns``), and the least weight
     over one message per projective point (``_distance_by_messages``).
     ``strategy`` picks "columns", "messages", or "auto", the route with the
     smaller cost formula: N^k messages against the sum over w <= n - k + 1
@@ -58,7 +59,8 @@ def min_distance_exact(code, strategy="auto", cancel=None):
         raise ValueError("the zero code has no minimum distance")
     n = len(rows[0])
     _guard("distance oracle limited to n <= 24, got {}", _DISTANCE_LENGTH_GUARD, n)
-    if rank_i(rows, field) != k:
+    parity = right_kernel_i(rows, field)   # rows of H
+    if len(parity) != n - k:
         raise ValueError("generator matrix must have full rank")
     msg_cost = field.order ** k
     col_cost = sum(comb(n, w) for w in range(1, n - k + 2))
@@ -68,7 +70,7 @@ def min_distance_exact(code, strategy="auto", cancel=None):
         _guard("message enumeration cost {} exceeds 2^24", _MESSAGE_ROUTE_GUARD, msg_cost)
         return _distance_by_messages(rows, field, n, cancel)
     if strategy == "columns":   # n <= 24 caps its cost at 2^24 - 1 subsets
-        return _distance_by_columns(rows, field, n, k, cancel)
+        return _distance_by_columns(parity, field, n, cancel)
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
@@ -86,48 +88,44 @@ def _distance_by_messages(rows, field, n, cancel=None):
     return best
 
 
-def _distance_by_columns(rows, field, n, k, cancel=None):
-    """Smallest w such that some w columns of the parity check H are
-    dependent, by iterative deepening over w = 1, 2, ... of a depth-first
-    walk of column subsets in lexicographic order.
+def _distance_by_columns(parity, field, n, cancel=None):
+    """Smallest w such that some w columns of the parity check H (rows
+    ``parity``) are dependent, by iterative deepening over w = 1, 2, ... of
+    a depth-first walk of column subsets in lexicographic order.
 
-    A node is a prefix of s columns with H (r = n - k rows) reduced so that
-    those columns are the unit vectors e_0, ..., e_(s-1): adding column c
-    swaps a row of s..r-1 holding a nonzero of c into row s and makes one
-    ``eliminate(m, s, c)`` on a copy.  A column j is in the span of the
-    prefix exactly when it is zero in the free rows s..r-1.  Levels below w
-    found no dependent set, so every prefix at level w is independent (the
-    column added to it has a nonzero free row), and a dependent w-set is
-    reached as its w - 1 smallest columns (a prefix) and its largest column
-    j (a leaf), with no kernel call.  Level w makes C(n - w + j, j)
+    A prefix of s columns holds the r - s rows of H that it leaves free
+    (r = len(parity)): adding column c copies them with the first row
+    nonzero at c placed first, makes one ``eliminate(sub, 0, c)`` and hands
+    ``sub[1:]`` to the child.  A column j is in the span of the prefix
+    exactly when it is zero in the free rows.  Levels below w found no
+    dependent set, so every prefix at level w is independent (the column
+    added to it has a nonzero free row), and a dependent w-set is reached
+    as its w - 1 smallest columns (a prefix) and its largest column j (a
+    leaf), with no kernel call.  Level w makes C(n - w + j, j)
     eliminations at each prefix size j = 1..w-1 and at most C(n, w)
     zero-tests at its leaves.  With no free rows every column is dependent,
     so the search ends by w = r + 1 (the Singleton bound).  Each node checks
     ``cancel`` before each of its columns.
     """
     kern = field.kernel()
-    parity = right_kernel_i(rows, field, ncols=n)   # rows of H
-    r = n - k
 
-    def closes(m, s, last, w):
-        """Whether some dependent w-set extends the prefix of s columns,
-        the largest of them last; the next column stops where the w - s - 1
-        columns still to come fit after it."""
-        cols = _cancellable(range(last + 1, n - w + s + 1), cancel, "distance")
-        if s == w - 1:
-            free = m[s:]
+    def closes(free, last, left):
+        """Whether some dependent set extends the prefix by ``left`` more
+        columns, the prefix's largest column last; the next column stops
+        where the left - 1 columns still to come fit after it."""
+        cols = _cancellable(range(last + 1, n - left + 1), cancel, "distance")
+        if left == 1:
             return any(not any(row[c] for row in free) for c in cols)
         for c in cols:   # the prefix and c are independent: c has a nonzero free row
-            pivot = next(i for i in range(s, r) if m[i][c])
-            sub = [list(row) for row in m]
-            sub[s], sub[pivot] = sub[pivot], sub[s]
-            kern.eliminate(sub, s, c)
-            if closes(sub, s + 1, c, w):
+            pivot = next(i for i, row in enumerate(free) if row[c])
+            sub = [list(row) for row in (free[pivot], *free[:pivot], *free[pivot + 1:])]
+            kern.eliminate(sub, 0, c)
+            if closes(sub[1:], c, left - 1):
                 return True
         return False
 
-    for w in range(1, r + 2):
-        if closes(parity, 0, -1, w):
+    for w in range(1, len(parity) + 2):
+        if closes(parity, -1, w):
             return w
     raise ArithmeticError("unreachable: any n - k + 1 parity-check columns are dependent")
 

@@ -91,9 +91,17 @@ def _field(preset, config):
         except KeyError as exc:   # an unknown name is a usage error
             raise ParseError(exc.args[0]) from None
     if config:
-        with open(config, "r", encoding="utf-8") as fh:
-            return parse_field_config(fh.read())
+        return parse_field_config(_read_config(config))
     return None
+
+
+def _read_config(path):
+    """The text of a config file; bytes that are not UTF-8 are a ParseError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8: {exc.reason} at byte {exc.start}") from None
 
 
 def _ring(args):
@@ -208,8 +216,7 @@ def _build_code(args):
     if args.code_config:
         if args.f or args.g or args.preset or args.config:
             raise ParseError("--code-config replaces --preset/--config/--f/--g")
-        with open(args.code_config, "r", encoding="utf-8") as fh:
-            ring, f, g = parse_code_config(fh.read())
+        ring, f, g = parse_code_config(_read_config(args.code_config))
     else:
         if not (args.f and args.g):
             raise ParseError("--f and --g are required without --code-config")

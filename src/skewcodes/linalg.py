@@ -54,12 +54,10 @@ def matrix_rank(rows, field):
     return rank_i(unwrap(rows), field)
 
 
-def right_kernel_i(rows, field, ncols=None):
-    """Basis of {x : A x = 0} (column vectors, returned as rows)."""
-    if rows:
-        ncols = len(rows[0])
-    elif ncols is None:
-        raise ValueError("ncols needed for an empty matrix")
+def right_kernel_i(rows, field):
+    """Basis of {x : A x = 0} (column vectors, returned as rows) of a
+    nonempty int grid A: one vector per non-pivot column of its RREF."""
+    ncols = len(rows[0])
     red, pivots = rref_i(rows, field)
     free = [j for j in range(ncols) if j not in pivots]
     neg = field.neg_i

@@ -205,9 +205,11 @@ def skew_vandermonde(ring, n, points):
 
 
 def _vandermonde_i(ring, n, idx):
-    """skew_vandermonde on packed points: row i + 1 is row i times sigma^i(a_j)."""
+    """skew_vandermonde on packed points: row i + 1 is row i times sigma^i(a_j).
+    Refuses more than 2^20 entries."""
     if n < 1:
         raise ValueError("need at least one row")
+    _guard("Vandermonde matrix of {} entries exceeds 2^20", 1 << 20, n * len(idx))
     field = ring.field
     mul, frob = field.mul_i, field.kernel().frobenius
     rows = [[1] * len(idx)]

@@ -62,10 +62,11 @@ def parse_element(field, text):
             k = (10 * k + int(digit)) % (field.order - 1)
         return field.gen ** k
     if re.fullmatch(r"\d+(,\d+)*", text):
-        digits = [int(c) for c in text.split(",")]
-        if len(digits) > field.degree or any(c >= field.p for c in digits):
+        digits = text.split(",")   # longer than p in decimal: refused before int()
+        if len(digits) > field.degree or any(
+                len(c.lstrip("0")) > len(str(field.p)) or int(c) >= field.p for c in digits):
             raise ParseError(f"element tuple {text!r} out of range for {field.name}")
-        return field.from_coeffs(digits)
+        return field.from_coeffs([int(c) for c in digits])
     raise ParseError(f"cannot parse element {text!r}")
 
 

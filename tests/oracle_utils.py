@@ -711,7 +711,7 @@ def monic_right_divisors_by_division(ring, f, degree, cancel=None, what="divisor
 
 def distance_by_column_ranks(rows, field, n, k, cancel=None):
     """Smallest w such that some w columns of the parity check are dependent."""
-    parity = right_kernel_i(rows, field, ncols=n)   # rows of H
+    parity = right_kernel_i(rows, field)   # rows of H
     cols = list(zip(*parity)) if parity else [()] * n
     for w in range(1, n + 1):
         for subset in _cancellable(itertools.combinations(range(n), w), cancel, "distance"):

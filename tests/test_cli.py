@@ -604,6 +604,16 @@ def test_composite_characteristic_above_2_32_exits_1(capsys, tmp_path):
     assert err == "error: characteristic 4294967297 is not prime\n"
 
 
+@pytest.mark.parametrize("flag", ["--config", "--code-config"])
+def test_config_file_not_utf8_is_a_parse_error(capsys, tmp_path, flag):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"p=2\xff\n")
+    code, out, err = run_cli(capsys, "distance" if flag == "--code-config" else "field-info",
+                             flag, str(cfg))
+    assert code == EXIT_PARSE and out == ""
+    assert err == f"parse error: {cfg} is not UTF-8: invalid start byte at byte 3\n"
+
+
 def test_characteristic_zero_is_refused_before_reduction(capsys, tmp_path):
     # the characteristic is checked before any coefficient is reduced mod p
     cfg = tmp_path / "zero.cfg"
@@ -728,6 +738,12 @@ _HOSTILE_CALLS = [
     # a composite p of 4,000 digits, named by its size
     (("field-info",), _field_config(_HUGE, (0, 1)), EXIT_DOMAIN,
      "error: characteristic at least 10^100 is not prime\n"),
+    # eval-code: n rows of n points, refused past 2^20 entries before any is built
+    (("eval-code", "--preset", "F16", "--points", ";".join(["a"] * 1025), "--k", "2"), None,
+     EXIT_GUARD, "guard exceeded: Vandermonde matrix of 1050625 entries exceeds 2^20\n"),
+    # a coefficient-tuple digit longer than p in decimal, refused before int() reads it
+    (("vanish", "--preset", "F4", "--poly", "(" + "1" * 5000 + ")*x+1"), None, EXIT_PARSE,
+     f"parse error: element tuple '{'1' * 5000}' out of range for F4\n"),
 ]
 
 

@@ -6,7 +6,8 @@ against the message route where N^k <= 2^13, on every code family the
 benchmark's ``codes`` workload times, on seeded random generators over
 table and polynomial kernels, and on the edge cases r = 0, a zero column,
 two proportional columns and r = 1.  Its eliminations are counted against
-the node formula of its docstring, its cancellation checks are counted and
+the node formula of its docstring, each with the r - s free rows of its
+prefix of s columns, its cancellation checks are counted and
 stopped at every one of them, and the message route is counted at one
 message per projective point.
 """
@@ -159,47 +160,78 @@ def _level_nodes(n, w):
     return sum(comb(n - w + j, j) for j in range(1, w))
 
 
-def _count_eliminations(monkeypatch, code):
-    """(distance, eliminate calls) of the column route on code."""
+def _eliminated_rows(monkeypatch, code):
+    """(distance, the row count of each eliminate call) of the column
+    route on code: first the k generator rows that right_kernel_i reduces,
+    then the walk's."""
     kern = code.field.kernel()
-    calls = []
+    counts = []
     real = kern.eliminate
 
     def counted(m, r, col):
-        calls.append(col)
+        counts.append(len(m))
         return real(m, r, col)
 
     monkeypatch.setattr(kern, "eliminate", counted)
     d = min_distance_exact(code, strategy="columns")
     monkeypatch.undo()
-    return d, len(calls)
+    return d, counts
+
+
+def _non_mds_bch1_code(R64, tower):
+    """The first seeded bch1 code whose distance is below n - k + 1."""
+    codes = (bch1_code(spec)[0] for spec in _bch1_specs(R64, tower, random.Random(1)))
+    return next(c for c in codes if min_distance_exact(c) < c.n - c.k + 1)
+
+
+def _prefix_sizes(n, w, s=0, last=-1):
+    """The prefix size s of each elimination of level w, in walk order."""
+    for c in range(last + 1, n - w + s + 1):
+        if s < w - 1:
+            yield s
+            yield from _prefix_sizes(n, w, s + 1, c)
 
 
 @pytest.mark.parametrize("field,n,delta", [("F2_6", 6, 4), ("F2_12", 12, 5)])
 def test_eliminations_on_mds_codes(monkeypatch, field, n, delta):
     """Every level below d = r + 1 in full, then the first prefix of r
-    columns, whose first leaf closes a dependent set; the full-rank check
-    and right_kernel_i add one elimination per generator row each."""
+    columns, whose first leaf closes a dependent set; right_kernel_i adds
+    one elimination per generator row."""
     ring = SkewRing(get_field(field), 1)
     code = skew_rs1(ring, ring.field.gen, 0, delta, n)
     k, r = code.k, n - code.k
-    d, calls = _count_eliminations(monkeypatch, code)
+    d, counts = _eliminated_rows(monkeypatch, code)
+    calls = len(counts)
     assert d == r + 1 == delta
     walk = sum(_level_nodes(n, w) for w in range(2, d)) + r
-    assert calls == walk + 2 * k
-    if n == 6:
-        assert (walk, calls) == (22, 28)
+    assert calls == walk + k
+    assert (walk, calls) == ((22, 25) if n == 6 else (299, 307))
 
 
 def test_eliminations_bound_on_a_bch1_code(monkeypatch, R64, tower):
     """Below d the levels run in full; level d makes at least the d - 1 of
     its first prefix and at most its whole count."""
-    codes = (bch1_code(spec)[0] for spec in _bch1_specs(R64, tower, random.Random(1)))
-    code = next(c for c in codes if min_distance_exact(c) < c.n - c.k + 1)   # not MDS
+    code = _non_mds_bch1_code(R64, tower)
     n, k = code.n, code.k
-    d, calls = _count_eliminations(monkeypatch, code)
+    d, counts = _eliminated_rows(monkeypatch, code)
     below = sum(_level_nodes(n, w) for w in range(2, d))
-    assert below + d - 1 <= calls - 2 * k <= below + _level_nodes(n, d)
+    assert below + d - 1 <= len(counts) - k <= below + _level_nodes(n, d)
+
+
+def test_walk_eliminations_carry_the_free_rows(monkeypatch, R64, tower, f8_code):
+    """Each walk elimination at prefix size s is handed exactly the r - s
+    free rows: the levels below d in full, then a start of level d's walk
+    order; right_kernel_i's eliminations before them see the k rows of G."""
+    F4096 = get_field("F2_12")
+    rs = skew_rs1(SkewRing(F4096, 1), F4096.gen, 0, 5, 12)
+    for code in (rs, _non_mds_bch1_code(R64, tower), f8_code):
+        n, k = code.n, code.k
+        d, counts = _eliminated_rows(monkeypatch, code)
+        assert counts[:k] == [k] * k
+        walk = [n - k - s for w in range(2, d) for s in _prefix_sizes(n, w)]
+        level_d = [n - k - s for s in _prefix_sizes(n, d)]
+        assert len(walk) < len(counts) - k <= len(walk) + len(level_d)
+        assert counts[k:] == walk + level_d[:len(counts) - k - len(walk)]
 
 
 class _CountingToken:

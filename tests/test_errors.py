@@ -22,7 +22,7 @@ from skewcodes.errors import (
     _guard,
 )
 from skewcodes.fields import FieldEmbedding, FieldSpec, get_field
-from skewcodes.rootsets import vanishing_set
+from skewcodes.rootsets import _vandermonde_i, vanishing_set
 from skewcodes.skewpoly import (
     SkewRing,
     _circulant_rows_i,
@@ -183,6 +183,10 @@ def _one_row_circulant(n):
     return _circulant_rows_i(R2, (1,) + (0,) * (n - 1) + (1,), (1,), 1)
 
 
+def _one_row_vandermonde(points):
+    return _vandermonde_i(SkewRing(get_field("F2"), 1), 1, [1] * points)
+
+
 def _root_of_x_minus_1(p, modulus):
     R = SkewRing(FieldSpec(p, modulus), 1)
     return vanishing_set(R.x_pow_minus(1, 1))
@@ -227,6 +231,8 @@ GUARD_BOUNDARIES = [
                  id="root_sweep"),
     pytest.param("skewpoly._circulant_rows_i", lambda: _one_row_circulant(1 << 20), None,
                  lambda: _one_row_circulant((1 << 20) + 1), (1 << 20) + 1, id="circulant"),
+    pytest.param("rootsets._vandermonde_i", lambda: _one_row_vandermonde(1 << 20), None,
+                 lambda: _one_row_vandermonde((1 << 20) + 1), (1 << 20) + 1, id="vandermonde"),
     pytest.param("textio.parse_poly", lambda: _parse("x^" + "1" * 100),
                  (GuardExceededError, "^x exponent 1{100} exceeds 2\\^16$"),
                  lambda: _parse("x^" + "1" * 101), 101, id="exponent_digits"),

@@ -61,13 +61,6 @@ def test_right_kernel_is_an_annihilated_basis(name, field_named):
             assert _is_zero(naive_mat_mul(rows, [[x] for x in v], F))
 
 
-def test_right_kernel_of_no_rows(field_named):
-    F = field_named("F9")
-    assert right_kernel_i([], F, ncols=3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    with pytest.raises(ValueError, match="ncols needed"):
-        right_kernel_i([], F)
-
-
 @pytest.mark.parametrize("name", FIELDS)
 def test_charpoly_against_cofactor_expansion(name, field_named):
     F = field_named(name)
