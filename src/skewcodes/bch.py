@@ -50,7 +50,9 @@ def min_distance_exact(code, strategy="auto", cancel=None):
     over one message per projective point (``_distance_by_messages``).
     ``strategy`` picks "columns", "messages", or "auto", the route with the
     smaller cost formula: N^k messages against the sum over w <= n - k + 1
-    of C(n, w) column subsets.
+    of C(n, w) column subsets.  A ``SkewCyclicCode`` with a constacyclic
+    modulus is closed under the skew shift, and its column walk starts each
+    level at column 0 only; ``auto`` still costs it by the full count.
     """
     field = code.field
     rows = _generator_rows_i(code)
@@ -70,7 +72,8 @@ def min_distance_exact(code, strategy="auto", cancel=None):
         _guard("message enumeration cost {} exceeds 2^24", _MESSAGE_ROUTE_GUARD, msg_cost)
         return _distance_by_messages(rows, field, n, cancel)
     if strategy == "columns":   # n <= 24 caps its cost at 2^24 - 1 subsets
-        return _distance_by_columns(parity, field, n, cancel)
+        shifted = isinstance(code, SkewCyclicCode) and code.modulus.is_constacyclic
+        return _distance_by_columns(parity, field, n, cancel, shifted)
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
@@ -88,7 +91,7 @@ def _distance_by_messages(rows, field, n, cancel=None):
     return best
 
 
-def _distance_by_columns(parity, field, n, cancel=None):
+def _distance_by_columns(parity, field, n, cancel=None, shifted=False):
     """Smallest w such that some w columns of the parity check H (rows
     ``parity``) are dependent, by iterative deepening over w = 1, 2, ... of
     a depth-first walk of column subsets in lexicographic order.
@@ -106,26 +109,36 @@ def _distance_by_columns(parity, field, n, cancel=None):
     zero-tests at its leaves.  With no free rows every column is dependent,
     so the search ends by w = r + 1 (the Singleton bound).  Each node checks
     ``cancel`` before each of its columns.
+
+    ``shifted`` says the code is closed under the skew shift, as a
+    skew-constacyclic code is: a left submodule of R/R(x^n - a) is mapped to
+    itself by left multiplication by x, which keeps the weight of a word and
+    rotates its support one place.  A lightest codeword then has a shift
+    whose support holds column 0, so each level starts at column 0 only.
+    Levels below w still found nothing, since a dependent prefix would give
+    a lighter codeword, one of whose shifts its own level would have found.
+    Level w then makes C(n - w + j - 1, j - 1) eliminations at each prefix
+    size j and at most C(n - 1, w - 1) leaf zero-tests.
     """
     kern = field.kernel()
 
-    def closes(free, last, left):
+    def closes(free, cols, left):
         """Whether some dependent set extends the prefix by ``left`` more
-        columns, the prefix's largest column last; the next column stops
-        where the left - 1 columns still to come fit after it."""
-        cols = _cancellable(range(last + 1, n - left + 1), cancel, "distance")
+        columns, the next one from ``cols``, which stop where the left - 1
+        columns still to come fit after them."""
+        cols = _cancellable(cols, cancel, "distance")
         if left == 1:
             return any(not any(row[c] for row in free) for c in cols)
         for c in cols:   # the prefix and c are independent: c has a nonzero free row
             pivot = next(i for i, row in enumerate(free) if row[c])
             sub = [list(row) for row in (free[pivot], *free[:pivot], *free[pivot + 1:])]
             kern.eliminate(sub, 0, c)
-            if closes(sub[1:], c, left - 1):
+            if closes(sub[1:], range(c + 1, n - left + 2), left - 1):
                 return True
         return False
 
     for w in range(1, len(parity) + 2):
-        if closes(parity, -1, w):
+        if closes(parity, range(1 if shifted else n - w + 1), w):
             return w
     raise ArithmeticError("unreachable: any n - k + 1 parity-check columns are dependent")
 

@@ -35,8 +35,19 @@ _EXPONENT_LIMIT = 1 << 16
 # (CPython's int() refuses decimal strings of more than 4,300 digits)
 _EXPONENT_DIGITS = 100
 
+# a longer token is quoted by this many leading characters and its length
+_QUOTE_LIMIT = 60
+
 _SIGN_RE = re.compile(r"([+-])")
 _X_RE = re.compile(r"x(?:\^(\d+))?")
+
+
+def _quote(token):
+    """The repr of a token for an error text; past _QUOTE_LIMIT characters,
+    the repr of its prefix and its length, so hostile input is not echoed."""
+    if len(token) <= _QUOTE_LIMIT:
+        return repr(token)
+    return f"{token[:_QUOTE_LIMIT]!r}... ({len(token)} characters)"
 
 
 def parse_element(field, text):
@@ -56,7 +67,7 @@ def parse_element(field, text):
         if text == "a":
             return field.gen
         if not re.fullmatch(r"a\^\d+", text):
-            raise ParseError(f"cannot parse element {text!r}")
+            raise ParseError(f"cannot parse element {_quote(text)}")
         k = 0   # a has order - 1, so reduce while reading the digits
         for digit in text[2:]:
             k = (10 * k + int(digit)) % (field.order - 1)
@@ -65,9 +76,9 @@ def parse_element(field, text):
         digits = text.split(",")   # longer than p in decimal: refused before int()
         if len(digits) > field.degree or any(
                 len(c.lstrip("0")) > len(str(field.p)) or int(c) >= field.p for c in digits):
-            raise ParseError(f"element tuple {text!r} out of range for {field.name}")
+            raise ParseError(f"element tuple {_quote(text)} out of range for {field.name}")
         return field.from_coeffs([int(c) for c in digits])
-    raise ParseError(f"cannot parse element {text!r}")
+    raise ParseError(f"cannot parse element {_quote(text)}")
 
 
 def format_element(a, style="auto"):
@@ -89,7 +100,7 @@ def parse_poly(ring, text):
         raise ParseError("unbalanced parentheses")
     parts = _SIGN_RE.split(stripped)   # term, sign, term, ..., sign, term
     if "" in parts[2::2]:   # only the first term may be empty, before a sign
-        raise ParseError(f"empty term in {stripped!r}")
+        raise ParseError(f"empty term in {_quote(stripped)}")
     field = ring.field
     coeffs = {}
     for sign, term in zip(["+"] + parts[1::2], parts[::2]):
@@ -102,7 +113,7 @@ def parse_poly(ring, text):
         if (x and not power) or not (
                 coeff in ("0", "1") or coeff[:1] == "a"
                 or coeff[:1] == "(" and coeff[1:2] != "a" or x and not head):
-            raise ParseError(f"cannot parse term {term!r}")
+            raise ParseError(f"cannot parse term {_quote(term)}")
         c = parse_element(field, coeff) if coeff else field.one
         exp = 0
         if x:
@@ -150,7 +161,7 @@ def _parse_kv(text):
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ParseError(f"line {lineno}: expected key=value, got {raw!r}")
+            raise ParseError(f"line {lineno}: expected key=value, got {_quote(raw)}")
         key, value = line.split("=", 1)
         out[key.strip()] = value.strip()
     return out

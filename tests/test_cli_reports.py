@@ -3,10 +3,11 @@
 reproduce the recorded stdout, stderr and exit status byte for byte.
 
 The cases cover each subcommand, the divisor report with --degree and with
---count-only, a code of dimension 0, both distance strategies, both BCH
-kinds with --verify-distance, a vanishing set with and without roots, field
-and code config files (a config e of 0 included), and the usage errors of
-the field and code flags.  Config paths are written as ``{dir}``, the
+--count-only, a code of dimension 0, both distance strategies, the column
+route on a modulus that is not constacyclic, both BCH kinds with
+--verify-distance, a vanishing set with and without roots, field and code
+config files (a config e of 0 included), and the usage errors of the field
+and code flags.  Config paths are written as ``{dir}``, the
 directory the module's config files are written to.  To record the file
 again from the current sources:
 
@@ -60,6 +61,9 @@ CALLS = (
     ("distance", *F8_CODE, "--strategy", "columns"),
     ("distance", *F8_CODE, "--strategy", "messages"),
     ("distance", *ZERO_CODE),
+    # x^4 is not constacyclic: the weight-1 words e_2 and e_3 avoid column 0
+    ("distance", "--preset", "F4", "--e", "1", "--f", "x^4", "--g", "x^2",
+     "--strategy", "columns"),
     ("bch1", *TOWER, "--alpha", "a", "--n", "12", "--verify-distance"),
     ("bch1", *TOWER, "--alpha", "a", "--n", "12"),
     ("bch1", *F4_IN_F16, "--alpha", "a", "--n", "3", "--verify-distance"),

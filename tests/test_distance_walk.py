@@ -9,7 +9,10 @@ two proportional columns and r = 1.  Its eliminations are counted against
 the node formula of its docstring, each with the r - s free rows of its
 prefix of s columns, its cancellation checks are counted and
 stopped at every one of them, and the message route is counted at one
-message per projective point.
+message per projective point.  Skew-constacyclic codes, x^n - a with
+a != 1 and their duals included, take the shifted walk from column 0;
+each count is checked on it and on the full walk of the same rows, and
+a modulus that is not constacyclic is checked to keep the full walk.
 """
 
 import random
@@ -27,7 +30,13 @@ from skewcodes.bch import (
     min_distance_exact,
     skew_rs1,
 )
-from skewcodes.codes import Modulus, SkewCyclicCode, enumerate_right_divisors
+from skewcodes.codes import (
+    Modulus,
+    SkewCyclicCode,
+    constacyclic_shift,
+    dual_code,
+    enumerate_right_divisors,
+)
 from skewcodes.errors import ConditionViolatedError, SearchCancelledError
 from skewcodes.fields import get_field
 from skewcodes.linalg import rank_i
@@ -39,6 +48,8 @@ BCH_DESIGNS = ((2, 0), (3, 0), (4, 0), (2, 1), (3, 1))
 RS_DELTAS = {6: (2, 3, 4, 5), 12: (3, 4, 5, 6)}   # length -> delta
 # field -> (modulus degree n, generator degree): the divisor pools
 POOLS = {"F4": (12, 6), "F8": (7, 3), "F9": (6, 3)}
+# field -> modulus degree n of x^n - a, a != 0, 1: the shift wraps through a
+TWISTED_LENGTHS = {"F4": 8, "F8": 7, "F9": 6, "F16": 6}
 
 
 def _code(field, rows):
@@ -117,6 +128,51 @@ def test_divisor_pool_codes_agree(name):
             _assert_routes_agree(SkewCyclicCode(Modulus(f), g))
 
 
+@pytest.mark.parametrize("name", sorted(TWISTED_LENGTHS))
+def test_twisted_constacyclic_codes_and_duals_agree(name):
+    """Seeded divisors of x^n - a with a != 0, 1, at every sigma exponent,
+    each with its dual, whose modulus is x^n - a^(-1): the shifted walk
+    against the full walk, the rank loop and, where N^k <= 2^13, the message
+    route.  The shift wraps the last coordinate round as a sigma(c_{n-1}),
+    and each generator row's shift is checked to stay in the code."""
+    F = get_field(name)
+    n = TWISTED_LENGTHS[name]
+    rng = random.Random(name)
+    tried = 0
+    for e in (e for e in range(1, F.degree + 1) if F.degree % e == 0):
+        ring = SkewRing(F, e)
+        a = F.gen ** rng.randrange(1, F.order - 1)
+        f = ring.x_pow_minus(n, a)
+        found = enumerate_right_divisors(f, degrees=range(1, n))
+        gens = [g for degree in range(1, n) for g in found[degree]]
+        for g in rng.sample(gens, min(6, len(gens))):
+            primal = SkewCyclicCode(Modulus(f), g)
+            for code in (primal, dual_code(primal).code):
+                wrap = code.modulus.constacyclic_constant
+                assert wrap not in (F.zero, F.one)
+                for row in code.generator_matrix:
+                    assert code.contains(constacyclic_shift(ring, wrap, row))
+                d = _assert_routes_agree(code)
+                assert min_distance_exact(_full(code), strategy="columns") == d
+                tried += 1
+    assert tried >= 12
+
+
+def test_shift_only_where_it_holds(F4, R4):
+    """The shifted walk is taken only for a constacyclic modulus.  The code
+    of x^2 modulo x^4 holds the words e_2 and e_3 of weight 1, and none of
+    its words is nonzero at column 0, so a walk from column 0 would miss
+    them and answer 2; a duck-typed code with the word e_3 keeps the full
+    walk too."""
+    x = R4.one.times_x(1)
+    code = SkewCyclicCode(Modulus(x.times_x(3)), x.times_x(1))
+    assert not code.modulus.is_constacyclic
+    assert _assert_routes_agree(code) == 1
+    a, b = 2, 3   # the elements of F4 other than 0 and 1
+    e_3 = _code(F4, [[1, a, b, 0], [0, 1, 1, 0], [0, 0, 0, 1]])
+    assert min_distance_exact(e_3, strategy="columns") == 1
+
+
 @pytest.mark.parametrize("name", ["F2", "F4", "F9", "F27", "F2_17"])
 def test_random_generators_agree(name, field_named):
     """Seeded full-rank generators, a third of their entries zero so that
@@ -152,12 +208,28 @@ def test_edge_cases(F4, F9):
 
 
 # -- the work, counted -------------------------------------------------------------
+#
+# A skew-constacyclic code takes the shifted walk, whose levels start at
+# column 0 only; the same generator rows wrapped by _code, with no modulus,
+# take the full walk.  Each count is checked for both.
 
 
-def _level_nodes(n, w):
-    """Eliminations of a whole level w: C(n - w + j, j) at each prefix size
-    j = 1..w-1."""
+def _full(code):
+    """The rows of code behind an object with no modulus: the full walk."""
+    return _code(code.field, _generator_rows_i(code))
+
+
+def _level_nodes(n, w, shifted=False):
+    """Eliminations of a whole level w at each prefix size j = 1..w-1:
+    C(n - w + j, j), or C(n - w + j - 1, j - 1) with column 0 fixed."""
+    if shifted:
+        return sum(comb(n - w + j - 1, j - 1) for j in range(1, w))
     return sum(comb(n - w + j, j) for j in range(1, w))
+
+
+def _leaves(n, w, shifted=False):
+    """Leaf zero-tests of a whole level w: C(n, w), or C(n - 1, w - 1)."""
+    return comb(n - 1, w - 1) if shifted else comb(n, w)
 
 
 def _eliminated_rows(monkeypatch, code):
@@ -184,12 +256,13 @@ def _non_mds_bch1_code(R64, tower):
     return next(c for c in codes if min_distance_exact(c) < c.n - c.k + 1)
 
 
-def _prefix_sizes(n, w, s=0, last=-1):
+def _prefix_sizes(n, w, shifted=False, s=0, last=-1):
     """The prefix size s of each elimination of level w, in walk order."""
-    for c in range(last + 1, n - w + s + 1):
+    stop = 1 if shifted and s == 0 else n - w + s + 1
+    for c in range(last + 1, stop):
         if s < w - 1:
             yield s
-            yield from _prefix_sizes(n, w, s + 1, c)
+            yield from _prefix_sizes(n, w, shifted, s + 1, c)
 
 
 @pytest.mark.parametrize("field,n,delta", [("F2_6", 6, 4), ("F2_12", 12, 5)])
@@ -200,12 +273,15 @@ def test_eliminations_on_mds_codes(monkeypatch, field, n, delta):
     ring = SkewRing(get_field(field), 1)
     code = skew_rs1(ring, ring.field.gen, 0, delta, n)
     k, r = code.k, n - code.k
-    d, counts = _eliminated_rows(monkeypatch, code)
-    calls = len(counts)
-    assert d == r + 1 == delta
-    walk = sum(_level_nodes(n, w) for w in range(2, d)) + r
-    assert calls == walk + k
-    assert (walk, calls) == ((22, 25) if n == 6 else (299, 307))
+    assert code.modulus.is_constacyclic
+    pins = {False: ((22, 25), (299, 307)), True: ((9, 12), (71, 79))}
+    for shifted, walked in ((False, _full(code)), (True, code)):
+        d, counts = _eliminated_rows(monkeypatch, walked)
+        calls = len(counts)
+        assert d == r + 1 == delta
+        walk = sum(_level_nodes(n, w, shifted) for w in range(2, d)) + r
+        assert calls == walk + k
+        assert (walk, calls) == pins[shifted][n == 12]
 
 
 def test_eliminations_bound_on_a_bch1_code(monkeypatch, R64, tower):
@@ -213,9 +289,14 @@ def test_eliminations_bound_on_a_bch1_code(monkeypatch, R64, tower):
     its first prefix and at most its whole count."""
     code = _non_mds_bch1_code(R64, tower)
     n, k = code.n, code.k
-    d, counts = _eliminated_rows(monkeypatch, code)
-    below = sum(_level_nodes(n, w) for w in range(2, d))
-    assert below + d - 1 <= len(counts) - k <= below + _level_nodes(n, d)
+    assert (n, k) == (12, 6) and code.modulus.is_constacyclic
+    pins = {False: 815, True: 258}
+    for shifted, walked in ((False, _full(code)), (True, code)):
+        d, counts = _eliminated_rows(monkeypatch, walked)
+        assert d == 6
+        below = sum(_level_nodes(n, w, shifted) for w in range(2, d))
+        assert below + d - 1 <= len(counts) - k <= below + _level_nodes(n, d, shifted)
+        assert len(counts) - k == pins[shifted]
 
 
 def test_walk_eliminations_carry_the_free_rows(monkeypatch, R64, tower, f8_code):
@@ -226,12 +307,13 @@ def test_walk_eliminations_carry_the_free_rows(monkeypatch, R64, tower, f8_code)
     rs = skew_rs1(SkewRing(F4096, 1), F4096.gen, 0, 5, 12)
     for code in (rs, _non_mds_bch1_code(R64, tower), f8_code):
         n, k = code.n, code.k
-        d, counts = _eliminated_rows(monkeypatch, code)
-        assert counts[:k] == [k] * k
-        walk = [n - k - s for w in range(2, d) for s in _prefix_sizes(n, w)]
-        level_d = [n - k - s for s in _prefix_sizes(n, d)]
-        assert len(walk) < len(counts) - k <= len(walk) + len(level_d)
-        assert counts[k:] == walk + level_d[:len(counts) - k - len(walk)]
+        for shifted, walked in ((False, _full(code)), (True, code)):
+            d, counts = _eliminated_rows(monkeypatch, walked)
+            assert counts[:k] == [k] * k
+            walk = [n - k - s for w in range(2, d) for s in _prefix_sizes(n, w, shifted)]
+            level_d = [n - k - s for s in _prefix_sizes(n, d, shifted)]
+            assert len(walk) < len(counts) - k <= len(walk) + len(level_d)
+            assert counts[k:] == walk + level_d[:len(counts) - k - len(walk)]
 
 
 class _CountingToken:
@@ -254,14 +336,17 @@ def f8_code(R8, F8):
 
 
 def test_column_checks_are_the_walk_nodes(f8_code):
-    """One check per column tried at each node: C(n - w + j, j) prefix
-    columns at each size j and the C(n, w) leaves of every level below d,
-    then part of level d."""
-    token = _CountingToken()
-    assert min_distance_exact(f8_code, strategy="columns", cancel=token) == 4
+    """One check per column tried at each node: the prefix columns at each
+    size j and the leaves of every level below d, then part of level d;
+    the shifted walk tries column 0 alone at the root of each level."""
     n = 7
-    below = sum(_level_nodes(n, w) + comb(n, w) for w in range(1, 4))
-    assert below < token.asked <= below + _level_nodes(n, 4) + comb(n, 4)
+    pins = {False: 95, True: 35}
+    for shifted, walked in ((False, _full(f8_code)), (True, f8_code)):
+        token = _CountingToken()
+        assert min_distance_exact(walked, strategy="columns", cancel=token) == 4
+        below = sum(_level_nodes(n, w, shifted) + _leaves(n, w, shifted) for w in range(1, 4))
+        assert below < token.asked <= below + _level_nodes(n, 4, shifted) + _leaves(n, 4, shifted)
+        assert token.asked == pins[shifted]
 
 
 def test_messages_visit_one_per_projective_point(f8_code):

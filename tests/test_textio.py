@@ -101,6 +101,28 @@ def test_polynomial_text_limits_on_coefficients(R4, R9):
         parse_poly(R4, "a^x")
 
 
+def test_error_text_quotes_a_prefix_of_a_long_token(R4):
+    """A token of up to 60 characters is quoted whole; a longer one by its
+    first 60 and its length, whichever refusal names it."""
+    F4 = R4.field
+    for token in ("b" * 60, "(" + "1" * 58 + ")"):
+        with pytest.raises(ParseError) as info:
+            parse_element(F4, token)
+        assert repr(token.strip("()")) in str(info.value)
+    cases = [
+        (lambda t: parse_element(F4, t), "b" * 61, "cannot parse element"),
+        (lambda t: parse_element(F4, t), "(" + "1" * 5000 + ")", "element tuple"),
+        (lambda t: parse_poly(R4, t), "b" * 5000, "cannot parse term"),
+        (lambda t: parse_poly(R4, "x+" + t), "+" * 5000, "empty term in"),
+        (lambda t: parse_field_config(t), "b" * 5000, "line 1: expected key=value, got"),
+    ]
+    for parse, token, head in cases:
+        with pytest.raises(ParseError) as info:
+            parse(token)
+        text = str(info.value)
+        assert text.startswith(head) and "characters)" in text and len(text) < 160, text
+
+
 # Polynomial text: the grammar's tokens, stray signs and parentheses, spaces,
 # exponents past the guard and past 100 digits, and foreign characters.
 _TEXT_TOKENS = ["x", "^", "a", "+", "-", "(", ")", ",", "*", "0", "1", "2", "3", " ", "\t",
