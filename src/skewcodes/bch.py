@@ -461,16 +461,15 @@ class Bch2Spec(_BchSpec):
     def validate(self):
         super().validate()
         n = self.n
-        ext = self.ext_ring
-        if ext.m != n:
-            raise ConditionViolatedError("extension ring order must equal the length")
+        if self.nu < 0:
+            raise ConditionViolatedError("need nu >= 0")
         if gcd(n, self.t1) != 1:
             raise ConditionViolatedError(f"gcd(n, t1) = {gcd(n, self.t1)} != 1")
         if gcd(n, self.t2) >= self.delta:
             raise ConditionViolatedError(
                 f"gcd(n, t2) = {gcd(n, self.t2)} >= delta = {self.delta}"
             )
-        if not _is_normal(ext, self.alpha.i):
+        if not _is_normal(self.ext_ring, self.alpha.i):
             raise ConditionViolatedError("alpha does not generate a normal basis")
 
 

@@ -46,6 +46,7 @@ from .errors import (
     ParseError,
     SkewError,
     _cost_text,
+    _quote,
 )
 from .fields import FieldEmbedding, get_field, preset_names
 from .rootsets import minimal_polynomial, vanishing_set
@@ -96,12 +97,15 @@ def _field(preset, config):
 
 
 def _read_config(path):
-    """The text of a config file; bytes that are not UTF-8 are a ParseError."""
+    """The text of a config file; bytes that are not UTF-8 are a ParseError.
+    Both refusals name the path by _quote, not whole."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path} is not UTF-8: {exc.reason} at byte {exc.start}") from None
+        raise ParseError(f"{_quote(path)} is not UTF-8: {exc.reason} at byte {exc.start}") from None
+    except OSError as exc:
+        raise OSError(exc.errno, f"{exc.strerror}: {_quote(path)}") from None
 
 
 def _ring(args):

@@ -22,9 +22,10 @@ from .errors import (
 )
 from .fields import FieldElement, _trim
 from .linalg import is_zero_matrix_i, mat_mul_i, rank_i, wrap
-from .rootsets import _lift, _vandermonde_i, _wedderburn_roots_i
+from .rootsets import _vandermonde_i, _wedderburn_roots_i
 from .skewpoly import (
     SkewPoly,
+    SkewRing,
     _circulant_rows_i,
     _mirror_ci,
     _monic_right_divisors_ci,
@@ -403,22 +404,25 @@ def vandermonde_parity_check(code, roots=None, emb=None):
     """The skew Vandermonde parity check of a code whose generator is a
     Wedderburn polynomial: w is a codeword iff w M = 0.
 
-    Without arguments the roots are those of the generator in its own field
+    Without roots they are those of the generator in its own field
     (raising NotWedderburnError when the generator is not their minimal
-    polynomial).  With an embedding, the supplied roots live in the
-    extension; the annihilation of all generator rows is then asserted and
-    the matrix returned.
+    polynomial), embedded when an embedding is given.  With an embedding,
+    supplied roots live in the extension; the annihilation of all generator
+    rows is then asserted and the matrix returned.
     """
     ring, rows = code.ring, code._gen_rows_i
     if emb is not None:
-        # the embedding commutes with sigma: the rows of the lifted generator
-        # are the embedded generator rows
-        g = _lift(code.generator, emb)
-        f_ci = _lift(code.modulus.poly, emb)._ci
-        ring, rows = g.ring, _circulant_rows_i(g.ring, f_ci, g._ci, code.k)
+        if emb.source != ring.field:
+            raise ValueError("embedding source must be the coefficient field")
+        # the embedding commutes with sigma: the embedded generator rows are
+        # the rows of the lifted generator modulo the lifted modulus
+        ring = SkewRing(emb.target, ring.e)
+        rows = [list(map(emb._embed_i, row)) for row in rows]
     field = ring.field
     if roots is None:
         roots = _wedderburn_roots_i(code.generator)
+        if emb is not None:
+            roots = list(map(emb._embed_i, roots))
     else:
         roots = [field.element(rt).i for rt in roots]
     M_i = _vandermonde_i(ring, code.n, roots)

@@ -27,6 +27,18 @@ def _cost_text(cost):
     return str(cost) if cost < _SHOWN else "at least 10^100"
 
 
+# a longer token is quoted by this many leading characters and its length
+_QUOTE_LIMIT = 60
+
+
+def _quote(token):
+    """The repr of a token for an error text; past _QUOTE_LIMIT characters,
+    the repr of its prefix and its length, so hostile input is not echoed."""
+    if len(token) <= _QUOTE_LIMIT:
+        return repr(token)
+    return f"{token[:_QUOTE_LIMIT]!r}... ({len(token)} characters)"
+
+
 def _guard(message, limit, base, exponents=(1,)):
     """Refuse a cost, the sum of base^e over exponents, above limit: raise
     GuardExceededError with the {} of message filled by _cost_text(cost).

@@ -50,7 +50,7 @@ from functools import partial
 from math import gcd, isqrt
 from operator import xor
 
-from .errors import FieldMismatchError, _cost_text, _guard
+from .errors import FieldMismatchError, _cost_text, _guard, _quote
 
 _TABLE_LIMIT = 1 << 16
 _ADD_TABLE_LIMIT = 1 << 12
@@ -900,9 +900,7 @@ class FrobeniusAut:
     @property
     def fixed_degree(self):
         """Degree over F_p of the fixed field."""
-        d = self.field.degree
-        j = self.e % d
-        return gcd(j, d) if j else d
+        return self.field.degree // self.order
 
     def apply(self, a, j=1):
         return FieldElement(self.field, self.apply_i(self.field.element(a).i, j))
@@ -1151,7 +1149,7 @@ def get_field(name):
     if key == "F64":
         key = "F2_6"
     if key not in _PRESET_PARAMS:
-        raise KeyError(f"unknown field preset {name!r}; choices: {sorted(_PRESET_PARAMS)}")
+        raise KeyError(f"unknown field preset {_quote(name)}; choices: {sorted(_PRESET_PARAMS)}")
     with _preset_lock:
         if key not in _preset_cache:
             p, modulus, primitive = _PRESET_PARAMS[key]

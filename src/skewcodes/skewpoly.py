@@ -127,9 +127,6 @@ class SkewRing:
     def monic_polys(self, degree):
         """Iterate all monic polynomials of the exact degree, in lexicographic
         order of the ascending coefficient sequence."""
-        if degree == 0:
-            yield self.one
-            return
         for tail in itertools.product(range(self.field.order), repeat=degree):
             yield SkewPoly(self, tail + (1,))
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import ParseError, _guard
+from .errors import ParseError, _guard, _quote
 from .fields import FieldSpec
 from .skewpoly import SkewRing
 
@@ -35,19 +35,8 @@ _EXPONENT_LIMIT = 1 << 16
 # (CPython's int() refuses decimal strings of more than 4,300 digits)
 _EXPONENT_DIGITS = 100
 
-# a longer token is quoted by this many leading characters and its length
-_QUOTE_LIMIT = 60
-
 _SIGN_RE = re.compile(r"([+-])")
 _X_RE = re.compile(r"x(?:\^(\d+))?")
-
-
-def _quote(token):
-    """The repr of a token for an error text; past _QUOTE_LIMIT characters,
-    the repr of its prefix and its length, so hostile input is not echoed."""
-    if len(token) <= _QUOTE_LIMIT:
-        return repr(token)
-    return f"{token[:_QUOTE_LIMIT]!r}... ({len(token)} characters)"
 
 
 def parse_element(field, text):
@@ -55,10 +44,6 @@ def parse_element(field, text):
     text = text.strip()
     if text.startswith("(") and text.endswith(")"):
         text = text[1:-1]
-    if text == "0":
-        return field.zero
-    if text == "1":
-        return field.one
     if text == "a" or text.startswith("a^"):
         if not field.primitive:
             raise ParseError(
@@ -125,8 +110,6 @@ def parse_poly(ring, text):
             c = -c
         prev = coeffs.get(exp, field.zero)
         coeffs[exp] = prev + c
-    if not coeffs:
-        return ring.zero
     top = max(coeffs)
     return ring.poly([coeffs.get(i, field.zero) for i in range(top + 1)])
 

@@ -472,6 +472,21 @@ def test_bch2_gate_checks(R64, tower, F4096):
         ).validate()   # alpha not normal
 
 
+def test_bch2_refuses_a_negative_nu_before_any_root(R64, tower, F4096, monkeypatch):
+    """nu = -1 leaves no designed exponent; the spec is refused, as bch1
+    refuses it, before any root or minimal polynomial is formed."""
+    spec = Bch2Spec(
+        base_ring=R64, emb=tower, alpha=F4096.gen**5,
+        b=0, t1=23, t2=1, delta=3, nu=-1,
+    )
+    monkeypatch.setattr(bch, "_subfield_minimal_polynomial",
+                        lambda *args: pytest.fail("minimal polynomial formed"))
+    with pytest.raises(ConditionViolatedError, match="need nu >= 0"):
+        bch2_generator(spec)
+    with pytest.raises(ConditionViolatedError, match="need nu >= 0"):
+        bch2_code(spec)
+
+
 def test_bch2_hartmann_tzeng_offsets(R64, tower, F4096):
     spec = Bch2Spec(
         base_ring=R64, emb=tower, alpha=F4096.gen**5,

@@ -605,13 +605,21 @@ def test_composite_characteristic_above_2_32_exits_1(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("flag", ["--config", "--code-config"])
-def test_config_file_not_utf8_is_a_parse_error(capsys, tmp_path, flag):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_bytes(b"p=2\xff\n")
+def test_config_file_not_utf8_is_a_parse_error(capsys, tmp_path, monkeypatch, flag):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.cfg").write_bytes(b"p=2\xff\n")
     code, out, err = run_cli(capsys, "distance" if flag == "--code-config" else "field-info",
-                             flag, str(cfg))
+                             flag, "bad.cfg")
     assert code == EXIT_PARSE and out == ""
-    assert err == f"parse error: {cfg} is not UTF-8: invalid start byte at byte 3\n"
+    assert err == "parse error: 'bad.cfg' is not UTF-8: invalid start byte at byte 3\n"
+    # a long path is named by a prefix and its length
+    deep = tmp_path.joinpath(*["d" * 50] * 3)
+    deep.mkdir(parents=True)
+    (deep / "bad.cfg").write_bytes(b"p=2\xff\n")
+    code, out, err = run_cli(capsys, "distance" if flag == "--code-config" else "field-info",
+                             flag, str(deep / "bad.cfg"))
+    assert code == EXIT_PARSE and out == ""
+    assert "characters) is not UTF-8" in err and len(err) < 200
 
 
 def test_characteristic_zero_is_refused_before_reduction(capsys, tmp_path):
@@ -744,6 +752,14 @@ _HOSTILE_CALLS = [
     # a coefficient-tuple digit longer than p in decimal, refused before int() reads it
     (("vanish", "--preset", "F4", "--poly", "(" + "1" * 5000 + ")*x+1"), None, EXIT_PARSE,
      f"parse error: element tuple '{'1' * 60}'... (5000 characters) out of range for F4\n"),
+    # an unknown preset name and an unopenable config path, each quoted by a prefix
+    (("field-info", "--preset", "F" * 5000), None, EXIT_PARSE,
+     f"parse error: unknown field preset '{'F' * 60}'... (5000 characters); "
+     "choices: ['F16', 'F2', 'F27', 'F2_12', 'F2_6', 'F4', 'F8', 'F9']\n"),
+    (("field-info", "--config", "c" * 5000), None, EXIT_DOMAIN, None),
+    # a negative nu leaves bch2 no designed exponent; refused like bch1's
+    (("bch2", "--preset", "F4", "--ext-preset", "F16", "--alpha", "auto", "--delta", "3",
+      "--nu", "-1"), None, EXIT_CONDITION, "condition violated: need nu >= 0\n"),
 ]
 
 

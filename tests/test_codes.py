@@ -34,8 +34,9 @@ from skewcodes.errors import (
     NotWedderburnError,
     SearchCancelledError,
 )
-from skewcodes.fields import get_field
+from skewcodes.fields import FieldEmbedding, get_field
 from skewcodes.linalg import matrix_rank, unwrap
+from skewcodes.rootsets import is_wedderburn, vanishing_set
 from skewcodes.skewpoly import (
     SkewRing,
     apply_automorphism,
@@ -868,6 +869,36 @@ def test_vandermonde_parity_check_rejects_non_wedderburn(R4, F4):
         code = SkewCyclicCode(f, g)
         with pytest.raises(NotWedderburnError):
             vandermonde_parity_check(code)
+
+
+@pytest.mark.parametrize("e", [1, 2])
+def test_vandermonde_parity_check_embeds_the_generator_roots(e):
+    """Under an embedding and without roots, the generator's own roots are
+    embedded: every Wedderburn divisor of x^n - 1 over F4 gives the matrix
+    of its embedded vanishing set, and its embedded generator rows are the
+    rows of the lifted generator modulo the lifted modulus."""
+    F4, F16 = get_field("F4"), get_field("F16")
+    emb = FieldEmbedding(F4, F16)
+    R, ext = SkewRing(F4, e), SkewRing(F16, e)
+    checked = 0
+    for n in (2, 3, 4, 6):
+        f = R.x_pow_minus(n, F4.one)
+        for g in itertools.chain(*enumerate_right_divisors(f).values()):
+            if g.degree == 0 or not is_wedderburn(g):
+                continue
+            code = SkewCyclicCode(Modulus(f), g)
+            roots = [emb.embed(r) for r in vanishing_set(g)]
+            assert vandermonde_parity_check(code, emb=emb) == \
+                vandermonde_parity_check(code, roots=roots, emb=emb), (n, g)
+            lifted = SkewCyclicCode(Modulus(ext.poly([emb.embed(c) for c in f.coefficients])),
+                                    ext.poly([emb.embed(c) for c in g.coefficients]))
+            assert lifted.generator_matrix == \
+                [[emb.embed(c) for c in row] for row in code.generator_matrix]
+            checked += 1
+    assert checked >= 10
+    code = SkewCyclicCode(Modulus(R.x_pow_minus(4, F4.one)), R.x_minus(F4.one))
+    with pytest.raises(ValueError, match="embedding source"):
+        vandermonde_parity_check(code, emb=FieldEmbedding(F16, F16))
 
 
 def test_divisor_enumeration_linear_of_x21(R4, F4):

@@ -286,6 +286,20 @@ def test_one_cancellation_check():
     assert catches == []
 
 
+def test_one_token_quote():
+    """Every refusal that names a token quotes it through errors._quote:
+    only errors.py defines it, and fields, textio and cli import it from
+    there."""
+    assert _modules_where(lambda node: isinstance(node, ast.FunctionDef)
+                          and node.name == "_quote") == ["errors.py"]
+    importers = _modules_where(lambda node: isinstance(node, ast.ImportFrom)
+                               and node.module == "errors"
+                               and "_quote" in {alias.name for alias in node.names})
+    assert importers == ["cli.py", "fields.py", "textio.py"]
+    assert _modules_where(lambda node: isinstance(node, ast.Name)
+                          and node.id == "_QUOTE_LIMIT") == ["errors.py"]
+
+
 # The element patterns: a power of a, and a digit tuple.
 ELEMENT_PATTERNS = (r"a\^\d", r",\d")
 

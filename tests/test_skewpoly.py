@@ -943,6 +943,17 @@ def test_degree_one_irreducible(R4, F4):
         assert is_irreducible_bruteforce(R4.x_minus(a))
 
 
+@pytest.mark.parametrize("name", PRESETS)
+def test_monic_polys_of_degree_zero_is_one(name):
+    """monic_polys(0) is the one polynomial 1 at every e; degree 1 lists
+    the q polynomials x + c in the order of c."""
+    field = get_field(name)
+    for e in (e for e in range(1, field.degree + 1) if field.degree % e == 0):
+        ring = SkewRing(field, e)
+        assert list(ring.monic_polys(0)) == [ring.one]
+        assert [f._ci for f in ring.monic_polys(1)] == [(c, 1) for c in range(field.order)]
+
+
 def test_x21_reducible(R4):
     assert not is_irreducible_bruteforce(R4.poly([1, 0, 1]))
 

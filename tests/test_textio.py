@@ -33,6 +33,20 @@ def test_parse_element_forms(F4):
     assert parse_element(F4, "(0,1)") == w
 
 
+@pytest.mark.parametrize("name", PRESETS)
+def test_zero_and_one_are_digit_tuples(name):
+    """'0' and '1', bare, padded or parenthesized, are one-digit tuples,
+    in range in every field."""
+    field = get_field(name)
+    for token in ("0", "00", "(0)", "(00)"):
+        assert parse_element(field, token) == field.zero, token
+    for token in ("1", "01", "(1)"):
+        assert parse_element(field, token) == field.one, token
+    ring = SkewRing(field, field.degree)
+    assert parse_poly(ring, "0") == parse_poly(ring, "-0") == parse_poly(ring, "0*x") == ring.zero
+    assert parse_poly(ring, "1") == ring.one
+
+
 def test_parse_element_rejects_garbage(F4):
     for bad in ("b", "a^", "2", ""):
         with pytest.raises(ParseError):
