@@ -5,7 +5,8 @@ class of the variable.  A vector (c_0, ..., c_{d-1}) is packed positionally
 into the integer sum(c_i * p^i); this is a packing of the canonical
 coefficient form, not a discrete logarithm.  A field of at most 2^16
 elements has log/antilog tables over a multiplicative generator and the d
-Frobenius tables, all built with its kernel on the first operation.
+Frobenius tables, all built with its kernel on the first operation and held
+only by the kernel.
 
 No table entry costs a polynomial product.  The antilog table steps
 acc -> acc*g through a split map: with P = p^ceil(d/2), acc = l + P*h
@@ -17,9 +18,10 @@ of shift j read through it.
 ``FieldSpec.kernel()`` is the one arithmetic interface of a field, and
 ``_make_kernel``, under the field's lock, the one place that builds a table
 and chooses tables or polynomials and the one adder, from p and d: XOR for
-p = 2, and for odd p the full digit-add table (built by digit recursion) up
-to 2^12 elements, the half-width table chunk by chunk up to 2^16, and digit
-by digit above and in a prime field.  Every kernel has the scalar
+p = 2, and for odd p the full digit-add table (built by digit recursion)
+when the field is one chunk of ``_chunk`` (p^d <= 256), the half-width
+table chunk by chunk up to 2^16, and digit by digit above and in a prime
+field, so no add table has more than 2^16 entries.  Every kernel has the scalar
 operations (``add``, ``neg``, ``mul``, ``inv``, ``pow``, ``frobenius``),
 behind ``FieldSpec.add_i`` .. ``frob_i`` for every p, and the row
 operations the ring and elimination loops call once per row (``scale``,
@@ -53,7 +55,6 @@ from operator import xor
 from .errors import FieldMismatchError, _cost_text, _guard, _quote
 
 _TABLE_LIMIT = 1 << 16
-_ADD_TABLE_LIMIT = 1 << 12
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -358,8 +359,9 @@ def _packed_neg(p, d):
 class _TableKernel:
     """Row operations of a field of at most 2^16 elements, in the log domain:
     c * sigma^t(x) is exp[log c + log frob_t[x]].  exp (length 2n), log and
-    frob (the d Frobenius tables by shift) are the field's own lists, all
-    built by FieldSpec._make_kernel, n = order - 1 and half = log(-1).
+    frob (the d Frobenius tables by shift) are built by
+    FieldSpec._make_kernel and held only here, n = order - 1 and
+    half = log(-1).
     ``add`` is the field's adder from _make_kernel; for p = 2 it is
     operator.xor, which the subclass inlines in its loops.
 
@@ -369,9 +371,9 @@ class _TableKernel:
     operation is one call per row or polynomial.
     """
 
-    def __init__(self, field, add):
+    def __init__(self, field, add, exp, log, frob):
         self.field, self.add = field, add
-        self.exp, self.log, self.frob = field._exp, field._log, field._frob_tables
+        self.exp, self.log, self.frob = exp, log, frob
         self.n = field.order - 1
         self.half = self.n // 2 if field.p != 2 else 0
 
@@ -573,13 +575,9 @@ class FieldSpec:
                     f"{self.name}: primitive flag set but the generator has "
                     f"order {order}, not {self.order - 1}"
                 )
-        # the tables, all built by _make_kernel up to 2^16 elements
+        self._gen_index = self._x if primitive else None   # kept by _generator_i
+        # the kernel, and with it every table, built by _make_kernel
         self._lock = threading.Lock()
-        self._exp = None       # antilog table, length 2*(order-1)
-        self._log = None       # log table, log[0] unused
-        self._gen_index = None
-        self._frob_tables = [None] * self.degree
-        self._add_table = None  # the digit-add table the adder reads (odd p, d > 1)
         self._kernel = None
         self._zero = FieldElement(self, 0)
         self._one = FieldElement(self, 1)
@@ -666,13 +664,12 @@ class FieldSpec:
     def _generator_i(self):
         """The packed generator of F^* the tables are built on: x when the
         field is primitive (checked at construction), else the first element
-        of full order (1 only in F_2), found by the same search above 2^16."""
-        if self._gen_index is not None:
-            return self._gen_index
-        if self.primitive:
-            return self._x
-        n = self.order - 1
-        return next(a for a in range(1, self.order) if self._element_order_raw(a) == n)
+        of full order (1 only in F_2), found once and kept, above 2^16 too."""
+        if self._gen_index is None:   # idempotent; a benign race finds the same element
+            n = self.order - 1
+            self._gen_index = next(a for a in range(1, self.order)
+                                   if self._element_order_raw(a) == n)
+        return self._gen_index
 
     def _powers(self, g, n, add):
         """[g^0, ..., g^(n-1)], stepping acc -> acc*g through a split map.
@@ -708,15 +705,13 @@ class FieldSpec:
         big = self.order > _TABLE_LIMIT
         if p == 2:
             add = xor
-        else:   # a prime field or above 2^16 elements: no table, digit by digit
-            if d > 1 and not big:
-                width = d if self.order <= _ADD_TABLE_LIMIT else d // 2
-                self._add_table = _digit_add_table(p, width)
-            add = _chunked_adder(p, d, self._add_table)
+        elif d == 1 or big:   # a prime field or above 2^16 elements: digit by digit
+            add = _chunked_adder(p, d, None)
+        else:   # the full table when the field is one chunk, else half-width
+            add = _chunked_adder(p, d, _digit_add_table(p, d if _chunk(p, d)[0] == d else d // 2))
         if big:
             return _PolyKernel(self, add)
-        gen = self._generator_i()
-        seq = self._powers(gen, n, add)
+        seq = self._powers(self._generator_i(), n, add)
         log = [0] * self.order
         for k, a in enumerate(seq):
             log[a] = k
@@ -729,8 +724,7 @@ class FieldSpec:
         frob = [ident]
         for _ in range(1, d):
             frob.append(list(map(step.__getitem__, frob[-1])))
-        self._gen_index, self._log, self._exp, self._frob_tables = gen, log, exp, frob
-        return (_XorKernel if p == 2 else _TableKernel)(self, add)
+        return (_XorKernel if p == 2 else _TableKernel)(self, add, exp, log, frob)
 
     # -- scalar arithmetic (int indices) ---------------------------------------
 

@@ -182,11 +182,18 @@ def minimal_polynomial(ring, points):
 
 
 def _minpoly_ci(ring, idx):
-    """lclm(x - a) over the distinct packed points, folded in index order."""
+    """lclm(x - a) over the distinct packed points, folded in index order.
+    The fold's work grows as the k points times the rank, at most
+    m(q - 1) + 1, the degree of the minimal polynomial of the whole field:
+    k * min(k, m(q - 1) + 1) above 2^24 is refused before the fold."""
     if not idx:
         raise ValueError("minimal polynomial of the empty set")
+    points = sorted(set(idx))
+    k = len(points)
+    _guard("minimal polynomial fold of {} point-rank steps exceeds 2^24", 1 << 24,
+           k * min(k, ring.m * (ring.q - 1) + 1))
     neg = ring.field.neg_i
-    return _lclm_ci(ring, [(neg(a), 1) for a in sorted(set(idx))])
+    return _lclm_ci(ring, [(neg(a), 1) for a in points])
 
 
 def set_rank(ring, points):

@@ -139,6 +139,19 @@ BIG_FIELDS = {
 PRESETS = preset_names()
 
 
+def held_tables(F):
+    """name -> list for each table F's kernel holds: the antilog, log and
+    Frobenius tables of a table kernel and the digit-add table its adder
+    reads.  The kernel is the tables' one owner, so this is {} before the
+    first operation and, with no table of the field, above 2^16 elements."""
+    kern = F._kernel
+    tables = {name: getattr(kern, name) for name in ("exp", "log", "frob") if hasattr(kern, name)}
+    cells = getattr(getattr(kern, "add", None), "__closure__", None) or ()
+    tables.update(("add", cell.cell_contents) for cell in cells
+                  if isinstance(cell.cell_contents, list))
+    return tables
+
+
 @pytest.fixture(scope="session")
 def field_named():
     """name -> FieldSpec for a preset or an EXTRA_FIELDS or BIG_FIELDS entry,

@@ -760,6 +760,11 @@ _HOSTILE_CALLS = [
     # a negative nu leaves bch2 no designed exponent; refused like bch1's
     (("bch2", "--preset", "F4", "--ext-preset", "F16", "--alpha", "auto", "--delta", "3",
       "--nu", "-1"), None, EXIT_CONDITION, "condition violated: need nu >= 0\n"),
+    # a minimal polynomial of 4,097 points of the commutative F_2^13 (every
+    # irreducible of degree 13 is primitive): 4,097^2 fold steps
+    (("minpoly", "--commutative", "--points", ";".join(f"a^{k}" for k in range(4097))),
+     _field_config(2, (1, 1, 0, 1, 1) + (0,) * 8 + (1,)) + "primitive=true\n", EXIT_GUARD,
+     "guard exceeded: minimal polynomial fold of 16785409 point-rank steps exceeds 2^24\n"),
 ]
 
 

@@ -51,24 +51,31 @@ def test_cli_import_loads_no_heavy_standard_modules():
     assert proc.stdout.split() == []
 
 
-# The tables and the limit that decides between table and polynomial arithmetic.
-TABLE_NAMES = {"_exp", "_log", "_frob_tables", "_add_table", "_gen_index", "_TABLE_LIMIT"}
+# The table kernel's tables, read as its attributes, and the limit that
+# decides between table and polynomial arithmetic.
+TABLE_ATTRIBUTES = {"exp", "log", "frob"}
+TABLE_LIMIT = "_TABLE_LIMIT"
 SCALAR_METHODS = ("mul_i", "inv_i", "pow_i", "frob_i")
+# the field's former copies of the kernel's tables, and the former size rule
+# of the full digit-add table
+RETIRED_TABLE_NAMES = {"_exp", "_log", "_frob_tables", "_add_table", "_ADD_TABLE_LIMIT"}
 
 
 def _table_references(node):
-    """(line, name) for each attribute, name or import of a TABLE_NAMES entry."""
+    """(line, name) for each table attribute, and each attribute, name or
+    import of the table limit."""
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Attribute):
-            name = sub.attr
-        elif isinstance(sub, ast.Name):
-            name = sub.id
-        elif isinstance(sub, ast.alias):
-            name = sub.name
-        else:
-            continue
-        if name in TABLE_NAMES:
+        name = _name(sub) if isinstance(sub, (ast.Attribute, ast.Name, ast.alias)) else None
+        if name == TABLE_LIMIT or isinstance(sub, ast.Attribute) and name in TABLE_ATTRIBUTES:
             yield sub.lineno, name
+
+
+def test_the_kernel_is_the_one_owner_of_the_tables():
+    """fields.py names none of the field's former table copies nor the
+    former add-table limit: the kernel holds every table, and the full
+    digit-add table follows the one-chunk rule of _chunk."""
+    tree = ast.parse((SRC / "fields.py").read_text(encoding="utf-8"))
+    assert {_name(sub) for sub in ast.walk(tree)} & RETIRED_TABLE_NAMES == set()
 
 
 def test_tables_stay_behind_the_field_kernel():
@@ -146,21 +153,32 @@ def test_right_division_has_no_kernel_step_of_its_own():
         assert methods[name] <= KERNEL_OPERATIONS, name
 
 
+TABLE_BUILDERS = {"_digit_add_table", "_powers"}
+
+
 def test_tables_are_built_only_by_make_kernel():
-    """FieldSpec.__init__ sets each table to None (the Frobenius tables to
-    a list of None) and FieldSpec._make_kernel is the one function in
-    fields.py that writes a built table, whole or entry by entry."""
-    tree = ast.parse((SRC / "fields.py").read_text(encoding="utf-8"))
+    """FieldSpec._make_kernel is the one function in fields.py that calls a
+    table builder (the digit-add and antilog tables; it steps the log and
+    Frobenius tables from the antilog table itself), and it hands the
+    tables to the kernel it returns: _TableKernel.__init__ stores them from
+    its own arguments, and nothing else in fields.py stores a table,
+    whole or entry by entry."""
+    functions = dict(_functions(ast.parse((SRC / "fields.py").read_text(encoding="utf-8"))))
+    builders = {name for name, fn in functions.items()
+                for sub in ast.walk(fn) if isinstance(sub, ast.Call)
+                and _name(sub.func) in TABLE_BUILDERS}
+    assert builders == {"FieldSpec._make_kernel"}
     stores = [
-        (fn.name, ast.unparse(sub.value))
-        for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
-        for sub in ast.walk(fn) if isinstance(sub, ast.Assign)
-        if any(isinstance(leaf, ast.Attribute) and leaf.attr in TABLE_NAMES
-               for target in sub.targets for leaf in ast.walk(target))
+        (name, ast.unparse(sub.value))
+        for name, fn in functions.items()
+        for sub in ast.walk(fn) if isinstance(sub, (ast.Assign, ast.AugAssign))
+        for target in getattr(sub, "targets", [getattr(sub, "target", None)])
+        if any(isinstance(leaf, ast.Attribute) and leaf.attr in TABLE_ATTRIBUTES
+               for leaf in ast.walk(target))
     ]
-    assert {name for name, _ in stores} == {"__init__", "_make_kernel"}
-    assert sorted(value for name, value in stores if name == "__init__") == (
-        ["None"] * 4 + ["[None] * self.degree"])
+    assert stores == [("_TableKernel.__init__", "(exp, log, frob)")]
+    init = functions["_TableKernel.__init__"]
+    assert {"exp", "log", "frob"} <= {arg.arg for arg in init.args.args}
 
 
 SKEW_SHIFT = {"_shift_ci", "_circulant_rows_i"}

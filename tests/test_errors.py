@@ -22,7 +22,7 @@ from skewcodes.errors import (
     _guard,
 )
 from skewcodes.fields import FieldEmbedding, FieldSpec, get_field
-from skewcodes.rootsets import _vandermonde_i, vanishing_set
+from skewcodes.rootsets import _minpoly_ci, _vandermonde_i, vanishing_set
 from skewcodes.skewpoly import (
     SkewRing,
     _circulant_rows_i,
@@ -192,6 +192,18 @@ def _root_of_x_minus_1(p, modulus):
     return vanishing_set(R.x_pow_minus(1, 1))
 
 
+def _stubbed_fold(k):
+    """k points under the guard of a commutative ring over F_4096 (m = 1,
+    q = 4096); the ring has no field, so the fold stops at its first step."""
+    return _minpoly_ci(types.SimpleNamespace(m=1, q=1 << 12, field=None), range(k))
+
+
+def _fold_over_f5_8(k):
+    """k points in F_5^8 with sigma = frob_2, q = 25 and m = 4: the rank is
+    at most m(q - 1) + 1 = 97, and 97 * 172,961 = 2^24 + 1."""
+    return _minpoly_ci(SkewRing(FieldSpec(5, (2,) + (0,) * 7 + (1,)), 2), range(k))
+
+
 def _parse(text):
     return parse_poly(SkewRing(get_field("F2"), 1), text)
 
@@ -233,6 +245,9 @@ GUARD_BOUNDARIES = [
                  lambda: _one_row_circulant((1 << 20) + 1), (1 << 20) + 1, id="circulant"),
     pytest.param("rootsets._vandermonde_i", lambda: _one_row_vandermonde(1 << 20), None,
                  lambda: _one_row_vandermonde((1 << 20) + 1), (1 << 20) + 1, id="vandermonde"),
+    pytest.param("rootsets._minpoly_ci", lambda: _stubbed_fold(1 << 12),
+                 (AttributeError, "neg_i"), lambda: _fold_over_f5_8(257 * 673),
+                 (1 << 24) + 1, id="minpoly_fold"),
     pytest.param("textio.parse_poly", lambda: _parse("x^" + "1" * 100),
                  (GuardExceededError, "^x exponent 1{100} exceeds 2\\^16$"),
                  lambda: _parse("x^" + "1" * 101), 101, id="exponent_digits"),

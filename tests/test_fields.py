@@ -27,7 +27,7 @@ from skewcodes.fields import (
     norm_via_exponent,
     relative_automorphisms,
 )
-from conftest import BIG_FIELDS, EXTRA_FIELDS, PRESETS
+from conftest import BIG_FIELDS, EXTRA_FIELDS, PRESETS, held_tables
 from oracle_utils import (
     fp_is_irreducible_by_trial_division,
     naive_add,
@@ -283,7 +283,8 @@ def test_prime_candidate_past_10_100_named_by_its_size():
 
 def test_generator_is_the_one_the_tables_use():
     """_generator_i is x on a primitive field, else the first element of
-    full order, before the tables exist and after, and above 2^16."""
+    full order, before the tables exist and after, and above 2^16, where it
+    is kept too."""
     nonprimitive = FieldSpec(3, (1, 0, 1))   # x has order 4 in F_9
     for F, gen in ((FieldSpec(2, (1, 1, 0, 0, 1), primitive=True), 2), (get_field("F2"), 1),
                    (nonprimitive, 4), (FieldSpec(2, (1, 1, 1, 1, 1)), 3)):
@@ -292,7 +293,21 @@ def test_generator_is_the_one_the_tables_use():
         assert F._gen_index == gen == F._generator_i()
         assert F._element_order_raw(gen) == F.order - 1
     big = FieldSpec(2, (1, 0, 0, 1) + (0,) * 13 + (1,))   # 2^17 - 1 is prime
-    assert big._generator_i() == 2 and big._gen_index is None
+    assert big._generator_i() == 2 and big._gen_index == 2
+
+
+@pytest.mark.parametrize("name", ["F2_17", "F3_11"])
+def test_generator_search_runs_once_above_the_table_limit(name, monkeypatch):
+    """Above 2^16 no kernel build keeps the generator, so _generator_i keeps
+    what it finds: a second call makes no order computation."""
+    F = FieldSpec(*BIG_FIELDS[name], name=name)
+    calls = []
+    order = F._element_order_raw
+    monkeypatch.setattr(F, "_element_order_raw", lambda a: calls.append(a) or order(a))
+    gen = F._generator_i()
+    first = len(calls)
+    assert first >= 1 and calls[-1] == gen and order(gen) == F.order - 1
+    assert F._generator_i() == gen and len(calls) == first
 
 
 def test_modulus_out_of_range_refused():
@@ -345,10 +360,12 @@ def test_primitive_flag_refusals(modulus, error, message, cost):
 
 def test_primitive_field_builds_its_tables_on_first_use():
     F = FieldSpec(2, (1, 1, 0, 0, 1), primitive=True)
-    assert F._exp is None and F._log is None and F._frob_tables == [None] * 4
+    assert held_tables(F) == {}
     assert F.mul_i(F.gen.i, 8) == 3   # x * x^3 = x + 1
     assert F._gen_index == F.gen.i and F.log_i(3) == 4
-    assert None not in F._frob_tables
+    tables = held_tables(F)
+    assert sorted(tables) == ["exp", "frob", "log"] and len(tables["frob"]) == 4
+    assert None not in tables["frob"]
 
 
 def test_frobenius_basics(F4, aut4):
@@ -616,8 +633,8 @@ _TABLE_FIELD_NAMES = ["F2", "F4", "F8", "F9", "F16", "F27", "F2_6", "F2_12", *_O
 @pytest.mark.parametrize("name", _TABLE_FIELD_NAMES + ["F4099", "F7_5", "F37_3"])
 def test_exp_log_tables_against_slow_mul(name):
     F = _table_field(name)
-    F.mul_i(1, 1)
-    n, exp, log, gen = F.order - 1, F._exp, F._log, F._gen_index
+    kern = F.kernel()
+    n, exp, log, gen = F.order - 1, kern.exp, kern.log, F._gen_index
     assert len(exp) == 2 * n and exp[:n] == exp[n:]
     assert exp[0] == 1
     g = F.element(gen)
@@ -706,7 +723,7 @@ def test_frobenius_above_the_table_limit_builds_no_table():
     for a in [0, 1] + random.Random(17).sample(range(2, F.order), 4):
         for j in (0, 1, 5, 16):
             assert F.frob_i(a, j) == naive_pow(F, F.element(a), 2 ** j).i
-    assert F._frob_tables == [None] * F.degree
+    assert held_tables(F) == {}
 
 
 def _coefficientwise_sum(F, a, b):
@@ -715,19 +732,50 @@ def _coefficientwise_sum(F, a, b):
 
 @pytest.mark.parametrize("name", ["F9", "F27", "F3^4", "F5^3", "F3^5"])
 def test_add_table_against_coefficientwise_sum(name):
+    """A field of one chunk, p^d <= 256, reads the full digit-add table."""
     F = _table_field(name)
     F.add_i(0, 0)
-    table = F._add_table
+    table = held_tables(F)["add"]
     for a in range(F.order):
         assert table[a] == [_coefficientwise_sum(F, a, b) for b in range(F.order)]
 
 
 def test_add_table_sampled_rows_f3_6():
+    """F_3^6 (729 elements) is two chunks: its adder reads the half-width
+    table of F_3^3, and sampled rows of sums match coefficient-wise sums."""
     F = _table_field("F3^6")
     F.add_i(0, 0)
-    assert len(F._add_table) == F.order
+    table = held_tables(F)["add"]
+    assert len(table) == 27 and table[5] == [_coefficientwise_sum(F, 5, b) for b in range(27)]
     for a in random.Random(36).sample(range(F.order), 24):
-        assert F._add_table[a] == [_coefficientwise_sum(F, a, b) for b in range(F.order)]
+        assert [F.add_i(a, b) for b in range(F.order)] == [
+            _coefficientwise_sum(F, a, b) for b in range(F.order)]
+
+
+# odd table fields of one chunk and past it, with even and odd degree
+_ADD_TABLE_FIELDS = {
+    "F9": (3, (2, 1, 1)), "F27": (3, (1, 2, 0, 1)), "F3^5": (3, (1, 2, 0, 0, 0, 1)),
+    "F3^6": (3, (2, 1, 0, 0, 0, 0, 1)), "F3^7": (3, (2, 0, 1, 0, 0, 0, 0, 1)),
+    "F5^5": (5, (1, 4, 0, 0, 0, 1)), "F13^3": (13, (2, 0, 0, 1)), "F61^2": (61, (2, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ADD_TABLE_FIELDS))
+def test_every_add_table_has_at_most_2_16_entries(name):
+    """The full digit-add table only for one chunk, (p^d)^2 <= 2^16 entries,
+    else the half-width table, p^(2 * (d // 2)) <= p^d entries; sampled sums
+    match coefficient-wise sums."""
+    F = FieldSpec(*_ADD_TABLE_FIELDS[name], name=name)
+    F.add_i(0, 0)
+    table = held_tables(F)["add"]
+    assert sum(map(len, table)) <= 1 << 16
+    assert len(table) == (F.order if F.order <= 256 else F.p ** (F.degree // 2))
+    rng = random.Random(name)
+    edge = [0, 1, F.p - 1, F.order - 1]
+    pairs = [(a, b) for a in edge for b in edge]
+    pairs += [(rng.randrange(F.order), rng.randrange(F.order)) for _ in range(400)]
+    for a, b in pairs:
+        assert F.add_i(a, b) == _coefficientwise_sum(F, a, b)
 
 
 # -- the public kernel against coefficient arithmetic ------------------------------
@@ -780,8 +828,8 @@ def test_prime_field_adds_mod_p_without_a_table(p):
     start = time.perf_counter()
     assert F.add_i(p - 1, 2) == 1
     assert time.perf_counter() - start < 0.1
-    assert F._add_table is None
-    assert (F._exp is None) == (p > 1 << 16)
+    assert "add" not in held_tables(F)
+    assert ("exp" not in held_tables(F)) == (p > 1 << 16)
     rng = random.Random(p)
     edge = [0, 1, p // 2, p - 1]
     pairs = [(a, b) for a in edge for b in edge]
@@ -797,23 +845,26 @@ def test_kernel_references_the_field_tables(field_named):
         F = field_named(name)
         kern = F.kernel()
         assert kern is F.kernel()
-        assert kern.exp is F._exp and kern.log is F._log
-        assert kern.frob is F._frob_tables and kern.n == F.order - 1
-        assert None not in F._frob_tables
+        tables = held_tables(F)
+        assert tables["exp"] is kern.exp and tables["log"] is kern.log
+        assert tables["frob"] is kern.frob and kern.n == F.order - 1
+        assert len(kern.exp) == 2 * kern.n and len(kern.log) == F.order
+        assert len(kern.frob) == F.degree and None not in kern.frob
         assert kern.half == (0 if F.p == 2 else kern.n // 2)
         if F.p == 2:
             assert kern.add is operator.xor
         else:
             assert callable(kern.add)
-        if F.p != 2 and F.order > 1 << 12:
-            assert len(F._add_table) ** 2 <= F.order
+        if F.p != 2 and F.order > 256:
+            assert len(tables["add"]) ** 2 <= F.order
     assert field_named("F2_17").kernel().add is operator.xor
-    for modulus in [(2, 1, 1), (1, 2, 0, 1), (2, 1, 0, 0, 0, 0, 1)]:
-        # odd p, d > 1, at most 2^12 elements: the addition table comes with the kernel
+    for modulus, rows in [((2, 1, 1), 9), ((1, 2, 0, 1), 27), ((2, 1, 0, 0, 0, 0, 1), 27)]:
+        # odd p, d > 1: the addition table comes with the kernel, the full
+        # table up to 256 elements and the half-width table past it
         fresh = FieldSpec(3, modulus)
-        assert fresh._add_table is None
+        assert held_tables(fresh) == {}
         kern = fresh.kernel()
-        assert len(fresh._add_table) == fresh.order
+        assert len(held_tables(fresh)["add"]) == rows
         assert fresh.neg_i(kern.exp[1]) == naive_neg(fresh, kern.exp[1])
         assert fresh.add_i(4, 7) == naive_add(fresh, 4, 7)
     # above the table limit: a polynomial kernel that serves every operation
@@ -850,13 +901,11 @@ def test_kernel_references_the_field_tables(field_named):
     kern.eliminate(m, 0, 0)
     row0 = [1, prod(naive_pow(big, E(a), big.order - 2).i, b)]
     assert m == [row0, [0, naive_add(big, a, prod(c, row0[1]), sign=-1)]]
-    assert big._exp is None and big._log is None and big._add_table is None
-    assert big._frob_tables == [None] * big.degree
+    _assert_no_table(big)
 
 
 def _assert_no_table(F):
-    assert F._exp is None and F._log is None and F._add_table is None
-    assert F._frob_tables == [None] * F.degree
+    assert held_tables(F) == {}
 
 
 @pytest.mark.parametrize("source,degree,modulus,image", [
@@ -1031,8 +1080,7 @@ def test_threaded_first_touch_matches_single_threaded():
         out.append([emb.restrict(b) for b in range(emb.target.order)])
 
     def tables(F):
-        return [(G._exp, G._log, G._add_table, G._frob_tables)
-                for G in F.values()]
+        return [held_tables(G) for G in F.values()]
 
     ref_F, ref_emb = fresh()
     reference = []
@@ -1068,4 +1116,5 @@ def test_threaded_first_touch_matches_single_threaded():
     for name in ("F3^4", "F3^5", "F2^7", "F3^8"):
         G = F[name]
         kern = G._kernel
-        assert kern is not None and kern.exp is G._exp and kern.frob is G._frob_tables
+        assert kern is not None and held_tables(G)["exp"] is kern.exp
+        assert held_tables(G)["frob"] is kern.frob

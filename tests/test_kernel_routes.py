@@ -6,12 +6,14 @@ never checked on a small field.  Here each field is built twice from the
 same modulus: once with its table kernel, and once with a
 ``_PolyKernel`` over the table route's own adder installed as its kernel,
 so that the polynomial kernel runs on every adder: XOR (p = 2), the full
-digit-add table (F9, F27, F_3^6), the half-width table (F_3^8) and the
-digit loop of a prime field (F7).  Every kernel operation must agree on
+digit-add table of a field of one chunk (F9, F27), the half-width table
+of even degree (F_3^6, F_3^8) and of odd degree, with a middle digit
+(F_7^3), and the digit loop of a prime field (F7).  Every kernel operation must agree on
 seeded inputs, and divisor lists, root sets, minimal polynomials, lclm,
 gcrd_bezout and minimum distances must be the same packed values on both
 routes."""
 
+import operator
 import random
 
 import pytest
@@ -22,7 +24,7 @@ from skewcodes.fields import FieldSpec, _PolyKernel, _TableKernel, get_field
 from skewcodes.rootsets import minimal_polynomial, vanishing_set
 from skewcodes.skewpoly import SkewRing, gcrd_bezout, lclm
 
-from conftest import EXTRA_FIELDS
+from conftest import EXTRA_FIELDS, held_tables
 
 # name -> (p, modulus, degree n of the x^n - a whose divisors are listed)
 ROUTE_FIELDS = {
@@ -30,6 +32,7 @@ ROUTE_FIELDS = {
        for name, n in (("F2", 5), ("F4", 4), ("F8", 4), ("F9", 4), ("F16", 3), ("F27", 3))},
     "F3_6": (*EXTRA_FIELDS["F3_6"], 2),
     "F3_8": (3, (2, 0, 1, 0, 0, 0, 0, 0, 1), 2),
+    "F7_3": (7, (2, 0, 0, 1), 2),
     "F7": (7, (4, 1), 4),
 }
 
@@ -48,9 +51,13 @@ def test_the_matrix_covers_every_adder():
     fields = {name: FieldSpec(p, modulus) for name, (p, modulus, _) in ROUTE_FIELDS.items()}
     for F in fields.values():
         F.kernel()
-    widths = {name: len(F._add_table) for name, F in fields.items() if F._add_table}
-    assert widths == {"F9": 9, "F27": 27, "F3_6": 729, "F3_8": 81}
-    assert fields["F7"]._add_table is None and fields["F3_8"].order > 1 << 12
+    widths = {name: len(held_tables(F)["add"])
+              for name, F in fields.items() if "add" in held_tables(F)}
+    assert widths == {"F9": 9, "F27": 27, "F3_6": 27, "F3_8": 81, "F7_3": 7}
+    assert {name for name, F in fields.items() if F.kernel().add is operator.xor} == {
+        "F2", "F4", "F8", "F16"}
+    assert fields["F7"].degree == 1 and "add" not in held_tables(fields["F7"])
+    assert fields["F7_3"].degree % 2 == 1 and fields["F7_3"].order > 256
 
 
 def test_every_kernel_operation_agrees(routes):
