@@ -33,8 +33,8 @@ class Box:
 TOY_TEST = '''\
 import sys
 
-sys.path.insert(0, {root!r})
-from toy import Box, used
+sys.path.insert(0, {src!r})
+from skewcodes import Box, used
 
 
 def test_toy():
@@ -43,12 +43,12 @@ def test_toy():
 
 
 def test_census_names_the_lines_no_test_ran(tmp_path):
-    (tmp_path / "toy").mkdir()
-    (tmp_path / "toy" / "__init__.py").write_text(TOY)
-    (tmp_path / "test_toy.py").write_text(TOY_TEST.format(root=str(tmp_path)))
+    package = tmp_path / "src" / "skewcodes"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text(TOY)
+    (tmp_path / "test_toy.py").write_text(TOY_TEST.format(src=str(tmp_path / "src")))
     proc = subprocess.run(
-        [sys.executable, str(TOOL), "--src", "toy", "--",
-         "test_toy.py", "-q", "-p", "no:cacheprovider"],
+        [sys.executable, str(TOOL), "test_toy.py", "-q", "-p", "no:cacheprovider"],
         cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     report = proc.stdout[proc.stdout.index("__init__.py:"):]

@@ -1,14 +1,14 @@
 """Line census: the function-body lines of a package that no test executes.
 
 Runs pytest in this interpreter under a ``sys.settrace`` tracer limited to
-one package directory, then prints, module by module, each line of a
+``src/skewcodes``, then prints, module by module, each line of a
 function body whose statement never ran, and the totals.  It uses only the
 standard library, besides the pytest it runs.
 
-    python tools/line_census.py [--src DIR] [-- PYTEST-ARGUMENTS]
+    python tools/line_census.py [PYTEST-ARGUMENTS]
 
-``--src`` defaults to ``src/skewcodes``; the pytest arguments default to
-``-q -p no:cacheprovider``.  A counted line is the first line of a
+The arguments go to pytest and default to ``-q -p no:cacheprovider``; run it
+from the root of the repository.  A counted line is the first line of a
 statement inside a function or method body that the compiler gives code:
 docstrings, ``def`` and ``class`` lines and module- or class-level
 statements are not counted.  The tracer does not see subprocesses (the
@@ -18,13 +18,13 @@ wall-clock bound may fail under it; the census is not part of Tier-1.
 
 from __future__ import annotations
 
-import argparse
 import ast
 import os
 import sys
 import threading
 from pathlib import Path
 
+SRC = "src/skewcodes"
 _BLOCKS = ("body", "orelse", "finalbody", "handlers", "cases")
 
 
@@ -128,16 +128,12 @@ def census(root, seen):
     return report, (counted, sum(map(len, report.values())))
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--src", default="src/skewcodes", help="package directory to trace")
-    parser.add_argument("pytest_args", nargs="*", help="arguments for pytest, after --")
-    args = parser.parse_args(argv)
+def main():
     import pytest
 
-    with LineTracer(args.src) as tracer:
-        status = pytest.main(args.pytest_args or ["-q", "-p", "no:cacheprovider"])
-    report, (counted, missed) = census(args.src, tracer.seen)
+    with LineTracer(SRC) as tracer:
+        status = pytest.main(sys.argv[1:] or ["-q", "-p", "no:cacheprovider"])
+    report, (counted, missed) = census(SRC, tracer.seen)
     for module, lines in report.items():
         print(f"{module}: {len(lines)} not executed")
         for line, name, text in lines:
