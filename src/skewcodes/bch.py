@@ -51,8 +51,12 @@ def min_distance_exact(code, strategy="auto", cancel=None):
     ``strategy`` picks "columns", "messages", or "auto", the route with the
     smaller cost formula: N^k messages against the sum over w <= n - k + 1
     of C(n, w) column subsets.  A ``SkewCyclicCode`` with a constacyclic
-    modulus is closed under the skew shift, and its column walk starts each
-    level at column 0 only; ``auto`` still costs it by the full count.
+    modulus is closed under the skew shift, and its column walk visits only
+    the canonical rotation of each support: column 0 first, and the wrap
+    gap from the last column round to column 0 at least every other gap.
+    Over levels 2..d at n = 12 that is at most 179 eliminations when d = 6
+    and 83 when d = 5, against 562 and 232 from column 0 alone.  ``auto``
+    still costs the column route by the full count.
     """
     field = code.field
     rows = _generator_rows_i(code)
@@ -113,19 +117,29 @@ def _distance_by_columns(parity, field, n, cancel=None, shifted=False):
     ``shifted`` says the code is closed under the skew shift, as a
     skew-constacyclic code is: a left submodule of R/R(x^n - a) is mapped to
     itself by left multiplication by x, which keeps the weight of a word and
-    rotates its support one place.  A lightest codeword then has a shift
-    whose support holds column 0, so each level starts at column 0 only.
-    Levels below w still found nothing, since a dependent prefix would give
-    a lighter codeword, one of whose shifts its own level would have found.
-    Level w then makes C(n - w + j - 1, j - 1) eliminations at each prefix
-    size j and at most C(n - 1, w - 1) leaf zero-tests.
+    rotates its support one place.  Each level then walks only the
+    canonical w-sets {0 = c_0 < ... < c_(w-1)}, whose wrap gap n - c_(w-1)
+    is at least every gap c_(i+1) - c_i: rotating a lightest codeword so
+    that its largest cyclic gap ends at column 0 gives one.  Levels below w
+    still found nothing, since a dependent prefix would give a lighter
+    codeword, whose canonical rotation its own level would have found.  A
+    prefix ending at c, with largest gap g so far, takes its next column
+    c' with rest columns still to come (c' among them) up to
+    min(n - g - rest + 1, (n + c - rest + 1) // 2): beyond the first the
+    wrap gap falls below g, beyond the second below c' - c.  Every column
+    in range extends to a canonical set (the rest columns consecutive), so
+    the walk visits exactly the prefixes of canonical sets.  Over levels
+    2..d at n = 12 that is at most 179 eliminations when d = 6 and 83 when
+    d = 5, where starting each level at column 0 alone, with
+    C(n - w + j - 1, j - 1) eliminations at each prefix size j, makes 562
+    and 232, and the full walk 1,580 and 789.
     """
     kern = field.kernel()
 
-    def closes(free, cols, left):
-        """Whether some dependent set extends the prefix by ``left`` more
-        columns, the next one from ``cols``, which stop where the left - 1
-        columns still to come fit after them."""
+    def closes(free, cols, left, last, gap):
+        """Whether some dependent set extends the prefix, whose last column
+        is ``last`` and whose largest gap is ``gap``, by ``left`` more
+        columns, the next one from ``cols``."""
         cols = _cancellable(cols, cancel, "distance")
         if left == 1:
             return any(not any(row[c] for row in free) for c in cols)
@@ -133,12 +147,15 @@ def _distance_by_columns(parity, field, n, cancel=None, shifted=False):
             pivot = next(i for i, row in enumerate(free) if row[c])
             sub = [list(row) for row in (free[pivot], *free[:pivot], *free[pivot + 1:])]
             kern.eliminate(sub, 0, c)
-            if closes(sub[1:], range(c + 1, n - left + 2), left - 1):
+            rest, g = left - 1, max(gap, c - last)
+            hi = min(n - g - rest + 1, (n + c - rest + 1) // 2) if shifted else n - rest
+            if closes(sub[1:], range(c + 1, hi + 1), rest, c, g):
                 return True
         return False
 
+    # last = -1 counts the root's column 0 as a gap of 1, which no gap undercuts
     for w in range(1, len(parity) + 2):
-        if closes(parity, range(1 if shifted else n - w + 1), w):
+        if closes(parity, range(1 if shifted else n - w + 1), w, -1, 0):
             return w
     raise ArithmeticError("unreachable: any n - k + 1 parity-check columns are dependent")
 

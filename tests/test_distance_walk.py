@@ -10,11 +10,17 @@ the node formula of its docstring, each with the r - s free rows of its
 prefix of s columns, its cancellation checks are counted and
 stopped at every one of them, and the message route is counted at one
 message per projective point.  Skew-constacyclic codes, x^n - a with
-a != 1 and their duals included, take the shifted walk from column 0;
-each count is checked on it and on the full walk of the same rows, and
-a modulus that is not constacyclic is checked to keep the full walk.
+a != 1 and their duals included, take the shifted walk, which visits only
+the canonical rotation of each support (column 0 first, the wrap gap at
+least every other gap); each count is checked on it and on the full walk
+of the same rows, against counts taken by filtering
+itertools.combinations.  The cut's edges (the repetition code, two equal
+largest gaps, k = n and MDS codes) run on every preset at every sigma
+exponent, and a modulus that is not constacyclic, or a duck-typed code,
+is checked to keep the full walk.
 """
 
+import itertools
 import random
 import types
 from math import comb
@@ -38,7 +44,7 @@ from skewcodes.codes import (
     enumerate_right_divisors,
 )
 from skewcodes.errors import ConditionViolatedError, SearchCancelledError
-from skewcodes.fields import get_field
+from skewcodes.fields import get_field, preset_names
 from skewcodes.linalg import rank_i
 from skewcodes.skewpoly import SkewRing
 from oracle_utils import distance_by_column_ranks
@@ -207,11 +213,94 @@ def test_edge_cases(F4, F9):
         assert _assert_routes_agree(_code(F, rows)) == d, rows
 
 
+# -- the edges of the canonical-rotation cut ----------------------------------------
+#
+# Each code below is skew-constacyclic, on every preset at every sigma
+# exponent e, so its column walk keeps only the canonical w-sets; each
+# distance is checked against the rank loop and the full walk.
+
+PRESET_RINGS = [(name, e) for name in preset_names()
+                for e in range(1, get_field(name).degree + 1) if get_field(name).degree % e == 0]
+
+
+def _rs_length(name, e):
+    """m(q - 1): x^n - 1 is central and every x - b right-divides it, since
+    N_n(b) = N_m(b)^(q - 1) = 1."""
+    ring = SkewRing(get_field(name), e)
+    return ring.m * (ring.q - 1)
+
+
+RS_RINGS = [(name, e) for name, e in PRESET_RINGS if 2 <= _rs_length(name, e) <= 24]
+
+
+def _assert_cut_keeps(code, d):
+    assert code.modulus.is_constacyclic
+    assert _assert_routes_agree(code) == d
+    assert min_distance_exact(_full(code), strategy="columns") == d
+
+
+@pytest.mark.parametrize("name,e", PRESET_RINGS)
+def test_cut_keeps_the_repetition_code(name, e):
+    """g = (x^n - 1)/(x - 1) = 1 + x + ... + x^(n-1): the one support of
+    the lightest words is every column, all its gaps and its wrap gap 1,
+    and only the last leaf of level n closes it."""
+    ring = SkewRing(get_field(name), e)
+    for n in (7, 8):
+        _assert_cut_keeps(SkewCyclicCode(Modulus(ring.x_pow_minus(n, 1)), ring.poly([1] * n)), n)
+
+
+@pytest.mark.parametrize("name,e", PRESET_RINGS)
+def test_cut_keeps_two_equal_largest_gaps(name, e):
+    """g = x^(n/2) - 1: the lightest words are c (x^i - x^(i + n/2)), of
+    support {i, i + n/2}, whose canonical rotation {0, n/2} has its wrap
+    gap equal to its one inner gap."""
+    ring = SkewRing(get_field(name), e)
+    for n in (6, 8):
+        code = SkewCyclicCode(Modulus(ring.x_pow_minus(n, 1)), ring.x_pow_minus(n // 2, 1))
+        _assert_cut_keeps(code, 2)
+
+
+@pytest.mark.parametrize("name,e", PRESET_RINGS)
+def test_cut_keeps_the_whole_space(name, e):
+    """g = 1, k = n: no parity row, so column 0 alone closes level 1."""
+    ring = SkewRing(get_field(name), e)
+    for a in (1, ring.field.gen):
+        _assert_cut_keeps(SkewCyclicCode(Modulus(ring.x_pow_minus(5, a)), ring.one), 1)
+
+
+@pytest.mark.parametrize("name,e", RS_RINGS)
+def test_cut_keeps_an_mds_code(name, e):
+    """The skew-RS code of length n = m(q - 1) (``_rs_length``), on every
+    ring where the guard's n <= 24 admits it: r = min(n/2, 4) designed
+    roots give d = r + 1, every (r + 1)-set dependent and every r-set
+    not."""
+    ring, n = SkewRing(get_field(name), e), _rs_length(name, e)
+    r = min(n // 2, 4)
+    code = skew_rs1(ring, ring.field.gen, 0, r + 1, n, f=ring.x_pow_minus(n, 1))
+    assert code.k == n - r
+    _assert_cut_keeps(code, r + 1)
+
+
+def test_cut_only_where_the_shift_holds(F4):
+    """A duck-typed code, not closed under the shift, whose lightest words
+    are the multiples of one word of support {0, 4} at n = 6: its wrap
+    gap 2 is shorter than its inner gap 4, so no rotation the code holds
+    is canonical.  The full walk finds d = 2; a walk that cut it would
+    answer 3, at the canonical {0, 2, 4}."""
+    a = 2   # an element of F4 other than 0 and 1
+    code = _code(F4, [[1, 0, 0, 0, a, 0], [0, 1, 1, 1, 0, 1]])
+    assert not _canonical((0, 4), 6)
+    assert _assert_routes_agree(code) == 2
+
+
 # -- the work, counted -------------------------------------------------------------
 #
-# A skew-constacyclic code takes the shifted walk, whose levels start at
-# column 0 only; the same generator rows wrapped by _code, with no modulus,
-# take the full walk.  Each count is checked for both.
+# A skew-constacyclic code takes the shifted walk, which visits only the
+# canonical w-sets: column 0 first, and a wrap gap n - c_(w-1) at least
+# every gap between neighbours.  The same generator rows wrapped by _code,
+# with no modulus, take the full walk.  Each count is checked for both; the
+# shifted counts come from filtering itertools.combinations, not from the
+# walk's column bounds.
 
 
 def _full(code):
@@ -219,17 +308,46 @@ def _full(code):
     return _code(code.field, _generator_rows_i(code))
 
 
+def _canonical(cols, n):
+    """Whether the sorted columns start at 0 and leave a wrap gap from the
+    last one round to column 0 at least every gap between neighbours."""
+    return cols[0] == 0 and all(b - a <= n - cols[-1] for a, b in zip(cols, cols[1:]))
+
+
+def _canonical_sets(n, w):
+    """The canonical w-sets of columns 0..n-1, in lexicographic order."""
+    return [cols for cols in itertools.combinations(range(n), w) if _canonical(cols, n)]
+
+
 def _level_nodes(n, w, shifted=False):
-    """Eliminations of a whole level w at each prefix size j = 1..w-1:
-    C(n - w + j, j), or C(n - w + j - 1, j - 1) with column 0 fixed."""
+    """Eliminations of a whole level w: C(n - w + j, j) at each prefix
+    size j = 1..w-1, or one per distinct prefix of a canonical set."""
     if shifted:
-        return sum(comb(n - w + j - 1, j - 1) for j in range(1, w))
+        return len({cols[:j] for cols in _canonical_sets(n, w) for j in range(1, w)})
     return sum(comb(n - w + j, j) for j in range(1, w))
 
 
 def _leaves(n, w, shifted=False):
-    """Leaf zero-tests of a whole level w: C(n, w), or C(n - 1, w - 1)."""
-    return comb(n - 1, w - 1) if shifted else comb(n, w)
+    """Leaf zero-tests of a whole level w: C(n, w), or its canonical sets."""
+    return len(_canonical_sets(n, w)) if shifted else comb(n, w)
+
+
+def test_canonical_level_counts_at_n_12():
+    """The worst cases the docstring quotes, over levels 2..d at n = 12:
+    179 eliminations when d = 6 and 83 when d = 5, against 562 and 232
+    with column 0 fixed and 1,580 and 789 for the full walk.  The
+    rotations of the canonical w-sets cover every w-set, so the cut loses
+    no support."""
+    n = 12
+    for d, shifted, at_0, full in ((5, 83, 232, 789), (6, 179, 562, 1580)):
+        levels = range(2, d + 1)
+        assert sum(_level_nodes(n, w, True) for w in levels) == shifted
+        assert sum(comb(n - w + j - 1, j - 1) for w in levels for j in range(1, w)) == at_0
+        assert sum(_level_nodes(n, w) for w in levels) == full
+    for w in range(1, n + 1):
+        rotations = {tuple(sorted((c + t) % n for c in cols))
+                     for cols in _canonical_sets(n, w) for t in range(n)}
+        assert len(rotations) == comb(n, w)
 
 
 def _eliminated_rows(monkeypatch, code):
@@ -257,12 +375,19 @@ def _non_mds_bch1_code(R64, tower):
 
 
 def _prefix_sizes(n, w, shifted=False, s=0, last=-1):
-    """The prefix size s of each elimination of level w, in walk order."""
-    stop = 1 if shifted and s == 0 else n - w + s + 1
-    for c in range(last + 1, stop):
+    """The prefix size s of each elimination of level w, in walk order: the
+    walk eliminates each prefix of a set of the level the first time a set,
+    in lexicographic order, starts with it."""
+    if shifted:
+        before = ()
+        for cols in _canonical_sets(n, w):
+            yield from (j - 1 for j in range(1, w) if cols[:j] != before[:j])
+            before = cols
+        return
+    for c in range(last + 1, n - w + s + 1):
         if s < w - 1:
             yield s
-            yield from _prefix_sizes(n, w, shifted, s + 1, c)
+            yield from _prefix_sizes(n, w, s=s + 1, last=c)
 
 
 @pytest.mark.parametrize("field,n,delta", [("F2_6", 6, 4), ("F2_12", 12, 5)])
@@ -274,7 +399,7 @@ def test_eliminations_on_mds_codes(monkeypatch, field, n, delta):
     code = skew_rs1(ring, ring.field.gen, 0, delta, n)
     k, r = code.k, n - code.k
     assert code.modulus.is_constacyclic
-    pins = {False: ((22, 25), (299, 307)), True: ((9, 12), (71, 79))}
+    pins = {False: ((22, 25), (299, 307)), True: ((7, 10), (34, 42))}
     for shifted, walked in ((False, _full(code)), (True, code)):
         d, counts = _eliminated_rows(monkeypatch, walked)
         calls = len(counts)
@@ -290,7 +415,7 @@ def test_eliminations_bound_on_a_bch1_code(monkeypatch, R64, tower):
     code = _non_mds_bch1_code(R64, tower)
     n, k = code.n, code.k
     assert (n, k) == (12, 6) and code.modulus.is_constacyclic
-    pins = {False: 815, True: 258}
+    pins = {False: 815, True: 101}
     for shifted, walked in ((False, _full(code)), (True, code)):
         d, counts = _eliminated_rows(monkeypatch, walked)
         assert d == 6
@@ -338,9 +463,10 @@ def f8_code(R8, F8):
 def test_column_checks_are_the_walk_nodes(f8_code):
     """One check per column tried at each node: the prefix columns at each
     size j and the leaves of every level below d, then part of level d;
-    the shifted walk tries column 0 alone at the root of each level."""
+    the shifted walk tries column 0 alone at the root of each level and
+    only the columns that keep the set canonical below it."""
     n = 7
-    pins = {False: 95, True: 35}
+    pins = {False: 95, True: 26}
     for shifted, walked in ((False, _full(f8_code)), (True, f8_code)):
         token = _CountingToken()
         assert min_distance_exact(walked, strategy="columns", cancel=token) == 4
