@@ -4,10 +4,11 @@ matrices for right evaluation of skew polynomials.
 Roots are found one sigma-conjugacy class at a time: each class is one
 F_p-kernel, solved and spanned by the packed-digit algebra of ``fields``
 (``_fp_kernel``, ``_fp_span``), with every scalar through the field kernel
-bound once per call.  The reduced norm chi_f (``_reduced_norm_ci``, the
-characteristic polynomial of x^m on R/Rf from ``linalg.charpoly_i``)
-vanishes exactly at the norms of the classes that hold roots, so only
-those, at most deg f, are solved, and one kernel vector per F_q-line is
+bound once per call.  The least monic P with P(x^m) in Rf
+(``_annihilator_ci``, a dependency among the words x^(mk) mod_r f found by
+``linalg.right_kernel_i``) vanishes in F_q^* exactly at the norms of the
+classes that hold roots, as the reduced norm chi_f does, so only those, at
+most deg f, are solved, and one kernel vector per F_q-line is
 mapped to its root (``_line_points``).  Roots, minimal polynomials
 (``_minpoly_ci``), the Vandermonde rows and the tower transport work on
 packed indices; a public function boxes FieldElement values once, where it
@@ -17,9 +18,9 @@ returns.
 from __future__ import annotations
 
 from .errors import NotWedderburnError, _guard
-from .fields import FieldElement, _fp_kernel, _fp_span
-from .linalg import charpoly_i, rank_i, wrap
-from .skewpoly import SkewPoly, SkewRing, _circulant_rows_i, _eval_ci, _lclm_ci, _monic_ci, _mul_ci
+from .fields import FieldElement, _fp_kernel, _fp_span, _trim
+from .linalg import rank_i, right_kernel_i, wrap
+from .skewpoly import SkewPoly, SkewRing, _eval_ci, _lclm_ci, _monic_ci, _mul_ci, _shift_ci
 
 _DOMAIN_SWEEP_LIMIT = 1 << 20
 
@@ -76,7 +77,8 @@ def vanishing_set(f, emb=None):
     roots in the class of a are its conjugates by the nonzero vectors of
     one d x d kernel over F_p (``_class_kernels``), and 0 is a root when
     f_0 = 0.  The class of norm gamma holds a root exactly when the
-    reduced norm chi_f (``_reduced_norm_ci``) vanishes at gamma, so at most
+    reduced norm chi_f vanishes at gamma, that is when P, the least monic
+    polynomial with P(x^m) in Rf (``_annihilator_ci``), does, so at most
     deg f kernels are solved.  sigma(c) a c^-1 = a c^(q-1) is the same for
     every F_q-multiple of c, so one vector per F_q-line of the kernel is
     mapped and each root is computed once.  With sigma the identity every
@@ -117,16 +119,22 @@ def _class_kernels(ring, ci):
 
     g is the generator of F^* the field is built on, so its norm nu = N(g)
     generates F_q^* and the g^j lie in distinct classes, of norms nu^j.
-    When q - 1 > deg f the reduced norm chi_f is evaluated at each nu^j and
-    only its roots, at most deg f, are solved; otherwise every class is.  L_a(c) is the right evaluation
-    of the product f*c at a, and L_a is F_q-linear: the gamma^u x^v, u < e,
-    v < m, are an F_p-basis of the field (1, x, ..., x^(m-1) span it over
-    F_q, and gamma = nu^u), so each class takes m evaluations of the
-    products f*x^v, formed once, and e*m scalings.  Taken in that order
-    (v outer), the kernel comes in runs of e vectors: the first of each run
-    is x^v plus an F_q-combination of the x^v' with v' < v, so the run
-    starts form an F_q-basis, and the runs before one span the F_q-span of
-    their starts (``_line_points`` relies on both).
+    When q - 1 > deg f, P = _annihilator_ci is evaluated at each nu^j and
+    only its roots, at most deg f, are solved; otherwise every class is.
+    They are the roots in F_q^* of the reduced norm chi_f, the norms of the
+    classes with roots: chi_f(gamma) = 0 exactly when y - gamma (y = x^m) is
+    singular on R/Rf, so when B(gamma) = 0, B the F_q-minimal polynomial of
+    y there; P divides B, as B(x^m) is in Rf; B divides prod_j sigma^j(P),
+    which is central and kills 1, so all of R/Rf = R*1; sigma fixes gamma.
+    L_a(c) is the right evaluation of the product f*c at a, and L_a is
+    F_q-linear: the gamma^u x^v, u < e, v < m, are an F_p-basis of the field
+    (1, x, ..., x^(m-1) span it over F_q, and gamma = nu^u), so each class
+    takes m evaluations of the products f*x^v, formed once, and e*m
+    scalings.  Taken in that order (v outer), the kernel comes in runs of e
+    vectors: the first of each run is x^v plus an F_q-combination of the
+    x^v' with v' < v, so the run starts form an F_q-basis, and the runs
+    before one span the F_q-span of their starts (``_line_points`` relies
+    on both).
     """
     field = ring.field
     kern = field.kernel()
@@ -138,10 +146,10 @@ def _class_kernels(ring, ci):
     xs = [p ** v for v in range(ring.m)]
     domain = [mul(gu, xv) for xv in xs for gu in gammas]
     products = [_mul_ci(ring, ci, (xv,)) for xv in xs]
-    chi = _reduced_norm_ci(ring, ci) if q - 1 > len(ci) - 1 else None
+    ann = _annihilator_ci(ring, ci) if q - 1 > len(ci) - 1 else None
     a = gamma = 1
     for _ in range(q - 1):
-        if chi is None or not kern.evaluate(chi, gamma, field.degree):
+        if ann is None or not kern.evaluate(ann, gamma, field.degree):
             cols = []
             for fx in products:
                 acc = _eval_ci(ring, fx, a)
@@ -150,18 +158,23 @@ def _class_kernels(ring, ci):
         a, gamma = mul(a, g), mul(gamma, nu)
 
 
-def _reduced_norm_ci(ring, ci):
-    """chi_f(y), the characteristic polynomial of right multiplication by
-    the central y = x^m on R/Rf, ascending; its coefficients lie in F_q.
-
-    Row i of the matrix is x^(m+i) mod_r f for the monic f of degree n: the
-    n rows of the skew circulant of x^m.  _class_kernels builds chi_f only
-    when n < q - 1, and _roots_i admits at most 2^20 elements, so with
-    m >= 2, q <= 2^10 and n^2 <= 1022^2 < 2^20: the circulant's guard never
-    fires.
-    """
+def _annihilator_ci(ring, ci):
+    """The least monic P(y), ascending, with P(x^m) in Rf: the first vector
+    of the right kernel of the n x (n + 1) matrix whose columns are the
+    words x^(mk) mod_r f, k = 0..n, each m skew shifts from the one before
+    (a zero row stands in for the empty matrix at n = deg f = 0).  Called
+    only when n < q - 1 with at most 2^20 field elements and m >= 2, so
+    q <= 2^10 and the matrix has at most 1022 * 1023 < 2^20 entries."""
     f = _monic_ci(ring, ci)
-    return charpoly_i(_circulant_rows_i(ring, f, (0,) * ring.m + (1,), len(f) - 1), ring.field)
+    n = len(f) - 1
+    words = [[int(i == 0) for i in range(n)]]
+    for _ in range(n):
+        w = words[-1]
+        for _ in range(ring.m):
+            w = _shift_ci(ring, f, w)
+        words.append(w)
+    rows = list(zip(*words)) or [[0]]
+    return _trim(tuple(right_kernel_i(rows, ring.field)[0]))
 
 
 def _line_points(field, basis, e):

@@ -23,10 +23,10 @@ generator by one full division per nonzero a, ``rs1_brackets_repeat_by_scan``
 checks a skew-RS length by a set of the brackets a^[i], and ``vanishing_set_by_sweep``
 finds the right roots of a polynomial by evaluating it at every point.
 ``roots_by_all_classes`` finds them by solving one kernel in every
-conjugacy class and mapping every kernel vector, without the reduced-norm
+conjugacy class and mapping every kernel vector, without the class
 prefilter or the one-vector-per-line map, and ``charpoly_by_cofactors``
 expands det(yI - M) by cofactors over F[y] on ``naive_mul``, with no
-elimination.
+elimination: the reduced norm the prefilter's classes are checked against.
 ``bch1_generator_by_fold`` folds one subfield minimal polynomial per
 designed root by base-ring lclm, and ``bch2_generator_by_closure`` takes the
 extension-ring lclm of x - beta^(q^t) over the coset closure and restricts

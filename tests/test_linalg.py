@@ -1,16 +1,16 @@
 """The int-grid linear algebra of ``linalg`` against the naive arithmetic of
-``oracle_utils``: Gaussian elimination, products and cofactor expansion on
-``naive_mul`` and ``naive_add``, which never touch the field kernel that
-``rref_i``, ``right_kernel_i``, ``charpoly_i`` and ``mat_mul_i`` bind.  The
-fields cover XOR tables (F4, F16), odd tables (F9, F27) and the polynomial
-kernel above the table limit (F_2^17)."""
+``oracle_utils``: Gaussian elimination and products on ``naive_mul`` and
+``naive_add``, which never touch the field kernel that ``rref_i``,
+``right_kernel_i`` and ``mat_mul_i`` bind.  The fields cover XOR tables
+(F4, F16), odd tables (F9, F27) and the polynomial kernel above the table
+limit (F_2^17)."""
 
 import random
 
 import pytest
 
-from skewcodes.linalg import charpoly_i, mat_mul_i, matrix_rank, rank_i, right_kernel_i, rref_i, wrap
-from oracle_utils import charpoly_by_cofactors, naive_mat_mul, naive_rank
+from skewcodes.linalg import mat_mul_i, matrix_rank, rank_i, right_kernel_i, rref_i, wrap
+from oracle_utils import naive_mat_mul, naive_rank
 
 FIELDS = ["F4", "F9", "F16", "F27", "F2_17"]
 SHAPES = [(1, 4), (2, 2), (3, 3), (3, 5), (4, 2), (4, 6)]
@@ -59,17 +59,6 @@ def test_right_kernel_is_an_annihilated_basis(name, field_named):
         assert naive_rank(basis, F) == len(basis)
         for v in basis:
             assert _is_zero(naive_mat_mul(rows, [[x] for x in v], F))
-
-
-@pytest.mark.parametrize("name", FIELDS)
-def test_charpoly_against_cofactor_expansion(name, field_named):
-    F = field_named(name)
-    rng = random.Random(name)
-    for n in range(5):
-        for _ in range(3):
-            rows = [[rng.randrange(F.order) if rng.random() < 0.6 else 0
-                     for _ in range(n)] for _ in range(n)]
-            assert charpoly_i(rows, F) == charpoly_by_cofactors(F, rows)
 
 
 @pytest.mark.parametrize("name", FIELDS)

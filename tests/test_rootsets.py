@@ -7,6 +7,9 @@ import pytest
 from conftest import PRESETS
 from oracle_utils import (
     charpoly_by_cofactors,
+    naive_add,
+    naive_mul,
+    naive_rank,
     norm_eval,
     roots_by_all_classes,
     vanishing_set_by_sweep,
@@ -16,16 +19,16 @@ from skewcodes.errors import GuardExceededError
 from skewcodes.fields import (
     FieldEmbedding,
     FieldSpec,
+    _PolyKernel,
     conjugacy_class,
     find_irreducible,
     get_field,
     norm_exponent,
 )
-from skewcodes.linalg import charpoly_i
 from skewcodes.rootsets import (
     AlgebraicSet,
+    _annihilator_ci,
     _class_kernels,
-    _reduced_norm_ci,
     is_wedderburn,
     minimal_poly_over_subfield,
     minimal_polynomial,
@@ -394,7 +397,7 @@ def test_class_kernel_dimensions_give_the_rank(name, field_named):
                 assert _class_rank(R, f) == _rank(R, vanishing_set(f)), (e, f)
 
 
-# -- the reduced norm chi_f and the classes it selects --------------------------------
+# -- the annihilator of x^m and the classes it selects --------------------------------
 
 
 def _class_cases(R, rng):
@@ -456,45 +459,71 @@ def test_solves_and_mapped_vectors_are_counted(name, e, field_named, monkeypatch
 CHI_CASES = [(name, e) for name in PRESETS for e in _admissible(get_field(name))[:-1]]
 
 
-def _right_multiplication_by_y(f):
-    """Rows x^(i+m) mod_r f, i < deg f, by the ring's right division."""
+def _remainders(f, exponents):
+    """Rows x^k mod_r f, one per exponent k, of deg f entries each, by the
+    ring's right division."""
     R, n = f.ring, f.degree
     rows = []
-    for i in range(n):
-        rem = (R.x ** (i + R.m)).right_divmod(f)[1]
+    for k in exponents:
+        rem = (R.x ** k).right_divmod(f)[1]
         rows.append([c.i for c in rem.coefficients] + [0] * (n - len(rem.coefficients)))
     return rows
 
 
-@pytest.mark.parametrize("name,e", CHI_CASES)
-def test_reduced_norm_against_cofactor_determinant(name, e):
-    """chi_f is det(yI - M) for M the matrix of right multiplication by
-    x^m on R/Rf, monic of degree deg f, with every coefficient in F_q."""
-    F = get_field(name)
-    R = SkewRing(F, e)
-    rng = random.Random(f"chi {name}/{e}")
+def _naive_poly_eval(F, poly, gamma):
+    """sum_k poly_k gamma^k by naive_mul and naive_add."""
+    acc, power = 0, F.one
+    for c in poly:
+        acc = naive_add(F, acc, naive_mul(F, F.element(c), power).i)
+        power = naive_mul(F, power, F.element(gamma))
+    return acc
+
+
+def _annihilator_cases(R, rng):
+    """Seeded f of degree 1..4 with f_0 = 0 and f_0 != 0, the minimal
+    polynomials of two sigma-conjugate points (one class) and of those and
+    a third point (one or two classes), and their squares."""
+    F = R.field
+    cases = []
     for n in range(1, 5):
         for f0 in (0, rng.randrange(1, F.order)):
-            f = R.from_indices([f0] + [rng.randrange(F.order) for _ in range(n - 1)]
-                               + [rng.randrange(1, F.order)])
-            chi = _reduced_norm_ci(R, f._ci)
-            assert chi == charpoly_by_cofactors(F, _right_multiplication_by_y(f)), f
-            assert len(chi) == n + 1 and chi[-1] == 1
-            assert all(F.frob_i(c, e) == c for c in chi), f
+            cases.append(R.from_indices([f0] + [rng.randrange(F.order) for _ in range(n - 1)]
+                                        + [rng.randrange(1, F.order)]))
+    a, b = rng.sample(range(1, F.order), 2)
+    conjugates = (F.mul_i(a, F.pow_i(c, R.q - 1)) for c in range(2, F.order))
+    conj = next(x for x in conjugates if x != a)   # sigma(c) a c^-1
+    for points in ([a, conj], [a, conj, b]):
+        mp = minimal_polynomial(R, points)
+        cases += [mp, mp * mp]
+    return cases
 
 
-@pytest.mark.parametrize("name", ["F4", "F9", "F27", "F2_6", "F5_4"])
-def test_charpoly_against_cofactor_determinant(name, field_named):
-    """Hessenberg reduction against cofactor expansion on random square
-    grids, sparse ones too, so that pivots are searched and swapped."""
-    F = field_named(name)
-    rng = random.Random(f"charpoly {name}")
-    for n in range(5):
-        for density in (1.0, 0.5, 0.2):
-            for _ in range(4):
-                rows = [[rng.randrange(1, F.order) if rng.random() < density else 0
-                         for _ in range(n)] for _ in range(n)]
-                assert charpoly_i(rows, F) == charpoly_by_cofactors(F, rows), rows
+@pytest.mark.parametrize("name,e", CHI_CASES)
+def test_annihilator_against_cofactor_determinant(name, e):
+    """P = _annihilator_ci(f) is monic of degree at most deg f, f right
+    divides P(x^m), the first deg P words x^(mk) mod_r f are independent
+    (so P is the least such), and P vanishes on F_q^* exactly where the
+    reduced norm chi_f = det(yI - M) does, M the matrix of right
+    multiplication by x^m on R/Rf.  Some case has deg P < deg f, a
+    non-cyclic R/Rf."""
+    F = get_field(name)
+    R = SkewRing(F, e)
+    fq_units = [c for c in range(1, F.order) if F.frob_i(c, e) == c]
+    shorter = 0
+    for f in _annihilator_cases(R, random.Random(f"annihilator {name}/{e}")):
+        P = _annihilator_ci(R, f._ci)
+        deg = len(P) - 1
+        assert P[-1] == 1 and deg <= f.degree, f
+        p_of_y = [0] * (R.m * deg + 1)
+        p_of_y[::R.m] = P
+        assert R.from_indices(p_of_y).right_divmod(f)[1] == R.zero, f
+        assert naive_rank(_remainders(f, range(0, R.m * deg, R.m)), F) == deg, f
+        # right multiplication by y = x^m on R/Rf: rows x^(i+m) mod_r f
+        chi = charpoly_by_cofactors(F, _remainders(f, range(R.m, R.m + f.degree)))
+        assert ([g for g in fq_units if not _naive_poly_eval(F, P, g)]
+                == [g for g in fq_units if not _naive_poly_eval(F, chi, g)]), f
+        shorter += deg < f.degree
+    assert shorter
 
 
 def test_vanishing_set_above_the_table_limit():
@@ -510,6 +539,31 @@ def test_vanishing_set_above_the_table_limit():
     rank = _rank(R, V)
     assert rank == _class_rank(R, f) == f.degree
     assert len(V) == 2 ** rank - 1
+
+
+@pytest.mark.parametrize("e", [6, 9])
+def test_class_prefilter_above_the_table_limit(e, monkeypatch):
+    """F_2^18 at e = 6 and 9, on the polynomial kernel with q - 1 > deg f, so
+    the annihilator of x^m picks the classes: one kernel solve per class
+    that holds a root, and every root checked by norm_eval."""
+    F = FieldSpec(2, find_irreducible(2, 18), name="F2_18")
+    R = SkewRing(F, e)
+    assert isinstance(F.kernel(), _PolyKernel)
+    planted = [F.element(i) for i in random.Random(f"F2_18/{e}").sample(range(1, F.order), 3)]
+    f = minimal_polynomial(R, planted)
+    assert R.q - 1 > f.degree
+    solves, fp_kernel = [], rootsets._fp_kernel
+
+    def counted_kernel(*args):
+        solves.append(args)
+        return fp_kernel(*args)
+
+    monkeypatch.setattr(rootsets, "_fp_kernel", counted_kernel)
+    V = vanishing_set(f)
+    assert set(planted) <= set(V)
+    assert all(norm_eval(R, f, a) == F.zero for a in V)
+    assert len(solves) == len({a ** norm_exponent(R.q, R.m) for a in V if a})
+    assert V == roots_by_all_classes(f)
 
 
 @pytest.mark.parametrize("e", [1, 21])
