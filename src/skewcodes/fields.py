@@ -27,14 +27,15 @@ behind ``FieldSpec.add_i`` .. ``frob_i`` for every p, and the row
 operations the ring and elimination loops call once per row (``scale``,
 ``evaluate``, ``eliminate`` and ``addmul``, which also makes each step of
 right division) or per twisted dot product sum c_i * sigma^(t_i)(x_i)
-(``dot``, for the divisor walk).  Up
-to 2^16 elements it works in the log domain over references to the tables,
-negation a shift by log(-1) = (order - 1)/2;
+(``dot``, for the divisor walk), each with one generic body (``_Kernel``).
+Up to 2^16 elements a kernel overrides the timed ones in the log domain
+over references to the tables, negation a shift by log(-1) = (order - 1)/2;
 above, it builds no table of the field and works on packed indices: a
 carry-less product for p = 2, a Kronecker-substitution product for odd p
 (``_packed_mul``, which the table builds use too), an extended-Euclid
-inverse (``_packed_inv``) and square-and-multiply powers; these two also
-check the defining polynomial, by Rabin's test (``_fp_is_irreducible``).
+inverse (``_packed_inv``), square-and-multiply powers and negation by
+the adder; the product and the inverse also check the defining
+polynomial, by Rabin's test (``_fp_is_irreducible``).
 
 The F_p-linear algebra on packed indices (``_fp_kernel``, ``_fp_span``)
 lives here with the packing; it finds the roots in a conjugacy class and
@@ -163,7 +164,7 @@ def _chunked_adder(p, d, table):
     return add
 
 
-# -- packed arithmetic: products, inverses and negation on packed indices --
+# -- packed arithmetic: products and inverses on packed indices --
 
 def _power(mul, a, k):
     """a^k for k >= 0 by square-and-multiply over mul, with no product by
@@ -335,40 +336,73 @@ def _packed_inv(p, modulus):
     return inv
 
 
-def _packed_neg(p, d):
-    """Negation on packed indices: the identity for p = 2, -a mod p in a
-    prime field, and otherwise c digits at a time through a table of the p^c
-    chunks (``_chunk``)."""
-    if p == 2:
-        return lambda a: a
-    if d == 1:
-        return lambda a: -a % p
-    c, P = _chunk(p, d)
-    table = [sum(-(v // p ** i) % p * p ** i for i in range(c)) for v in range(P)]
-
-    def neg(a):
-        out, unit = 0, 1
-        while a:
-            a, v = divmod(a, P)
-            out += table[v] * unit
-            unit *= P
-        return out
-    return neg
-
-
-class _TableKernel:
-    """Row operations of a field of at most 2^16 elements, in the log domain:
-    c * sigma^t(x) is exp[log c + log frob_t[x]].  exp (length 2n), log and
-    frob (the d Frobenius tables by shift) are built by
-    FieldSpec._make_kernel and held only here, n = order - 1 and
-    half = log(-1).
-    ``add`` is the field's adder from _make_kernel; for p = 2 it is
-    operator.xor, which the subclass inlines in its loops.
+class _Kernel:
+    """One generic body per kernel operation, over the subclass's ``add``,
+    ``mul``, ``inv`` and ``neg``; a subclass overrides a body only where a
+    workload measures the difference.
 
     The scalar c, the point a and the arguments of mul, inv and pow are
     nonzero, ``pairs`` lists (j, x) with x nonzero, the power k is
     nonnegative and the Frobenius shift t is below the degree.  Each row
     operation is one call per row or polynomial.
+    """
+
+    def pow(self, a, k):
+        return _power(self.mul, a, k)
+
+    def frobenius(self, a, t):
+        return _power(self.mul, a, self.field.p ** t) if t and a else a
+
+    def scale(self, c, f):
+        """The tuple of c * x over f."""
+        mul = self.mul
+        return tuple(mul(c, x) if x else 0 for x in f)
+
+    def addmul(self, out, off, c, pairs, t):
+        """out[off + j] += c * sigma^t(x) for (j, x) in pairs."""
+        mul, add, frob = self.mul, self.add, self.frobenius
+        for j, x in pairs:
+            y = frob(x, t)
+            out[off + j] = add(out[off + j], y if c == 1 else mul(c, y))
+
+    def dot(self, acc, cs, xs, ts):
+        """acc + sum c * sigma^t(x) over zip(cs, xs, ts); any c or x may be 0."""
+        mul, add, frob = self.mul, self.add, self.frobenius
+        for c, x, t in zip(cs, xs, ts):
+            if c and x:
+                acc = add(acc, mul(c, frob(x, t)))
+        return acc
+
+    def evaluate(self, f, a, e):
+        """sum_i f_i N_i(a) for sigma = frob_e, N_i(a) = prod_{j<i} sigma^j(a)."""
+        mul, add, frob, d = self.mul, self.add, self.frobenius, self.field.degree
+        acc, cur = f[0], 1   # cur = N_i(a)
+        for i in range(1, len(f)):
+            cur = mul(cur, frob(a, e * (i - 1) % d))
+            if f[i]:
+                acc = add(acc, mul(f[i], cur))
+        return acc
+
+    def eliminate(self, m, r, col):
+        """Scale row r of m to a unit pivot at col and clear col in every
+        other row, in place."""
+        c = self.inv(m[r][col])
+        if c != 1:
+            m[r] = list(self.scale(c, m[r]))
+        pairs = [(k, v) for k, v in enumerate(m[r]) if v]
+        for i, row in enumerate(m):
+            if i != r and row[col]:
+                self.addmul(row, 0, self.neg(row[col]), pairs, 0)
+
+
+class _TableKernel(_Kernel):
+    """The kernel of a field of at most 2^16 elements, in the log domain:
+    c * sigma^t(x) is exp[log c + log frob_t[x]] and -a is a shift by
+    half = log(-1).  exp (length 2n), log and frob (the d Frobenius tables
+    by shift) are built by FieldSpec._make_kernel and held only here,
+    n = order - 1.  ``add`` is the field's adder from _make_kernel; for
+    p = 2 it is operator.xor, which the subclass inlines in its loops.
+    ``scale`` and, for odd p, ``eliminate`` are the generic bodies.
     """
 
     def __init__(self, field, add, exp, log, frob):
@@ -393,14 +427,7 @@ class _TableKernel:
         """sigma^t(a) = a^(p^t), from the table of shift t."""
         return self.frob[t][a]
 
-    def scale(self, c, f):
-        """The tuple of c * x over f."""
-        exp, log = self.exp, self.log
-        lc = log[c]
-        return tuple(exp[lc + log[x]] if x else 0 for x in f)
-
     def addmul(self, out, off, c, pairs, t):
-        """out[off + j] += c * sigma^t(x) for (j, x) in pairs."""
         exp, log, add = self.exp, self.log, self.add
         table = self.frob[t]
         lc = log[c]
@@ -408,7 +435,6 @@ class _TableKernel:
             out[off + j] = add(out[off + j], exp[lc + log[table[x]]])
 
     def dot(self, acc, cs, xs, ts):
-        """acc + sum c * sigma^t(x) over zip(cs, xs, ts); any c or x may be 0."""
         exp, log, frob, add = self.exp, self.log, self.frob, self.add
         for c, x, t in zip(cs, xs, ts):
             if c and x:
@@ -416,7 +442,6 @@ class _TableKernel:
         return acc
 
     def evaluate(self, f, a, e):
-        """sum_i f_i N_i(a) for sigma = frob_e, N_i(a) = prod_{j<i} sigma^j(a)."""
         exp, log, n, add, frob = self.exp, self.log, self.n, self.add, self.frob
         d = self.field.degree
         acc, lcur = f[0], 0   # lcur = log N_i(a)
@@ -426,20 +451,6 @@ class _TableKernel:
             if f[i]:
                 acc = add(acc, exp[log[f[i]] + lcur])
         return acc
-
-    def eliminate(self, m, r, col):
-        """Scale row r of m to a unit pivot at col and clear col in every
-        other row, in place."""
-        exp, log, n, add = self.exp, self.log, self.n, self.add
-        lc = -log[m[r][col]] % n
-        if lc:
-            m[r] = [exp[lc + log[v]] if v else 0 for v in m[r]]
-        prow = [(k, log[v]) for k, v in enumerate(m[r]) if v]
-        for i, row in enumerate(m):
-            if i != r and row[col]:
-                lf = (log[row[col]] + self.half) % n   # log of -row[col]
-                for k, lw in prow:
-                    row[k] = add(row[k], exp[lf + lw])
 
 
 class _XorKernel(_TableKernel):
@@ -473,60 +484,21 @@ class _XorKernel(_TableKernel):
                     row[k] ^= exp[lf + lw]
 
 
-class _PolyKernel:
-    """The same operations above the table limit, on packed indices and with
-    no table of the field: ``mul`` is the field's packed product
-    (``_packed_mul``), ``inv`` the extended Euclidean algorithm of
-    ``_packed_inv``, which makes no product, and a power and
-    sigma^t(a) = a^(p^t) are square-and-multiply over ``mul``.  ``neg`` is
-    the identity for p = 2 (``_packed_neg``) and ``add`` the field's adder
-    from _make_kernel."""
+class _PolyKernel(_Kernel):
+    """The kernel above the table limit, on packed indices and with no table
+    of the field: ``mul`` is the field's packed product (``_packed_mul``),
+    ``inv`` the extended Euclidean algorithm of ``_packed_inv``, which makes
+    no product, ``add`` the field's adder from _make_kernel, and every other
+    operation the generic body.  -a comes from the adder: p^d - 1 - a has
+    the digits p - 1 - c, and adding the all-ones vector (p^d - 1)/(p - 1)
+    makes them (p - c) mod p, so -a = a for p = 2 and (p - a) % p in a
+    prime field."""
 
     def __init__(self, field, add):
         self.field, self.add, self.mul = field, add, field._mul
         self.inv = _packed_inv(field.p, field.modulus)
-        self.neg = _packed_neg(field.p, field.degree)
-
-    def pow(self, a, k):
-        return _power(self.mul, a, k)
-
-    def frobenius(self, a, t):
-        return _power(self.mul, a, self.field.p ** t) if t and a else a
-
-    def scale(self, c, f):
-        mul = self.mul
-        return tuple(mul(c, x) if x else 0 for x in f)
-
-    def addmul(self, out, off, c, pairs, t):
-        mul, add, frob = self.mul, self.add, self.frobenius
-        for j, x in pairs:
-            y = frob(x, t)
-            out[off + j] = add(out[off + j], y if c == 1 else mul(c, y))
-
-    def dot(self, acc, cs, xs, ts):
-        mul, add, frob = self.mul, self.add, self.frobenius
-        for c, x, t in zip(cs, xs, ts):
-            if c and x:
-                acc = add(acc, mul(c, frob(x, t)))
-        return acc
-
-    def evaluate(self, f, a, e):
-        mul, add, frob, d = self.mul, self.add, self.frobenius, self.field.degree
-        acc, cur = f[0], 1   # cur = N_i(a)
-        for i in range(1, len(f)):
-            cur = mul(cur, frob(a, e * (i - 1) % d))
-            if f[i]:
-                acc = add(acc, mul(f[i], cur))
-        return acc
-
-    def eliminate(self, m, r, col):
-        c = self.inv(m[r][col])
-        if c != 1:
-            m[r] = list(self.scale(c, m[r]))
-        pairs = [(k, v) for k, v in enumerate(m[r]) if v]
-        for i, row in enumerate(m):
-            if i != r and row[col]:
-                self.addmul(row, 0, self.neg(row[col]), pairs, 0)
+        top, ones = field.order - 1, (field.order - 1) // (field.p - 1)
+        self.neg = lambda a: add(top - a, ones)
 
 
 class FieldSpec:
@@ -977,17 +949,17 @@ def conjugacy_class(aut, a):
 
 
 def conjugacy_classes(aut):
-    """All conjugacy classes, the zero class first, the rest sorted."""
+    """All conjugacy classes, the zero class first, the rest sorted by least
+    element: the cosets of {c^(s - 1)}, s = p^(e mod d), a subgroup of order
+    h = n / gcd(s - 1, n) among the n units, so a and b share one iff
+    a^h = b^h, and one pass groups the units by their h-th powers."""
     f = aut.field
-    seen = {0}
-    out = [conjugacy_class(aut, f.zero)]
-    for i in range(1, f.order):
-        if i in seen:
-            continue
-        cls = conjugacy_class(aut, FieldElement(f, i))
-        seen.update(e.i for e in cls)
-        out.append(cls)
-    return out
+    n = f.order - 1
+    h, pow_ = n // gcd(f.p ** (aut.e % f.degree) - 1, n), f.kernel().pow
+    classes = {}
+    for b in range(1, f.order):
+        classes.setdefault(pow_(b, h), []).append(FieldElement(f, b))
+    return [frozenset([f.zero])] + [frozenset(cls) for cls in classes.values()]
 
 
 def _fp_kernel(field, cols, domain):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .fields import FieldElement
 from .linalg import wrap
-from .skewpoly import SkewPoly, _TuplePoly, _circulant_rows_i, _eval_ci, _mul_ci
+from .skewpoly import SkewPoly, _TuplePoly, _circulant_rows_i, _eval_ci, _mul_ci, _right_divmod_ci
 
 
 class LinearizedPoly(_TuplePoly):
@@ -44,14 +44,11 @@ class LinearizedPoly(_TuplePoly):
         return LinearizedPoly(self.ring, _mul_ci(self.ring, self._ci, other._ci))
 
     def reduce_map(self):
-        """Fold exponents modulo m (valid on F_{q^m} since a^(q^m) = a):
-        one kernel addmul per block of m coefficients."""
-        ring, ci, m = self.ring, self._ci, self.ring.m
-        addmul = ring.field.kernel().addmul
-        out = [0] * m
-        for b in range(0, len(ci), m):
-            addmul(out, 0, 1, [(j, x) for j, x in enumerate(ci[b:b + m]) if x], 0)
-        return LinearizedPoly(ring, out)
+        """Fold exponents modulo m (valid on F_{q^m} since a^(q^m) = a): the
+        remainder of right division by x^m - 1, as in dickson_matrix."""
+        ring = self.ring
+        f = ring.x_pow_minus(ring.m, ring.field.one)._ci
+        return LinearizedPoly(ring, _right_divmod_ci(ring, self._ci, f)[1])
 
     def apply(self, a):
         """Evaluate the induced map: sum f_i a^(q^i), the right evaluation

@@ -149,8 +149,34 @@ def test_right_division_has_no_kernel_step_of_its_own():
     methods = {node.name: {fn.name for fn in node.body if isinstance(fn, ast.FunctionDef)}
                for node in tree.body if isinstance(node, ast.ClassDef)}
     assert [name for name, fns in methods.items() if "divstep" in fns] == []
-    for name in ("_TableKernel", "_XorKernel", "_PolyKernel"):
+    for name in ("_Kernel", "_TableKernel", "_XorKernel", "_PolyKernel"):
         assert methods[name] <= KERNEL_OPERATIONS, name
+
+
+GENERIC_OPERATIONS = {"pow", "frobenius", "scale", "addmul", "dot", "evaluate", "eliminate"}
+
+
+def test_one_generic_body_per_kernel_operation():
+    """_Kernel holds the one generic body of a power, a Frobenius image and
+    each row operation: the one definition in fields.py that reads no table.
+    Both kernel kinds derive from it; _TableKernel keeps its log-domain
+    loops but defines neither scale nor eliminate, and _PolyKernel defines
+    only __init__, which reads negation from the adder, so no _packed_neg
+    is left."""
+    tree = ast.parse((SRC / "fields.py").read_text(encoding="utf-8"))
+    classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+    methods = {name: {fn.name: fn for fn in node.body if isinstance(fn, ast.FunctionDef)}
+               for name, node in classes.items()}
+    assert set(methods["_Kernel"]) == GENERIC_OPERATIONS
+    generic = sorted(
+        (op, cls) for cls, fns in methods.items() for op, fn in fns.items()
+        if op in GENERIC_OPERATIONS and not any(_table_references(fn)))
+    assert generic == sorted((op, "_Kernel") for op in GENERIC_OPERATIONS)
+    for name in ("_TableKernel", "_PolyKernel"):
+        assert [_name(base) for base in classes[name].bases] == ["_Kernel"], name
+    assert set(methods["_PolyKernel"]) == {"__init__"}
+    assert {"scale", "eliminate"} & set(methods["_TableKernel"]) == set()
+    assert "_packed_neg" not in {_name(sub) for sub in ast.walk(tree)}
 
 
 TABLE_BUILDERS = {"_digit_add_table", "_powers"}

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from skewcodes import fields
 from skewcodes.errors import FieldMismatchError, GuardExceededError
 from skewcodes.fields import (
+    FieldElement,
     FieldEmbedding,
     FieldSpec,
     FrobeniusAut,
@@ -497,6 +498,40 @@ def test_conjugacy_is_equivalence(name):
             assert a in conjugacy_class(aut, b)
 
 
+@pytest.mark.parametrize("name", PRESETS)
+def test_conjugacy_classes_match_the_class_definition(name):
+    """At every sigma exponent e = 0 .. 2d, conjugacy_classes is the zero
+    class and then the conjugacy_class scans of a -> a * c^(s - 1), each
+    once, ordered by least element.  Above 64 classes (the identity on
+    F2_12) 64 classes, the first and last among them, are scanned."""
+    field = get_field(name)
+    rng = random.Random(name)
+    for e in range(2 * field.degree + 1):
+        aut = FrobeniusAut(field, e)
+        classes = conjugacy_classes(aut)
+        assert classes[0] == frozenset([field.zero])
+        least = [min(a.i for a in cls) for cls in classes]
+        assert least == sorted(least)
+        assert sum(map(len, classes)) == field.order
+        assert len(set().union(*classes)) == field.order
+        picked = range(len(classes))
+        if len(classes) > 64:
+            picked = [0, len(classes) - 1] + rng.sample(range(1, len(classes) - 1), 62)
+        for k in picked:
+            assert classes[k] == conjugacy_class(aut, FieldElement(field, least[k])), (e, k)
+
+
+def test_conjugacy_classes_of_the_identity_on_f2_12():
+    """One pass over the units, not one class scan per class: the 4,096
+    singleton classes of F2_12 at e = 12 in under 0.5 s."""
+    field = get_field("F2_12")
+    field.kernel()
+    start = time.perf_counter()
+    classes = conjugacy_classes(FrobeniusAut(field, 12))
+    assert time.perf_counter() - start < 0.5
+    assert [sorted(a.i for a in cls) for cls in classes] == [[i] for i in range(field.order)]
+
+
 def test_embedding_roundtrip_and_homomorphism(F8, F64):
     emb = FieldEmbedding(F8, F64)
     assert emb.embed(F8.zero) == F64.zero
@@ -838,6 +873,22 @@ def test_prime_field_adds_mod_p_without_a_table(p):
         assert F.add_i(a, b) == naive_add(F, a, b)
         assert F.sub_i(a, b) == naive_add(F, a, b, sign=-1)
         assert F.neg_i(b) == naive_neg(F, b)
+
+
+@pytest.mark.parametrize("name", ["F2_17", "F3_11", "F65537"])
+def test_polynomial_kernel_negates_by_the_adder(name, field_named):
+    """Above the table limit -a is the adder's sum of p^d - 1 - a and the
+    all-ones digit vector: the digitwise (p - c) mod p, on F_2^17 (where it
+    is a), F_3^11 and the prime field F_65537 (modulus x + 3), and an
+    involution whose sum with a is 0."""
+    F = FieldSpec(65537, (3, 1)) if name == "F65537" else field_named(name)
+    kern, p = F.kernel(), F.p
+    assert F.order > 1 << 16 and held_tables(F) == {}
+    rng = random.Random(name)
+    for a in [0, 1, p - 1, F.order - 1] + [rng.randrange(F.order) for _ in range(2000)]:
+        digits = F.coeffs_of(a)
+        assert kern.neg(a) == sum((p - c) % p * p ** i for i, c in enumerate(digits))
+        assert kern.add(a, kern.neg(a)) == 0 and kern.neg(kern.neg(a)) == a
 
 
 def test_kernel_references_the_field_tables(field_named):
