@@ -83,9 +83,12 @@ def _add_field_args(sub, ext=False):
                      help="deterministic key=value output")
 
 
-def _field(preset, config):
-    """(field, e) of a preset name (e = 1) or of a config file (its e), the
-    preset first; None without either."""
+def _field(preset, config, flag=""):
+    """(field, e) of a preset name (e = 1) or of a config file (its e); None
+    without either, and a ParseError naming --<flag>preset and --<flag>config
+    with both."""
+    if preset and config:
+        raise ParseError(f"give either --{flag}preset or --{flag}config, not both")
     if preset:
         try:
             return get_field(preset), 1
@@ -109,12 +112,16 @@ def _read_config(path):
 
 
 def _ring(args):
-    if args.preset and args.config:
-        raise ParseError("give either --preset or --config, not both")
     found = _field(args.preset, args.config)
     if found is None:
         raise ParseError("a field is required: --preset or --config")
-    field, e = found
+    return _sigma_ring(args, *found)
+
+
+def _sigma_ring(args, field, e):
+    """SkewRing(field, e) with e replaced by --e, or by d under --commutative."""
+    if args.commutative and args.e is not None:
+        raise ParseError("give either --e or --commutative, not both")
     if args.commutative:
         e = field.degree
     elif args.e is not None:
@@ -221,6 +228,9 @@ def _build_code(args):
         if args.f or args.g or args.preset or args.config:
             raise ParseError("--code-config replaces --preset/--config/--f/--g")
         ring, f, g = parse_code_config(_read_config(args.code_config))
+        # the text gives the same coefficients under any e
+        ring = _sigma_ring(args, ring.field, ring.e)
+        f, g = ring.from_indices(f._ci), ring.from_indices(g._ci)
     else:
         if not (args.f and args.g):
             raise ParseError("--f and --g are required without --code-config")
@@ -288,7 +298,7 @@ def _bch_spec(args, spec_class, **extra):
     base field itself without one; an --ext-config's e is not used), alpha
     (bch2 searches a normal one for 'auto') and the shared parameters."""
     base_ring = _ring(args)
-    ext = _field(args.ext_preset, args.ext_config)
+    ext = _field(args.ext_preset, args.ext_config, "ext-")
     emb = FieldEmbedding(base_ring.field, ext[0] if ext else base_ring.field)
     if spec_class is Bch2Spec and args.alpha == "auto":
         alpha = find_normal_element(SkewRing(emb.target, base_ring.e))

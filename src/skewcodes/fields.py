@@ -19,15 +19,17 @@ of shift j read through it.
 ``_make_kernel``, under the field's lock, the one place that builds a table
 and chooses tables or polynomials and the one adder, from p and d: XOR for
 p = 2, and for odd p the full digit-add table (built by digit recursion)
-when the field is one chunk of ``_chunk`` (p^d <= 256), the half-width
-table chunk by chunk up to 2^16, and digit by digit above and in a prime
-field, so no add table has more than 2^16 entries.  Every kernel has the scalar
-operations (``add``, ``neg``, ``mul``, ``inv``, ``pow``, ``frobenius``),
-behind ``FieldSpec.add_i`` .. ``frob_i`` for every p, and the row
-operations the ring and elimination loops call once per row (``scale``,
-``evaluate``, ``eliminate`` and ``addmul``, which also makes each step of
-right division) or per twisted dot product sum c_i * sigma^(t_i)(x_i)
-(``dot``, for the divisor walk), each with one generic body (``_Kernel``).
+when the field is one chunk of ``_chunk`` (p^d <= 256), else the table of
+the low ceil(d/2) digits while it has at most 256 rows, and digit by digit
+past that and in a prime field: the table's size decides, so no add table
+has more than 2^16 entries.  Every kernel has the scalar operations
+(``add``, ``neg``, ``mul``, ``inv``, ``pow``, ``frobenius``), behind
+``FieldSpec.add_i`` .. ``frob_i`` for every p, the norms N_i(a)
+(``norms``), and the row operations the ring and elimination loops call
+once per row (``scale``, ``evaluate``, ``eliminate`` and ``addmul``, which
+also makes each step of right division) or per twisted dot product
+sum c_i * sigma^(t_i)(x_i) (``dot``, for the divisor walk), each with one
+generic body (``_Kernel``).
 Up to 2^16 elements a kernel overrides the timed ones in the log domain
 over references to the tables, negation a shift by log(-1) = (order - 1)/2;
 above, it builds no table of the field and works on packed indices: a
@@ -139,11 +141,10 @@ def _digit_add_table(p, k):
 
 def _chunked_adder(p, d, table):
     """Addition on packed indices of F_p^d, odd p: one lookup in the full
-    digit-add table (p^d rows), two or three in the table of width
-    c = d // 2 (chunks of c digits, with one middle digit when d is odd: a
-    row's first p entries add single digits), and digit by digit when table
-    is None, as in a prime field, where the one digit is (a + b) % p."""
-    P = p ** (d // 2)
+    digit-add table (p^d rows), two in the table of the low c = ceil(d/2)
+    digits, which the high d - c digits index too, and digit by digit when
+    table is None, as in a prime field, where the one digit is (a + b) % p."""
+    P = p ** ((d + 1) // 2)
     if table is None:
         def add(a, b):
             out, unit = 0, 1
@@ -153,14 +154,9 @@ def _chunked_adder(p, d, table):
     elif len(table) == p ** d:
         def add(a, b):
             return table[a][b]
-    elif d % 2 == 0:
-        def add(a, b):
-            return table[a % P][b % P] + P * table[a // P][b // P]
     else:
         def add(a, b):
-            ah, bh = a // P, b // P
-            return table[a % P][b % P] + P * (
-                table[ah % p][bh % p] + p * table[ah // p][bh // p])
+            return table[a % P][b % P] + P * table[a // P][b // P]
     return add
 
 
@@ -341,10 +337,10 @@ class _Kernel:
     ``mul``, ``inv`` and ``neg``; a subclass overrides a body only where a
     workload measures the difference.
 
-    The scalar c, the point a and the arguments of mul, inv and pow are
-    nonzero, ``pairs`` lists (j, x) with x nonzero, the power k is
-    nonnegative and the Frobenius shift t is below the degree.  Each row
-    operation is one call per row or polynomial.
+    The scalar c, the point a of ``evaluate`` and the arguments of mul,
+    inv and pow are nonzero, ``pairs`` lists (j, x) with x nonzero, the
+    power k is nonnegative and the Frobenius shift t is below the degree.
+    Each row operation is one call per row or polynomial.
     """
 
     def pow(self, a, k):
@@ -373,15 +369,19 @@ class _Kernel:
                 acc = add(acc, mul(c, frob(x, t)))
         return acc
 
+    def norms(self, a, e, k):
+        """[N_0(a), ..., N_(k-1)(a)], k >= 1, for sigma = frob_e and any a:
+        N_(i+1)(a) = N_i(a) sigma^i(a), the one body of this recurrence."""
+        mul, frob, d = self.mul, self.frobenius, self.field.degree
+        out = [1] + [0] * (k - 1)
+        if a:
+            for i in range(1, k):
+                out[i] = mul(out[i - 1], frob(a, e * (i - 1) % d))
+        return out
+
     def evaluate(self, f, a, e):
-        """sum_i f_i N_i(a) for sigma = frob_e, N_i(a) = prod_{j<i} sigma^j(a)."""
-        mul, add, frob, d = self.mul, self.add, self.frobenius, self.field.degree
-        acc, cur = f[0], 1   # cur = N_i(a)
-        for i in range(1, len(f)):
-            cur = mul(cur, frob(a, e * (i - 1) % d))
-            if f[i]:
-                acc = add(acc, mul(f[i], cur))
-        return acc
+        """sum_i f_i N_i(a) for sigma = frob_e."""
+        return self.dot(f[0], f[1:], self.norms(a, e, len(f))[1:], [0] * len(f))
 
     def eliminate(self, m, r, col):
         """Scale row r of m to a unit pivot at col and clear col in every
@@ -674,14 +674,14 @@ class FieldSpec:
 
     def _make_kernel(self):
         p, d, n = self.p, self.degree, self.order - 1
-        big = self.order > _TABLE_LIMIT
+        half = (d + 1) // 2
         if p == 2:
             add = xor
-        elif d == 1 or big:   # a prime field or above 2^16 elements: digit by digit
+        elif d == 1 or p ** half > 256:   # a prime field, or a half table past 2^16 entries
             add = _chunked_adder(p, d, None)
         else:   # the full table when the field is one chunk, else half-width
-            add = _chunked_adder(p, d, _digit_add_table(p, d if _chunk(p, d)[0] == d else d // 2))
-        if big:
+            add = _chunked_adder(p, d, _digit_add_table(p, d if _chunk(p, d)[0] == d else half))
+        if self.order > _TABLE_LIMIT:
             return _PolyKernel(self, add)
         seq = self._powers(self._generator_i(), n, add)
         log = [0] * self.order
@@ -907,15 +907,13 @@ def norm_exponent(q, i):
 
 
 def norm(aut, i, a):
-    """The i-th norm N_i(a) = prod_{j<i} sigma^j(a), by the recurrence."""
+    """The i-th norm N_i(a) = prod_{j<i} sigma^j(a), by the recurrence up to
+    the order m of sigma: N_(km+r) = N_m^k N_r, as sigma^m is the identity."""
     if i < 0:
         raise ValueError("i must be nonnegative")
-    field = aut.field
-    a = field.element(a).i
-    acc = 1
-    for j in range(i):
-        acc = field.mul_i(acc, aut.apply_i(a, j))
-    return FieldElement(field, acc)
+    field, m = aut.field, aut.order
+    ns = field.kernel().norms(field.element(a).i, aut.e, m + 1)
+    return FieldElement(field, field.mul_i(field.pow_i(ns[m], i // m), ns[i % m]))
 
 
 def norm_via_exponent(aut, i, a):

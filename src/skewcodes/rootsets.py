@@ -23,6 +23,7 @@ from .linalg import rank_i, right_kernel_i, wrap
 from .skewpoly import SkewPoly, SkewRing, _eval_ci, _lclm_ci, _monic_ci, _mul_ci, _shift_ci
 
 _DOMAIN_SWEEP_LIMIT = 1 << 20
+_ROOT_SEARCH_LIMIT = 1 << 25
 
 
 class AlgebraicSet:
@@ -93,14 +94,25 @@ def vanishing_set(f, emb=None):
 
 
 def _roots_i(f):
-    """The right roots of f as sorted packed indices (see vanishing_set)."""
+    """The right roots of f as sorted packed indices (see vanishing_set).
+
+    Refuses a domain of more than 2^20 points, then, before any evaluation,
+    a search of more than 2^25 steps: (q - 1) m (deg f + m) evaluation
+    steps, for the q - 1 classes, each m evaluations of a product of degree
+    below deg f + m (with m = 1, the sweep of every point), plus deg f^3
+    when the annihilator of x^m is formed, which bounds the work within a
+    small factor."""
     ring = f.ring
     domain = ring.field
     _guard("root sweep limited to 2^20 points, domain has {}", _DOMAIN_SWEEP_LIMIT, domain.order)
     ci = f._ci
     if not ci:   # f = 0 vanishes everywhere
         return list(range(domain.order))
-    if ring.m == 1:
+    n, m, q = len(ci) - 1, ring.m, ring.q
+    annihilator = m > 1 and q - 1 > n   # as _class_kernels decides
+    _guard("root search of {} steps exceeds 2^25", _ROOT_SEARCH_LIMIT,
+           (q - 1) * m * (n + m) + n ** 3 * annihilator)
+    if m == 1:
         return [a for a in range(domain.order) if _eval_ci(ring, ci, a) == 0]
     kern = domain.kernel()
     mul, pow_, q1 = kern.mul, kern.pow, ring.q - 1
@@ -225,18 +237,13 @@ def skew_vandermonde(ring, n, points):
 
 
 def _vandermonde_i(ring, n, idx):
-    """skew_vandermonde on packed points: row i + 1 is row i times sigma^i(a_j).
+    """skew_vandermonde on packed points: column j is the norms of a_j.
     Refuses more than 2^20 entries."""
     if n < 1:
         raise ValueError("need at least one row")
     _guard("Vandermonde matrix of {} entries exceeds 2^20", 1 << 20, n * len(idx))
-    field = ring.field
-    mul, frob = field.mul_i, field.kernel().frobenius
-    rows = [[1] * len(idx)]
-    for i in range(n - 1):
-        t = ring.e * i % field.degree
-        rows.append([mul(c, frob(a, t)) for c, a in zip(rows[-1], idx)])
-    return rows
+    norms = ring.field.kernel().norms
+    return [list(row) for row in zip(*(norms(a, ring.e, n) for a in idx))] or [[] for _ in range(n)]
 
 
 def is_wedderburn(f, emb=None):

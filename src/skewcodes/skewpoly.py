@@ -314,7 +314,7 @@ def _monic_right_divisors_ci(ring, f, degree, cancel, what="divisor"):
     if h > 1:
         gen, step = field._generator_i(), (N - 1) // h
         top = [0] + [kern.pow(gen, j) for j in range(step)]
-        images = [_orbit_rows(kern, tw, D, E, kern.pow(gen, j * step)) for j in range(1, h)]
+        images = [_orbit_rows(kern, ring.e, tw, D, E, kern.pow(gen, j * step)) for j in range(1, h)]
 
     def walk(k):
         # g_{D-k+1..D-1} and s_{E-k+1..E-1} are fixed: each g_{D-k} fixes
@@ -345,13 +345,11 @@ def _monic_right_divisors_ci(ring, f, degree, cancel, what="divisor"):
     return walk(1)
 
 
-def _orbit_rows(kern, tw, D, E, lam):
+def _orbit_rows(kern, e, tw, D, E, lam):
     """The multipliers taking a walk hit (g, s) to its image under x -> lam x
     made monic: (N_i(lam) N_D(lam)^-1 for i <= D, N_i(lam) sigma^i(N_D(lam))
-    for i <= E), with tw[i] the shift of sigma^i."""
-    norms = [1]   # N_i(lam) = prod_{j<i} sigma^j(lam)
-    for t in tw[:E]:
-        norms.append(kern.mul(norms[-1], kern.frobenius(lam, t)))
+    for i <= E), with sigma = frob_e and tw[i] the shift of sigma^i."""
+    norms = kern.norms(lam, e, E + 1)
     nD = norms[D]
     inv = kern.inv(nD)
     return ([kern.mul(c, inv) for c in norms[:D + 1]],

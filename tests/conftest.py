@@ -114,9 +114,9 @@ def aut4(F4):
 
 
 # Table fields beyond the presets: the largest table field (XOR addition),
-# odd fields above the 2^12 addition-table limit with even and odd degree
-# (chunked digit addition) and of degree 1 (addition mod p), and an odd
-# field with a full addition table; F_5^4 has scalars in F_p other than +-1.
+# odd fields past one chunk with even degree (the half-width addition table),
+# with p^ceil(d/2) > 256 (digit-by-digit addition) and of degree 1 (addition
+# mod p); F_5^4, a half-width field too, has scalars in F_p other than +-1.
 EXTRA_FIELDS = {
     "F2_16": (2, (1, 1, 0, 1) + (0,) * 8 + (1, 0, 0, 0, 1)),
     "F3_10": (3, (1, 0, 2) + (0,) * 7 + (1,)),
@@ -142,8 +142,9 @@ PRESETS = preset_names()
 def held_tables(F):
     """name -> list for each table F's kernel holds: the antilog, log and
     Frobenius tables of a table kernel and the digit-add table its adder
-    reads.  The kernel is the tables' one owner, so this is {} before the
-    first operation and, with no table of the field, above 2^16 elements."""
+    reads, if any (none for p = 2, a prime field, or p^ceil(d/2) > 256).
+    The kernel is the tables' one owner, so this is {} before the first
+    operation and, with no table of the field, above 2^16 elements."""
     kern = F._kernel
     tables = {name: getattr(kern, name) for name in ("exp", "log", "frob") if hasattr(kern, name)}
     cells = getattr(getattr(kern, "add", None), "__closure__", None) or ()

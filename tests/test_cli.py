@@ -265,6 +265,22 @@ def test_code_config_file(capsys, tmp_path):
     assert machine_dict(out)["distance"] == "4"
 
 
+def test_code_config_applies_e_as_config_does(capsys, tmp_path):
+    """--e after --code-config re-makes f and g over the ring of that e, as
+    it does after --config with --f and --g: x^2 + a^4 x + a^9 right-divides
+    x^4 + 1 over F_16 at e = 2 but not at the file's e = 1."""
+    field = "p=2\ne=1\nd=4\nmodpoly=1,1,0,0,1\nprimitive=true\n"
+    (tmp_path / "c.cfg").write_text(field + "f=x^4+1\ng=x^2+a^4*x+a^9\n")
+    (tmp_path / "field.cfg").write_text(field)
+    code, out, _ = run_cli(capsys, "code", "--code-config", str(tmp_path / "c.cfg"),
+                           "--e", "2", "--machine")
+    assert code == EXIT_OK and "genrow1=" in out
+    assert (code, out) == run_cli(capsys, "code", "--config", str(tmp_path / "field.cfg"),
+                                  "--f", "x^4+1", "--g", "x^2+a^4*x+a^9", "--e", "2",
+                                  "--machine")[:2]
+    assert run_cli(capsys, "code", "--code-config", str(tmp_path / "c.cfg"))[0] != EXIT_OK
+
+
 def test_parse_error_exit(capsys):
     code, _, err = run_cli(
         capsys, "vanish", "--preset", "F4", "--e", "1", "--poly", "y^2+1",
@@ -743,6 +759,15 @@ _HOSTILE_CALLS = [
     # a root sweep over F_2^21 (x^21 + x^2 + 1): more than 2^20 points
     (("vanish", "--poly", "x+1"), _field_config(2, (1, 0, 1) + (0,) * 18 + (1,)), EXIT_GUARD,
      "guard exceeded: root sweep limited to 2^20 points, domain has 2097152\n"),
+    # a commutative root sweep of 4,095 points of degree 65,000: 4095 * 65001 steps
+    (("vanish", "--preset", "F2_12", "--commutative", "--poly", "x^65000+1"), None, EXIT_GUARD,
+     "guard exceeded: root search of 266179095 steps exceeds 2^25\n"),
+    # both flags of one pair: the extension pair as the base pair, and --e with --commutative
+    (_BCH1_F16 + ("--delta", "2", "--n", "15", "--ext-preset", "F16", "--ext-config",
+                  "no-such-file.cfg"), None, EXIT_PARSE,
+     "parse error: give either --ext-preset or --ext-config, not both\n"),
+    (("field-info", "--preset", "F16", "--commutative", "--e", "2"), None, EXIT_PARSE,
+     "parse error: give either --e or --commutative, not both\n"),
     # a composite p of 4,000 digits, named by its size
     (("field-info",), _field_config(_HUGE, (0, 1)), EXIT_DOMAIN,
      "error: characteristic at least 10^100 is not prime\n"),

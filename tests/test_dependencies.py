@@ -138,7 +138,7 @@ def test_one_adder_per_field():
 
 
 KERNEL_OPERATIONS = {"__init__", "neg", "mul", "inv", "pow", "frobenius",
-                     "scale", "addmul", "dot", "evaluate", "eliminate"}
+                     "scale", "addmul", "dot", "norms", "evaluate", "eliminate"}
 
 
 def test_right_division_has_no_kernel_step_of_its_own():
@@ -153,7 +153,8 @@ def test_right_division_has_no_kernel_step_of_its_own():
         assert methods[name] <= KERNEL_OPERATIONS, name
 
 
-GENERIC_OPERATIONS = {"pow", "frobenius", "scale", "addmul", "dot", "evaluate", "eliminate"}
+GENERIC_OPERATIONS = {"pow", "frobenius", "scale", "addmul", "dot", "norms", "evaluate",
+                      "eliminate"}
 
 
 def test_one_generic_body_per_kernel_operation():
@@ -177,6 +178,34 @@ def test_one_generic_body_per_kernel_operation():
     assert set(methods["_PolyKernel"]) == {"__init__"}
     assert {"scale", "eliminate"} & set(methods["_TableKernel"]) == set()
     assert "_packed_neg" not in {_name(sub) for sub in ast.walk(tree)}
+
+
+# (module, qualified name) of each reader of the kernel's norms N_i(a), and
+# whether it applies sigma itself: the orbit rows also take sigma^i(N_D)
+NORM_READERS = {("rootsets.py", "_vandermonde_i"): False, ("fields.py", "norm"): False,
+                ("fields.py", "_Kernel.evaluate"): False, ("skewpoly.py", "_orbit_rows"): True}
+
+
+def test_one_norm_recurrence():
+    """_Kernel.norms is the one generic body of N_(i+1) = N_i sigma^i(a):
+    the Vandermonde rows, the norm, the generic right evaluation and the
+    orbit rows of the divisor walk call it, and all but the orbit rows make
+    no sigma call of their own."""
+    for (module, name), applies_sigma in NORM_READERS.items():
+        fn = dict(_functions(ast.parse((SRC / module).read_text(encoding="utf-8"))))[name]
+        called = {_name(sub.func) for sub in ast.walk(fn) if isinstance(sub, ast.Call)}
+        assert "norms" in called, name
+        assert bool(called & SIGMA_CALLS) == applies_sigma, name
+
+
+def test_one_half_width_adder():
+    """_chunked_adder defines three closures: the digit loop, the full
+    table and one half-width table for every degree."""
+    tree = ast.parse((SRC / "fields.py").read_text(encoding="utf-8"))
+    adder = dict(_functions(tree))["_chunked_adder"]
+    closures = [sub for sub in ast.walk(adder)
+                if isinstance(sub, (ast.FunctionDef, ast.Lambda)) and sub is not adder]
+    assert len(closures) == 3
 
 
 TABLE_BUILDERS = {"_digit_add_table", "_powers"}

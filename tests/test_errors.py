@@ -22,7 +22,7 @@ from skewcodes.errors import (
     _guard,
 )
 from skewcodes.fields import FieldEmbedding, FieldSpec, get_field
-from skewcodes.rootsets import _minpoly_ci, _vandermonde_i, vanishing_set
+from skewcodes.rootsets import _minpoly_ci, _roots_i, _vandermonde_i, vanishing_set
 from skewcodes.skewpoly import (
     SkewRing,
     _circulant_rows_i,
@@ -198,6 +198,14 @@ def _stubbed_fold(k):
     return _minpoly_ci(types.SimpleNamespace(m=1, q=1 << 12, field=None), range(k))
 
 
+def _stubbed_roots(q):
+    """The roots of the constant 1 under the search guard of a commutative
+    ring with q - 1 steps, one per class of degree-0 evaluations; the ring's
+    two-point field has no kernel, so the sweep stops at its point 1."""
+    ring = types.SimpleNamespace(m=1, q=q, field=types.SimpleNamespace(order=2))
+    return _roots_i(types.SimpleNamespace(ring=ring, _ci=(1,)))
+
+
 def _fold_over_f5_8(k):
     """k points in F_5^8 with sigma = frob_2, q = 25 and m = 4: the rank is
     at most m(q - 1) + 1 = 97, and 97 * 172,961 = 2^24 + 1."""
@@ -241,6 +249,9 @@ GUARD_BOUNDARIES = [
     pytest.param("rootsets._roots_i", lambda: _root_of_x_minus_1(*F2_20), None,
                  lambda: _root_of_x_minus_1(P_ABOVE_2_20, (1, 1)), P_ABOVE_2_20,
                  id="root_sweep"),
+    pytest.param("rootsets._roots_i", lambda: _stubbed_roots((1 << 25) + 1),
+                 (AttributeError, "kernel"), lambda: _stubbed_roots((1 << 25) + 2),
+                 (1 << 25) + 1, id="root_search"),
     pytest.param("skewpoly._circulant_rows_i", lambda: _one_row_circulant(1 << 20), None,
                  lambda: _one_row_circulant((1 << 20) + 1), (1 << 20) + 1, id="circulant"),
     pytest.param("rootsets._vandermonde_i", lambda: _one_row_vandermonde(1 << 20), None,

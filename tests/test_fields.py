@@ -410,6 +410,58 @@ def test_norm_recurrence_matches_closed_form(F16, F9):
                     assert norm(aut, i, a) == norm_via_exponent(aut, i, a)
 
 
+def _sampled_points(F, name, count):
+    """Every element of a field of at most 16, else 0, 1, order - 1 and count
+    sampled others."""
+    if F.order <= 16:
+        return list(range(F.order))
+    return [0, 1, F.order - 1] + random.Random(name).sample(range(2, F.order - 1), count)
+
+
+@pytest.mark.parametrize("name", PRESETS + ["F2_17", "F3_11"])
+def test_kernel_norms_match_the_closed_form(name, field_named):
+    """norms(a, e, k) is [N_0(a), ..., N_(k-1)(a)] for a = 0 and nonzero a,
+    at every e = 1..d and k = 1, 2, m + 1 and 2m + 2, against
+    a^((q^i - 1)/(q - 1)); F_2^17 and F_3^11 run the polynomial kernel's
+    generic body."""
+    F = field_named(name)
+    kern = F.kernel()
+    for e in range(1, F.degree + 1):
+        aut = FrobeniusAut(F, e)
+        top = 2 * aut.order + 2
+        for a in _sampled_points(F, name, 4):
+            closed = [norm_via_exponent(aut, i, a).i for i in range(top)]
+            for k in (1, 2, aut.order + 1, top):
+                assert kern.norms(a, e, k) == closed[:k]
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_norm_matches_the_closed_form_past_the_order_of_sigma(name):
+    """norm reads N_(km+r) = N_m^k N_r off the norms up to the order m of
+    sigma, for e = 1..2d, which includes the identity and exponents past d."""
+    F = get_field(name)
+    for e in range(1, 2 * F.degree + 1):
+        aut = FrobeniusAut(F, e)
+        for a in _sampled_points(F, name, 8):
+            for i in range(3 * F.degree + 2):
+                assert norm(aut, i, a) == norm_via_exponent(aut, i, a)
+
+
+@pytest.mark.parametrize("name,e", [("F2_12", 1), ("F27", 1), ("F2_12", 4)])
+def test_norm_at_index_10_12_is_fast(name, e):
+    """N_i(a) at i = 10^12 takes O(m + log i) products, against the exponent
+    (q^i - 1)/(q - 1) reduced modulo the order of F^*."""
+    F, i = get_field(name), 10 ** 12
+    aut, n = FrobeniusAut(F, e), F.order - 1
+    q = aut.q
+    exponent = (pow(q, i, (q - 1) * n) - 1) // (q - 1)
+    for a in (F.gen, F.element(F.order - 1)):
+        start = time.perf_counter()
+        got = norm(aut, i, a)
+        assert time.perf_counter() - start < 0.1
+        assert got.i == F.pow_i(a.i, exponent)
+
+
 def test_norm_trivia(F4, aut4):
     w = F4.gen
     assert norm(aut4, 2, w) == F4.one       # w * sigma(w) = w^3 = 1
@@ -787,30 +839,52 @@ def test_add_table_sampled_rows_f3_6():
             _coefficientwise_sum(F, a, b) for b in range(F.order)]
 
 
-# odd table fields of one chunk and past it, with even and odd degree
+# odd table fields of one chunk and past it, with even and odd degree; F_3^9
+# has the largest half table, 243 rows
 _ADD_TABLE_FIELDS = {
     "F9": (3, (2, 1, 1)), "F27": (3, (1, 2, 0, 1)), "F3^5": (3, (1, 2, 0, 0, 0, 1)),
     "F3^6": (3, (2, 1, 0, 0, 0, 0, 1)), "F3^7": (3, (2, 0, 1, 0, 0, 0, 0, 1)),
+    "F3^9": (3, (1, 0, 1, 2, 0, 0, 0, 0, 0, 1)),
     "F5^5": (5, (1, 4, 0, 0, 0, 1)), "F13^3": (13, (2, 0, 0, 1)), "F61^2": (61, (2, 0, 1)),
 }
+# odd table fields whose half table, p^ceil(d/2) rows, would pass 2^16 entries
+_DIGIT_LOOP_FIELDS = {"F7^5": EXTRA_FIELDS["F7_5"], "F37^3": EXTRA_FIELDS["F37_3"],
+                      "F17^3": (17, (3, 1, 0, 1))}
 
 
-@pytest.mark.parametrize("name", sorted(_ADD_TABLE_FIELDS))
-def test_every_add_table_has_at_most_2_16_entries(name):
-    """The full digit-add table only for one chunk, (p^d)^2 <= 2^16 entries,
-    else the half-width table, p^(2 * (d // 2)) <= p^d entries; sampled sums
-    match coefficient-wise sums."""
-    F = FieldSpec(*_ADD_TABLE_FIELDS[name], name=name)
-    F.add_i(0, 0)
-    table = held_tables(F)["add"]
-    assert sum(map(len, table)) <= 1 << 16
-    assert len(table) == (F.order if F.order <= 256 else F.p ** (F.degree // 2))
-    rng = random.Random(name)
+def _check_sums(F):
+    """Edge and 400 sampled sums of F against coefficient-wise sums."""
+    rng = random.Random(F.name)
     edge = [0, 1, F.p - 1, F.order - 1]
     pairs = [(a, b) for a in edge for b in edge]
     pairs += [(rng.randrange(F.order), rng.randrange(F.order)) for _ in range(400)]
     for a, b in pairs:
         assert F.add_i(a, b) == _coefficientwise_sum(F, a, b)
+
+
+@pytest.mark.parametrize("name", sorted(_ADD_TABLE_FIELDS))
+def test_every_add_table_has_at_most_2_16_entries(name):
+    """The full digit-add table only for one chunk, (p^d)^2 <= 2^16 entries,
+    else the half-width table of the low ceil(d/2) digits, p^ceil(d/2) <= 256
+    rows; sampled sums match coefficient-wise sums."""
+    F = FieldSpec(*_ADD_TABLE_FIELDS[name], name=name)
+    F.add_i(0, 0)
+    table = held_tables(F)["add"]
+    assert sum(map(len, table)) <= 1 << 16
+    assert len(table) == (F.order if F.order <= 256 else F.p ** ((F.degree + 1) // 2))
+    _check_sums(F)
+
+
+@pytest.mark.parametrize("name", sorted(_DIGIT_LOOP_FIELDS))
+def test_table_fields_past_a_256_row_half_table_add_digit_by_digit(name):
+    """A table field whose half table would have p^ceil(d/2) > 256 rows, so
+    more than 2^16 entries, holds no add table; sampled sums match
+    coefficient-wise sums."""
+    F = FieldSpec(*_DIGIT_LOOP_FIELDS[name], name=name)
+    F.add_i(0, 0)
+    assert F.order <= 1 << 16 and F.p ** ((F.degree + 1) // 2) > 256
+    assert "add" not in held_tables(F) and "exp" in held_tables(F)
+    _check_sums(F)
 
 
 # -- the public kernel against coefficient arithmetic ------------------------------
@@ -910,7 +984,8 @@ def test_kernel_references_the_field_tables(field_named):
         else:
             assert callable(kern.add)
         if F.p != 2 and F.order > 256:
-            assert len(tables["add"]) ** 2 <= F.order
+            assert sum(map(len, tables.get("add", []))) <= 1 << 16
+    assert "add" not in held_tables(field_named("F37_3"))   # 37^2 rows would pass 2^16
     assert field_named("F2_17").kernel().add is operator.xor
     for modulus, rows in [((2, 1, 1), 9), ((1, 2, 0, 1), 27), ((2, 1, 0, 0, 0, 0, 1), 27)]:
         # odd p, d > 1: the addition table comes with the kernel, the full

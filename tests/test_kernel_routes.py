@@ -7,8 +7,10 @@ same modulus: once with its table kernel, and once with a
 ``_PolyKernel`` over the table route's own adder installed as its kernel,
 so that the polynomial kernel runs on every adder: XOR (p = 2), the full
 digit-add table of a field of one chunk (F9, F27), the half-width table
-of even degree (F_3^6, F_3^8) and of odd degree, with a middle digit
-(F_7^3), and the digit loop of a prime field (F7).  Every kernel operation must agree on
+of the low ceil(d/2) digits for even degree (F_3^6, F_3^8) and odd degree
+(F_7^3, and F_3^9 with the largest, 243 rows), and the digit loop of a
+prime field (F7) and of fields whose half table would pass 2^16 entries
+(F_7^5, F_37^3).  Every kernel operation must agree on
 seeded inputs, and divisor lists, root sets, minimal polynomials, lclm,
 gcrd_bezout and minimum distances must be the same packed values on both
 routes."""
@@ -33,6 +35,9 @@ ROUTE_FIELDS = {
     "F3_6": (*EXTRA_FIELDS["F3_6"], 2),
     "F3_8": (3, (2, 0, 1, 0, 0, 0, 0, 0, 1), 2),
     "F7_3": (7, (2, 0, 0, 1), 2),
+    "F3_9": (3, (1, 0, 1, 2, 0, 0, 0, 0, 0, 1), 3),
+    "F7_5": (*EXTRA_FIELDS["F7_5"], 2),
+    "F37_3": (*EXTRA_FIELDS["F37_3"], 3),
     "F7": (7, (4, 1), 4),
 }
 
@@ -53,11 +58,13 @@ def test_the_matrix_covers_every_adder():
         F.kernel()
     widths = {name: len(held_tables(F)["add"])
               for name, F in fields.items() if "add" in held_tables(F)}
-    assert widths == {"F9": 9, "F27": 27, "F3_6": 27, "F3_8": 81, "F7_3": 7}
+    assert widths == {"F9": 9, "F27": 27, "F3_6": 27, "F3_8": 81, "F7_3": 49, "F3_9": 243}
     assert {name for name, F in fields.items() if F.kernel().add is operator.xor} == {
         "F2", "F4", "F8", "F16"}
     assert fields["F7"].degree == 1 and "add" not in held_tables(fields["F7"])
     assert fields["F7_3"].degree % 2 == 1 and fields["F7_3"].order > 256
+    assert {name for name, F in fields.items() if F.p != 2 and F.degree > 1
+            and "add" not in held_tables(F)} == {"F7_5", "F37_3"}
 
 
 def test_every_kernel_operation_agrees(routes):
@@ -101,12 +108,19 @@ def test_every_kernel_operation_agrees(routes):
         assert grids[0] == grids[1]
 
 
+# the commutative ring's roots are a sweep of every point, so above this order
+# the answers are taken at the sigma exponents e < d only
+SWEEP_LIMIT = 1 << 13
+
+
 def _public_answers(F, n, seed):
     """Divisor lists, root sets, minimal polynomials, lclm, gcrd_bezout and
-    distances over F at every sigma exponent, as packed values."""
+    distances over F at every sigma exponent (below d past SWEEP_LIMIT), as
+    packed values."""
     rng = random.Random(seed)
     out = []
-    for e in (e for e in range(1, F.degree + 1) if F.degree % e == 0):
+    top = F.degree if F.order <= SWEEP_LIMIT else F.degree - 1
+    for e in (e for e in range(1, top + 1) if F.degree % e == 0):
         R = SkewRing(F, e)
         for a in (1, F.order - 1, rng.randrange(1, F.order)):
             divisors = enumerate_right_divisors(R.x_pow_minus(n, a))
