@@ -142,9 +142,8 @@ def _digit_add_table(p, k):
 def _chunked_adder(p, d, table):
     """Addition on packed indices of F_p^d, odd p: one lookup in the full
     digit-add table (p^d rows), two in the table of the low c = ceil(d/2)
-    digits, which the high d - c digits index too, and digit by digit when
-    table is None, as in a prime field, where the one digit is (a + b) % p."""
-    P = p ** ((d + 1) // 2)
+    digits (P = p^c rows), which the high d - c digits index too, and digit
+    by digit when table is None, as in a prime field: (a + b) % p."""
     if table is None:
         def add(a, b):
             out, unit = 0, 1
@@ -155,6 +154,8 @@ def _chunked_adder(p, d, table):
         def add(a, b):
             return table[a][b]
     else:
+        P = len(table)
+
         def add(a, b):
             return table[a % P][b % P] + P * table[a // P][b // P]
     return add
