@@ -109,7 +109,7 @@ def _roots_i(f):
     if not ci:   # f = 0 vanishes everywhere
         return list(range(domain.order))
     n, m, q = len(ci) - 1, ring.m, ring.q
-    annihilator = m > 1 and q - 1 > n   # as _class_kernels decides
+    annihilator = m > 1 and q - 1 > n   # P picks the classes (_class_kernels)
     _guard("root search of {} steps exceeds 2^25", _ROOT_SEARCH_LIMIT,
            (q - 1) * m * (n + m) + n ** 3 * annihilator)
     if m == 1:
@@ -117,13 +117,13 @@ def _roots_i(f):
     kern = domain.kernel()
     mul, pow_, q1 = kern.mul, kern.pow, ring.q - 1
     roots = [] if ci[0] else [0]
-    for a, basis in _class_kernels(ring, ci):
+    for a, basis in _class_kernels(ring, ci, annihilator):
         # sigma(c) a c^-1 = a c^(q-1), one c per F_q-line
         roots += [mul(a, pow_(c, q1)) for c in _line_points(domain, basis, ring.e)]
     return sorted(roots)
 
 
-def _class_kernels(ring, ci):
+def _class_kernels(ring, ci, annihilator):
     """Yield (a, basis) for the representative a = g^j, 0 <= j < q - 1, of
     each nonzero conjugacy class that holds a right root of f, where basis
     is an F_p-basis, as packed indices, of the kernel of
@@ -131,8 +131,8 @@ def _class_kernels(ring, ci):
 
     g is the generator of F^* the field is built on, so its norm nu = N(g)
     generates F_q^* and the g^j lie in distinct classes, of norms nu^j.
-    When q - 1 > deg f, P = _annihilator_ci is evaluated at each nu^j and
-    only its roots, at most deg f, are solved; otherwise every class is.
+    When annihilator is set, P = _annihilator_ci is evaluated at each nu^j
+    and only its roots, at most deg f, are solved; otherwise every class is.
     They are the roots in F_q^* of the reduced norm chi_f, the norms of the
     classes with roots: chi_f(gamma) = 0 exactly when y - gamma (y = x^m) is
     singular on R/Rf, so when B(gamma) = 0, B the F_q-minimal polynomial of
@@ -158,7 +158,7 @@ def _class_kernels(ring, ci):
     xs = [p ** v for v in range(ring.m)]
     domain = [mul(gu, xv) for xv in xs for gu in gammas]
     products = [_mul_ci(ring, ci, (xv,)) for xv in xs]
-    ann = _annihilator_ci(ring, ci) if q - 1 > len(ci) - 1 else None
+    ann = _annihilator_ci(ring, ci) if annihilator else None
     a = gamma = 1
     for _ in range(q - 1):
         if ann is None or not kern.evaluate(ann, gamma, field.degree):
@@ -243,7 +243,8 @@ def _vandermonde_i(ring, n, idx):
         raise ValueError("need at least one row")
     _guard("Vandermonde matrix of {} entries exceeds 2^20", 1 << 20, n * len(idx))
     norms = ring.field.kernel().norms
-    return [list(row) for row in zip(*(norms(a, ring.e, n) for a in idx))] or [[] for _ in range(n)]
+    cols = [norms(a, ring.e, n) for a in idx]
+    return [[col[i] for col in cols] for i in range(n)]
 
 
 def is_wedderburn(f, emb=None):

@@ -350,10 +350,9 @@ def _orbit_rows(kern, e, tw, D, E, lam):
     made monic: (N_i(lam) N_D(lam)^-1 for i <= D, N_i(lam) sigma^i(N_D(lam))
     for i <= E), with sigma = frob_e and tw[i] the shift of sigma^i."""
     norms = kern.norms(lam, e, E + 1)
-    nD = norms[D]
-    inv = kern.inv(nD)
+    inv = kern.inv(norms[D])
     return ([kern.mul(c, inv) for c in norms[:D + 1]],
-            [kern.mul(c, kern.frobenius(nD, t)) for c, t in zip(norms, tw)])
+            [kern.mul(c, kern.frobenius(norms[D], t)) for c, t in zip(norms, tw)])
 
 
 def _eval_ci(ring, f, a):

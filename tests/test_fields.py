@@ -984,8 +984,12 @@ def test_kernel_references_the_field_tables(field_named):
         else:
             assert callable(kern.add)
         if F.p != 2 and F.order > 256:
-            assert sum(map(len, tables.get("add", []))) <= 1 << 16
-    assert "add" not in held_tables(field_named("F37_3"))   # 37^2 rows would pass 2^16
+            rows = F.p ** ((F.degree + 1) // 2)   # the half table of ceil(d/2) digits
+            if rows <= 256:   # F_3^10: 243 rows
+                assert len(tables["add"]) == rows
+                assert sum(map(len, tables["add"])) <= 1 << 16
+            else:   # F_37^3: 37^2 rows would pass 2^16 entries
+                assert "add" not in tables
     assert field_named("F2_17").kernel().add is operator.xor
     for modulus, rows in [((2, 1, 1), 9), ((1, 2, 0, 1), 27), ((2, 1, 0, 0, 0, 0, 1), 27)]:
         # odd p, d > 1: the addition table comes with the kernel, the full
@@ -1086,8 +1090,9 @@ def test_embedding_refuses_a_source_above_2_20():
 
 _KERNEL_KINDS = [
     "F16", "F2_16",            # XOR tables
-    "F9", "F3_6",              # odd tables with a full addition table
-    "F3_10", "F7_5",           # chunked addition
+    "F9",                      # odd table with a full addition table
+    "F3_6", "F3_10",           # odd tables with a half-width addition table
+    "F7_5",                    # odd table, digit-by-digit addition (7^3 > 256)
     "F4099",                   # a prime field
     "F2_17", "F3_11",          # packed arithmetic: carry-less and Kronecker
     "F5_7", "F17_4",

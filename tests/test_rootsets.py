@@ -372,8 +372,11 @@ def test_vanishing_set_of_zero_and_constants(name):
 
 
 def _class_rank(R, f):
-    """Sum of the F_q-dimensions of the class kernels, plus 1 when f_0 = 0."""
-    dims = [len(basis) for _, basis in _class_kernels(R, f._ci)]
+    """Sum of the F_q-dimensions of the class kernels, plus 1 when f_0 = 0;
+    the classes the annihilator picks are the classes with a kernel."""
+    picked = list(_class_kernels(R, f._ci, True))
+    assert picked == [(a, basis) for a, basis in _class_kernels(R, f._ci, False) if basis]
+    dims = [len(basis) for _, basis in picked]
     assert all(dim % R.e == 0 for dim in dims)
     return sum(dims) // R.e + (not f._ci[0])
 
